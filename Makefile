@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-smoke bench-sharded bench-churn bench-soak sharded-smoke churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke check clean
+.PHONY: all build vet lint test race bench bench-smoke bench-churn bench-soak churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke check clean
 
 all: check
 
@@ -25,18 +25,16 @@ test:
 # packages carry the pooled engine and the shared path oracle, the
 # plancache serves all trial workers concurrently, so all four run
 # under the race detector — as do faults and audit, whose per-trial
-# injectors and auditors execute inside concurrently sharded trials,
+# injectors and auditors execute inside concurrently running trials,
 # and trace, whose per-trial recorders must stay disjoint across
 # workers. The wiring registry and the three registry-added systems run
 # under the detector too: their coordinators execute inside concurrently
-# sharded trials and their plan caches are shared across workers. The
-# sim, topo and wiring packages cover the sharded event engine, its
-# region partitioner and its attach/fallback gate; the second line adds
-# the end-to-end sequential-vs-sharded equality tests, whose region
-# workers genuinely race without the window/barrier discipline.
+# running trials and their plan caches are shared across workers. The
+# second line adds the churn and soak harness tests, which drive the
+# pool end to end.
 race:
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/topo/... ./internal/plancache/... ./internal/faults/... ./internal/audit/... ./internal/trace/... ./internal/wiring/... ./internal/localverify/... ./internal/ppcu/... ./internal/optoracle/... ./internal/dataplane/... ./internal/controlplane/... ./internal/traffic/... ./internal/packet/... ./internal/soak/... ./internal/transport/... ./internal/replaydiff/... ./internal/deploy/...
-	$(GO) test -race -run 'Sharded|Churn|Soak' ./internal/experiments/
+	$(GO) test -race -run 'Churn|Soak' ./internal/experiments/
 
 # Hot-path microbenchmarks (engine schedule/step) plus the end-to-end
 # Fig. 7 trial benchmark. Results are tracked in BENCH_hotpath.json and
@@ -51,18 +49,6 @@ bench:
 bench-smoke:
 	$(GO) test -bench=BenchmarkEngine -benchmem -benchtime=10x -run=^$$ ./internal/sim/
 	$(GO) test -bench='BenchmarkFig7Trial|BenchmarkTrialSetup|BenchmarkManyFlowsTrial' -benchmem -benchtime=10x -run=^$$ .
-
-# Sharded-engine benchmark: one K=16 scale trial per shard count
-# (sequential vs 2/4/8 region workers). Results are tracked in
-# BENCH_sharded_engine.json.
-bench-sharded:
-	$(GO) test -bench=BenchmarkManyFlowsSharded -benchmem -benchtime=20x -run=^$$ .
-
-# Two-region-worker Fig. 7 smoke: the full six-subfigure grid on the
-# sharded engine (scenarios its fallback matrix keeps sequential run
-# there), exercising the window/barrier runtime end to end.
-sharded-smoke:
-	$(GO) run ./cmd/p4update -exp fig7 -runs 1 -shards 2
 
 # Fixed-seed short streaming-churn run with the continuous invariant
 # auditor attached (zero audit violations asserted in-test), plus a
@@ -119,7 +105,7 @@ deploy-smoke: daemons
 fig7-six:
 	$(GO) run ./cmd/p4update -exp fig7six -runs 3 -seed 1 -workers 4
 
-check: lint build test race sharded-smoke churn-smoke soak-smoke deploy-smoke
+check: lint build test race churn-smoke soak-smoke deploy-smoke
 
 clean:
 	$(GO) clean ./...

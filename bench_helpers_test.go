@@ -192,13 +192,7 @@ type manyFlowsBench struct {
 }
 
 func newManyFlowsBench(nFlows int) (*manyFlowsBench, error) {
-	return newManyFlowsBenchK(8, nFlows)
-}
-
-// newManyFlowsBenchK is newManyFlowsBench on an arbitrary fat-tree
-// radix (the sharded-engine benchmark runs K=16).
-func newManyFlowsBenchK(k, nFlows int) (*manyFlowsBench, error) {
-	g := topo.FatTree(k)
+	g := topo.FatTree(8)
 	g.Freeze()
 	flows, err := traffic.ManyFlowWorkload(g, rand.New(rand.NewSource(1)), nFlows, topo.EdgeSwitches(g))
 	if err != nil {
@@ -211,19 +205,10 @@ func newManyFlowsBenchK(k, nFlows int) (*manyFlowsBench, error) {
 // and trigger every flow, run the simulation to quiescence — and returns
 // the completion time of the last flow.
 func (mb *manyFlowsBench) run(kind experiments.SystemKind, seed int64) (time.Duration, error) {
-	return mb.runSharded(kind, seed, 1)
-}
-
-// runSharded is run under the sharded event engine (shards <= 1 stays
-// on the sequential engine; the completion time is identical either
-// way — that equality is asserted by the experiments package's
-// sharded-equality tests, so the benchmark only measures wall clock).
-func (mb *manyFlowsBench) runSharded(kind experiments.SystemKind, seed int64, shards int) (time.Duration, error) {
 	cfg := experiments.DefaultBedConfig()
 	cfg.FatTreeControl = true
 	wcfg := cfg.WiringConfig(kind, seed)
 	wcfg.Plans = mb.plans
-	wcfg.Shards = shards
 	bed := &experiments.Bed{Kind: kind, System: wiring.New(mb.g, wcfg)}
 	if err := bed.Register(mb.flows); err != nil {
 		return 0, err

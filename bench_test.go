@@ -6,7 +6,6 @@ package p4update_test
 // `go test -bench=. -benchmem` regenerates the whole evaluation.
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -281,35 +280,5 @@ func BenchmarkPreparePlan(b *testing.B) {
 		if _, err := planForBench(g, oldP, newP, uint32(i+2)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkManyFlowsSharded measures the sharded event engine on the
-// heaviest scale scenario in the evaluation: 500 simultaneous flow
-// updates on a fat-tree K=16 (320 switches), executed sequentially
-// (shards=1) and across 2/4/8 region workers. The trial results are
-// byte-identical across shard counts (asserted by the experiments
-// package's sharded-equality tests); this benchmark isolates the
-// wall-clock cost of the window/barrier runtime. Results are tracked
-// in BENCH_sharded_engine.json.
-func BenchmarkManyFlowsSharded(b *testing.B) {
-	mb, err := newManyFlowsBenchK(16, 500)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d, err := mb.runSharded(experiments.KindP4Update, int64(i+1), shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if d <= 0 {
-					b.Fatal("no update completed")
-				}
-			}
-		})
 	}
 }

@@ -12,10 +12,6 @@
 //	                             # shard trials across 8 workers and export
 //	                             # per-trial metrics; the merged output is
 //	                             # identical to a -workers 1 run
-//	p4update -exp scale -topo fattree16 -scale-flows 5000 -shards 8
-//	                             # run each trial on 8 region workers of the
-//	                             # sharded event engine; traces and metrics
-//	                             # are byte-identical to -shards 1
 package main
 
 import (
@@ -52,7 +48,6 @@ func main() {
 		liveFlows    = flag.Int("live-flows", 100_000, "churn: target steady-state live-flow population (mean lifetime = live-flows / arrival-rate)")
 		rerouteEvery = flag.Duration("reroute-every", 50*time.Millisecond, "churn: mean interval between link perturbations (0 disables reroutes)")
 		workers      = flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
-		shards       = flag.Int("shards", 1, "region workers per trial (sharded event engine; 1 = sequential, results are identical either way)")
 		loss         = flag.String("loss", "0,0.05,0.1,0.2", "faults: comma-separated frame-loss rates")
 		reorder      = flag.String("reorder", "0,0.1", "faults: comma-separated reorder rates")
 		crash        = flag.Int("crash", 0, "faults: scheduled switch crash/restart cycles per trial")
@@ -161,7 +156,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := experiments.RunOptions{Workers: *workers, Systems: systems, Shards: *shards}
+	opt := experiments.RunOptions{Workers: *workers, Systems: systems}
 	var topt *trace.Options
 	if *tracePath != "" {
 		topt = &trace.Options{Cap: *traceCap}
@@ -173,7 +168,7 @@ func main() {
 	start := time.Now()
 	switch *exp {
 	case "fig2":
-		traceRec = runFig2(*seed, topt, *shards)
+		traceRec = runFig2(*seed, topt)
 	case "fig4":
 		runFig4(*runs, *seed)
 	case "fig7":
@@ -202,7 +197,7 @@ func main() {
 			fail(err)
 		}
 	case "all":
-		traceRec = runFig2(*seed, topt, *shards)
+		traceRec = runFig2(*seed, topt)
 		runFig4(*runs, *seed)
 		trials = append(trials, runFig7(*runs, *seed, *cdf, opt)...)
 		trials = append(trials, runFig8(*preps, *seed, opt)...)
@@ -282,7 +277,7 @@ func parseSystems(sel string) ([]experiments.SystemKind, error) {
 	return kinds, nil
 }
 
-func runFig2(seed int64, topt *trace.Options, shards int) *trace.Recorder {
+func runFig2(seed int64, topt *trace.Options) *trace.Recorder {
 	fmt.Println("== Fig. 2: inconsistent updates (config (c) before delayed (b)) ==")
 	var rec *trace.Recorder
 	for _, kind := range []experiments.SystemKind{experiments.KindP4Update, experiments.KindEZSegway} {
@@ -292,7 +287,7 @@ func runFig2(seed int64, topt *trace.Options, shards int) *trace.Recorder {
 		if kind == experiments.KindP4Update {
 			tr = topt
 		}
-		r, trial, err := experiments.Fig2Sharded(kind, seed, tr, shards)
+		r, trial, err := experiments.Fig2Opts(kind, seed, tr)
 		if err != nil {
 			fail(err)
 		}

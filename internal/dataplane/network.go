@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"p4update/internal/packet"
@@ -113,52 +112,26 @@ type Network struct {
 	deliverFn func(any)
 
 	// flows interns flow IDs into dense indexes shared by every switch of
-	// the fabric (see flowTable). The table is shared by all region views
-	// of a sharded fabric.
+	// the fabric (see flowTable).
 	flows *flowTable
-
-	// Sharded execution (see AttachShards; all zero on an unsharded
-	// fabric). A sharded fabric has one *region view* per region — a
-	// shallow copy of the base network bound to that region's engine,
-	// with its own pool and delivery free list — and every switch is
-	// rebound to its region's view, so all engine access from switch code
-	// automatically lands on the right event queue. The base network
-	// (region -1) carries the controller and resident switches.
-	sh       *sim.Sharded
-	region   int32
-	regionOf []int32
-	views    []*Network
-	base     *Network
 }
 
 // flowTable interns flow IDs into dense indexes in first-touch order,
 // with a free list so retired flows' slots are recycled: under
 // streaming churn the table (and every per-switch dense slice indexed
 // by it) is sized by *live* flows, not by every flow that ever existed.
-// On an unsharded fabric it is single-threaded and lock-free; a sharded
-// fabric shares one table across region workers and takes the mutex.
-// Index values then depend on worker interleaving, which is safe
-// because nothing observable orders by index outside the congestion
-// path (which forces sequential execution) and the auditor (which also
-// forces sequential execution); retirement itself only runs in
-// root-engine (barrier) context.
+// Like the engine it serves, the table is single-threaded and lock-free.
 type flowTable struct {
-	mu     sync.Mutex
-	shared bool
-	idx    map[packet.FlowID]int32
-	ids    []packet.FlowID // slot-indexed; dead slots hold their last ID
-	live   []bool          // slot-indexed liveness
-	free   []int32         // recycled slots, LIFO
+	idx  map[packet.FlowID]int32
+	ids  []packet.FlowID // slot-indexed; dead slots hold their last ID
+	live []bool          // slot-indexed liveness
+	free []int32         // recycled slots, LIFO
 	// scratch is the reusable backing array of FlowIDs(): the compacted
 	// live view, rebuilt per call.
 	scratch []packet.FlowID
 }
 
 func (t *flowTable) slot(f packet.FlowID) int32 {
-	if t.shared {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	if i, ok := t.idx[f]; ok {
 		return i
 	}
@@ -177,13 +150,9 @@ func (t *flowTable) slot(f packet.FlowID) int32 {
 	return i
 }
 
-// release frees f's slot for reuse. The (f, i) pair is re-checked under
-// the lock so a stale release can never free a reassigned slot.
+// release frees f's slot for reuse. The (f, i) pair is re-checked so a
+// stale release can never free a reassigned slot.
 func (t *flowTable) release(f packet.FlowID, i int32) {
-	if t.shared {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	if j, ok := t.idx[f]; !ok || j != i {
 		return
 	}
@@ -193,19 +162,11 @@ func (t *flowTable) release(f packet.FlowID, i int32) {
 }
 
 func (t *flowTable) peek(f packet.FlowID) (int32, bool) {
-	if t.shared {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	i, ok := t.idx[f]
 	return i, ok
 }
 
 func (t *flowTable) id(i int32) packet.FlowID {
-	if t.shared {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	return t.ids[i]
 }
 
@@ -224,7 +185,7 @@ type delivery struct {
 // NewNetwork builds a switch per topology node. Control latency defaults
 // to zero until configured.
 func NewNetwork(eng *sim.Engine, t *topo.Topology) *Network {
-	n := &Network{Eng: eng, Topo: t, region: -1}
+	n := &Network{Eng: eng, Topo: t}
 	n.flows = &flowTable{idx: make(map[packet.FlowID]int32)}
 	n.deliverFn = n.deliver
 	n.switches = make([]*Switch, t.NumNodes())
@@ -295,10 +256,6 @@ func (n *Network) recordSend(tr *trace.Recorder, from, to topo.NodeID, m packet.
 // retain it across calls.
 func (n *Network) FlowIDs() []packet.FlowID {
 	t := n.flows
-	if t.shared {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	t.scratch = t.scratch[:0]
 	for i, f := range t.ids {
 		if t.live[i] {
@@ -313,10 +270,6 @@ func (n *Network) FlowIDs() []packet.FlowID {
 // are always < NumFlowSlots at the time of interning.
 func (n *Network) NumFlowSlots() int {
 	t := n.flows
-	if t.shared {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	return len(t.ids)
 }
 
@@ -324,10 +277,6 @@ func (n *Network) NumFlowSlots() int {
 // dead (recycled, currently vacant) slot.
 func (n *Network) FlowAt(i int32) (packet.FlowID, bool) {
 	t := n.flows
-	if t.shared {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	if i < 0 || int(i) >= len(t.ids) || !t.live[i] {
 		return 0, false
 	}
@@ -384,110 +333,6 @@ func (n *Network) deliver(x any) {
 	}
 	dv.raw = nil
 	n.freeDeliv = append(n.freeDeliv, dv)
-}
-
-// AttachShards converts the fabric to sharded execution over the
-// sharded runtime sh, with regionOf mapping every node to its region
-// (-1 = resident on the root engine). One region view per region is
-// built and every non-resident switch is rebound to its region's view.
-// Must be called before any traffic flows.
-func (n *Network) AttachShards(sh *sim.Sharded, regionOf []int32) {
-	n.sh = sh
-	n.region = -1
-	n.regionOf = regionOf
-	n.base = n
-	n.flows.shared = true
-	n.views = make([]*Network, sh.NumRegions())
-	for r := range n.views {
-		v := &Network{}
-		*v = *n
-		v.Eng = sh.RegionEngine(r)
-		v.region = int32(r)
-		v.pool = packet.Pool{}
-		v.freeDeliv = nil
-		v.deliverFn = v.deliver
-		n.views[r] = v
-	}
-	// Views were copied before n.views was populated; share the final
-	// slice so every view can route to every other.
-	for _, v := range n.views {
-		v.views = n.views
-	}
-	for id, sw := range n.switches {
-		if r := regionOf[id]; r >= 0 {
-			sw.net = n.views[r]
-		}
-	}
-	n.RefreshShardHooks()
-}
-
-// RefreshShardHooks copies the base network's hook fields into every
-// region view and wraps OnApply so window-context commits replay at the
-// barrier (where they may observe global state). The sharded runtime
-// calls it at the start of every run, so hooks installed after wiring
-// (experiment harnesses replace OnDeliver per trial) still propagate.
-func (n *Network) RefreshShardHooks() {
-	for r, v := range n.views {
-		v.ControlLatency = n.ControlLatency
-		v.ControllerRx = n.ControllerRx
-		v.OnDeliver = n.OnDeliver
-		v.Drop, v.Duplicate, v.Mangle, v.ExtraDelay = n.Drop, n.Duplicate, n.Mangle, n.ExtraDelay
-		v.DropControl, v.ExtraControlDelay = n.DropControl, n.ExtraControlDelay
-		v.Faults = n.Faults
-		if chain := n.OnApply; chain != nil {
-			sh, region := n.sh, int32(r)
-			v.OnApply = func(node topo.NodeID, f packet.FlowID, ver uint32) {
-				if sh.InWindow() {
-					sh.LogHook(region, func() { chain(node, f, ver) })
-					return
-				}
-				chain(node, f, ver)
-			}
-		} else {
-			v.OnApply = nil
-		}
-	}
-}
-
-// scheduleDelivery routes one in-flight frame to its destination's
-// execution context. Unsharded this is a plain engine insert; sharded,
-// window-context cross-region (and controller-bound) sends are captured
-// in the action log for the barrier, while barrier-context sends insert
-// directly into the destination region's queue.
-func (n *Network) scheduleDelivery(to topo.NodeID, ctrl bool, delay time.Duration, dv *delivery) {
-	if n.sh == nil {
-		n.Eng.ScheduleArg(delay, n.deliverFn, dv)
-		return
-	}
-	dst, dr := n.base, int32(-1)
-	if !ctrl {
-		if r := n.regionOf[to]; r >= 0 {
-			dst, dr = n.views[r], r
-		}
-	}
-	if n.sh.InWindow() {
-		if dr == n.region {
-			// Same-region: stays inside this worker's window.
-			n.Eng.ScheduleArg(delay, n.deliverFn, dv)
-			return
-		}
-		// Cross-region: the lookahead guarantees the delivery instant is
-		// at or beyond the window horizon, so barrier materialization
-		// cannot miss its turn.
-		n.sh.LogCross(n.region, n.Eng.Now()+delay, nil, dst.deliverFn, dv, dr)
-		return
-	}
-	dst.Eng.ScheduleArg(delay, dst.deliverFn, dv)
-}
-
-// ScheduleNode schedules fn in node's execution context: its region
-// engine under sharded execution, the trial engine otherwise (where it
-// is exactly Eng.Schedule). Window-context calls are only legal from
-// node's own region — i.e. from code already executing on that switch —
-// which the sharded push path enforces for resident nodes and the
-// region affinity of switch code guarantees elsewhere.
-func (n *Network) ScheduleNode(node topo.NodeID, delay time.Duration, fn func()) sim.Timer {
-	return n.switches[node].net.Eng.Schedule(delay, fn)
 }
 
 // Switch returns the switch at the given node.
@@ -583,13 +428,13 @@ func (n *Network) SendPort(from topo.NodeID, port topo.PortID, m packet.Message)
 	inPort := link.PortAt(to)
 	dv := n.newDelivery()
 	*dv = delivery{node: to, inPort: inPort, raw: raw, recycle: recycle && !dup}
-	n.scheduleDelivery(to, false, delay, dv)
+	n.Eng.ScheduleArg(delay, n.deliverFn, dv)
 	if dup {
 		// Same raw delivered twice: only the second (last) delivery may
 		// recycle the buffer.
 		dv2 := n.newDelivery()
 		*dv2 = delivery{node: to, inPort: inPort, raw: raw, recycle: recycle}
-		n.scheduleDelivery(to, false, delay+time.Millisecond, dv2)
+		n.Eng.ScheduleArg(delay+time.Millisecond, n.deliverFn, dv2)
 	}
 }
 
@@ -646,11 +491,11 @@ func (n *Network) SendToController(from topo.NodeID, m packet.Message) {
 	// controller decodes (copying every field) and must not retain it.
 	dv := n.newDelivery()
 	*dv = delivery{ctrl: true, node: from, raw: raw, recycle: !dup}
-	n.scheduleDelivery(from, true, delay, dv)
+	n.Eng.ScheduleArg(delay, n.deliverFn, dv)
 	if dup {
 		dv2 := n.newDelivery()
 		*dv2 = delivery{ctrl: true, node: from, raw: raw, recycle: true}
-		n.scheduleDelivery(from, true, delay+time.Millisecond, dv2)
+		n.Eng.ScheduleArg(delay+time.Millisecond, n.deliverFn, dv2)
 	}
 }
 
@@ -690,11 +535,11 @@ func (n *Network) SendToSwitch(node topo.NodeID, m packet.Message, extraDelay ti
 	}
 	dv := n.newDelivery()
 	*dv = delivery{node: node, inPort: topo.InvalidPort, raw: raw, recycle: !dup}
-	n.scheduleDelivery(node, false, delay, dv)
+	n.Eng.ScheduleArg(delay, n.deliverFn, dv)
 	if dup {
 		dv2 := n.newDelivery()
 		*dv2 = delivery{node: node, inPort: topo.InvalidPort, raw: raw, recycle: true}
-		n.scheduleDelivery(node, false, delay+time.Millisecond, dv2)
+		n.Eng.ScheduleArg(delay+time.Millisecond, n.deliverFn, dv2)
 	}
 }
 

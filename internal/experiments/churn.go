@@ -102,8 +102,8 @@ func (o ChurnOpts) soakOptions() soak.Options {
 
 // runChurnTrial executes one trial body on an already wired system. The
 // event loop lives in internal/soak — the fault-aware superset harness;
-// with no injector attached it schedules the identical resident event
-// sequence the original churn driver did, so churn output is unchanged.
+// with no injector attached it schedules the identical event sequence
+// the original churn driver did, so churn output is unchanged.
 func runChurnTrial(sys *wiring.System, g *topo.Topology, seed int64, opt ChurnOpts) (runner.Metrics, error) {
 	start := time.Now()
 	so := opt.soakOptions()
@@ -195,7 +195,6 @@ func RunChurn(mk func() *topo.Topology, label string, runs int, seed int64, co C
 				traffic.JitterLatencies(g, trialSeed, co.LatencyJitter)
 			}
 			cfg := bed.WiringConfig(kind, trialSeed)
-			cfg.Shards = opt.Shards
 			opts := co
 			trials = append(trials, runner.BedTrial(
 				fmt.Sprintf("churn/%s/run%d", label, run), kind.String(), g, cfg,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -89,67 +88,5 @@ func TestChurnAuditSmoke(t *testing.T) {
 	v := churnValues(t, res[0])
 	if v["updates_completed"] == 0 {
 		t.Fatal("audited churn run completed no updates")
-	}
-}
-
-// stripChurnHost drops host-side values (wall clock, alloc counters,
-// wall throughput) that legitimately differ between runs.
-func stripChurnHost(results []runner.Result) []runner.Result {
-	out := make([]runner.Result, len(results))
-	copy(out, results)
-	for i := range out {
-		out[i].WallClock = 0
-		out[i].Allocs = 0
-		out[i].AllocBytes = 0
-		out[i].Shards = 0
-		out[i].Gomaxprocs = 0
-		out[i].ShardEventsScheduled = nil
-		vals := make(map[string]float64, len(out[i].Values))
-		for k, v := range out[i].Values {
-			if k == "wall_flows_per_sec" {
-				continue
-			}
-			vals[k] = v
-		}
-		out[i].Values = vals
-	}
-	return out
-}
-
-// TestChurnDeterministicAcrossShards runs the same churn trial
-// sequentially and under the sharded runtime at several region counts
-// and requires identical merged results: the harness drives arrivals,
-// departures and reroute waves purely from resident (root-engine)
-// events, which the sharded cursor replays at their exact timestamps.
-func TestChurnDeterministicAcrossShards(t *testing.T) {
-	co := smokeChurnOpts()
-	run := func(shards int) []runner.Result {
-		res, err := RunChurn(func() *topo.Topology { return topo.FatTree(4) },
-			"fattree4", 2, 1, co, RunOptions{Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if shards > 1 {
-			for _, r := range res.Trials {
-				if r.Metrics.Shards < 2 {
-					t.Fatalf("shards=%d: trial %s fell back to sequential execution", shards, r.Label)
-				}
-			}
-		}
-		return stripChurnHost(res.Trials)
-	}
-	seq := run(0)
-	for i, r := range seq {
-		if r.Failed {
-			t.Fatalf("trial %d (%s) failed: %s", i, r.Label, r.Err)
-		}
-		if r.Values["updates_completed"] == 0 {
-			t.Fatalf("trial %d completed no updates", i)
-		}
-	}
-	for _, shards := range []int{2, 4} {
-		if par := run(shards); !reflect.DeepEqual(seq, par) {
-			t.Fatalf("churn shards=%d produced different merged results", shards)
-		}
 	}
 }

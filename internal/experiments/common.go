@@ -76,13 +76,6 @@ type RunOptions struct {
 	// Systems, when non-empty, restricts a grid to these systems;
 	// empty runs every registered primary system (AllSystems).
 	Systems []SystemKind
-	// Shards, when > 1, requests sharded execution inside every trial
-	// (wiring.Config.Shards): the topology is partitioned into regions
-	// executed by parallel workers under the conservative window/barrier
-	// runtime. Results are byte-identical to sequential execution;
-	// configurations the runtime cannot reproduce exactly fall back to
-	// the sequential engine per trial.
-	Shards int
 }
 
 // systems resolves the grid's system list.

@@ -66,18 +66,10 @@ func Fig2(kind SystemKind, seed int64) (*Fig2Result, error) {
 // trial (nil tr runs untraced). The recorder is returned alongside the
 // result so callers can export the event log.
 func Fig2Opts(kind SystemKind, seed int64, tr *trace.Options) (*Fig2Result, *trace.Recorder, error) {
-	return Fig2Sharded(kind, seed, tr, 1)
-}
-
-// Fig2Sharded is Fig2Opts executed under the sharded engine with the
-// given region-worker request (<= 1 runs sequentially). The scenario's
-// result and trace are byte-identical for every shard count.
-func Fig2Sharded(kind SystemKind, seed int64, tr *trace.Options, shards int) (*Fig2Result, *trace.Recorder, error) {
 	g, _, _, _ := topo.Fig2Scenario()
 	cfg := DefaultBedConfig()
 	wcfg := cfg.WiringConfig(kind, seed)
 	wcfg.Trace = tr
-	wcfg.Shards = shards
 	b := &Bed{Kind: kind, System: wiring.New(g, wcfg)}
 
 	pathA := []topo.NodeID{0, 1, 2, 3, 4}
@@ -100,10 +92,7 @@ func Fig2Sharded(kind SystemKind, seed int64, tr *trace.Options, shards int) (*F
 	}
 	b.Net.OnDeliver = func(node topo.NodeID, d *packet.Data) {
 		if node == 4 {
-			// Clock read through the delivering switch, so the observation
-			// carries the executing engine's time under sharded execution
-			// (identical to b.Eng.Now() sequentially).
-			res.V4 = append(res.V4, PacketObs{At: b.Net.Switch(node).Now(), Seq: d.Seq})
+			res.V4 = append(res.V4, PacketObs{At: b.Eng.Now(), Seq: d.Seq})
 		}
 	}
 
@@ -157,10 +146,7 @@ func Fig2Sharded(kind SystemKind, seed int64, tr *trace.Options, shards int) (*F
 	b.Eng.Schedule(res.WindowStart, sendC)
 	b.Eng.Schedule(res.WindowEnd, sendB)
 
-	// 125 pps source at v0 for 1.2 s. The injector is scheduled in v0's
-	// execution context (ScheduleNode), so under sharded execution the
-	// packet source lives in v0's region instead of forcing a barrier
-	// per packet; sequentially ScheduleNode is exactly Eng.Schedule.
+	// 125 pps source at v0 for 1.2 s.
 	const pps = 125
 	interval := time.Second / pps
 	seq := uint32(0)
@@ -169,11 +155,11 @@ func Fig2Sharded(kind SystemKind, seed int64, tr *trace.Options, shards int) (*F
 		seq++
 		res.Sent++
 		b.Net.Switch(0).InjectData(&packet.Data{Flow: f, Seq: seq, TTL: 64})
-		if b.Net.Switch(0).Now() < 1200*time.Millisecond {
-			b.Net.ScheduleNode(0, interval, inject)
+		if b.Eng.Now() < 1200*time.Millisecond {
+			b.Eng.Schedule(interval, inject)
 		}
 	}
-	b.Net.ScheduleNode(0, 100*time.Millisecond, inject)
+	b.Eng.Schedule(100*time.Millisecond, inject)
 
 	b.Eng.Run()
 

@@ -139,7 +139,6 @@ func Fig7SingleFlowOpts(mk func() *topo.Topology, label string, runs int, seed i
 		wcfg := cfg.WiringConfig(kind, seed+int64(run))
 		wcfg.Plans = plans
 		wcfg.Trace = opt.Trace
-		wcfg.Shards = opt.Shards
 		return runner.BedTrial(
 			fmt.Sprintf("%s/%s/run%02d", label, kind, run), kind.String(),
 			g, wcfg,
@@ -190,7 +189,6 @@ func Fig7MultiFlowOpts(mk func() *topo.Topology, label string, fatTree bool, run
 		wcfg := cfg.WiringConfig(kind, seed+int64(run))
 		wcfg.Plans = plans
 		wcfg.Trace = opt.Trace
-		wcfg.Shards = opt.Shards
 		return runner.BedTrial(
 			fmt.Sprintf("%s/%s/run%02d", label, kind, run), kind.String(),
 			g, wcfg,

@@ -44,7 +44,6 @@ func Fig7ManyFlowsOpts(mk func() *topo.Topology, label string, fatTree bool, nFl
 		wcfg := cfg.WiringConfig(kind, seed+int64(run))
 		wcfg.Plans = plans
 		wcfg.Trace = opt.Trace
-		wcfg.Shards = opt.Shards
 		return runner.BedTrial(
 			fmt.Sprintf("%s/%s/run%02d", label, kind, run), kind.String(),
 			g, wcfg,

@@ -137,7 +137,6 @@ func OptGapSingleFlow(mk func() *topo.Topology, label string, runs int, seed int
 			wcfg := cfg.WiringConfig(kind, seed+int64(run))
 			wcfg.Plans = plans
 			wcfg.Trace = opt.Trace
-			wcfg.Shards = opt.Shards
 			wcfg.TrackRounds = true
 			trials = append(trials, runner.BedTrial(
 				fmt.Sprintf("%s/%s/run%02d", label, kind, run), kind.String(),
@@ -189,7 +188,6 @@ func OptGapMultiFlow(mk func() *topo.Topology, label string, runs int, seed int6
 			wcfg := cfg.WiringConfig(kind, seed+int64(run))
 			wcfg.Plans = plans
 			wcfg.Trace = opt.Trace
-			wcfg.Shards = opt.Shards
 			wcfg.TrackRounds = true
 			trials = append(trials, runner.BedTrial(
 				fmt.Sprintf("%s/%s/run%02d", label, kind, run), kind.String(),

@@ -195,7 +195,6 @@ func RunSoak(mk func() *topo.Topology, label string, runs int, seed int64, so So
 				plan, episodes := faults.BuildStorm(g, trialSeed, co.Duration, profile)
 
 				wcfg := bed.WiringConfig(kind, trialSeed)
-				wcfg.Shards = opt.Shards
 				wcfg.Faults = plan
 				wcfg.AuditEvery = so.AuditEvery
 				wcfg.WatchdogTimeout = so.Watchdog

@@ -109,26 +109,3 @@ func TestSoakReportsDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestSoakShardingFallback asserts that faulted soak trials refuse
-// sharded execution: the fallback matrix forces the sequential engine,
-// so every trial must report EffectiveShards == 1 even when 4 region
-// workers were requested.
-func TestSoakShardingFallback(t *testing.T) {
-	so := smokeSoakOpts()
-	so.Churn.Duration = time.Second
-	so.Churn.Drain = 500 * time.Millisecond
-	res, err := RunSoak(topo.B4, "B4", 1, 3, so, RunOptions{Shards: 4, Systems: []SystemKind{KindP4Update}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range res.Trials {
-		if tr.Failed {
-			t.Fatalf("%s failed: %s", tr.Label, tr.Err)
-		}
-		if tr.Shards != 1 {
-			t.Errorf("%s: EffectiveShards = %d, want 1 (faulted trials must fall back to sequential)",
-				tr.Label, tr.Shards)
-		}
-	}
-}

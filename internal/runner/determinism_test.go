@@ -60,6 +60,7 @@ func TestManyFlowsDeterministicAcrossWorkerCounts(t *testing.T) {
 		runs    int
 	}{
 		{"b4", topo.B4, false, 150, 4},
+		{"fattree4", func() *topo.Topology { return topo.FatTree(4) }, true, 30, 2},
 		{"fattree8", func() *topo.Topology { return topo.FatTree(8) }, true, 200, 2},
 	}
 	for _, tc := range cases {
@@ -170,8 +171,8 @@ func TestChurnDeterministicAcrossWorkerCounts(t *testing.T) {
 // per-trial fault injection plus the every-step invariant auditor — at
 // several worker counts and requires byte-identical merged results,
 // rendered table included: the injector's split PRNG streams and the
-// auditor's sweeps are strictly per-trial state, so sharding must not
-// leak into them.
+// auditor's sweeps are strictly per-trial state, so the worker count
+// must not leak into them.
 func TestFaultSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) (string, []runner.Result) {
 		r, err := experiments.FaultSweep([]float64{0, 0.1}, []float64{0.1}, 1, 1, 2, 1,

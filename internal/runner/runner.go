@@ -49,17 +49,6 @@ type Metrics struct {
 	// them, like WallClock.
 	Allocs     uint64 `json:"allocs,omitempty"`
 	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
-	// Shards is the number of region workers that executed the trial (1 =
-	// sequential, including every sharding fallback); Gomaxprocs the host
-	// parallelism available to them; ShardEventsScheduled the per-engine
-	// scheduled-event counts (element 0 the resident/root engine, then one
-	// per region). Shards and ShardEventsScheduled describe the execution
-	// strategy, not the simulation (a sharded trial's Samples/Events/
-	// traces are byte-identical to sequential); Gomaxprocs is host-side
-	// like WallClock. Determinism comparisons must ignore all three.
-	Shards               int      `json:"shards,omitempty"`
-	Gomaxprocs           int      `json:"gomaxprocs,omitempty"`
-	ShardEventsScheduled []uint64 `json:"shard_events_scheduled,omitempty"`
 	// Samples are the trial's measured update times. An empty slice
 	// marks a trial whose update did not complete (a failed run in the
 	// figure's sense, distinct from a crashed trial).
@@ -132,11 +121,6 @@ func BedTrial(label, system string, g *topo.Topology, cfg wiring.Config,
 			m.VirtualTime = sys.Eng.Now()
 			m.Events = sys.Eng.Steps()
 			m.EventsScheduled = sys.Eng.Scheduled()
-			m.Shards = sys.EffectiveShards()
-			m.Gomaxprocs = runtime.GOMAXPROCS(0)
-			if sys.Sharded != nil {
-				m.ShardEventsScheduled = sys.Sharded.PerShardScheduled()
-			}
 			if sys.Trace != nil {
 				m.Trace = sys.Trace.Summarize()
 				m.TraceRec = sys.Trace

@@ -52,11 +52,6 @@ type eventSlot struct {
 	arg  any
 	gen  uint32
 	live bool
-	// key is the authoritative heap key of this slot's current
-	// incarnation under sharded execution (see sharded.go): a heap entry
-	// whose seq differs from it is stale and dropped on sight. Unused
-	// (and never read) on an unsharded engine.
-	key uint64
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. The
@@ -118,15 +113,6 @@ type Engine struct {
 	// observation, so a traced run is step-for-step identical to an
 	// untraced one.
 	Trace *trace.Recorder
-
-	// sh links this engine into a sharded runtime (nil = plain
-	// sequential engine; the hot path stays allocation-free and
-	// branch-identical apart from one nil check in push). shardID is the
-	// region this engine executes, or -1 for the root/coordinator.
-	// pendIdx issues provisional window keys (see sharded.go).
-	sh      *Sharded
-	shardID int32
-	pendIdx uint64
 }
 
 // New returns an engine whose random streams are derived from seed.
@@ -140,25 +126,12 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Rand exposes the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Steps reports how many events have been executed so far. On a
-// sharded root engine it aggregates across all region engines, so the
-// count matches a sequential run of the same trial.
-func (e *Engine) Steps() uint64 {
-	if e.sh != nil && e.shardID < 0 {
-		return e.sh.totalSteps()
-	}
-	return e.nsteps
-}
+// Steps reports how many events have been executed so far.
+func (e *Engine) Steps() uint64 { return e.nsteps }
 
 // Scheduled reports how many events have been scheduled so far,
-// including cancelled ones. On a sharded root engine this is the global
-// sequence counter, which at quiescence equals the sequential count.
-func (e *Engine) Scheduled() uint64 {
-	if e.sh != nil && e.shardID < 0 {
-		return e.sh.gseq
-	}
-	return e.nsched
-}
+// including cancelled ones.
+func (e *Engine) Scheduled() uint64 { return e.nsched }
 
 // Schedule runs fn after delay of virtual time. A negative delay is
 // treated as zero. The returned Timer may be used to cancel the event.
@@ -208,23 +181,8 @@ func (e *Engine) mustNotRegress(at time.Duration) {
 }
 
 // push allocates a slot (reusing the free list), stores the payload,
-// and inserts a heap entry. Exactly one of fn/afn is non-nil. Engines
-// attached to a sharded runtime divert to its key-assignment logic.
+// and inserts a heap entry. Exactly one of fn/afn is non-nil.
 func (e *Engine) push(at time.Duration, fn func(), afn func(any), arg any) Timer {
-	if e.sh != nil {
-		return e.sh.push(e, at, fn, afn, arg)
-	}
-	slot := e.allocSlot(fn, afn, arg)
-	e.heapPush(entry{at: at, seq: e.seq, slot: slot})
-	e.seq++
-	e.nsched++
-	e.live++
-	return Timer{eng: e, slot: slot, gen: e.slots[slot].gen}
-}
-
-// allocSlot takes a slot from the free list (or grows the arena) and
-// stores the payload.
-func (e *Engine) allocSlot(fn func(), afn func(any), arg any) int32 {
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -236,7 +194,11 @@ func (e *Engine) allocSlot(fn func(), afn func(any), arg any) int32 {
 	s := &e.slots[slot]
 	s.fn, s.afn, s.arg = fn, afn, arg
 	s.live = true
-	return slot
+	e.heapPush(entry{at: at, seq: e.seq, slot: slot})
+	e.seq++
+	e.nsched++
+	e.live++
+	return Timer{eng: e, slot: slot, gen: s.gen}
 }
 
 // freeSlot returns a slot to the free list, bumping its generation so
@@ -296,12 +258,8 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue drains or MaxEvents is hit.
-// It returns the virtual time at which the simulation quiesced. On a
-// sharded root engine it drives the parallel window/barrier loop.
+// It returns the virtual time at which the simulation quiesced.
 func (e *Engine) Run() time.Duration {
-	if e.sh != nil && e.shardID < 0 {
-		return e.sh.run(0, false)
-	}
 	for e.Step() {
 		if e.MaxEvents > 0 && e.nsteps >= e.MaxEvents {
 			break
@@ -313,9 +271,6 @@ func (e *Engine) Run() time.Duration {
 // RunUntil executes events with timestamps <= deadline. Events scheduled
 // later stay queued; the clock is advanced to deadline if it quiesced early.
 func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
-	if e.sh != nil && e.shardID < 0 {
-		return e.sh.run(deadline, true)
-	}
 	for e.peekLive() {
 		if e.heap[0].at > deadline {
 			break
@@ -333,8 +288,7 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 
 // NextAt reports the timestamp of the next live queued event, if any.
 // It lets a real-time host (cmd/controllerd, cmd/switchd) sleep exactly
-// until the next virtual deadline instead of polling. Not supported on
-// a sharded root engine.
+// until the next virtual deadline instead of polling.
 func (e *Engine) NextAt() (time.Duration, bool) {
 	if !e.peekLive() {
 		return 0, false
@@ -344,18 +298,8 @@ func (e *Engine) NextAt() (time.Duration, bool) {
 
 // Pending reports the number of live queued events (cancelled timers
 // excluded). It is O(1): the count is maintained incrementally by
-// Schedule, Step, and Timer.Stop. On a sharded root engine it sums the
-// region engines' queues.
-func (e *Engine) Pending() int {
-	if e.sh != nil && e.shardID < 0 {
-		n := e.live
-		for _, re := range e.sh.regions {
-			n += re.live
-		}
-		return n
-	}
-	return e.live
-}
+// Schedule, Step, and Timer.Stop.
+func (e *Engine) Pending() int { return e.live }
 
 // heapPush inserts it into the 4-ary min-heap.
 func (e *Engine) heapPush(it entry) {

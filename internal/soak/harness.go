@@ -7,7 +7,7 @@
 // auditor sweeps at tight intervals.
 //
 // The harness is the fault-aware superset of the churn experiment's
-// driver: with no injector attached it schedules the identical resident
+// driver: with no injector attached it schedules the identical
 // event sequence (the churn experiment delegates here and stays
 // byte-identical), and with one attached it adds the operator behaviors
 // that make faults and churn compose — teardown of a flow whose path
@@ -94,9 +94,8 @@ type soakFlow struct {
 
 // Harness drives one trial: it owns the live-flow table and the
 // link→flows index, and schedules every arrival, departure, and reroute
-// wave as resident (root-engine) events — so a sharded execution
-// replays the identical sequence at barriers and the trial stays
-// byte-identical across shard counts and runner workers.
+// wave as events on the trial's own engine, so the trial stays
+// byte-identical across runner worker counts.
 type Harness struct {
 	sys *wiring.System
 	g   *topo.Topology

@@ -250,11 +250,6 @@ type Recorder struct {
 
 	buf []Event
 	seq uint64
-	// unbounded recorders (region staging buffers, see region.go) grow
-	// instead of ring-dropping; base is the absolute sequence number of
-	// buf[0] after DropThrough compaction.
-	unbounded bool
-	base      uint64
 
 	counts [numKinds][maxClass]uint64
 	// nodeCounts is indexed by node+1 (slot 0 = controller), grown on
@@ -281,14 +276,9 @@ func (r *Recorder) Rec(node int32, kind Kind, class uint8, flow, ver, a, b uint3
 	if r.Clock != nil {
 		at = r.Clock()
 	}
-	r.put(Event{Seq: r.seq, At: at, Node: node, Kind: kind, Class: class,
-		Flow: flow, Ver: ver, A: a, B: b})
-}
-
-// put stores an already-built event (Seq must equal r.seq) and updates
-// the counters. It is the shared tail of Rec and Absorb.
-func (r *Recorder) put(ev Event) {
-	if len(r.buf) < cap(r.buf) || r.unbounded {
+	ev := Event{Seq: r.seq, At: at, Node: node, Kind: kind, Class: class,
+		Flow: flow, Ver: ver, A: a, B: b}
+	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
 	} else {
 		// The ring position of seq is seq%cap — consistent with where the
@@ -296,10 +286,10 @@ func (r *Recorder) put(ev Event) {
 		r.buf[r.seq%uint64(cap(r.buf))] = ev
 	}
 	r.seq++
-	if ev.Kind < numKinds && ev.Class < maxClass {
-		r.counts[ev.Kind][ev.Class]++
+	if kind < numKinds && class < maxClass {
+		r.counts[kind][class]++
 	}
-	if idx := int(ev.Node) + 1; idx >= 0 {
+	if idx := int(node) + 1; idx >= 0 {
 		for idx >= len(r.nodeCounts) {
 			r.nodeCounts = append(r.nodeCounts, 0)
 		}

@@ -61,8 +61,8 @@ type ChurnReroute struct {
 // arrivals/departures and continuous reroute triggers over virtual
 // time. The two event streams draw from independent seeded RNGs, so
 // consuming one stream never perturbs the other, and the whole
-// workload is reproducible across worker and shard counts (the harness
-// drives both streams from root-engine events in a fixed order).
+// workload is reproducible across worker counts (the harness drives
+// both streams from engine events in a fixed order).
 type ChurnWorkload struct {
 	t   *topo.Topology
 	cfg ChurnConfig

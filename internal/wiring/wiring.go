@@ -117,16 +117,6 @@ type Config struct {
 	MaxEvents uint64
 	// TwoPhase enables the §11 two-phase-commit integration.
 	TwoPhase bool
-	// Shards, when > 1, requests sharded execution: the topology is
-	// partitioned into up to Shards regions, each executed by its own
-	// worker goroutine under the conservative window/barrier runtime
-	// (sim.Sharded). Sharding is an execution strategy, not a semantic
-	// knob — a sharded trial produces byte-identical traces and metrics
-	// to a sequential one — so configurations the runtime cannot
-	// reproduce exactly (per-event engine randomness, fault injection,
-	// auditing, congestion scheduling) silently fall back to the
-	// sequential engine; EffectiveShards reports what actually ran.
-	Shards int
 
 	// Rule-install latency, first match wins:
 	// InstallDelay (explicit sampler) > NodeDelayMean (exponential,
@@ -187,9 +177,8 @@ type Config struct {
 	// Transport, when set, splits the fabric across OS processes
 	// (deployment mode, cmd/controllerd + cmd/switchd): frames
 	// addressed to parties this process does not own leave through it
-	// instead of the in-memory delivery queue. Mutually exclusive with
-	// sharding — a deployment process hosts a small slice of the
-	// fabric and runs its engine in real time.
+	// instead of the in-memory delivery queue. A deployment process
+	// hosts a small slice of the fabric and runs its engine in real time.
 	Transport dataplane.Transport
 }
 
@@ -221,22 +210,8 @@ type System struct {
 	Trace *trace.Recorder
 	// Rounds is the attached round tracker (nil without TrackRounds).
 	Rounds *RoundTracker
-	// Sharded is the attached parallel runtime (nil when Config.Shards
-	// <= 1 or the configuration forced a sequential fallback);
-	// ShardPlan the region partition it runs.
-	Sharded   *sim.Sharded
-	ShardPlan *topo.RegionPlan
 
 	name string
-}
-
-// EffectiveShards reports how many region workers execute the trial:
-// 1 for sequential execution (including every sharding fallback).
-func (s *System) EffectiveShards() int {
-	if s.Sharded == nil {
-		return 1
-	}
-	return s.Sharded.NumRegions()
 }
 
 // SystemName returns the resolved registry name the system was
@@ -340,49 +315,7 @@ func New(g *topo.Topology, cfg Config) *System {
 			NoCapacity: !cfg.Congestion,
 		})
 	}
-	trySharding(s)
 	return s
-}
-
-// trySharding attaches the conservative parallel runtime when the
-// configuration permits an exactly-equivalent sharded execution.
-//
-// The fallback matrix errs on the side of sequential execution: any
-// feature that draws engine randomness per event (NodeDelayMean,
-// InstallDelay samplers), observes every step globally (auditing,
-// fault injection), or orders observable output by flow-interning
-// sequence (the congestion scheduler's priority promotion) cannot be
-// reproduced bit-exactly across region workers and keeps the trial on
-// the sequential engine. Constant install delays, controller-side
-// queuing (drawn at the barrier), round tracking, and tracing all
-// shard safely.
-func trySharding(s *System) {
-	cfg := &s.Cfg
-	if cfg.Shards <= 1 ||
-		cfg.InstallDelay != nil || cfg.NodeDelayMean > 0 ||
-		cfg.Faults != nil || cfg.AuditEvery > 0 || cfg.Congestion ||
-		cfg.Transport != nil {
-		return
-	}
-	if s.Eng.Scheduled() > 0 {
-		// A driver Build scheduled setup events; attaching now would lose
-		// them from the cursor's global order.
-		return
-	}
-	g := s.Topo
-	lats := make([]time.Duration, g.NumNodes())
-	for _, id := range g.Nodes() {
-		lats[id] = s.Net.ControlLatency(id)
-	}
-	plan := topo.PartitionRegions(g, cfg.Shards, nil, lats)
-	if plan.Regions < 2 || plan.Lookahead <= 0 {
-		return
-	}
-	sh := sim.AttachSharded(s.Eng, plan.Regions, plan.Lookahead)
-	s.Net.AttachShards(sh, plan.NodeRegion)
-	sh.PreRun = s.Net.RefreshShardHooks
-	s.Sharded = sh
-	s.ShardPlan = &plan
 }
 
 // Trigger starts a consistent route update of flow f to newPath under
