@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-smoke bench-churn bench-soak churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke check clean
+.PHONY: all build vet lint test race ledger bench bench-smoke bench-churn bench-soak churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke check clean
 
 all: check
 
@@ -35,6 +35,13 @@ test:
 race:
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/topo/... ./internal/plancache/... ./internal/faults/... ./internal/audit/... ./internal/trace/... ./internal/wiring/... ./internal/localverify/... ./internal/ppcu/... ./internal/optoracle/... ./internal/dataplane/... ./internal/controlplane/... ./internal/traffic/... ./internal/packet/... ./internal/soak/... ./internal/transport/... ./internal/replaydiff/... ./internal/deploy/...
 	$(GO) test -race -run 'Churn|Soak' ./internal/experiments/
+
+# One workload of the repository benchmark (BENCHMARK.json), end to end:
+# `make ledger WORKLOAD=churn-k16` prints its twelve metrics and, as the
+# last line, the JSON result. Workloads: burst-k8, churn-k16, paper-grid,
+# soak-b4-squall (see benchmark/README.md).
+ledger:
+	$(GO) run ./benchmark -workload $(WORKLOAD)
 
 # Hot-path microbenchmarks (engine schedule/step) plus the end-to-end
 # Fig. 7 trial benchmark. Results are tracked in BENCH_hotpath.json and

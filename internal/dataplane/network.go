@@ -114,7 +114,12 @@ type Network struct {
 	// flows interns flow IDs into dense indexes shared by every switch of
 	// the fabric (see flowTable).
 	flows *flowTable
+	// retireScratch is RetireFlow's reusable list of a flow's holders.
+	retireScratch []topo.NodeID
 }
+
+// noHolder ends a flow slot's holder chain.
+const noHolder topo.NodeID = -1
 
 // flowTable interns flow IDs into dense indexes in first-touch order,
 // with a free list so retired flows' slots are recycled: under
@@ -122,13 +127,23 @@ type Network struct {
 // by it) is sized by *live* flows, not by every flow that ever existed.
 // Like the engine it serves, the table is single-threaded and lock-free.
 type flowTable struct {
-	idx  map[packet.FlowID]int32
-	ids  []packet.FlowID // slot-indexed; dead slots hold their last ID
-	live []bool          // slot-indexed liveness
-	free []int32         // recycled slots, LIFO
+	idx   map[packet.FlowID]int32
+	slots []slotEntry
+	free  []int32 // recycled slots, LIFO
 	// scratch is the reusable backing array of FlowIDs(): the compacted
 	// live view, rebuilt per call.
 	scratch []packet.FlowID
+}
+
+// slotEntry is one entry of the dense slot space.
+type slotEntry struct {
+	id packet.FlowID // dead slots hold their last ID
+	// holder heads the chain of switches that hold a state block for the
+	// slot's flow (noHolder when none does). The chain runs through
+	// FlowState.nextHolder, newest holder first; Switch.State links a
+	// switch in on first touch and RetireFlow walks and clears it.
+	holder topo.NodeID
+	live   bool
 }
 
 func (t *flowTable) slot(f packet.FlowID) int32 {
@@ -139,12 +154,11 @@ func (t *flowTable) slot(f packet.FlowID) int32 {
 	if k := len(t.free); k > 0 {
 		i = t.free[k-1]
 		t.free = t.free[:k-1]
-		t.ids[i] = f
-		t.live[i] = true
+		t.slots[i].id = f
+		t.slots[i].live = true
 	} else {
-		i = int32(len(t.ids))
-		t.ids = append(t.ids, f)
-		t.live = append(t.live, true)
+		i = int32(len(t.slots))
+		t.slots = append(t.slots, slotEntry{id: f, holder: noHolder, live: true})
 	}
 	t.idx[f] = i
 	return i
@@ -157,7 +171,7 @@ func (t *flowTable) release(f packet.FlowID, i int32) {
 		return
 	}
 	delete(t.idx, f)
-	t.live[i] = false
+	t.slots[i].live = false
 	t.free = append(t.free, i)
 }
 
@@ -167,7 +181,7 @@ func (t *flowTable) peek(f packet.FlowID) (int32, bool) {
 }
 
 func (t *flowTable) id(i int32) packet.FlowID {
-	return t.ids[i]
+	return t.slots[i].id
 }
 
 // delivery is a pooled in-flight frame: switch-bound (ctrl false, via
@@ -257,9 +271,9 @@ func (n *Network) recordSend(tr *trace.Recorder, from, to topo.NodeID, m packet.
 func (n *Network) FlowIDs() []packet.FlowID {
 	t := n.flows
 	t.scratch = t.scratch[:0]
-	for i, f := range t.ids {
-		if t.live[i] {
-			t.scratch = append(t.scratch, f)
+	for _, s := range t.slots {
+		if s.live {
+			t.scratch = append(t.scratch, s.id)
 		}
 	}
 	return t.scratch
@@ -270,35 +284,50 @@ func (n *Network) FlowIDs() []packet.FlowID {
 // are always < NumFlowSlots at the time of interning.
 func (n *Network) NumFlowSlots() int {
 	t := n.flows
-	return len(t.ids)
+	return len(t.slots)
 }
 
 // FlowAt returns the live flow occupying dense slot i, or false for a
 // dead (recycled, currently vacant) slot.
 func (n *Network) FlowAt(i int32) (packet.FlowID, bool) {
 	t := n.flows
-	if i < 0 || int(i) >= len(t.ids) || !t.live[i] {
+	if i < 0 || int(i) >= len(t.slots) || !t.slots[i].live {
 		return 0, false
 	}
-	return t.ids[i], true
+	return t.slots[i].id, true
 }
 
 // RetireFlow removes every trace of a departed flow from the fabric —
 // per-switch state blocks (recycled into each switch's free list),
 // capacity reservations, waiter-table slots — and releases its dense
-// slot for reuse. Callers must only retire quiescent flows (no update
-// in flight): late frames for a retired flow are dropped harmlessly by
-// the PeekState guards, but a commit staged *before* retirement would
-// re-intern the ID into a fresh slot. Returns false if f was never
-// interned (or already retired).
+// slot for reuse. It visits only the switches that hold state for the
+// flow (the slot's holder chain: old-path and new-path switches alike),
+// in ascending node order: releasing a reservation can wake capacity
+// waiters, and wake order is event order. Callers must only retire
+// quiescent flows (no update in flight): late frames for a retired flow
+// are dropped harmlessly by the PeekState guards, but a commit staged
+// *before* retirement would re-intern the ID into a fresh slot. Returns
+// false if f was never interned (or already retired).
 func (n *Network) RetireFlow(f packet.FlowID) bool {
 	i, ok := n.flows.peek(f)
 	if !ok {
 		return false
 	}
-	for _, sw := range n.switches {
-		sw.retireFlow(i, f)
+	// Collect the chain before tearing it down (retiring a block resets
+	// its link), insertion-sorting as we go: a handful of entries, and
+	// sort.Slice would allocate on the steady-state recycling path.
+	hs := n.retireScratch[:0]
+	for node := n.flows.slots[i].holder; node != noHolder; node = n.switches[node].FlowStateAt(int(i)).nextHolder {
+		hs = append(hs, node)
+		for j := len(hs) - 1; j > 0 && hs[j] < hs[j-1]; j-- {
+			hs[j], hs[j-1] = hs[j-1], hs[j]
+		}
 	}
+	n.flows.slots[i].holder = noHolder
+	for _, node := range hs {
+		n.switches[node].retireFlow(i, f)
+	}
+	n.retireScratch = hs
 	n.flows.release(f, i)
 	return true
 }

@@ -2,9 +2,12 @@ package dataplane
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"p4update/internal/packet"
+	"p4update/internal/sim"
 	"p4update/internal/topo"
 )
 
@@ -175,5 +178,101 @@ func TestRetireFlowReleasesSwitchState(t *testing.T) {
 	}
 	if st2.HasRule != true || st2.NewVersion != 1 {
 		t.Fatalf("recycled state not reset: %+v", st2)
+	}
+}
+
+// TestRetireFlowAfterReroute covers the holder chain RetireFlow walks
+// instead of the whole fabric: a flow rerouted from 0-1-2-5 onto 0-3-4-5
+// holds state on old-path and new-path switches alike (the old transit
+// rules are still installed and still reserve capacity), and retirement
+// must find every one of them, leaving no state, no reservation and a
+// reusable slot. It must also release them in ascending node order
+// whatever order they joined the chain in: a release wakes the port's
+// capacity waiters, and wake order is event order.
+func TestRetireFlowAfterReroute(t *testing.T) {
+	g := topo.New("two-paths")
+	for i := 0; i < 7; i++ {
+		g.AddNode("", 0, 0)
+	}
+	for _, e := range [][2]topo.NodeID{{0, 1}, {1, 2}, {2, 5}, {0, 3}, {3, 4}, {4, 5}, {5, 6}} {
+		g.AddLink(e[0], e[1], time.Millisecond, 100)
+	}
+	net := NewNetwork(sim.New(1), g)
+	f := packet.FlowID(42)
+	oldPath := []topo.NodeID{0, 1, 2, 5}
+	newPath := []topo.NodeID{0, 3, 4, 5}
+	net.InstallPath(f, oldPath, 1, 300)
+	// Commit version 2 along the new path egress-first, as an update
+	// would; holders therefore join the chain in no particular node order.
+	for i := len(newPath) - 1; i >= 0; i-- {
+		port := PortLocal
+		if i+1 < len(newPath) {
+			port = g.PortTo(newPath[i], newPath[i+1])
+		}
+		ok := net.Switch(newPath[i]).CommitState(f, Commit{
+			Port: port, Version: 2, Distance: uint16(len(newPath) - 1 - i),
+			OldVersion: 1, SizeK: 300, Type: packet.UpdateSingle,
+		})
+		if !ok {
+			t.Fatalf("commit of version 2 refused at node %d", newPath[i])
+		}
+	}
+	holders := 0
+	for _, sw := range net.Switches() {
+		if _, ok := sw.PeekState(f); ok {
+			holders++
+		}
+	}
+	if holders != 6 {
+		t.Fatalf("%d switches hold state after the reroute, want 6 (old and new path)", holders)
+	}
+	if net.Switch(1).ReservedK(g.PortTo(1, 2)) != 300 || net.Switch(3).ReservedK(g.PortTo(3, 4)) != 300 {
+		t.Fatal("expected live reservations on both the old and the new path")
+	}
+	var woken []topo.NodeID
+	for _, n := range []topo.NodeID{4, 1, 3, 0, 2} {
+		port := g.PortTo(n, map[topo.NodeID]topo.NodeID{0: 3, 1: 2, 2: 5, 3: 4, 4: 5}[n])
+		net.Switch(n).ParkOnCapacity(port, func() { woken = append(woken, n) })
+	}
+
+	if !net.RetireFlow(f) {
+		t.Fatal("RetireFlow of a live flow returned false")
+	}
+	net.Eng.Run()
+	if want := []topo.NodeID{0, 1, 2, 3, 4}; !slices.Equal(woken, want) {
+		t.Errorf("capacity waiters woke in order %v, want ascending %v", woken, want)
+	}
+	for _, sw := range net.Switches() {
+		if _, ok := sw.PeekState(f); ok {
+			t.Errorf("node %d still holds state after retirement", sw.ID)
+		}
+		for p := 0; p < g.Degree(sw.ID); p++ {
+			if r := sw.ReservedK(topo.PortID(p)); r != 0 {
+				t.Errorf("node %d port %d still reserves %d kbps", sw.ID, p, r)
+			}
+		}
+	}
+	if net.RetireFlow(f) {
+		t.Error("second RetireFlow of the same flow returned true")
+	}
+
+	// The slot is reusable: the next flow takes it, starts from fresh
+	// state everywhere it goes, and retires cleanly in turn.
+	h := packet.FlowID(43)
+	net.InstallPath(h, newPath, 1, 100)
+	if net.NumFlowSlots() != 1 {
+		t.Fatalf("slot space grew to %d, want the retired slot reused", net.NumFlowSlots())
+	}
+	if st, ok := net.Switch(3).PeekState(h); !ok || st.NewVersion != 1 || st.PrevValid {
+		t.Fatalf("recycled state on node 3 not fresh: %+v", st)
+	}
+	if _, ok := net.Switch(1).PeekState(h); ok {
+		t.Fatal("new tenant of the slot sees state on a switch only the old tenant used")
+	}
+	if !net.RetireFlow(h) {
+		t.Fatal("retire of the slot's second tenant failed")
+	}
+	if got := net.FlowIDs(); len(got) != 0 {
+		t.Fatalf("live flows after retiring everything: %v", got)
 	}
 }

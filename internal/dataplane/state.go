@@ -99,6 +99,11 @@ type FlowState struct {
 	// one (0 = not assigned yet); assigned on first ParkOnUIM so the
 	// table stays as small as the set of flows that ever parked.
 	uimSlot int32
+	// nextHolder links the block into its flow slot's holder chain
+	// (slotEntry.holder): the next switch holding state for the flow, or
+	// noHolder. Meaningful only while the block is installed; set on first
+	// touch by Switch.State.
+	nextHolder topo.NodeID
 }
 
 // CurrentDistance returns the node's effective distance under its applied

@@ -39,7 +39,11 @@ type Switch struct {
 	// real ports plus slot degree for PortLocal.
 	degree int
 
-	flowStates []*FlowState // dense by flow index; nil = no state yet
+	// flowStates is dense by flow index and sized to the fabric-wide slot
+	// space on every switch, so it holds 4-byte slab references rather
+	// than pointers: half the memory, and nothing for the collector to
+	// scan.
+	flowStates []stateRef
 	// stateChunks slab-allocates FlowState values in fixed-capacity
 	// blocks: pointers into a block never move (blocks are appended, not
 	// regrown), and a fresh-flow touch costs one allocation per block
@@ -48,7 +52,7 @@ type Switch struct {
 	// freeStates recycles retired flows' state blocks (reset to fresh,
 	// reservation-slice capacity kept), so steady-state churn allocates
 	// no new slab blocks; freeUIMSlots recycles their waiter-table rows.
-	freeStates   []*FlowState
+	freeStates   []stateRef
 	freeUIMSlots []int32
 	reserved     []uint64 // kbps reserved per real egress port
 	handler      Handler
@@ -124,31 +128,55 @@ func (sw *Switch) portSlot(port topo.PortID) int {
 	return -1
 }
 
-// growFlows extends the per-flow slices to hold index i.
+// growFlows extends the per-flow index to hold slot i. It grows to the
+// fabric's whole slot space at once (capacity geometric, by append): the
+// interner hands slots out densely, so a switch that needs slot i will
+// soon need its neighbours.
 func (sw *Switch) growFlows(i int) {
 	if i < len(sw.flowStates) {
 		return
 	}
-	sw.flowStates = append(sw.flowStates, make([]*FlowState, i+1-len(sw.flowStates))...)
+	sw.flowStates = append(sw.flowStates, make([]stateRef, sw.net.NumFlowSlots()-len(sw.flowStates))...)
 }
 
 // maxStateChunk caps the FlowState slab block size. Blocks double from
 // 4 up to this cap, so a single-flow trial pays one tiny block while a
 // many-flow trial amortizes to one allocation per 64 flows.
-const maxStateChunk = 64
+// stateChunkBits is its log2, the width of a stateRef's offset field.
+const (
+	stateChunkBits = 6
+	maxStateChunk  = 1 << stateChunkBits
+)
 
-// allocState hands out a recycled state block when one is free, else a
-// pointer into the current slab block, opening a new block when it is
-// full. In-block appends never relocate (capacity is fixed), so the
-// returned pointer is stable for the switch's lifetime.
-func (sw *Switch) allocState() *FlowState {
+// stateRef names one FlowState of a switch's slab: block number and
+// offset within the block packed as block<<stateChunkBits | offset.
+// Block 0 is never allocated (stateChunks[0] stays nil), so the zero
+// value means "no state" and resolving a reference needs no adjustment.
+// Blocks smaller than the cap leave the top of their offset range unused.
+type stateRef int32
+
+// stateAt resolves a non-zero reference. The pointer is stable for the
+// switch's lifetime: blocks are appended, never regrown.
+func (sw *Switch) stateAt(r stateRef) *FlowState {
+	return &sw.stateChunks[r>>stateChunkBits][r&(maxStateChunk-1)]
+}
+
+// allocState hands out a recycled state block when one is free, else
+// the next entry of the current slab block, opening a new block when it
+// is full.
+func (sw *Switch) allocState() stateRef {
 	if k := len(sw.freeStates); k > 0 {
-		st := sw.freeStates[k-1]
+		r := sw.freeStates[k-1]
 		sw.freeStates = sw.freeStates[:k-1]
-		return st
+		return r
 	}
-	k := len(sw.stateChunks)
-	if k == 0 || len(sw.stateChunks[k-1]) == cap(sw.stateChunks[k-1]) {
+	if len(sw.stateChunks) == 0 {
+		// Block 0 stays nil (see stateRef); room for the first real block
+		// comes with it, so the table costs no allocation more than before.
+		sw.stateChunks = make([][]FlowState, 1, 2)
+	}
+	k := len(sw.stateChunks) - 1 // last block
+	if k == 0 || len(sw.stateChunks[k]) == cap(sw.stateChunks[k]) {
 		// Blocks double 4→8→16→32, then stay at the cap; the shift must
 		// not scale with the chunk count (4<<k overflows once a switch
 		// has opened enough capped chunks — hundreds of thousands of
@@ -160,9 +188,9 @@ func (sw *Switch) allocState() *FlowState {
 		sw.stateChunks = append(sw.stateChunks, make([]FlowState, 0, size))
 		k++
 	}
-	c := &sw.stateChunks[k-1]
+	c := &sw.stateChunks[k]
 	*c = append(*c, freshFlowState())
-	return &(*c)[len(*c)-1]
+	return stateRef(k<<stateChunkBits | (len(*c) - 1))
 }
 
 // SetHandler installs the update-protocol handler.
@@ -203,19 +231,23 @@ func (sw *Switch) Now() time.Duration { return sw.net.Eng.Now() }
 func (sw *Switch) State(f packet.FlowID) *FlowState {
 	i := int(sw.net.flowSlot(f))
 	sw.growFlows(i)
-	st := sw.flowStates[i]
-	if st == nil {
-		st = sw.allocState()
-		sw.flowStates[i] = st
+	r := sw.flowStates[i]
+	if r != 0 {
+		return sw.stateAt(r)
 	}
+	r = sw.allocState()
+	sw.flowStates[i] = r
+	st := sw.stateAt(r)
+	head := &sw.net.flows.slots[i].holder
+	st.nextHolder, *head = *head, sw.ID
 	return st
 }
 
 // PeekState returns the flow's register slice without allocating.
 func (sw *Switch) PeekState(f packet.FlowID) (*FlowState, bool) {
 	if i, ok := sw.net.peekFlowSlot(f); ok && int(i) < len(sw.flowStates) {
-		if st := sw.flowStates[i]; st != nil {
-			return st, true
+		if r := sw.flowStates[i]; r != 0 {
+			return sw.stateAt(r), true
 		}
 	}
 	return nil, false
@@ -225,8 +257,8 @@ func (sw *Switch) PeekState(f packet.FlowID) (*FlowState, bool) {
 // deterministic fabric-interning order.
 func (sw *Switch) Flows() []packet.FlowID {
 	out := make([]packet.FlowID, 0, len(sw.flowStates))
-	for i, st := range sw.flowStates {
-		if st != nil {
+	for i, r := range sw.flowStates {
+		if r != 0 {
 			out = append(out, sw.net.flows.id(int32(i)))
 		}
 	}
@@ -244,7 +276,9 @@ func (sw *Switch) Pool() *packet.Pool { return &sw.net.pool }
 // the result as read-only.
 func (sw *Switch) FlowStateAt(i int) *FlowState {
 	if i >= 0 && i < len(sw.flowStates) {
-		return sw.flowStates[i]
+		if r := sw.flowStates[i]; r != 0 {
+			return sw.stateAt(r)
+		}
 	}
 	return nil
 }
@@ -252,15 +286,11 @@ func (sw *Switch) FlowStateAt(i int) *FlowState {
 // retireFlow tears down the flow occupying dense slot i on this switch:
 // it returns the committed rule's capacity reservation and any staged
 // ones, clears waiter-table membership, and recycles the state block
-// and waiter row. Called by Network.RetireFlow for quiescent flows.
+// and waiter row. Called by Network.RetireFlow, for quiescent flows and
+// only on switches in the slot's holder chain.
 func (sw *Switch) retireFlow(i int32, f packet.FlowID) {
-	if int(i) >= len(sw.flowStates) {
-		return
-	}
-	st := sw.flowStates[i]
-	if st == nil {
-		return
-	}
+	r := sw.flowStates[i]
+	st := sw.stateAt(r)
 	for _, pr := range st.PendingRes {
 		sw.Release(pr.Port, pr.SizeK)
 	}
@@ -280,11 +310,11 @@ func (sw *Switch) retireFlow(i int32, f packet.FlowID) {
 			}
 		}
 	}
-	sw.flowStates[i] = nil
+	sw.flowStates[i] = 0
 	pend := st.PendingRes[:0]
 	*st = freshFlowState()
 	st.PendingRes = pend
-	sw.freeStates = append(sw.freeStates, st)
+	sw.freeStates = append(sw.freeStates, r)
 }
 
 // Receive is the switch's pipeline entry point: it parses the frame and
@@ -638,7 +668,8 @@ func (sw *Switch) HighWaitingOn(port topo.PortID, f packet.FlowID) bool {
 // that desire to move away from e obtain high priority"). Iteration is in
 // fabric-interning order, so the marking order is deterministic.
 func (sw *Switch) RaisePriorityOfMoversFrom(port topo.PortID) {
-	for i, st := range sw.flowStates {
+	for i := range sw.flowStates {
+		st := sw.FlowStateAt(i)
 		if st == nil || !st.HasRule || st.EgressPort != port {
 			continue
 		}
@@ -711,7 +742,8 @@ func (sw *Switch) Crash() {
 	for i := range sw.uimWaiters {
 		sw.uimWaiters[i] = sw.uimWaiters[i][:0]
 	}
-	for _, st := range sw.flowStates {
+	for i := range sw.flowStates {
+		st := sw.FlowStateAt(i)
 		if st == nil {
 			continue
 		}

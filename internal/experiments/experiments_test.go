@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -103,47 +104,74 @@ func TestFig7MultiFlowSynthetic(t *testing.T) {
 	}
 }
 
-func TestFig8WithoutCongestion(t *testing.T) {
-	r, err := Fig8(false, 50, 3, 1)
-	if err != nil {
-		t.Fatal(err)
+// fig8Attempts bounds the re-measurements of the Fig. 8 tests. Their
+// ratios divide sums of microsecond-scale wall-clock intervals, so one
+// GC cycle or a descheduled worker on a loaded host can skew a single
+// measurement past any plausibility bound; a real regression skews every
+// one.
+const fig8Attempts = 3
+
+// fig8Retry measures Fig8 up to fig8Attempts times and fails only if
+// check finds every measurement in violation, reporting the last one's.
+func fig8Retry(t *testing.T, congestion bool, updates int, check func(*Fig8Result) []string) {
+	t.Helper()
+	var violations []string
+	for attempt := 1; attempt <= fig8Attempts; attempt++ {
+		r, err := Fig8(congestion, updates, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if violations = check(r); len(violations) == 0 {
+			return
+		}
+		t.Logf("attempt %d/%d: %s", attempt, fig8Attempts, strings.Join(violations, "; "))
 	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 topologies", len(r.Rows))
-	}
-	sizes := [][2]int{{12, 19}, {16, 26}, {25, 56}, {38, 62}}
-	for i, row := range r.Rows {
-		if row.Nodes != sizes[i][0] || row.Edges != sizes[i][1] {
-			t.Errorf("%s: (%d,%d), want (%d,%d)", row.Topo, row.Nodes, row.Edges, sizes[i][0], sizes[i][1])
-		}
-		if row.Ratio <= 0 {
-			t.Errorf("%s: nonpositive ratio %f", row.Topo, row.Ratio)
-		}
-		// Without congestion both preparations are the same order of
-		// magnitude (the paper reports ~0.7).
-		if row.Ratio > 3 {
-			t.Errorf("%s: ratio %f implausibly large", row.Topo, row.Ratio)
-		}
+	for _, v := range violations {
+		t.Error(v)
 	}
 }
 
-func TestFig8WithCongestion(t *testing.T) {
-	r, err := Fig8(true, 30, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range r.Rows {
-		// With congestion freedom ez-Segway pays the dependency graph:
-		// P4Update must be dramatically cheaper (paper: 0.02 .. 0.002).
-		if row.Ratio > 0.5 {
-			t.Errorf("%s: congestion ratio %f, want << 1", row.Topo, row.Ratio)
+func TestFig8WithoutCongestion(t *testing.T) {
+	sizes := [][2]int{{12, 19}, {16, 26}, {25, 56}, {38, 62}}
+	fig8Retry(t, false, 50, func(r *Fig8Result) []string {
+		if len(r.Rows) != 4 {
+			t.Fatalf("rows = %d, want 4 topologies", len(r.Rows))
 		}
-	}
-	// Ratios shrink as networks grow (more standing flows): the largest
-	// topology must show a smaller ratio than the smallest.
-	if first, last := r.Rows[0].Ratio, r.Rows[3].Ratio; last >= first {
-		t.Errorf("ratio should shrink with topology size: %f (B4) vs %f (Chinanet)", first, last)
-	}
+		var bad []string
+		for i, row := range r.Rows {
+			if row.Nodes != sizes[i][0] || row.Edges != sizes[i][1] {
+				t.Fatalf("%s: (%d,%d), want (%d,%d)", row.Topo, row.Nodes, row.Edges, sizes[i][0], sizes[i][1])
+			}
+			if row.Ratio <= 0 {
+				bad = append(bad, fmt.Sprintf("%s: nonpositive ratio %f", row.Topo, row.Ratio))
+			}
+			// Without congestion both preparations are the same order of
+			// magnitude (the paper reports ~0.7).
+			if row.Ratio > 3 {
+				bad = append(bad, fmt.Sprintf("%s: ratio %f implausibly large", row.Topo, row.Ratio))
+			}
+		}
+		return bad
+	})
+}
+
+func TestFig8WithCongestion(t *testing.T) {
+	fig8Retry(t, true, 30, func(r *Fig8Result) []string {
+		var bad []string
+		for _, row := range r.Rows {
+			// With congestion freedom ez-Segway pays the dependency graph:
+			// P4Update must be dramatically cheaper (paper: 0.02 .. 0.002).
+			if row.Ratio > 0.5 {
+				bad = append(bad, fmt.Sprintf("%s: congestion ratio %f, want << 1", row.Topo, row.Ratio))
+			}
+		}
+		// Ratios shrink as networks grow (more standing flows): the largest
+		// topology must show a smaller ratio than the smallest.
+		if first, last := r.Rows[0].Ratio, r.Rows[3].Ratio; last >= first {
+			bad = append(bad, fmt.Sprintf("ratio should shrink with topology size: %f (B4) vs %f (Chinanet)", first, last))
+		}
+		return bad
+	})
 }
 
 func TestSystemKindString(t *testing.T) {

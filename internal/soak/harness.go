@@ -22,7 +22,7 @@ package soak
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"p4update/internal/controlplane"
@@ -103,7 +103,7 @@ type Harness struct {
 	opt Options
 
 	live      map[packet.FlowID]*soakFlow
-	linkFlows map[topo.LinkID]map[packet.FlowID]struct{}
+	linkFlows []map[packet.FlowID]struct{} // indexed by LinkID; nil until first use
 	samples   []time.Duration
 	inflight  map[packet.FlowID]*controlplane.UpdateStatus
 
@@ -143,7 +143,7 @@ func NewHarness(sys *wiring.System, g *topo.Topology, w *traffic.ChurnWorkload, 
 		w:         w,
 		opt:       opt,
 		live:      make(map[packet.FlowID]*soakFlow),
-		linkFlows: make(map[topo.LinkID]map[packet.FlowID]struct{}),
+		linkFlows: make([]map[packet.FlowID]struct{}, g.NumLinks()),
 		inflight:  make(map[packet.FlowID]*controlplane.UpdateStatus),
 		slo:       newSLO(opt.Episodes, opt.MaxRetriggers),
 	}
@@ -330,7 +330,7 @@ func (h *Harness) waveScan(link topo.LinkID) {
 	for f := range h.linkFlows[link] {
 		h.scratch = append(h.scratch, f)
 	}
-	sort.Slice(h.scratch, func(i, j int) bool { return h.scratch[i] < h.scratch[j] })
+	slices.Sort(h.scratch)
 
 	h.sys.Ctl.BeginUIMBatch()
 	for _, f := range h.scratch {

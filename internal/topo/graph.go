@@ -133,11 +133,12 @@ func (t *Topology) AddLink(a, b NodeID, latency time.Duration, capacity float64)
 
 // SetLinkLatency changes the propagation latency of link id in place.
 // Unlike AddNode/AddLink it does NOT bump the mutation version: the
-// path oracle is repaired incrementally (dynamic SSSP plus scoped
-// per-pair invalidation) instead of flushing every memoized sweep and
-// path. Distance slices previously returned by Distances are repaired
-// in place, so holders observe the post-change values. It panics on a
-// frozen topology.
+// path oracle is repaired incrementally (shortest-path trees re-relaxed
+// in place — from the link's endpoints on a decrease, over the subtree
+// below the link on an increase — plus scoped spur-path invalidation;
+// see repair.go) instead of being flushed. Distance slices previously
+// returned by Distances are repaired in place, so holders observe the
+// post-change values. It panics on a frozen topology.
 func (t *Topology) SetLinkLatency(id LinkID, latency time.Duration) {
 	t.mustNotBeFrozen("SetLinkLatency")
 	if id < 0 || int(id) >= len(t.links) {

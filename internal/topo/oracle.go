@@ -6,15 +6,24 @@ import (
 	"sync"
 )
 
-// distKey identifies one memoized single-source distance sweep.
+// distKey identifies one memoized single-source sweep.
 type distKey struct {
 	src NodeID
 	w   Weight
 }
 
-// pathKey identifies one memoized point-to-point query. avoid is an
-// FNV-1a hash of the sorted avoid set (0 for the empty set), so Yen
-// spur queries with distinct blocked sets occupy distinct entries.
+// spTree is one memoized single-source sweep: the distance to every
+// node and the shortest-path tree that realizes them (prev[v] is v's
+// parent, -1 at the source and at unreachable nodes).
+type spTree struct {
+	d    []float64
+	prev []NodeID
+}
+
+// pathKey identifies one memoized Yen spur query. avoid is an FNV-1a
+// hash of the sorted, non-empty avoid set, so spur queries with distinct
+// blocked sets occupy distinct entries. Unconstrained queries never get
+// a pathKey: they are answered from the source's spTree.
 type pathKey struct {
 	src, dst NodeID
 	w        Weight
@@ -29,17 +38,29 @@ type oracleItem struct {
 
 // PathOracle memoizes shortest-path computation over one Topology.
 //
-// Results are cached per (src, dst, weight, avoid-set-hash) and
-// invalidated wholesale whenever the topology mutates (AddNode/AddLink
-// bump Topology.version). The Dijkstra sweep itself runs on reusable
-// scratch buffers — distance, predecessor, and heap-position arrays
-// plus a value-typed binary heap — so a cache miss allocates only the
-// slice that is retained in the cache, and a hit allocates nothing.
+// It keeps two caches, both flushed wholesale whenever the topology
+// mutates (AddNode/AddLink bump Topology.version):
 //
-// Cached slices are shared: callers must treat them as read-only. The
-// Topology wrapper methods that historically handed out fresh slices
-// (ShortestPath, shortestPathAvoiding) copy on the way out; Distances
-// intentionally does not, per its documented contract.
+//   - tree: one shortest-path tree per (source, weight), filled by one
+//     full Dijkstra sweep. Distances returns the tree's distance slice,
+//     and an unconstrained point-to-point query is an O(hops) walk of
+//     its parent pointers — one sweep per source, however many
+//     destinations are asked for.
+//   - path: Yen spur queries (non-empty avoid set) per
+//     (src, dst, weight, avoid-set-hash), each filled by its own
+//     early-exit Dijkstra (spurPath).
+//
+// The tree walk returns exactly the path an early-exit Dijkstra from the
+// same source would have, under any tie-breaking: the full sweep and the
+// early-exit run perform the same heap operations in the same order up
+// to the pop of dst; every ancestor of dst in prev was popped before
+// dst; and a popped node's prev is only overwritten on a strict
+// improvement, which cannot happen after its pop.
+//
+// The sweeps run on reusable scratch buffers (heap-position array and a
+// value-typed binary heap), so a miss allocates only what the cache
+// retains. Distance slices are shared and read-only; paths are handed
+// out as fresh caller-owned slices.
 //
 // The oracle is safe for concurrent readers (a mutex serializes
 // queries); topology mutation is not concurrent-safe, matching the
@@ -49,17 +70,23 @@ type PathOracle struct {
 	mu sync.Mutex
 
 	version      uint64
-	dist         map[distKey][]float64
-	path         map[pathKey][]NodeID
-	pathCost     map[pathKey]float64
+	tree         map[distKey]spTree
+	path         map[pathKey]pathEntry
 	centroid     NodeID
 	haveCentroid bool
 
-	// Dijkstra scratch, sized to the topology's node count.
+	// sweeps counts full single-source Dijkstra runs; tests assert that
+	// it grows with distinct sources, not with queries.
+	sweeps uint64
+
+	// Dijkstra scratch, sized to the topology's node count. d and prev
+	// serve spurPath only: a sweep writes straight into the tree it
+	// returns.
 	d    []float64
 	prev []NodeID
 	pos  []int32 // heap index per node, -1 when absent
 	h    []oracleItem
+	mark []uint8 // repairIncrease's subtree classification
 }
 
 func newPathOracle(t *Topology) *PathOracle {
@@ -69,23 +96,24 @@ func newPathOracle(t *Topology) *PathOracle {
 // refresh flushes the caches if the topology changed and (re)sizes the
 // scratch buffers. Callers hold o.mu.
 func (o *PathOracle) refresh() {
-	if o.dist != nil && o.version == o.t.version {
+	if o.tree != nil && o.version == o.t.version {
 		return
 	}
 	o.version = o.t.version
-	o.dist = make(map[distKey][]float64)
-	o.path = make(map[pathKey][]NodeID)
-	o.pathCost = make(map[pathKey]float64)
+	o.tree = make(map[distKey]spTree)
+	o.path = make(map[pathKey]pathEntry)
 	o.haveCentroid = false
 	n := o.t.NumNodes()
 	if cap(o.d) < n {
 		o.d = make([]float64, n)
 		o.prev = make([]NodeID, n)
 		o.pos = make([]int32, n)
+		o.mark = make([]uint8, n)
 	}
 	o.d = o.d[:n]
 	o.prev = o.prev[:n]
 	o.pos = o.pos[:n]
+	o.mark = o.mark[:n]
 }
 
 // Distances returns minimum weights from src to every node (math.Inf(1)
@@ -95,49 +123,68 @@ func (o *PathOracle) Distances(src NodeID, w Weight) []float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.refresh()
+	return o.treeLocked(src, w).d
+}
+
+// treeLocked returns the shortest-path tree from src under w, running
+// the sweep on first use. Callers hold o.mu and must not be mid-range
+// over o.tree.
+func (o *PathOracle) treeLocked(src NodeID, w Weight) spTree {
 	k := distKey{src, w}
-	if d, ok := o.dist[k]; ok {
-		return d
+	tr, ok := o.tree[k]
+	if !ok {
+		tr = o.sweep(src, w)
+		o.tree[k] = tr
 	}
-	o.sweep(src, w)
-	out := make([]float64, len(o.d))
-	copy(out, o.d)
-	o.dist[k] = out
-	return out
+	return tr
 }
 
-// ShortestPath returns the minimum-weight path from src to dst, or nil
-// if unreachable. The returned slice is owned by the oracle's cache and
-// must not be modified.
-func (o *PathOracle) ShortestPath(src, dst NodeID, w Weight) []NodeID {
-	p, _ := o.shortestAvoiding(src, dst, w, nil, nil)
-	return p
-}
-
-// shortestAvoiding is the memoized Yen spur primitive. The returned
-// slice is cache-owned and read-only; Topology.shortestPathAvoiding
-// copies before handing ownership to callers.
+// shortestAvoiding returns the minimum-weight path from src to dst that
+// skips the given nodes and directed edges, and its cost (nil, +Inf when
+// unreachable). The caller owns the returned slice. With an empty avoid
+// set the answer is walked out of src's shortest-path tree; otherwise it
+// is the memoized Yen spur primitive.
 func (o *PathOracle) shortestAvoiding(src, dst NodeID, w Weight,
 	blockedNodes map[NodeID]bool, blockedEdges map[[2]NodeID]bool) ([]NodeID, float64) {
 
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.refresh()
-	k := pathKey{src, dst, w, hashAvoid(blockedNodes, blockedEdges)}
-	if p, ok := o.path[k]; ok {
-		return p, o.pathCost[k]
+	if len(blockedNodes) == 0 && len(blockedEdges) == 0 {
+		return o.treeLocked(src, w).pathTo(dst)
 	}
-	p, cost := o.spurPath(src, dst, w, blockedNodes, blockedEdges)
-	o.path[k] = p
-	o.pathCost[k] = cost
-	return p, cost
+	k := pathKey{src, dst, w, hashAvoid(blockedNodes, blockedEdges)}
+	e, ok := o.path[k]
+	if !ok {
+		e.path, e.cost = o.spurPath(src, dst, w, blockedNodes, blockedEdges)
+		o.path[k] = e
+	}
+	return clonePath(e.path), e.cost
+}
+
+// pathTo walks the tree from dst back to its source and returns the path
+// source-first in a fresh slice — built in place, one allocation — with
+// its cost; nil and +Inf when dst is unreachable.
+func (tr spTree) pathTo(dst NodeID) ([]NodeID, float64) {
+	if math.IsInf(tr.d[dst], 1) {
+		return nil, math.Inf(1)
+	}
+	n := 0
+	for v := dst; v != -1; v = tr.prev[v] {
+		n++
+	}
+	path := make([]NodeID, n)
+	for v, i := dst, n-1; v != -1; v, i = tr.prev[v], i-1 {
+		path[i] = v
+	}
+	return path, tr.d[dst]
 }
 
 // Centroid returns the node minimizing the worst-case latency-weighted
 // distance to all other nodes, memoized per topology generation.
 func (o *PathOracle) Centroid() NodeID {
 	o.mu.Lock()
-	if o.dist != nil && o.version == o.t.version && o.haveCentroid {
+	if o.tree != nil && o.version == o.t.version && o.haveCentroid {
 		c := o.centroid
 		o.mu.Unlock()
 		return c
@@ -168,33 +215,24 @@ func (o *PathOracle) Centroid() NodeID {
 	return best
 }
 
-// sweep runs a full single-source Dijkstra into o.d. Callers hold o.mu.
-// The relaxation and heap discipline mirror the original container/heap
-// implementation exactly so tie-breaking (and hence every derived path)
-// is byte-identical to the pre-oracle code.
-func (o *PathOracle) sweep(src NodeID, w Weight) {
-	t := o.t
-	for i := range o.d {
-		o.d[i] = math.Inf(1)
+// sweep runs a full single-source Dijkstra into a fresh spTree. Callers
+// hold o.mu. The relaxation and heap discipline (relaxFromHeap) are
+// spurPath's exactly, so the tree holds the very path an early-exit run
+// toward any one destination finds.
+func (o *PathOracle) sweep(src NodeID, w Weight) spTree {
+	o.sweeps++
+	d := make([]float64, len(o.pos))
+	prev := make([]NodeID, len(o.pos))
+	for i := range d {
+		d[i] = math.Inf(1)
+		prev[i] = -1
 		o.pos[i] = -1
 	}
-	o.d[src] = 0
+	d[src] = 0
 	o.h = o.h[:0]
 	o.hPush(src, 0)
-	for len(o.h) > 0 {
-		cur := o.hPop()
-		for _, ad := range t.adj[cur.node] {
-			alt := cur.dist + t.edgeWeight(t.links[ad.link], w)
-			if alt < o.d[ad.neighbor] {
-				o.d[ad.neighbor] = alt
-				if o.pos[ad.neighbor] >= 0 {
-					o.hFix(ad.neighbor, alt)
-				} else {
-					o.hPush(ad.neighbor, alt)
-				}
-			}
-		}
-	}
+	o.relaxFromHeap(d, prev, w)
+	return spTree{d: d, prev: prev}
 }
 
 // spurPath runs Dijkstra from src toward dst, skipping the given nodes
@@ -236,18 +274,7 @@ func (o *PathOracle) spurPath(src, dst NodeID, w Weight,
 			}
 		}
 	}
-	if math.IsInf(o.d[dst], 1) {
-		return nil, math.Inf(1)
-	}
-	n := 0
-	for v := dst; v != -1; v = o.prev[v] {
-		n++
-	}
-	path := make([]NodeID, n)
-	for v, i := dst, n-1; v != -1; v, i = o.prev[v], i-1 {
-		path[i] = v
-	}
-	return path, o.d[dst]
+	return spTree{d: o.d, prev: o.prev}.pathTo(dst)
 }
 
 // hashAvoid hashes an avoid set deterministically (FNV-1a over the

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -113,4 +114,111 @@ func TestOracleConcurrentReaders(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// tieGraph builds a seeded random graph meant to stress tie-breaking:
+// latencies come from a three-value set that includes zero, so equal-cost
+// alternatives and zero-cost hops abound, and the last `isolated` nodes
+// get no link at all (unreachable from everywhere else).
+func tieGraph(n, links, isolated int, seed int64) *Topology {
+	rng := rand.New(rand.NewSource(seed))
+	g := New("ties")
+	for i := 0; i < n; i++ {
+		g.AddNode("", 0, 0)
+	}
+	lat := []time.Duration{0, time.Millisecond, 2 * time.Millisecond}
+	for e := 0; e < links; e++ {
+		a, b := NodeID(rng.Intn(n-isolated)), NodeID(rng.Intn(n-isolated))
+		if a == b {
+			continue
+		}
+		if _, dup := g.LinkBetween(a, b); dup {
+			continue
+		}
+		g.AddLink(a, b, lat[rng.Intn(len(lat))], 100)
+	}
+	return g
+}
+
+// TestTreeWalkEqualsEarlyExitDijkstra is the identity the per-source
+// trees rest on: for every pair, under both weights, on graphs full of
+// exact ties, zero-latency links and unreachable nodes, the path walked
+// out of the source's shortest-path tree is node for node the path the
+// early-exit point-to-point Dijkstra (spurPath with nothing blocked)
+// returns, with the same cost.
+func TestTreeWalkEqualsEarlyExitDijkstra(t *testing.T) {
+	graphs := []*Topology{FatTree(4), B4()} // uniform fat-tree: massively tied
+	for seed := int64(0); seed < 40; seed++ {
+		graphs = append(graphs, tieGraph(6+int(seed%13), 8+int(3*seed%29), int(seed%3), seed))
+	}
+	for gi, g := range graphs {
+		o := g.Oracle()
+		for _, w := range []Weight{ByLatency, ByHops} {
+			for _, src := range g.Nodes() {
+				for _, dst := range g.Nodes() {
+					got, gotCost := o.shortestAvoiding(src, dst, w, nil, nil)
+					o.mu.Lock()
+					want, wantCost := o.spurPath(src, dst, w, nil, nil)
+					o.mu.Unlock()
+					if !equalPath(got, want) || gotCost != wantCost {
+						t.Fatalf("graph %d (%s) weight %v %d->%d: tree walk %v cost %v, early-exit Dijkstra %v cost %v",
+							gi, g.Name, w, src, dst, got, gotCost, want, wantCost)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOneSweepPerSource is the counting guard of the tree cache: on an
+// unperturbed topology, any number of unconstrained ShortestPath and
+// Distances queries runs exactly one Dijkstra sweep per distinct
+// (source, weight) — never one per pair — and leaves nothing in the
+// per-pair spur cache.
+func TestOneSweepPerSource(t *testing.T) {
+	g := FatTree(4)
+	o := g.Oracle()
+	sources := EdgeSwitches(g)
+	queries := 0
+	for round := 0; round < 3; round++ {
+		for _, s := range sources {
+			for _, d := range g.Nodes() {
+				g.ShortestPath(s, d, ByLatency)
+				queries++
+			}
+			g.Distances(s, ByLatency)
+		}
+	}
+	o.mu.Lock()
+	sweeps, trees, spurs := o.sweeps, len(o.tree), len(o.path)
+	o.mu.Unlock()
+	if sweeps != uint64(len(sources)) || trees != len(sources) {
+		t.Fatalf("%d queries from %d sources ran %d sweeps into %d trees, want %d each",
+			queries, len(sources), sweeps, trees, len(sources))
+	}
+	if spurs != 0 {
+		t.Fatalf("unconstrained queries left %d entries in the spur-path cache", spurs)
+	}
+	// A second weight is a second tree per source, and only that.
+	for _, s := range sources {
+		g.ShortestPath(s, sources[0], ByHops)
+	}
+	o.mu.Lock()
+	sweeps = o.sweeps
+	o.mu.Unlock()
+	if sweeps != 2*uint64(len(sources)) {
+		t.Fatalf("after ByHops queries: %d sweeps, want %d", sweeps, 2*len(sources))
+	}
+	// Yen queries fill the spur cache, and only with non-empty avoid sets.
+	g.KShortestPaths(sources[0], sources[len(sources)-1], 3, ByLatency)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if len(o.path) == 0 {
+		t.Fatal("KShortestPaths cached no spur paths")
+	}
+	for k := range o.path {
+		if k.avoid == 0 {
+			t.Fatalf("empty-avoid entry %+v in the spur-path cache", k)
+		}
+	}
 }

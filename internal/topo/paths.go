@@ -24,8 +24,8 @@ func (t *Topology) edgeWeight(l Link, w Weight) float64 {
 
 // ShortestPath returns the minimum-weight path from src to dst, or nil if
 // unreachable. Ties are broken deterministically by neighbor order. The
-// computation is memoized in the topology's PathOracle; the caller owns
-// the returned slice (it is a copy of the cached path).
+// path is walked out of src's memoized shortest-path tree (one Dijkstra
+// sweep per source, see PathOracle) into a fresh slice the caller owns.
 func (t *Topology) ShortestPath(src, dst NodeID, w Weight) []NodeID {
 	path, _ := t.shortestPathAvoiding(src, dst, w, nil, nil)
 	return path
@@ -43,24 +43,31 @@ func (t *Topology) Distances(src NodeID, w Weight) []float64 {
 
 // shortestPathAvoiding runs Dijkstra while skipping the given nodes and
 // directed edges; used as the spur-path primitive of Yen's algorithm.
-// It consults the PathOracle cache and copies the cached path so the
-// caller gets an owned slice, as it always has.
+// It consults the memoizing oracle and returns a slice the caller owns:
+// the PathOracle builds one per query, the frozen snapshot's shared
+// cache entry is copied.
 func (t *Topology) shortestPathAvoiding(src, dst NodeID, w Weight,
 	blockedNodes map[NodeID]bool, blockedEdges map[[2]NodeID]bool) ([]NodeID, float64) {
 
-	var p []NodeID
-	var cost float64
-	if s := t.snapshot(); s != nil {
-		p, cost = s.Oracle().shortestAvoiding(src, dst, w, blockedNodes, blockedEdges)
-	} else {
-		p, cost = t.Oracle().shortestAvoiding(src, dst, w, blockedNodes, blockedEdges)
+	s := t.snapshot()
+	if s == nil {
+		return t.Oracle().shortestAvoiding(src, dst, w, blockedNodes, blockedEdges)
 	}
+	p, cost := s.Oracle().shortestAvoiding(src, dst, w, blockedNodes, blockedEdges)
+	return clonePath(p), cost
+}
+
+// clonePath copies a cache-owned path for a caller to own; nil
+// (unreachable) stays nil. It runs once per Yen spur query of the
+// Fig. 7 grid's workload generation, hence make+copy (exact size, no
+// growslice) rather than slices.Clone.
+func clonePath(p []NodeID) []NodeID {
 	if p == nil {
-		return nil, cost
+		return nil
 	}
 	out := make([]NodeID, len(p))
 	copy(out, p)
-	return out, cost
+	return out
 }
 
 type candidate struct {

@@ -1,37 +1,43 @@
 package topo
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Incremental oracle repair after a single-link latency change
-// (Topology.SetLinkLatency). The previous design flushed every memoized
-// sweep and path whenever the topology version moved; under streaming
-// churn a reroute perturbs one link every few hundred microseconds of
-// virtual time, and a full flush makes every live flow's next path
-// query a cold Dijkstra. Repair instead:
+// (Topology.SetLinkLatency). Flushing every memoized tree and spur path
+// whenever a latency moves would make every live flow's next path query
+// a cold Dijkstra: under streaming churn a reroute perturbs one link
+// every few hundred microseconds of virtual time. Repair instead:
 //
-//   - latency decrease: every cached ByLatency distance sweep is
+//   - latency decrease: every cached ByLatency shortest-path tree is
 //     repaired in place by a bounded Dijkstra seeded from the improved
-//     link endpoint (classic dynamic-SSSP decrease pass). The repaired
-//     values are bit-identical to a full recompute because both take
+//     link endpoint (classic dynamic-SSSP decrease pass) that rewrites
+//     the parent pointer wherever it lowers a distance. The repaired
+//     distances are bit-identical to a full recompute because both take
 //     the minimum over the same left-to-right float addition chains.
-//   - latency increase: a sweep is dropped only when the link lies on
-//     its shortest-path DAG (d[A]+oldW == d[B] or the mirror); sweeps
-//     that never used the link keep their exact values.
-//   - cached paths: dropped when the path crosses the link, or — on a
-//     decrease — when a lower bound on the best path through the link
-//     (endpoint sweeps + new weight) could undercut the cached cost.
-//     Everything else is untouched, so a reroute wave invalidates only
-//     the affected pairs.
+//   - latency increase: only nodes whose tree path crosses the link can
+//     move, i.e. the subtree hanging below the link's child endpoint —
+//     the parent pointers make it enumerable. Those nodes are reset,
+//     re-seeded from their neighbours outside the subtree and
+//     re-relaxed among themselves; a tree that does not use the link as
+//     a tree edge is not touched at all. Distances are again the same
+//     float chains a full recompute adds up.
+//   - cached Yen spur paths: dropped when the path crosses the link, or
+//     — on a decrease — when a lower bound on the best path through the
+//     link (endpoint sweeps + new weight) could undercut the cached
+//     cost. Everything else is untouched.
 //
 // ByHops entries ignore latency entirely and always survive.
 //
-// Caveat (documented in DESIGN.md): a kept path entry is guaranteed
-// identical to a full recompute only when the shortest path is unique.
-// Under exact float-cost ties the global heap pop order that breaks
-// ties can shift, so equal-cost topologies (e.g. a fat-tree with
-// uniform link latencies) should jitter weights before relying on
-// repair for path — not distance — identity. Distances are exact
-// either way.
+// Caveat (documented in DESIGN.md): a kept spur entry or a repaired
+// tree is guaranteed to hold the paths of a full recompute only when
+// shortest paths are unique. Under exact float-cost ties the global
+// heap pop order that breaks ties can shift, so equal-cost topologies
+// (e.g. a fat-tree with uniform link latencies) should jitter weights
+// before relying on repair for path — not distance — identity.
+// Distances are exact either way.
 
 // linkLatencyChanged repairs the memoized caches after link l's latency
 // changed from oldLat to its current value. Called by SetLinkLatency
@@ -39,48 +45,47 @@ import "time"
 func (o *PathOracle) linkLatencyChanged(l Link, oldLat time.Duration) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.dist == nil || o.version != o.t.version {
+	if o.tree == nil || o.version != o.t.version {
 		// Caches empty or already pending a full flush: nothing to repair.
 		return
 	}
 	newW := l.Latency.Seconds()
-	oldW := oldLat.Seconds()
-	decrease := newW < oldW
+	decrease := newW < oldLat.Seconds()
 	o.haveCentroid = false
 
-	// Pass 1: distance sweeps. Deleting during range is safe; inserting
-	// is not, so fresh endpoint sweeps (pass 2) wait until this loop is
-	// done.
-	for k, d := range o.dist {
+	// Pass 1: shortest-path trees, repaired in place. Inserting during
+	// range is not safe, so fresh endpoint sweeps (pass 2) wait until
+	// this loop is done.
+	for k, tr := range o.tree {
 		if k.w != ByLatency {
 			continue
 		}
 		if decrease {
-			o.repairDecrease(d, l, newW)
-		} else if d[l.A]+oldW == d[l.B] || d[l.B]+oldW == d[l.A] {
-			delete(o.dist, k)
+			o.repairDecrease(tr, l, newW)
+		} else {
+			o.repairIncrease(tr, l)
 		}
 	}
 
-	// Pass 2: scoped path invalidation. On a decrease the only way a
+	// Pass 2: scoped spur-path invalidation. On a decrease the only way a
 	// cached path goes stale without crossing the link is a new, cheaper
-	// route through it; dA/dB bound that route's cost from below.
+	// route through it; dA/dB bound that route's cost from below (the
+	// unconstrained distances can only undercut the avoid-set ones). The
+	// endpoint sweeps are fetched for the first entry that needs them.
 	var dA, dB []float64
-	if decrease {
-		dA = o.distLocked(l.A)
-		dB = o.distLocked(l.B)
-	}
-	for k, p := range o.path {
+	for k, e := range o.path {
 		if k.w != ByLatency {
 			continue
 		}
-		if pathUsesLink(p, l) {
+		if pathUsesLink(e.path, l) {
 			delete(o.path, k)
-			delete(o.pathCost, k)
 			continue
 		}
 		if decrease {
-			cost := o.pathCost[k]
+			if dA == nil {
+				dA = o.treeLocked(l.A, ByLatency).d
+				dB = o.treeLocked(l.B, ByLatency).d
+			}
 			lb := dA[k.src] + newW + dB[k.dst]
 			if alt := dB[k.src] + newW + dA[k.dst]; alt < lb {
 				lb = alt
@@ -89,38 +94,122 @@ func (o *PathOracle) linkLatencyChanged(l Link, oldLat time.Duration) {
 			// float addition orders, so a mathematically-equal route
 			// can land a few ulps on either side. Over-deleting is
 			// always safe; keeping a beatable entry is not.
-			if lb <= cost+cost*1e-9+1e-12 {
+			if lb <= e.cost+e.cost*1e-9+1e-12 {
 				delete(o.path, k)
-				delete(o.pathCost, k)
 			}
 		}
 	}
 }
 
 // repairDecrease applies the dynamic-SSSP decrease pass to one cached
-// sweep in place: seed the frontier with the endpoint the cheaper link
-// now improves, then relax outward until no distance drops. Callers
-// hold o.mu; d is a cache-owned slice of len NumNodes.
-func (o *PathOracle) repairDecrease(d []float64, l Link, newW float64) {
+// tree in place: seed the frontier with the endpoint the cheaper link
+// now improves, then relax outward until no distance drops, re-parenting
+// every node whose distance does. Callers hold o.mu; tr's slices are
+// cache-owned and of len NumNodes.
+func (o *PathOracle) repairDecrease(tr spTree, l Link, newW float64) {
+	d, prev := tr.d, tr.prev
 	for i := range o.pos {
 		o.pos[i] = -1
 	}
 	o.h = o.h[:0]
 	if alt := d[l.A] + newW; alt < d[l.B] {
 		d[l.B] = alt
+		prev[l.B] = l.A
 		o.hPush(l.B, alt)
 	}
 	if alt := d[l.B] + newW; alt < d[l.A] {
 		d[l.A] = alt
+		prev[l.A] = l.B
 		o.hPush(l.A, alt)
 	}
+	o.relaxFromHeap(d, prev, ByLatency)
+}
+
+// repairIncrease repairs one cached tree in place after link l got
+// heavier. Callers hold o.mu; l already carries the new latency.
+func (o *PathOracle) repairIncrease(tr spTree, l Link) {
+	d, prev := tr.d, tr.prev
+	child := l.B
+	if prev[l.A] == l.B {
+		child = l.A
+	} else if prev[l.B] != l.A {
+		return // not a tree edge: no tree path crosses l, nothing moves
+	}
+
+	// Mark the subtree below child: every node walks up its parent
+	// pointers to the first node already classified (or off the root)
+	// and hands that class down the trail, so each node is visited a
+	// constant number of times.
+	const (
+		unknown = iota
+		outside
+		inside
+	)
+	mark := o.mark
+	for i := range mark {
+		mark[i] = unknown
+	}
+	mark[child] = inside
+	for v := range mark {
+		u := NodeID(v)
+		for u != -1 && mark[u] == unknown {
+			u = prev[u]
+		}
+		class := uint8(outside)
+		if u != -1 {
+			class = mark[u]
+		}
+		for u = NodeID(v); u != -1 && mark[u] == unknown; u = prev[u] {
+			mark[u] = class
+		}
+	}
+
+	// Reset the subtree, then seed each of its nodes with its best route
+	// in from outside (the heavier link included), where distances stand.
+	for v := range mark {
+		if mark[v] == inside {
+			d[v] = math.Inf(1)
+			prev[v] = -1
+		}
+		o.pos[v] = -1
+	}
+	t := o.t
+	o.h = o.h[:0]
+	for v := range mark {
+		if mark[v] != inside {
+			continue
+		}
+		for _, ad := range t.adj[v] {
+			if mark[ad.neighbor] == inside {
+				continue
+			}
+			if alt := d[ad.neighbor] + t.edgeWeight(t.links[ad.link], ByLatency); alt < d[v] {
+				d[v] = alt
+				prev[v] = ad.neighbor
+			}
+		}
+		if !math.IsInf(d[v], 1) {
+			o.hPush(NodeID(v), d[v])
+		}
+	}
+	// Settle the subtree; nodes outside it cannot improve.
+	o.relaxFromHeap(d, prev, ByLatency)
+}
+
+// relaxFromHeap runs Dijkstra's main loop over the seeded frontier in
+// o.h, lowering d and re-parenting prev: the one relaxation loop behind
+// the full sweep and both repairs. Its heap discipline mirrors spurPath's
+// (and the original container/heap implementation's) exactly. Callers
+// hold o.mu.
+func (o *PathOracle) relaxFromHeap(d []float64, prev []NodeID, w Weight) {
 	t := o.t
 	for len(o.h) > 0 {
 		cur := o.hPop()
 		for _, ad := range t.adj[cur.node] {
-			alt := cur.dist + t.edgeWeight(t.links[ad.link], ByLatency)
+			alt := cur.dist + t.edgeWeight(t.links[ad.link], w)
 			if alt < d[ad.neighbor] {
 				d[ad.neighbor] = alt
+				prev[ad.neighbor] = cur.node
 				if o.pos[ad.neighbor] >= 0 {
 					o.hFix(ad.neighbor, alt)
 				} else {
@@ -129,21 +218,6 @@ func (o *PathOracle) repairDecrease(d []float64, l Link, newW float64) {
 			}
 		}
 	}
-}
-
-// distLocked returns the ByLatency sweep from src, consulting and
-// populating the cache. Callers hold o.mu and must not be mid-range
-// over o.dist.
-func (o *PathOracle) distLocked(src NodeID) []float64 {
-	k := distKey{src, ByLatency}
-	if d, ok := o.dist[k]; ok {
-		return d
-	}
-	o.sweep(src, ByLatency)
-	out := make([]float64, len(o.d))
-	copy(out, o.d)
-	o.dist[k] = out
-	return out
 }
 
 // pathUsesLink reports whether p traverses l in either direction. A nil

@@ -67,6 +67,20 @@ func compareAgainstFresh(t *testing.T, live, fresh *Topology, pairStride int) {
 			}
 		}
 	}
+	// The Distances calls above left a tree per (source, weight) in both
+	// oracles: hold the repaired parent pointers to the recomputed ones,
+	// then the paths of all pairs walked out of them.
+	lo, fo := live.Oracle(), fresh.Oracle()
+	for _, w := range []Weight{ByLatency, ByHops} {
+		for _, n := range nodes {
+			got, want := lo.tree[distKey{n, w}].prev, fo.tree[distKey{n, w}].prev
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("tree(%d, %v): parent of %d is %d, fresh recompute %d", n, w, i, got[i], want[i])
+				}
+			}
+		}
+	}
 	for _, s := range nodes {
 		for _, d := range nodes {
 			if s == d {
@@ -97,8 +111,11 @@ func compareAgainstFresh(t *testing.T, live, fresh *Topology, pairStride int) {
 
 // TestRepairMatchesFullRecompute is the differential acceptance test
 // for incremental oracle repair: a seeded sequence of single-link
-// latency perturbations, after each of which every memoized query must
-// equal a cold recompute on a topology built with the final latencies.
+// latency increases and decreases, after each of which every memoized
+// query — distances, shortest-path-tree parents, the paths of all pairs,
+// Yen k-shortest paths — must equal a cold recompute on a topology built
+// with the final latencies. It also holds the repair to being one: over
+// the whole sequence the live oracle must not run a single new sweep.
 func TestRepairMatchesFullRecompute(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -127,12 +144,20 @@ func TestRepairMatchesFullRecompute(t *testing.T) {
 				base[l.ID] = l.Latency
 			}
 			const stride = 3
+			const rounds = 40
 			warm(live, stride)
+			warmSweeps := live.Oracle().sweeps
+			increases, decreases := 0, 0
 			rng := rand.New(rand.NewSource(7))
-			for round := 0; round < 40; round++ {
+			for round := 0; round < rounds; round++ {
 				id := LinkID(rng.Intn(live.NumLinks()))
 				f := 0.5 + 1.5*rng.Float64()
 				lat := time.Duration(float64(base[id]) * f)
+				if was := live.Link(id).Latency; lat > was {
+					increases++
+				} else if lat < was {
+					decreases++
+				}
 				live.SetLinkLatency(id, lat)
 				fresh := cloneWithLatencies(mk, live)
 				compareAgainstFresh(t, live, fresh, stride)
@@ -141,61 +166,79 @@ func TestRepairMatchesFullRecompute(t *testing.T) {
 				// it as a side effect of querying).
 				warm(live, stride)
 			}
+			if increases == 0 || decreases == 0 {
+				t.Fatalf("sequence not mixed: %d increases, %d decreases", increases, decreases)
+			}
+			if resweeps := live.Oracle().sweeps - warmSweeps; resweeps != 0 {
+				t.Fatalf("%d re-sweeps over %d perturbations: repair must not drop a tree", resweeps, rounds)
+			}
 		})
 	}
 }
 
-// TestRepairKeepsUnaffectedEntries is the perf property behind the
-// repair: an increase on a link that lies on no cached shortest-path
-// DAG must leave the memoized sweeps in place (no full flush), and a
-// change must never bump the topology version.
-func TestRepairKeepsUnaffectedEntries(t *testing.T) {
+// TestRepairNeverResweeps is the perf property behind the repair: no
+// latency change — a decrease, an increase on a link some cached tree
+// routes over, an increase on a link none does — drops a cached tree,
+// runs a Dijkstra sweep or bumps the topology version, and the trees
+// still answer like a cold recompute afterwards.
+func TestRepairNeverResweeps(t *testing.T) {
 	g := B4()
-	warm(g, 3)
-	o := g.Oracle()
-	v := g.Version()
-	o.mu.Lock()
-	before := len(o.dist)
-	o.mu.Unlock()
-	if before == 0 {
-		t.Fatal("warm populated no distance sweeps")
+	// Sweep from a few sources only: with a tree from every node every
+	// link is some tree's edge and the third case would not exist.
+	for _, n := range g.Nodes()[:3] {
+		g.Distances(n, ByLatency)
+		g.Distances(n, ByHops)
 	}
-	// Find a link on no cached shortest-path DAG by testing the
-	// increase condition directly against every sweep.
-	var victim Link
-	found := false
-	for _, l := range g.Links() {
-		w := l.Latency.Seconds()
-		onDAG := false
-		o.mu.Lock()
-		for k, d := range o.dist {
-			if k.w == ByLatency && (d[l.A]+w == d[l.B] || d[l.B]+w == d[l.A]) {
-				onDAG = true
-				break
+	o := g.Oracle()
+	onTree := func(l Link) bool {
+		for k, tr := range o.tree {
+			if k.w == ByLatency && (tr.prev[l.A] == l.B || tr.prev[l.B] == l.A) {
+				return true
 			}
 		}
-		o.mu.Unlock()
-		if !onDAG {
-			victim, found = l, true
-			break
+		return false
+	}
+	var used, unused *Link
+	for _, l := range g.Links() {
+		l := l
+		if onTree(l) {
+			used = &l
+		} else {
+			unused = &l
 		}
 	}
-	if !found {
-		t.Skip("every link lies on some cached shortest-path DAG")
+	if used == nil || unused == nil {
+		t.Fatalf("need a link on a cached tree and one on none: %v, %v", used, unused)
 	}
-	g.SetLinkLatency(victim.ID, victim.Latency+time.Millisecond)
-	o.mu.Lock()
-	after := len(o.dist)
-	o.mu.Unlock()
-	if after != before {
-		t.Fatalf("off-DAG increase dropped sweeps: %d -> %d", before, after)
+	version, trees, sweeps := g.Version(), len(o.tree), o.sweeps
+	for _, c := range []struct {
+		name string
+		id   LinkID
+		lat  time.Duration
+	}{
+		{"increase on a tree edge", used.ID, used.Latency + 3*time.Millisecond},
+		{"increase off every tree", unused.ID, unused.Latency + time.Millisecond},
+		{"decrease", unused.ID, unused.Latency / 4},
+	} {
+		g.SetLinkLatency(c.id, c.lat)
+		if len(o.tree) != trees || o.sweeps != sweeps {
+			t.Fatalf("%s: %d trees, %d sweeps; want %d, %d (repair, not re-sweep)", c.name, len(o.tree), o.sweeps, trees, sweeps)
+		}
+		if g.Version() != version {
+			t.Fatalf("%s: SetLinkLatency bumped the topology version: %d -> %d", c.name, version, g.Version())
+		}
+		fresh := cloneWithLatencies(B4, g)
+		for _, n := range g.Nodes()[:3] {
+			fresh.Distances(n, ByLatency)
+			got, want := o.tree[distKey{n, ByLatency}], fresh.Oracle().tree[distKey{n, ByLatency}]
+			for i := range want.d {
+				if got.d[i] != want.d[i] || got.prev[i] != want.prev[i] {
+					t.Fatalf("%s: tree(%d) node %d = (%v, %d), fresh recompute (%v, %d)",
+						c.name, n, i, got.d[i], got.prev[i], want.d[i], want.prev[i])
+				}
+			}
+		}
 	}
-	if g.Version() != v {
-		t.Fatalf("SetLinkLatency bumped the topology version: %d -> %d", v, g.Version())
-	}
-	// And the repaired caches must still answer correctly.
-	fresh := cloneWithLatencies(B4, g)
-	compareAgainstFresh(t, g, fresh, 3)
 }
 
 // TestSetLinkLatencyFrozenPanics pins the mutation guard.
