@@ -55,33 +55,50 @@ func SegmentPaths(oldPath, newPath []topo.NodeID) (Segmentation, error) {
 	for i, n := range oldPath {
 		s.OldDistance[n] = uint16(k - i)
 	}
-	onOld := make(map[topo.NodeID]bool, len(oldPath))
-	for _, n := range oldPath {
-		onOld[n] = true
-	}
-	for _, n := range newPath {
-		if onOld[n] {
-			s.Gateways = append(s.Gateways, n)
-		}
-	}
-	// Segments between consecutive gateways along the new path.
-	gwIndex := make(map[topo.NodeID]int, len(s.Gateways))
+	// One walk of the new path: every node also on the old path is a
+	// gateway and closes the segment the previous gateway opened.
+	prev := -1
 	for i, n := range newPath {
-		if onOld[n] {
-			gwIndex[n] = i
+		dist, onOld := s.OldDistance[n]
+		if !onOld {
+			continue
 		}
-	}
-	for gi := 0; gi+1 < len(s.Gateways); gi++ {
-		in, eg := s.Gateways[gi], s.Gateways[gi+1]
-		seg := Segment{
-			Nodes:     newPath[gwIndex[in] : gwIndex[eg]+1],
-			IngressGW: in,
-			EgressGW:  eg,
-			Forward:   s.OldDistance[eg] < s.OldDistance[in],
+		s.Gateways = append(s.Gateways, n)
+		if prev >= 0 {
+			in := newPath[prev]
+			s.Segments = append(s.Segments, Segment{
+				Nodes:     newPath[prev : i+1],
+				IngressGW: in,
+				EgressGW:  n,
+				Forward:   dist < s.OldDistance[in],
+			})
 		}
-		s.Segments = append(s.Segments, seg)
+		prev = i
 	}
 	return s, nil
+}
+
+// BackwardSegments counts what a scenario search weighs in the
+// segmentation of an update onto newPath — its backward segments and the
+// interior (non-gateway) nodes they hold — in one pass over newPath,
+// without building the Segmentation. oldPos[n] is node n's index on the
+// old path, -1 off it; the paths must share ingress and egress, as for
+// SegmentPaths. A segment is backward when its egress gateway sits no
+// later on the old path than its ingress gateway, i.e. its old distance
+// does not decrease.
+func BackwardSegments(oldPos []int32, newPath []topo.NodeID) (segments, interiors int) {
+	prev := -1
+	for i, n := range newPath {
+		if oldPos[n] < 0 {
+			continue
+		}
+		if prev >= 0 && oldPos[n] <= oldPos[newPath[prev]] {
+			segments++
+			interiors += i - prev - 1
+		}
+		prev = i
+	}
+	return segments, interiors
 }
 
 // NodesNeedingUpdate counts the new-path nodes whose forwarding rule

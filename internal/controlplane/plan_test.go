@@ -181,3 +181,76 @@ func TestPreparePlanForcedType(t *testing.T) {
 		t.Errorf("forced type ignored: %v", plan.Type)
 	}
 }
+
+// TestBackwardSegmentsMatchesSegmentPaths holds the allocation-free
+// scorer to the segmentation it summarizes: over every ordered
+// (old, new) pair of the k=30 path sets of every node pair on B4 and
+// Internet2 — the single-flow scenario search's whole candidate space —
+// the two counts equal those read off SegmentPaths(...).Segments.
+func TestBackwardSegmentsMatchesSegmentPaths(t *testing.T) {
+	for _, g := range []*topo.Topology{topo.B4(), topo.Internet2()} {
+		oldPos := make([]int32, g.NumNodes())
+		for i := range oldPos {
+			oldPos[i] = -1
+		}
+		pairs := 0
+		for _, s := range g.Nodes() {
+			for _, d := range g.Nodes() {
+				if d == s {
+					continue
+				}
+				paths := g.KShortestPaths(s, d, 30, topo.ByLatency)
+				for i, old := range paths {
+					for p, n := range old {
+						oldPos[n] = int32(p)
+					}
+					for j, nw := range paths {
+						if i == j {
+							continue
+						}
+						seg, err := SegmentPaths(old, nw)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantSegs, wantInteriors := 0, 0
+						for _, sgm := range seg.Segments {
+							if !sgm.Forward {
+								wantSegs++
+								wantInteriors += len(sgm.Nodes) - 2
+							}
+						}
+						gotSegs, gotInteriors := BackwardSegments(oldPos, nw)
+						if gotSegs != wantSegs || gotInteriors != wantInteriors {
+							t.Fatalf("%s old %v new %v: BackwardSegments = (%d, %d), SegmentPaths gives (%d, %d)",
+								g.Name, old, nw, gotSegs, gotInteriors, wantSegs, wantInteriors)
+						}
+						pairs++
+					}
+					for _, n := range old {
+						oldPos[n] = -1
+					}
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("%s: no candidate pairs", g.Name)
+		}
+	}
+}
+
+func TestBackwardSegmentsDoesNotAllocate(t *testing.T) {
+	oldP, newP := topo.SyntheticPaths()
+	oldPos := []int32{-1, -1, -1, -1, -1, -1, -1, -1}
+	for p, n := range oldP {
+		oldPos[n] = int32(p)
+	}
+	segs, interiors := 0, 0
+	allocs := testing.AllocsPerRun(100, func() { segs, interiors = BackwardSegments(oldPos, newP) })
+	if allocs != 0 {
+		t.Errorf("BackwardSegments allocates %v times per call, want 0", allocs)
+	}
+	// Fig. 1: {v2,v3,v4} is the one backward segment, v3 its interior.
+	if segs != 1 || interiors != 1 {
+		t.Errorf("BackwardSegments on Fig. 1 = (%d, %d), want (1, 1)", segs, interiors)
+	}
+}

@@ -135,8 +135,8 @@ func (t *Topology) AddLink(a, b NodeID, latency time.Duration, capacity float64)
 // Unlike AddNode/AddLink it does NOT bump the mutation version: the
 // path oracle is repaired incrementally (shortest-path trees re-relaxed
 // in place — from the link's endpoints on a decrease, over the subtree
-// below the link on an increase — plus scoped spur-path invalidation;
-// see repair.go) instead of being flushed. Distance slices previously
+// below the link on an increase; see repair.go) instead of being
+// flushed. Distance slices previously
 // returned by Distances are repaired in place, so holders observe the
 // post-change values. It panics on a frozen topology.
 func (t *Topology) SetLinkLatency(id LinkID, latency time.Duration) {

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -20,35 +19,53 @@ type spTree struct {
 	prev []NodeID
 }
 
-// pathKey identifies one memoized Yen spur query. avoid is an FNV-1a
-// hash of the sorted, non-empty avoid set, so spur queries with distinct
-// blocked sets occupy distinct entries. Unconstrained queries never get
-// a pathKey: they are answered from the source's spTree.
-type pathKey struct {
-	src, dst NodeID
-	w        Weight
-	avoid    uint64
-}
-
 // oracleItem is a value-typed Dijkstra frontier entry.
 type oracleItem struct {
 	node NodeID
 	dist float64
 }
 
+// dijkstraScratch is the working set of one Dijkstra run, sized to the
+// topology's node count: the heap-position array and value-typed heap
+// every run uses, the distance/parent arrays of a Yen spur query (a
+// full sweep writes straight into the tree it returns), and the spur
+// query's blocked sets as mark arrays. KShortestPaths sets and clears
+// the marks; at rest they are all false. The PathOracle owns one under
+// its mutex, the SharedOracle recycles them through a sync.Pool.
+type dijkstraScratch struct {
+	d    []float64
+	prev []NodeID
+	pos  []int32 // heap index per node, -1 when absent
+	h    []oracleItem
+
+	// blockedNode[n]: n lies on the root path before the spur node.
+	// blockedNext[n]: the edge spur node -> n continues an accepted path
+	// with the same root. Every blocked edge of a spur query leaves its
+	// source, so one mark per node, read only while relaxing out of the
+	// source, replaces a set of directed edges.
+	blockedNode []bool
+	blockedNext []bool
+}
+
+func newDijkstraScratch(n int) *dijkstraScratch {
+	return &dijkstraScratch{
+		d:           make([]float64, n),
+		prev:        make([]NodeID, n),
+		pos:         make([]int32, n),
+		blockedNode: make([]bool, n),
+		blockedNext: make([]bool, n),
+	}
+}
+
 // PathOracle memoizes shortest-path computation over one Topology.
 //
-// It keeps two caches, both flushed wholesale whenever the topology
-// mutates (AddNode/AddLink bump Topology.version):
-//
-//   - tree: one shortest-path tree per (source, weight), filled by one
-//     full Dijkstra sweep. Distances returns the tree's distance slice,
-//     and an unconstrained point-to-point query is an O(hops) walk of
-//     its parent pointers — one sweep per source, however many
-//     destinations are asked for.
-//   - path: Yen spur queries (non-empty avoid set) per
-//     (src, dst, weight, avoid-set-hash), each filled by its own
-//     early-exit Dijkstra (spurPath).
+// It keeps one cache, flushed wholesale whenever the topology mutates
+// (AddNode/AddLink bump Topology.version): one shortest-path tree per
+// (source, weight), filled by one full Dijkstra sweep. Distances returns
+// the tree's distance slice, and a point-to-point query is an O(hops)
+// walk of its parent pointers — one sweep per source, however many
+// destinations are asked for. Yen spur queries (spurPath) are not
+// memoized: each is one early-exit Dijkstra on the scratch.
 //
 // The tree walk returns exactly the path an early-exit Dijkstra from the
 // same source would have, under any tie-breaking: the full sweep and the
@@ -57,10 +74,9 @@ type oracleItem struct {
 // dst; and a popped node's prev is only overwritten on a strict
 // improvement, which cannot happen after its pop.
 //
-// The sweeps run on reusable scratch buffers (heap-position array and a
-// value-typed binary heap), so a miss allocates only what the cache
-// retains. Distance slices are shared and read-only; paths are handed
-// out as fresh caller-owned slices.
+// The sweeps run on a reusable scratch, so a miss allocates only what
+// the cache retains. Distance slices are shared and read-only; paths are
+// handed out as fresh caller-owned slices.
 //
 // The oracle is safe for concurrent readers (a mutex serializes
 // queries); topology mutation is not concurrent-safe, matching the
@@ -71,7 +87,6 @@ type PathOracle struct {
 
 	version      uint64
 	tree         map[distKey]spTree
-	path         map[pathKey]pathEntry
 	centroid     NodeID
 	haveCentroid bool
 
@@ -79,13 +94,7 @@ type PathOracle struct {
 	// it grows with distinct sources, not with queries.
 	sweeps uint64
 
-	// Dijkstra scratch, sized to the topology's node count. d and prev
-	// serve spurPath only: a sweep writes straight into the tree it
-	// returns.
-	d    []float64
-	prev []NodeID
-	pos  []int32 // heap index per node, -1 when absent
-	h    []oracleItem
+	sc   *dijkstraScratch
 	mark []uint8 // repairIncrease's subtree classification
 }
 
@@ -93,27 +102,19 @@ func newPathOracle(t *Topology) *PathOracle {
 	return &PathOracle{t: t}
 }
 
-// refresh flushes the caches if the topology changed and (re)sizes the
-// scratch buffers. Callers hold o.mu.
+// refresh flushes the cache if the topology changed and (re)sizes the
+// scratch. Callers hold o.mu.
 func (o *PathOracle) refresh() {
 	if o.tree != nil && o.version == o.t.version {
 		return
 	}
 	o.version = o.t.version
 	o.tree = make(map[distKey]spTree)
-	o.path = make(map[pathKey]pathEntry)
 	o.haveCentroid = false
-	n := o.t.NumNodes()
-	if cap(o.d) < n {
-		o.d = make([]float64, n)
-		o.prev = make([]NodeID, n)
-		o.pos = make([]int32, n)
+	if n := o.t.NumNodes(); o.sc == nil || len(o.mark) != n {
+		o.sc = newDijkstraScratch(n)
 		o.mark = make([]uint8, n)
 	}
-	o.d = o.d[:n]
-	o.prev = o.prev[:n]
-	o.pos = o.pos[:n]
-	o.mark = o.mark[:n]
 }
 
 // Distances returns minimum weights from src to every node (math.Inf(1)
@@ -126,9 +127,19 @@ func (o *PathOracle) Distances(src NodeID, w Weight) []float64 {
 	return o.treeLocked(src, w).d
 }
 
+// ShortestPath returns the minimum-weight path from src to dst (nil if
+// unreachable), walked out of src's shortest-path tree into a slice the
+// caller owns.
+func (o *PathOracle) ShortestPath(src, dst NodeID, w Weight) []NodeID {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.refresh()
+	p, _ := o.treeLocked(src, w).pathTo(nil, dst)
+	return p
+}
+
 // treeLocked returns the shortest-path tree from src under w, running
-// the sweep on first use. Callers hold o.mu and must not be mid-range
-// over o.tree.
+// the sweep on first use. Callers hold o.mu.
 func (o *PathOracle) treeLocked(src NodeID, w Weight) spTree {
 	k := distKey{src, w}
 	tr, ok := o.tree[k]
@@ -139,41 +150,21 @@ func (o *PathOracle) treeLocked(src NodeID, w Weight) spTree {
 	return tr
 }
 
-// shortestAvoiding returns the minimum-weight path from src to dst that
-// skips the given nodes and directed edges, and its cost (nil, +Inf when
-// unreachable). The caller owns the returned slice. With an empty avoid
-// set the answer is walked out of src's shortest-path tree; otherwise it
-// is the memoized Yen spur primitive.
-func (o *PathOracle) shortestAvoiding(src, dst NodeID, w Weight,
-	blockedNodes map[NodeID]bool, blockedEdges map[[2]NodeID]bool) ([]NodeID, float64) {
-
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.refresh()
-	if len(blockedNodes) == 0 && len(blockedEdges) == 0 {
-		return o.treeLocked(src, w).pathTo(dst)
-	}
-	k := pathKey{src, dst, w, hashAvoid(blockedNodes, blockedEdges)}
-	e, ok := o.path[k]
-	if !ok {
-		e.path, e.cost = o.spurPath(src, dst, w, blockedNodes, blockedEdges)
-		o.path[k] = e
-	}
-	return clonePath(e.path), e.cost
-}
-
-// pathTo walks the tree from dst back to its source and returns the path
-// source-first in a fresh slice — built in place, one allocation — with
-// its cost; nil and +Inf when dst is unreachable.
-func (tr spTree) pathTo(dst NodeID) ([]NodeID, float64) {
+// pathTo walks the tree from dst back to its source and returns root
+// followed by that path, source-first, in one fresh exact-size slice,
+// with the tree path's cost; nil and +Inf when dst is unreachable. root
+// is nil for a plain query and the root path short of the spur node for
+// a Yen candidate.
+func (tr spTree) pathTo(root []NodeID, dst NodeID) ([]NodeID, float64) {
 	if math.IsInf(tr.d[dst], 1) {
 		return nil, math.Inf(1)
 	}
-	n := 0
+	n := len(root)
 	for v := dst; v != -1; v = tr.prev[v] {
 		n++
 	}
 	path := make([]NodeID, n)
+	copy(path, root)
 	for v, i := dst, n-1; v != -1; v, i = tr.prev[v], i-1 {
 		path[i] = v
 	}
@@ -221,103 +212,69 @@ func (o *PathOracle) Centroid() NodeID {
 // toward any one destination finds.
 func (o *PathOracle) sweep(src NodeID, w Weight) spTree {
 	o.sweeps++
-	d := make([]float64, len(o.pos))
-	prev := make([]NodeID, len(o.pos))
-	for i := range d {
-		d[i] = math.Inf(1)
-		prev[i] = -1
-		o.pos[i] = -1
-	}
-	d[src] = 0
-	o.h = o.h[:0]
-	o.hPush(src, 0)
-	o.relaxFromHeap(d, prev, w)
-	return spTree{d: d, prev: prev}
+	tr := o.sc.newTree(src)
+	o.relaxFromHeap(tr.d, tr.prev, w)
+	return tr
 }
 
-// spurPath runs Dijkstra from src toward dst, skipping the given nodes
-// and directed edges, and reconstructs the path into a fresh slice.
-// Callers hold o.mu.
-func (o *PathOracle) spurPath(src, dst NodeID, w Weight,
-	blockedNodes map[NodeID]bool, blockedEdges map[[2]NodeID]bool) ([]NodeID, float64) {
-
-	if src == dst {
-		return []NodeID{src}, 0
-	}
-	t := o.t
-	for i := range o.d {
-		o.d[i] = math.Inf(1)
-		o.prev[i] = -1
-		o.pos[i] = -1
-	}
-	o.d[src] = 0
-	o.h = o.h[:0]
-	o.hPush(src, 0)
-	for len(o.h) > 0 {
-		cur := o.hPop()
+// spurPath is the Yen spur primitive: an early-exit Dijkstra from the
+// last node of root toward dst that skips the scratch's blocked nodes
+// and, out of the source, its blocked next hops. It returns the whole
+// candidate — root with the spur path appended — and the spur path's
+// cost. Callers hold o.mu.
+func (o *PathOracle) spurPath(root []NodeID, dst NodeID, w Weight) ([]NodeID, float64) {
+	t, sc := o.t, o.sc
+	src := root[len(root)-1]
+	tr := spTree{d: sc.d, prev: sc.prev}
+	sc.start(tr, src)
+	for len(sc.h) > 0 {
+		cur := sc.hPop()
 		if cur.node == dst {
 			break
 		}
 		for _, ad := range t.adj[cur.node] {
-			if blockedNodes[ad.neighbor] || blockedEdges[[2]NodeID{cur.node, ad.neighbor}] {
+			if sc.blockedNode[ad.neighbor] || (cur.node == src && sc.blockedNext[ad.neighbor]) {
 				continue
 			}
-			alt := cur.dist + t.edgeWeight(t.links[ad.link], w)
-			if alt < o.d[ad.neighbor] {
-				o.d[ad.neighbor] = alt
-				o.prev[ad.neighbor] = cur.node
-				if o.pos[ad.neighbor] >= 0 {
-					o.hFix(ad.neighbor, alt)
-				} else {
-					o.hPush(ad.neighbor, alt)
-				}
-			}
+			sc.relax(cur, ad.neighbor, t.edgeWeight(t.links[ad.link], w))
 		}
 	}
-	return spTree{d: o.d, prev: o.prev}.pathTo(dst)
+	return tr.pathTo(root[:len(root)-1], dst)
 }
 
-// hashAvoid hashes an avoid set deterministically (FNV-1a over the
-// sorted members). The empty set hashes to 0.
-func hashAvoid(nodes map[NodeID]bool, edges map[[2]NodeID]bool) uint64 {
-	if len(nodes) == 0 && len(edges) == 0 {
-		return 0
+// newTree allocates the tree a full sweep from src fills and starts the
+// frontier at src.
+func (sc *dijkstraScratch) newTree(src NodeID) spTree {
+	tr := spTree{d: make([]float64, len(sc.pos)), prev: make([]NodeID, len(sc.pos))}
+	sc.start(tr, src)
+	return tr
+}
+
+// start resets tr to "nothing reached" and the heap to just src.
+func (sc *dijkstraScratch) start(tr spTree, src NodeID) {
+	for i := range tr.d {
+		tr.d[i] = math.Inf(1)
+		tr.prev[i] = -1
+		sc.pos[i] = -1
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
+	tr.d[src] = 0
+	sc.h = sc.h[:0]
+	sc.hPush(src, 0)
+}
+
+// relax offers nb the route through the just-popped cur over an edge of
+// weight ew, keeping it only on a strict improvement.
+func (sc *dijkstraScratch) relax(cur oracleItem, nb NodeID, ew float64) {
+	alt := cur.dist + ew
+	if alt < sc.d[nb] {
+		sc.d[nb] = alt
+		sc.prev[nb] = cur.node
+		if sc.pos[nb] >= 0 {
+			sc.hFix(nb, alt)
+		} else {
+			sc.hPush(nb, alt)
 		}
 	}
-	ns := make([]NodeID, 0, len(nodes))
-	for n := range nodes {
-		ns = append(ns, n)
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	for _, n := range ns {
-		mix(uint64(uint32(n)))
-	}
-	mix(0xffffffffffffffff) // separator between node and edge members
-	es := make([][2]NodeID, 0, len(edges))
-	for e := range edges {
-		es = append(es, e)
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
-		}
-		return es[i][1] < es[j][1]
-	})
-	for _, e := range es {
-		mix(uint64(uint32(e[0]))<<32 | uint64(uint32(e[1])))
-	}
-	return h
 }
 
 // The heap helpers below replicate container/heap's sift discipline
@@ -326,53 +283,53 @@ func hashAvoid(nodes map[NodeID]bool, edges map[[2]NodeID]bool) uint64 {
 // tie-breaking in derived paths — matches the original pointer-heap
 // implementation bit for bit.
 
-func (o *PathOracle) hLess(i, j int) bool { return o.h[i].dist < o.h[j].dist }
+func (sc *dijkstraScratch) hLess(i, j int) bool { return sc.h[i].dist < sc.h[j].dist }
 
-func (o *PathOracle) hSwap(i, j int) {
-	o.h[i], o.h[j] = o.h[j], o.h[i]
-	o.pos[o.h[i].node] = int32(i)
-	o.pos[o.h[j].node] = int32(j)
+func (sc *dijkstraScratch) hSwap(i, j int) {
+	sc.h[i], sc.h[j] = sc.h[j], sc.h[i]
+	sc.pos[sc.h[i].node] = int32(i)
+	sc.pos[sc.h[j].node] = int32(j)
 }
 
-func (o *PathOracle) hPush(node NodeID, dist float64) {
-	o.h = append(o.h, oracleItem{node: node, dist: dist})
-	o.pos[node] = int32(len(o.h) - 1)
-	o.hUp(len(o.h) - 1)
+func (sc *dijkstraScratch) hPush(node NodeID, dist float64) {
+	sc.h = append(sc.h, oracleItem{node: node, dist: dist})
+	sc.pos[node] = int32(len(sc.h) - 1)
+	sc.hUp(len(sc.h) - 1)
 }
 
-func (o *PathOracle) hPop() oracleItem {
-	n := len(o.h) - 1
-	o.hSwap(0, n)
-	it := o.h[n]
-	o.h = o.h[:n]
-	o.pos[it.node] = -1
+func (sc *dijkstraScratch) hPop() oracleItem {
+	n := len(sc.h) - 1
+	sc.hSwap(0, n)
+	it := sc.h[n]
+	sc.h = sc.h[:n]
+	sc.pos[it.node] = -1
 	if n > 0 {
-		o.hDown(0, n)
+		sc.hDown(0, n)
 	}
 	return it
 }
 
 // hFix restores heap order after node's key changed to dist.
-func (o *PathOracle) hFix(node NodeID, dist float64) {
-	i := int(o.pos[node])
-	o.h[i].dist = dist
-	if !o.hDown(i, len(o.h)) {
-		o.hUp(i)
+func (sc *dijkstraScratch) hFix(node NodeID, dist float64) {
+	i := int(sc.pos[node])
+	sc.h[i].dist = dist
+	if !sc.hDown(i, len(sc.h)) {
+		sc.hUp(i)
 	}
 }
 
-func (o *PathOracle) hUp(i int) {
+func (sc *dijkstraScratch) hUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !o.hLess(i, p) {
+		if !sc.hLess(i, p) {
 			break
 		}
-		o.hSwap(i, p)
+		sc.hSwap(i, p)
 		i = p
 	}
 }
 
-func (o *PathOracle) hDown(i0, n int) bool {
+func (sc *dijkstraScratch) hDown(i0, n int) bool {
 	i := i0
 	for {
 		j1 := 2*i + 1
@@ -380,13 +337,13 @@ func (o *PathOracle) hDown(i0, n int) bool {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && o.hLess(j2, j1) {
+		if j2 := j1 + 1; j2 < n && sc.hLess(j2, j1) {
 			j = j2
 		}
-		if !o.hLess(j, i) {
+		if !sc.hLess(j, i) {
 			break
 		}
-		o.hSwap(i, j)
+		sc.hSwap(i, j)
 		i = j
 	}
 	return i > i0

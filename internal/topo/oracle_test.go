@@ -2,7 +2,6 @@ package topo
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -73,28 +72,6 @@ func TestOracleShortestPathCopies(t *testing.T) {
 	}
 }
 
-func TestOracleSpurCacheDistinguishesAvoidSets(t *testing.T) {
-	g := New("diamond")
-	for i := 0; i < 4; i++ {
-		g.AddNode("", 0, 0)
-	}
-	g.AddLink(0, 1, time.Millisecond, 100)
-	g.AddLink(1, 3, time.Millisecond, 100)
-	g.AddLink(0, 2, time.Millisecond, 100)
-	g.AddLink(2, 3, time.Millisecond, 100)
-	free, _ := g.shortestPathAvoiding(0, 3, ByHops, nil, nil)
-	blocked, _ := g.shortestPathAvoiding(0, 3, ByHops, map[NodeID]bool{free[1]: true}, nil)
-	if reflect.DeepEqual(free, blocked) {
-		t.Fatalf("avoid set ignored: both paths %v", free)
-	}
-	// Re-querying each must hit the right entry.
-	free2, _ := g.shortestPathAvoiding(0, 3, ByHops, nil, nil)
-	blocked2, _ := g.shortestPathAvoiding(0, 3, ByHops, map[NodeID]bool{free[1]: true}, nil)
-	if !reflect.DeepEqual(free, free2) || !reflect.DeepEqual(blocked, blocked2) {
-		t.Fatal("cached avoid-set queries diverge from fresh ones")
-	}
-}
-
 // TestOracleConcurrentReaders exercises the mutex: parallel workers
 // share prebuilt topologies, so concurrent queries must be safe.
 func TestOracleConcurrentReaders(t *testing.T) {
@@ -145,24 +122,42 @@ func tieGraph(n, links, isolated int, seed int64) *Topology {
 // exact ties, zero-latency links and unreachable nodes, the path walked
 // out of the source's shortest-path tree is node for node the path the
 // early-exit point-to-point Dijkstra (spurPath with nothing blocked)
-// returns, with the same cost.
+// returns, with the same cost — on the PathOracle over the adjacency
+// lists and, frozen, on the SharedOracle over the CSR arrays.
 func TestTreeWalkEqualsEarlyExitDijkstra(t *testing.T) {
-	graphs := []*Topology{FatTree(4), B4()} // uniform fat-tree: massively tied
+	builders := []func() *Topology{func() *Topology { return FatTree(4) }, B4} // uniform fat-tree: massively tied
 	for seed := int64(0); seed < 40; seed++ {
-		graphs = append(graphs, tieGraph(6+int(seed%13), 8+int(3*seed%29), int(seed%3), seed))
+		seed := seed
+		builders = append(builders, func() *Topology {
+			return tieGraph(6+int(seed%13), 8+int(3*seed%29), int(seed%3), seed)
+		})
 	}
-	for gi, g := range graphs {
-		o := g.Oracle()
-		for _, w := range []Weight{ByLatency, ByHops} {
-			for _, src := range g.Nodes() {
-				for _, dst := range g.Nodes() {
-					got, gotCost := o.shortestAvoiding(src, dst, w, nil, nil)
-					o.mu.Lock()
-					want, wantCost := o.spurPath(src, dst, w, nil, nil)
-					o.mu.Unlock()
-					if !equalPath(got, want) || gotCost != wantCost {
-						t.Fatalf("graph %d (%s) weight %v %d->%d: tree walk %v cost %v, early-exit Dijkstra %v cost %v",
-							gi, g.Name, w, src, dst, got, gotCost, want, wantCost)
+	for gi, mk := range builders {
+		for _, frozen := range []bool{false, true} {
+			g := mk()
+			spur := func(src, dst NodeID, w Weight) ([]NodeID, float64) {
+				o := g.Oracle()
+				o.mu.Lock()
+				defer o.mu.Unlock()
+				o.refresh()
+				return o.spurPath([]NodeID{src}, dst, w)
+			}
+			if frozen {
+				s := g.Freeze()
+				sc := newDijkstraScratch(s.NumNodes())
+				spur = func(src, dst NodeID, w Weight) ([]NodeID, float64) {
+					return s.spurPath(sc, []NodeID{src}, dst, w)
+				}
+			}
+			for _, w := range []Weight{ByLatency, ByHops} {
+				for _, src := range g.Nodes() {
+					for _, dst := range g.Nodes() {
+						got, gotCost := g.ShortestPath(src, dst, w), g.Distances(src, w)[dst]
+						want, wantCost := spur(src, dst, w)
+						if !equalPath(got, want) || gotCost != wantCost {
+							t.Fatalf("graph %d (%s) frozen=%v weight %v %d->%d: tree walk %v cost %v, early-exit Dijkstra %v cost %v",
+								gi, g.Name, frozen, w, src, dst, got, gotCost, want, wantCost)
+						}
 					}
 				}
 			}
@@ -173,8 +168,8 @@ func TestTreeWalkEqualsEarlyExitDijkstra(t *testing.T) {
 // TestOneSweepPerSource is the counting guard of the tree cache: on an
 // unperturbed topology, any number of unconstrained ShortestPath and
 // Distances queries runs exactly one Dijkstra sweep per distinct
-// (source, weight) — never one per pair — and leaves nothing in the
-// per-pair spur cache.
+// (source, weight) — never one per pair — and Yen's spur queries add
+// none.
 func TestOneSweepPerSource(t *testing.T) {
 	g := FatTree(4)
 	o := g.Oracle()
@@ -190,14 +185,11 @@ func TestOneSweepPerSource(t *testing.T) {
 		}
 	}
 	o.mu.Lock()
-	sweeps, trees, spurs := o.sweeps, len(o.tree), len(o.path)
+	sweeps, trees := o.sweeps, len(o.tree)
 	o.mu.Unlock()
 	if sweeps != uint64(len(sources)) || trees != len(sources) {
 		t.Fatalf("%d queries from %d sources ran %d sweeps into %d trees, want %d each",
 			queries, len(sources), sweeps, trees, len(sources))
-	}
-	if spurs != 0 {
-		t.Fatalf("unconstrained queries left %d entries in the spur-path cache", spurs)
 	}
 	// A second weight is a second tree per source, and only that.
 	for _, s := range sources {
@@ -209,16 +201,13 @@ func TestOneSweepPerSource(t *testing.T) {
 	if sweeps != 2*uint64(len(sources)) {
 		t.Fatalf("after ByHops queries: %d sweeps, want %d", sweeps, 2*len(sources))
 	}
-	// Yen queries fill the spur cache, and only with non-empty avoid sets.
+	// Spur queries are early-exit runs on scratch: they neither sweep nor
+	// cache, so Yen from an already-swept source leaves the counts alone.
 	g.KShortestPaths(sources[0], sources[len(sources)-1], 3, ByLatency)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if len(o.path) == 0 {
-		t.Fatal("KShortestPaths cached no spur paths")
-	}
-	for k := range o.path {
-		if k.avoid == 0 {
-			t.Fatalf("empty-avoid entry %+v in the spur-path cache", k)
-		}
+	if o.sweeps != sweeps || len(o.tree) != 2*len(sources) {
+		t.Fatalf("KShortestPaths from a swept source: %d sweeps, %d trees; want %d, %d",
+			o.sweeps, len(o.tree), sweeps, 2*len(sources))
 	}
 }

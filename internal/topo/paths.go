@@ -27,8 +27,10 @@ func (t *Topology) edgeWeight(l Link, w Weight) float64 {
 // path is walked out of src's memoized shortest-path tree (one Dijkstra
 // sweep per source, see PathOracle) into a fresh slice the caller owns.
 func (t *Topology) ShortestPath(src, dst NodeID, w Weight) []NodeID {
-	path, _ := t.shortestPathAvoiding(src, dst, w, nil, nil)
-	return path
+	if s := t.snapshot(); s != nil {
+		return s.Oracle().ShortestPath(src, dst, w)
+	}
+	return t.Oracle().ShortestPath(src, dst, w)
 }
 
 // Distances returns minimum weights from src to every node (math.Inf(1)
@@ -41,75 +43,65 @@ func (t *Topology) Distances(src NodeID, w Weight) []float64 {
 	return t.Oracle().Distances(src, w)
 }
 
-// shortestPathAvoiding runs Dijkstra while skipping the given nodes and
-// directed edges; used as the spur-path primitive of Yen's algorithm.
-// It consults the memoizing oracle and returns a slice the caller owns:
-// the PathOracle builds one per query, the frozen snapshot's shared
-// cache entry is copied.
-func (t *Topology) shortestPathAvoiding(src, dst NodeID, w Weight,
-	blockedNodes map[NodeID]bool, blockedEdges map[[2]NodeID]bool) ([]NodeID, float64) {
-
-	s := t.snapshot()
-	if s == nil {
-		return t.Oracle().shortestAvoiding(src, dst, w, blockedNodes, blockedEdges)
-	}
-	p, cost := s.Oracle().shortestAvoiding(src, dst, w, blockedNodes, blockedEdges)
-	return clonePath(p), cost
-}
-
-// clonePath copies a cache-owned path for a caller to own; nil
-// (unreachable) stays nil. It runs once per Yen spur query of the
-// Fig. 7 grid's workload generation, hence make+copy (exact size, no
-// growslice) rather than slices.Clone.
-func clonePath(p []NodeID) []NodeID {
-	if p == nil {
-		return nil
-	}
-	out := make([]NodeID, len(p))
-	copy(out, p)
-	return out
-}
-
 type candidate struct {
 	path []NodeID
 	cost float64
 }
 
 // KShortestPaths returns up to k loop-free paths from src to dst in
-// non-decreasing weight order (Yen's algorithm).
+// non-decreasing weight order (Yen's algorithm). Every spur query is one
+// unmemoized early-exit Dijkstra on a scratch held for the whole call —
+// pooled when the topology is frozen, else the PathOracle's under its
+// mutex — with the blocked sets kept as mark arrays on that scratch.
 func (t *Topology) KShortestPaths(src, dst NodeID, k int, w Weight) [][]NodeID {
 	if k <= 0 {
 		return nil
 	}
-	first, cost := t.shortestPathAvoiding(src, dst, w, nil, nil)
+	first := t.ShortestPath(src, dst, w)
 	if first == nil {
 		return nil
 	}
+	var (
+		s  = t.snapshot()
+		o  *PathOracle
+		sc *dijkstraScratch
+	)
+	if s != nil {
+		sc = s.oracle.scratch.Get().(*dijkstraScratch)
+		defer s.oracle.scratch.Put(sc)
+	} else {
+		o = t.Oracle()
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		o.refresh()
+		sc = o.sc
+	}
 	result := [][]NodeID{first}
-	costs := []float64{cost}
 	var pool []candidate
 
 	for len(result) < k {
 		prevPath := result[len(result)-1]
 		for i := 0; i+1 < len(prevPath); i++ {
-			spurNode := prevPath[i]
 			rootPath := prevPath[:i+1]
-
-			blockedEdges := make(map[[2]NodeID]bool)
+			if i > 0 {
+				sc.blockedNode[prevPath[i-1]] = true
+			}
 			for _, p := range result {
 				if len(p) > i && equalPath(p[:i+1], rootPath) {
-					blockedEdges[[2]NodeID{p[i], p[i+1]}] = true
+					sc.blockedNext[p[i+1]] = true
 				}
 			}
-			blockedNodes := make(map[NodeID]bool)
-			for _, n := range rootPath[:len(rootPath)-1] {
-				blockedNodes[n] = true
+			var total []NodeID
+			var spurCost float64
+			if s != nil {
+				total, spurCost = s.spurPath(sc, rootPath, dst, w)
+			} else {
+				total, spurCost = o.spurPath(rootPath, dst, w)
 			}
-			spur, spurCost := t.shortestPathAvoiding(spurNode, dst, w, blockedNodes, blockedEdges)
-			if spur == nil {
+			clear(sc.blockedNext)
+			if total == nil {
 				continue
 			}
-			total := append(append([]NodeID{}, rootPath[:len(rootPath)-1]...), spur...)
 			rootCost := 0.0
 			for j := 0; j+1 < len(rootPath); j++ {
 				l, _ := t.LinkBetween(rootPath[j], rootPath[j+1])
@@ -133,16 +125,14 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int, w Weight) [][]NodeID {
 				pool = append(pool, c)
 			}
 		}
+		clear(sc.blockedNode)
 		if len(pool) == 0 {
 			break
 		}
 		sort.SliceStable(pool, func(i, j int) bool { return pool[i].cost < pool[j].cost })
-		best := pool[0]
+		result = append(result, pool[0].path)
 		pool = pool[1:]
-		result = append(result, best.path)
-		costs = append(costs, best.cost)
 	}
-	_ = costs
 	return result
 }
 

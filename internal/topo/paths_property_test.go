@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -133,6 +136,148 @@ func TestDistancesSymmetricOnUndirectedGraph(t *testing.T) {
 			db := g.Distances(b, ByLatency)
 			if diff := da[b] - db[a]; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("asymmetric distances %d<->%d: %f vs %f", a, b, da[b], db[a])
+			}
+		}
+	}
+}
+
+// refSpurPath is the spur primitive as it was before the blocked sets
+// became scratch marks: an early-exit Dijkstra over the adjacency lists
+// that looks every neighbour up in a blocked-node map and every edge in
+// a blocked-edge map. Kept as the reference for refKShortestPaths.
+func refSpurPath(t *Topology, src, dst NodeID, w Weight,
+	blockedNodes map[NodeID]bool, blockedEdges map[[2]NodeID]bool) ([]NodeID, float64) {
+
+	if src == dst {
+		return []NodeID{src}, 0
+	}
+	sc := newDijkstraScratch(t.NumNodes())
+	for i := range sc.d {
+		sc.d[i] = math.Inf(1)
+		sc.prev[i] = -1
+		sc.pos[i] = -1
+	}
+	sc.d[src] = 0
+	sc.hPush(src, 0)
+	for len(sc.h) > 0 {
+		cur := sc.hPop()
+		if cur.node == dst {
+			break
+		}
+		for _, ad := range t.adj[cur.node] {
+			if blockedNodes[ad.neighbor] || blockedEdges[[2]NodeID{cur.node, ad.neighbor}] {
+				continue
+			}
+			alt := cur.dist + t.edgeWeight(t.links[ad.link], w)
+			if alt < sc.d[ad.neighbor] {
+				sc.d[ad.neighbor] = alt
+				sc.prev[ad.neighbor] = cur.node
+				if sc.pos[ad.neighbor] >= 0 {
+					sc.hFix(ad.neighbor, alt)
+				} else {
+					sc.hPush(ad.neighbor, alt)
+				}
+			}
+		}
+	}
+	if math.IsInf(sc.d[dst], 1) {
+		return nil, math.Inf(1)
+	}
+	var path []NodeID
+	for v := dst; v != -1; v = sc.prev[v] {
+		path = append([]NodeID{v}, path...)
+	}
+	return path, sc.d[dst]
+}
+
+// refKShortestPaths is the map-based Yen KShortestPaths replaced: two
+// fresh maps per spur query, the candidate glued together by append.
+func refKShortestPaths(t *Topology, src, dst NodeID, k int, w Weight) [][]NodeID {
+	first, _ := refSpurPath(t, src, dst, w, nil, nil)
+	if first == nil {
+		return nil
+	}
+	result := [][]NodeID{first}
+	var pool []candidate
+	for len(result) < k {
+		prevPath := result[len(result)-1]
+		for i := 0; i+1 < len(prevPath); i++ {
+			spurNode := prevPath[i]
+			rootPath := prevPath[:i+1]
+			blockedEdges := make(map[[2]NodeID]bool)
+			for _, p := range result {
+				if len(p) > i && equalPath(p[:i+1], rootPath) {
+					blockedEdges[[2]NodeID{p[i], p[i+1]}] = true
+				}
+			}
+			blockedNodes := make(map[NodeID]bool)
+			for _, n := range rootPath[:len(rootPath)-1] {
+				blockedNodes[n] = true
+			}
+			spur, spurCost := refSpurPath(t, spurNode, dst, w, blockedNodes, blockedEdges)
+			if spur == nil {
+				continue
+			}
+			total := append(append([]NodeID{}, rootPath[:len(rootPath)-1]...), spur...)
+			rootCost := 0.0
+			for j := 0; j+1 < len(rootPath); j++ {
+				l, _ := t.LinkBetween(rootPath[j], rootPath[j+1])
+				rootCost += t.edgeWeight(l, w)
+			}
+			c := candidate{path: total, cost: rootCost + spurCost}
+			dup := false
+			for _, existing := range pool {
+				if equalPath(existing.path, c.path) {
+					dup = true
+					break
+				}
+			}
+			for _, existing := range result {
+				if equalPath(existing, c.path) {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				pool = append(pool, c)
+			}
+		}
+		if len(pool) == 0 {
+			break
+		}
+		sort.SliceStable(pool, func(i, j int) bool { return pool[i].cost < pool[j].cost })
+		result = append(result, pool[0].path)
+		pool = pool[1:]
+	}
+	return result
+}
+
+// TestKShortestPathsMatchesMapBasedYen holds the scratch-mark Yen to the
+// map-based one it replaced: the identical path list, order included,
+// for every node pair under both weights and a small and a large k, on
+// the WAN topologies the Fig. 7 search runs over and on the massively
+// tied fat-tree, whether the topology is frozen (CSR spur primitive,
+// pooled scratch) or not (adjacency lists, the PathOracle's scratch).
+func TestKShortestPathsMatchesMapBasedYen(t *testing.T) {
+	for _, mk := range []func() *Topology{B4, Internet2, func() *Topology { return FatTree(4) }} {
+		ref, plain, frozen := mk(), mk(), mk()
+		frozen.Freeze()
+		for _, w := range []Weight{ByLatency, ByHops} {
+			for _, k := range []int{2, 30} {
+				for _, src := range ref.Nodes() {
+					for _, dst := range ref.Nodes() {
+						if src == dst {
+							continue
+						}
+						want := refKShortestPaths(ref, src, dst, k, w)
+						for _, g := range []*Topology{plain, frozen} {
+							if got := g.KShortestPaths(src, dst, k, w); !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s frozen=%v weight %v k=%d %d->%d:\n got %v\nwant %v",
+									g.Name, g.Frozen(), w, k, src, dst, got, want)
+							}
+						}
+					}
+				}
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // CSR-style adjacency arrays, frozen per-edge weights, and a node-name
 // index table, shared read-only by every trial of a figure. Its
 // SharedOracle memoizes path computation concurrently (read-mostly,
-// single-flight on miss), so each (src, dst, weight, avoid) Dijkstra
-// runs once per grid instead of once per trial.
+// single-flight on miss), so each (source, weight) Dijkstra sweep runs
+// once per grid instead of once per trial.
 //
 // A Snapshot is created by Topology.Freeze, which marks the topology
 // immutable; all Snapshot methods are safe for concurrent use.
@@ -112,23 +112,6 @@ func (s *Snapshot) NodeByName(name string) (NodeID, bool) {
 // Oracle returns the snapshot's concurrency-safe shared path oracle.
 func (s *Snapshot) Oracle() *SharedOracle { return s.oracle }
 
-// pathEntry is one memoized point-to-point result.
-type pathEntry struct {
-	path []NodeID
-	cost float64
-}
-
-// dijkstraScratch holds the per-sweep working set (distance,
-// predecessor and heap-position arrays plus the value-typed heap),
-// recycled through a sync.Pool so concurrent cache misses allocate only
-// the slices retained in the cache.
-type dijkstraScratch struct {
-	d    []float64
-	prev []NodeID
-	pos  []int32
-	h    []oracleItem
-}
-
 // SharedOracle memoizes shortest-path computation over a Snapshot.
 //
 // Unlike PathOracle (one mutex, per-topology-instance), SharedOracle is
@@ -137,16 +120,17 @@ type dijkstraScratch struct {
 // key computes it on pooled scratch while later callers of the same key
 // wait for that one computation instead of repeating it.
 //
-// Cached slices are shared and read-only, matching the PathOracle
-// contract. The sweep itself replicates PathOracle's heap discipline
-// exactly, so every derived path is byte-identical whether a topology
-// is frozen or not.
+// Like PathOracle it caches one shortest-path tree per (source, weight)
+// and walks it for point-to-point queries; Yen spur queries run
+// unmemoized on pooled scratch. Cached distance slices are shared and
+// read-only, paths are fresh caller-owned slices. The sweep replicates
+// PathOracle's heap discipline exactly, so every derived path is
+// byte-identical whether a topology is frozen or not.
 type SharedOracle struct {
 	s *Snapshot
 
 	mu       sync.RWMutex
-	dist     map[distKey][]float64
-	path     map[pathKey]pathEntry
+	tree     map[distKey]spTree
 	ctrl     map[NodeID][]time.Duration
 	inflight map[interface{}]chan struct{}
 
@@ -159,19 +143,11 @@ type SharedOracle struct {
 func newSharedOracle(s *Snapshot) *SharedOracle {
 	o := &SharedOracle{
 		s:        s,
-		dist:     make(map[distKey][]float64),
-		path:     make(map[pathKey]pathEntry),
+		tree:     make(map[distKey]spTree),
 		ctrl:     make(map[NodeID][]time.Duration),
 		inflight: make(map[interface{}]chan struct{}),
 	}
-	o.scratch.New = func() interface{} {
-		n := s.NumNodes()
-		return &dijkstraScratch{
-			d:    make([]float64, n),
-			prev: make([]NodeID, n),
-			pos:  make([]int32, n),
-		}
-	}
+	o.scratch.New = func() interface{} { return newDijkstraScratch(s.NumNodes()) }
 	return o
 }
 
@@ -215,46 +191,32 @@ func (o *SharedOracle) acquire(key interface{}, lookup func() bool, compute func
 // Distances returns minimum weights from src to every node (math.Inf(1)
 // for unreachable nodes). The returned slice is cache-owned: read-only.
 func (o *SharedOracle) Distances(src NodeID, w Weight) []float64 {
-	k := distKey{src, w}
-	var out []float64
-	o.acquire(k,
-		func() bool { var ok bool; out, ok = o.dist[k]; return ok },
-		func() {
-			sc := o.scratch.Get().(*dijkstraScratch)
-			o.s.sweep(sc, src, w)
-			out = make([]float64, len(sc.d))
-			copy(out, sc.d)
-			o.scratch.Put(sc)
-		},
-		func() { o.dist[k] = out },
-	)
-	return out
+	return o.treeOf(src, w).d
 }
 
-// ShortestPath returns the minimum-weight path from src to dst, or nil
-// if unreachable. The returned slice is cache-owned: read-only.
+// ShortestPath returns the minimum-weight path from src to dst (nil if
+// unreachable), walked out of src's shortest-path tree into a slice the
+// caller owns.
 func (o *SharedOracle) ShortestPath(src, dst NodeID, w Weight) []NodeID {
-	p, _ := o.shortestAvoiding(src, dst, w, nil, nil)
+	p, _ := o.treeOf(src, w).pathTo(nil, dst)
 	return p
 }
 
-// shortestAvoiding is the memoized Yen spur primitive, keyed like
-// PathOracle.shortestAvoiding. The returned slice is cache-owned.
-func (o *SharedOracle) shortestAvoiding(src, dst NodeID, w Weight,
-	blockedNodes map[NodeID]bool, blockedEdges map[[2]NodeID]bool) ([]NodeID, float64) {
-
-	k := pathKey{src, dst, w, hashAvoid(blockedNodes, blockedEdges)}
-	var e pathEntry
+// treeOf returns the shortest-path tree from src under w, sweeping on
+// first use.
+func (o *SharedOracle) treeOf(src NodeID, w Weight) spTree {
+	k := distKey{src, w}
+	var tr spTree
 	o.acquire(k,
-		func() bool { var ok bool; e, ok = o.path[k]; return ok },
+		func() bool { var ok bool; tr, ok = o.tree[k]; return ok },
 		func() {
 			sc := o.scratch.Get().(*dijkstraScratch)
-			e.path, e.cost = o.s.spurPath(sc, src, dst, w, blockedNodes, blockedEdges)
+			tr = o.s.sweep(sc, src, w)
 			o.scratch.Put(sc)
 		},
-		func() { o.path[k] = e },
+		func() { o.tree[k] = tr },
 	)
-	return e.path, e.cost
+	return tr
 }
 
 // Centroid returns the node minimizing the worst-case latency-weighted
@@ -285,7 +247,7 @@ func (o *SharedOracle) Centroid() NodeID {
 // controller node to every switch, memoized per controller placement.
 // The returned slice is cache-owned: read-only.
 func (o *SharedOracle) ControlLatencies(controller NodeID) []time.Duration {
-	// key type differs from distKey/pathKey so flights cannot collide.
+	// key type differs from distKey so flights cannot collide.
 	type ctrlKey struct{ n NodeID }
 	k := ctrlKey{controller}
 	var out []time.Duration
@@ -311,25 +273,21 @@ func (s *Snapshot) edgeW(ei int32, w Weight) float64 {
 	return s.wLatency[ei]
 }
 
-// sweep runs a full single-source Dijkstra into sc.d over the CSR
-// arrays. The relaxation and heap discipline mirror PathOracle.sweep
-// (and thus the original container/heap code) exactly, so tie-breaking
-// is byte-identical.
-func (s *Snapshot) sweep(sc *dijkstraScratch, src NodeID, w Weight) {
-	for i := range sc.d {
-		sc.d[i] = math.Inf(1)
-		sc.pos[i] = -1
-	}
-	sc.d[src] = 0
-	sc.h = sc.h[:0]
-	sc.hPush(src, 0)
+// sweep runs a full single-source Dijkstra over the CSR arrays into a
+// fresh spTree. The relaxation and heap discipline mirror
+// PathOracle.sweep (and thus the original container/heap code) exactly,
+// so tie-breaking is byte-identical.
+func (s *Snapshot) sweep(sc *dijkstraScratch, src NodeID, w Weight) spTree {
+	tr := sc.newTree(src)
+	d, prev := tr.d, tr.prev
 	for len(sc.h) > 0 {
 		cur := sc.hPop()
 		for ei := s.adjStart[cur.node]; ei < s.adjStart[cur.node+1]; ei++ {
 			nb := s.adjNeighbor[ei]
 			alt := cur.dist + s.edgeW(ei, w)
-			if alt < sc.d[nb] {
-				sc.d[nb] = alt
+			if alt < d[nb] {
+				d[nb] = alt
+				prev[nb] = cur.node
 				if sc.pos[nb] >= 0 {
 					sc.hFix(nb, alt)
 				} else {
@@ -338,23 +296,14 @@ func (s *Snapshot) sweep(sc *dijkstraScratch, src NodeID, w Weight) {
 			}
 		}
 	}
+	return tr
 }
 
 // spurPath mirrors PathOracle.spurPath over the CSR arrays.
-func (s *Snapshot) spurPath(sc *dijkstraScratch, src, dst NodeID, w Weight,
-	blockedNodes map[NodeID]bool, blockedEdges map[[2]NodeID]bool) ([]NodeID, float64) {
-
-	if src == dst {
-		return []NodeID{src}, 0
-	}
-	for i := range sc.d {
-		sc.d[i] = math.Inf(1)
-		sc.prev[i] = -1
-		sc.pos[i] = -1
-	}
-	sc.d[src] = 0
-	sc.h = sc.h[:0]
-	sc.hPush(src, 0)
+func (s *Snapshot) spurPath(sc *dijkstraScratch, root []NodeID, dst NodeID, w Weight) ([]NodeID, float64) {
+	src := root[len(root)-1]
+	tr := spTree{d: sc.d, prev: sc.prev}
+	sc.start(tr, src)
 	for len(sc.h) > 0 {
 		cur := sc.hPop()
 		if cur.node == dst {
@@ -362,102 +311,13 @@ func (s *Snapshot) spurPath(sc *dijkstraScratch, src, dst NodeID, w Weight,
 		}
 		for ei := s.adjStart[cur.node]; ei < s.adjStart[cur.node+1]; ei++ {
 			nb := s.adjNeighbor[ei]
-			if blockedNodes[nb] || blockedEdges[[2]NodeID{cur.node, nb}] {
+			if sc.blockedNode[nb] || (cur.node == src && sc.blockedNext[nb]) {
 				continue
 			}
-			alt := cur.dist + s.edgeW(ei, w)
-			if alt < sc.d[nb] {
-				sc.d[nb] = alt
-				sc.prev[nb] = cur.node
-				if sc.pos[nb] >= 0 {
-					sc.hFix(nb, alt)
-				} else {
-					sc.hPush(nb, alt)
-				}
-			}
+			sc.relax(cur, nb, s.edgeW(ei, w))
 		}
 	}
-	if math.IsInf(sc.d[dst], 1) {
-		return nil, math.Inf(1)
-	}
-	n := 0
-	for v := dst; v != -1; v = sc.prev[v] {
-		n++
-	}
-	path := make([]NodeID, n)
-	for v, i := dst, n-1; v != -1; v, i = sc.prev[v], i-1 {
-		path[i] = v
-	}
-	return path, sc.d[dst]
-}
-
-// The scratch heap helpers replicate container/heap's sift discipline
-// exactly like PathOracle's (see oracle.go); they operate on the pooled
-// scratch so concurrent sweeps never share mutable state.
-
-func (sc *dijkstraScratch) hLess(i, j int) bool { return sc.h[i].dist < sc.h[j].dist }
-
-func (sc *dijkstraScratch) hSwap(i, j int) {
-	sc.h[i], sc.h[j] = sc.h[j], sc.h[i]
-	sc.pos[sc.h[i].node] = int32(i)
-	sc.pos[sc.h[j].node] = int32(j)
-}
-
-func (sc *dijkstraScratch) hPush(node NodeID, dist float64) {
-	sc.h = append(sc.h, oracleItem{node: node, dist: dist})
-	sc.pos[node] = int32(len(sc.h) - 1)
-	sc.hUp(len(sc.h) - 1)
-}
-
-func (sc *dijkstraScratch) hPop() oracleItem {
-	n := len(sc.h) - 1
-	sc.hSwap(0, n)
-	it := sc.h[n]
-	sc.h = sc.h[:n]
-	sc.pos[it.node] = -1
-	if n > 0 {
-		sc.hDown(0, n)
-	}
-	return it
-}
-
-func (sc *dijkstraScratch) hFix(node NodeID, dist float64) {
-	i := int(sc.pos[node])
-	sc.h[i].dist = dist
-	if !sc.hDown(i, len(sc.h)) {
-		sc.hUp(i)
-	}
-}
-
-func (sc *dijkstraScratch) hUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !sc.hLess(i, p) {
-			break
-		}
-		sc.hSwap(i, p)
-		i = p
-	}
-}
-
-func (sc *dijkstraScratch) hDown(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && sc.hLess(j2, j1) {
-			j = j2
-		}
-		if !sc.hLess(j, i) {
-			break
-		}
-		sc.hSwap(i, j)
-		i = j
-	}
-	return i > i0
+	return tr.pathTo(root[:len(root)-1], dst)
 }
 
 // mustNotBeFrozen panics when a mutation reaches a frozen topology.

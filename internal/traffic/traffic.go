@@ -44,10 +44,18 @@ func GravityWeights(t *topo.Topology, rng *rand.Rand) []float64 {
 // GravityDemand returns the gravity-model demand fraction between src and
 // dst: w_s * w_d / sum(w)^2, so that all pairwise demands sum to ~1.
 func GravityDemand(w []float64, src, dst topo.NodeID) float64 {
+	return gravityDemand(w, weightSum(w), src, dst)
+}
+
+func weightSum(w []float64) float64 {
 	var sum float64
 	for _, x := range w {
 		sum += x
 	}
+	return sum
+}
+
+func gravityDemand(w []float64, sum float64, src, dst topo.NodeID) float64 {
 	return w[src] * w[dst] / (sum * sum)
 }
 
@@ -121,20 +129,17 @@ func sampleWorkload(t *topo.Topology, rng *rand.Rand, cfg Config, nodes []topo.N
 	// Scale gravity demands so the most loaded link of the old
 	// configuration reaches the target utilization.
 	demands := make([]float64, len(flows))
-	var maxLoadFrac float64
-	loads := map[topo.LinkID]float64{} // demand units per link
-	addLoad := func(path []topo.NodeID, d float64) {
-		for i := 0; i+1 < len(path); i++ {
-			l, _ := t.LinkBetween(path[i], path[i+1])
-			loads[l.ID] += d / (l.Capacity * 1000)
+	loads := make([]float64, t.NumLinks()) // demand units per link, by LinkID
+	wsum := weightSum(w)
+	for i, f := range flows {
+		demands[i] = gravityDemand(w, wsum, f.Src, f.Dst)
+		for j := 0; j+1 < len(f.Old); j++ {
+			l, _ := t.LinkBetween(f.Old[j], f.Old[j+1])
+			loads[l.ID] += demands[i] / (l.Capacity * 1000)
 		}
 	}
-	for i, f := range flows {
-		demands[i] = GravityDemand(w, f.Src, f.Dst)
-		addLoad(f.Old, demands[i])
-	}
-	for id, frac := range loads {
-		_ = id
+	var maxLoadFrac float64
+	for _, frac := range loads {
 		if frac > maxLoadFrac {
 			maxLoadFrac = frac
 		}
@@ -235,14 +240,20 @@ func ManyFlowWorkload(t *topo.Topology, rng *rand.Rand, n int, candidates []topo
 // flow only releases capacity for the rest, so any greedily movable flow
 // can be moved first.
 func Transitionable(t *topo.Topology, flows []FlowSpec) bool {
-	loads := map[topo.LinkID]uint64{}
+	// Per link, by LinkID: the load it carries, and the flow (index+1)
+	// whose old path was last marked on it — a flow re-marks its own old
+	// path before it reads the marks, so they never need clearing.
+	links := make([]struct {
+		load  uint64
+		oldOf int
+	}, t.NumLinks())
 	add := func(path []topo.NodeID, k uint32, sign int) {
 		for i := 0; i+1 < len(path); i++ {
 			l, _ := t.LinkBetween(path[i], path[i+1])
 			if sign > 0 {
-				loads[l.ID] += uint64(k)
+				links[l.ID].load += uint64(k)
 			} else {
-				loads[l.ID] -= uint64(k)
+				links[l.ID].load -= uint64(k)
 			}
 		}
 	}
@@ -258,17 +269,16 @@ func Transitionable(t *topo.Topology, flows []FlowSpec) bool {
 				continue
 			}
 			fits := true
-			onOld := map[topo.LinkID]bool{}
 			for j := 0; j+1 < len(f.Old); j++ {
 				l, _ := t.LinkBetween(f.Old[j], f.Old[j+1])
-				onOld[l.ID] = true
+				links[l.ID].oldOf = i + 1
 			}
 			for j := 0; j+1 < len(f.New); j++ {
 				l, _ := t.LinkBetween(f.New[j], f.New[j+1])
-				if onOld[l.ID] {
+				if links[l.ID].oldOf == i+1 {
 					continue // capacity already held on shared links
 				}
-				if loads[l.ID]+uint64(f.SizeK) > uint64(t.Link(l.ID).Capacity*1000) {
+				if links[l.ID].load+uint64(f.SizeK) > uint64(l.Capacity*1000) {
 					fits = false
 					break
 				}
@@ -299,6 +309,7 @@ func Transitionable(t *topo.Topology, flows []FlowSpec) bool {
 func SegmentedSingleFlow(t *topo.Topology, sizeK uint32) (FlowSpec, error) {
 	bestScore := 0
 	var spec FlowSpec
+	oldPos := offPath(t)
 	for _, s := range t.Nodes() {
 		for _, d := range t.Nodes() {
 			if d <= s {
@@ -306,25 +317,18 @@ func SegmentedSingleFlow(t *topo.Topology, sizeK uint32) (FlowSpec, error) {
 			}
 			paths := t.KShortestPaths(s, d, 30, topo.ByLatency)
 			for i, old := range paths {
+				markPath(oldPos, old)
 				for j, nw := range paths {
 					if i == j {
 						continue
 					}
-					seg, err := controlplane.SegmentPaths(old, nw)
-					if err != nil {
-						continue
-					}
-					score := 0
-					for _, sgm := range seg.Segments {
-						if !sgm.Forward {
-							score += 1 + 2*(len(sgm.Nodes)-2)
-						}
-					}
-					if score > bestScore {
+					backward, interiors := controlplane.BackwardSegments(oldPos, nw)
+					if score := backward + 2*interiors; score > bestScore {
 						bestScore = score
 						spec = FlowSpec{Src: s, Dst: d, Old: old, New: nw, SizeK: sizeK}
 					}
 				}
+				unmarkPath(oldPos, old)
 			}
 		}
 	}
@@ -334,10 +338,34 @@ func SegmentedSingleFlow(t *topo.Topology, sizeK uint32) (FlowSpec, error) {
 	return spec, nil
 }
 
+// offPath returns the position array controlplane.BackwardSegments
+// reads, one slot per node, with no path marked (-1 everywhere).
+func offPath(t *topo.Topology) []int32 {
+	pos := make([]int32, t.NumNodes())
+	for i := range pos {
+		pos[i] = -1
+	}
+	return pos
+}
+
+// markPath records every node's index on path in pos; unmarkPath puts
+// the -1s back, so one array serves every old path of a search.
+func markPath(pos []int32, path []topo.NodeID) {
+	for i, n := range path {
+		pos[n] = int32(i)
+	}
+}
+
+func unmarkPath(pos []int32, path []topo.NodeID) {
+	for _, n := range path {
+		pos[n] = -1
+	}
+}
+
 // Feasible reports whether the old (useNew=false) or new (useNew=true)
 // configuration respects all link capacities.
 func Feasible(t *topo.Topology, flows []FlowSpec, useNew bool) bool {
-	loads := map[topo.LinkID]uint64{}
+	loads := make([]uint64, t.NumLinks()) // by LinkID
 	for _, f := range flows {
 		path := f.Old
 		if useNew {
@@ -349,7 +377,7 @@ func Feasible(t *topo.Topology, flows []FlowSpec, useNew bool) bool {
 		}
 	}
 	for id, load := range loads {
-		if load > uint64(t.Link(id).Capacity*1000) {
+		if load > uint64(t.Link(topo.LinkID(id)).Capacity*1000) {
 			return false
 		}
 	}
@@ -379,6 +407,7 @@ func SingleLongFlow(t *topo.Topology, sizeK uint32) (FlowSpec, error) {
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].dist > pairs[j].dist })
 
 	var fallback *FlowSpec
+	oldPos := offPath(t)
 	for _, pr := range pairs {
 		paths := t.KShortestPaths(pr.s, pr.d, 40, topo.ByLatency)
 		if len(paths) < 2 {
@@ -399,22 +428,15 @@ func SingleLongFlow(t *topo.Topology, sizeK uint32) (FlowSpec, error) {
 		// accelerates (interiors pre-install while the gateway waits).
 		var best []topo.NodeID
 		bestScore := 0
+		markPath(oldPos, old)
 		for _, cand := range paths[1:] {
-			seg, err := controlplane.SegmentPaths(old, cand)
-			if err != nil {
-				continue
-			}
-			score := 0
-			for _, sgm := range seg.Segments {
-				if !sgm.Forward {
-					score += 1 + (len(sgm.Nodes) - 2)
-				}
-			}
-			if score > bestScore {
+			backward, interiors := controlplane.BackwardSegments(oldPos, cand)
+			if score := backward + interiors; score > bestScore {
 				bestScore = score
 				best = cand
 			}
 		}
+		unmarkPath(oldPos, old)
 		if best != nil {
 			return FlowSpec{Src: pr.s, Dst: pr.d, Old: old, New: best, SizeK: sizeK}, nil
 		}

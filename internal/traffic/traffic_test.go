@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,27 @@ func TestSingleLongFlowAndSegmented(t *testing.T) {
 		}
 		if interiorBackward == 0 {
 			t.Errorf("%s: segmented flow has no backward structure", g.Name)
+		}
+	}
+}
+
+// TestSegmentedSingleFlowPinned pins the search result the Fig. 7
+// single-flow panels are built on: the scorer and Yen behind it may get
+// faster, but the chosen old/new paths may not move.
+func TestSegmentedSingleFlowPinned(t *testing.T) {
+	for _, tc := range []struct {
+		g        *topo.Topology
+		old, new []topo.NodeID
+	}{
+		{topo.B4(), []topo.NodeID{0, 2, 1, 3}, []topo.NodeID{0, 1, 10, 11, 8, 7, 6, 5, 4, 2, 3}},
+		{topo.Internet2(), []topo.NodeID{13, 9, 11, 10, 12, 14}, []topo.NodeID{13, 12, 10, 11, 8, 6, 5, 2, 1, 3, 4, 7, 9, 14}},
+	} {
+		f, err := SegmentedSingleFlow(tc.g, 1000)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.g.Name, err)
+		}
+		if !reflect.DeepEqual(f.Old, tc.old) || !reflect.DeepEqual(f.New, tc.new) {
+			t.Errorf("%s: old %v new %v, want old %v new %v", tc.g.Name, f.Old, f.New, tc.old, tc.new)
 		}
 	}
 }
