@@ -19,6 +19,15 @@
 // test. It audits all three evaluated systems through the same shared
 // switch substrate, which is what turns the paper's §11 comparison into
 // a reproducible experiment.
+//
+// Like the protocol it referees, the auditor does work where state
+// changed: every flow slot's verdict (its violations and the link load
+// its trace charged) is remembered together with the data plane's
+// forwarding revision of the slot (dataplane.Network.FlowRev) and the
+// fabric's outage revision (OutageRev). A sweep re-proves only the slots
+// whose revision moved and re-reports the remembered verdict of the rest,
+// so its cost follows rule commits, not live flows, and sweeping an
+// unchanged fabric allocates nothing.
 package audit
 
 import (
@@ -106,15 +115,53 @@ func (r *Report) Total() uint64 {
 	return r.Blackholes + r.Loops + r.OverCapacity + r.VersionRegressions
 }
 
-// portRef identifies one directed link endpoint in the load scratch.
+// portRef identifies one directed link endpoint.
 type portRef struct {
 	node topo.NodeID
 	port topo.PortID
 }
 
+// charge is the load one hop of a flow's trace put on a link.
+type charge struct {
+	link  portRef
+	sizeK uint32
+}
+
+// finding is one remembered flow violation: what report needs to
+// record it again on a later sweep.
+type finding struct {
+	kind   Kind
+	node   topo.NodeID
+	detail string
+}
+
+// slotVerdict is what the last audit of one flow slot established, and
+// the revisions it was established at. The zero value is a slot never
+// audited.
+type slotVerdict struct {
+	// flow is the slot's tenant when it was last seen live; the slot's
+	// lastVer history belongs to it.
+	flow packet.FlowID
+	// audited marks rev, outageRev and the fields below as describing
+	// flow's current registers; it is cleared when the slot is vacated or
+	// the Flow DB does not know the tenant.
+	audited   bool
+	rev       uint32
+	outageRev uint32
+	// regress holds the monotonicity violations, which depend on the
+	// registers alone; traced is the trace's violation (a trace ends at
+	// its first) and charges the load it put on links, which depend on
+	// the registers and on which switches are up.
+	regress  []finding
+	traced   finding
+	traceBad bool
+	charges  []charge
+}
+
 // Auditor holds the sweep state for one attached fabric. All scratch is
 // reused across sweeps, so steady-state sweeping allocates only when a
-// violation is recorded.
+// violation is first found or a flow's trace outgrows its slot's charge
+// list.
 type Auditor struct {
 	cfg Config
 	net *dataplane.Network
@@ -132,17 +179,16 @@ type Auditor struct {
 	// needs no per-flow clearing.
 	visited []uint32
 	visGen  uint32
-	// load accumulates traced kbps per (node, egress port); touched
-	// lists the entries to reset before the next sweep.
-	load    [][]uint64
-	touched []portRef
+	// load is the traced kbps per (node, egress port): the sum of every
+	// audited slot's charges, kept across sweeps.
+	load [][]uint64
 	// lastVer tracks the highest applied version seen per (node, flow
-	// slot) for the monotonicity invariant; slotFlow remembers which
-	// flow each slot held last sweep, so a recycled slot's version
-	// history is reset instead of charging the new tenant with its
-	// predecessor's versions.
-	lastVer  [][]uint32
-	slotFlow []packet.FlowID
+	// slot) for the monotonicity invariant. It belongs to the slot's
+	// remembered tenant (slotVerdict.flow): a recycled slot's history is
+	// reset instead of charging the new tenant with its predecessor's
+	// versions.
+	lastVer [][]uint32
+	slots   []slotVerdict
 
 	// OnSweep, when set, observes every completed sweep with its instant
 	// and the violations newly recorded during it. Like the auditor it
@@ -221,41 +267,61 @@ func (a *Auditor) Report() Report {
 
 // Sweep audits the fabric's current state once. It is exported so tests
 // (and one-shot audits) can drive it without the engine hook.
+//
+// Every live slot is reported on every sweep — a loop, blackhole or
+// regression left in place counts once per sweep — but only a slot whose
+// forwarding revision moved since its last audit has its registers read
+// again, and only that or an outage change has it traced again. Flow
+// endpoints are read from the Flow DB when a slot is re-audited, so a
+// flow must leave the Flow DB and the fabric together (UnregisterFlow
+// with RetireFlow, as the harness does). Switch.TwoPhase and the
+// topology's links are taken as fixed once sweeping has started.
 func (a *Auditor) Sweep() {
 	before := a.counts
 	a.sweeps++
-	for _, pr := range a.touched {
-		a.load[pr.node][pr.port] = 0
-	}
-	a.touched = a.touched[:0]
 
-	// Iterate the dense slot space directly: dead (recycled, vacant)
-	// slots are skipped, so only live flows are audited, and a slot
-	// whose tenant changed since the last sweep gets its per-node
-	// version history cleared before the monotonicity check.
 	nSlots := a.net.NumFlowSlots()
-	for idx := 0; idx < nSlots; idx++ {
-		f, ok := a.net.FlowAt(int32(idx))
-		if !ok {
+	if nSlots > len(a.slots) {
+		a.slots = append(a.slots, make([]slotVerdict, nSlots-len(a.slots))...)
+	}
+	outage := a.net.OutageRev()
+	for idx := range a.slots {
+		s := &a.slots[idx]
+		f, live := a.net.FlowAt(int32(idx))
+		if !live {
+			// A vacated slot carries no load and no violation; its tenant
+			// and version history stay until a different flow moves in.
+			a.forget(s)
 			continue
 		}
-		if idx >= len(a.slotFlow) {
-			a.slotFlow = append(a.slotFlow, make([]packet.FlowID, idx+1-len(a.slotFlow))...)
-		}
-		if a.slotFlow[idx] != f {
-			a.slotFlow[idx] = f
+		if s.flow != f {
+			s.flow, s.audited = f, false
 			for _, lv := range a.lastVer {
 				if idx < len(lv) {
 					lv[idx] = 0
 				}
 			}
 		}
-		rec, ok := a.ctl.Flow(f)
-		if !ok {
-			continue
+		rev := a.net.FlowRev(int32(idx))
+		if !s.audited || s.rev != rev || s.outageRev != outage {
+			rec, ok := a.ctl.Flow(f)
+			if !ok {
+				a.forget(s)
+				continue
+			}
+			if !s.audited || s.rev != rev {
+				a.checkVersions(idx, s)
+			}
+			a.uncharge(s)
+			s.traced, s.traceBad = a.traceFlow(idx, rec, s)
+			s.audited, s.rev, s.outageRev = true, rev, outage
 		}
-		a.checkVersions(idx, f)
-		a.traceFlow(f, rec)
+		for i := range s.regress {
+			a.report(f, &s.regress[i])
+		}
+		if s.traceBad {
+			a.report(f, &s.traced)
+		}
 	}
 	if !a.cfg.NoCapacity {
 		a.checkCapacity()
@@ -272,35 +338,49 @@ func (a *Auditor) Sweep() {
 	}
 }
 
+// forget drops a slot's verdict: its load comes off the links and the
+// next sweep that finds a tenant audits it from the registers (the
+// findings are not read again before that audit replaces them).
+func (a *Auditor) forget(s *slotVerdict) {
+	a.uncharge(s)
+	s.audited = false
+}
+
+// uncharge takes the load of the slot's last trace off the links.
+func (a *Auditor) uncharge(s *slotVerdict) {
+	for _, c := range s.charges {
+		a.load[c.link.node][c.link.port] -= uint64(c.sizeK)
+	}
+	s.charges = s.charges[:0]
+}
+
 // traceFlow follows the flow's active forwarding state from its ingress,
-// reporting loops and blackholes and charging traced load to each
-// crossed link. The walk forwards exactly like the data plane: on
-// two-phase switches (§11 / PPCU) it carries the version tag a packet
-// injected now would be stamped with at the ingress, and follows the
-// retained previous rule wherever the tag predates the switch's current
-// configuration — mid-update two-phase state is consistent for tagged
-// packets and must not be reported as a blackhole. A trace that meets a
-// crashed switch is abandoned without a report: a physical outage is
-// not a protocol fault.
-func (a *Auditor) traceFlow(f packet.FlowID, rec *controlplane.FlowRecord) {
+// charging traced load to each crossed link (and to s, so it can be taken
+// off again) and returning the loop or blackhole the trace ends in, if
+// any. The walk forwards exactly like the data plane: on two-phase
+// switches (§11 / PPCU) it carries the version tag a packet injected now
+// would be stamped with at the ingress, and follows the retained previous
+// rule wherever the tag predates the switch's current configuration —
+// mid-update two-phase state is consistent for tagged packets and must
+// not be reported as a blackhole. A trace that meets a crashed switch is
+// abandoned without a report: a physical outage is not a protocol fault.
+func (a *Auditor) traceFlow(idx int, rec *controlplane.FlowRecord, s *slotVerdict) (finding, bool) {
 	a.visGen++
 	cur := rec.Src
 	var tag uint32
 	maxHops := a.net.Topo.NumNodes() + 1
 	for hop := 0; hop <= maxHops; hop++ {
 		if a.visited[cur] == a.visGen {
-			a.report(Loop, f, cur, "forwarding loop revisits node")
-			return
+			return finding{Loop, cur, "forwarding loop revisits node"}, true
 		}
 		a.visited[cur] = a.visGen
 		sw := a.net.Switch(cur)
 		if sw.Down() {
-			return
+			return finding{}, false
 		}
-		st, ok := sw.PeekState(f)
-		if !ok || !st.HasRule {
-			a.report(Blackhole, f, cur, "no forwarding rule")
-			return
+		st := sw.FlowStateAt(idx)
+		if st == nil || !st.HasRule {
+			return finding{Blackhole, cur, "no forwarding rule"}, true
 		}
 		out := st.EgressPort
 		if sw.TwoPhase {
@@ -313,38 +393,36 @@ func (a *Auditor) traceFlow(f packet.FlowID, rec *controlplane.FlowRecord) {
 		}
 		if out == dataplane.PortLocal {
 			if cur != rec.Dst {
-				a.report(Blackhole, f, cur, "local delivery at non-destination")
+				return finding{Blackhole, cur, "local delivery at non-destination"}, true
 			}
-			return
+			return finding{}, false
 		}
 		next, ok := a.net.Topo.NeighborAt(cur, out)
 		if !ok {
-			a.report(Blackhole, f, cur, "egress port has no link")
-			return
+			return finding{Blackhole, cur, "egress port has no link"}, true
 		}
-		a.addLoad(cur, out, st.FlowSizeK)
+		if out >= 0 && int(out) < len(a.load[cur]) {
+			a.load[cur][out] += uint64(st.FlowSizeK)
+			s.charges = append(s.charges, charge{portRef{cur, out}, st.FlowSizeK})
+		}
 		cur = next
 	}
-	a.report(Loop, f, cur, "trace exceeded hop bound")
+	return finding{Loop, cur, "trace exceeded hop bound"}, true
 }
 
-// addLoad charges sizeK to the directed link (node, port).
-func (a *Auditor) addLoad(node topo.NodeID, port topo.PortID, sizeK uint32) {
-	if port < 0 || int(port) >= len(a.load[node]) {
-		return
-	}
-	if a.load[node][port] == 0 {
-		a.touched = append(a.touched, portRef{node, port})
-	}
-	a.load[node][port] += uint64(sizeK)
-}
-
-// checkCapacity compares traced load on every touched link against its
-// capacity.
+// checkCapacity compares the traced load on every loaded link, in
+// ascending (node, port) order, against its capacity.
 func (a *Auditor) checkCapacity() {
-	for _, pr := range a.touched {
-		c := a.net.Switch(pr.node).CapacityK(pr.port)
-		if c > 0 && a.load[pr.node][pr.port] > c {
+	for node, ports := range a.load {
+		for port, kbps := range ports {
+			if kbps == 0 {
+				continue
+			}
+			pr := portRef{topo.NodeID(node), topo.PortID(port)}
+			c := a.net.Switch(pr.node).CapacityK(pr.port)
+			if c == 0 || kbps <= c {
+				continue
+			}
 			a.counts[OverCapacity]++
 			if a.linkSet == nil {
 				a.linkSet = make(map[portRef]struct{})
@@ -355,7 +433,7 @@ func (a *Auditor) checkCapacity() {
 					Kind: OverCapacity, Step: a.step, Time: a.net.Eng.Now(),
 					Node: pr.node,
 					Detail: fmt.Sprintf("port %d carries %d kbps, capacity %d kbps",
-						pr.port, a.load[pr.node][pr.port], c),
+						pr.port, kbps, c),
 				})
 			}
 		}
@@ -363,8 +441,9 @@ func (a *Auditor) checkCapacity() {
 }
 
 // checkVersions asserts the flow's applied version never decreases on
-// any node.
-func (a *Auditor) checkVersions(idx int, f packet.FlowID) {
+// any node, remembering the regressions in s.
+func (a *Auditor) checkVersions(idx int, s *slotVerdict) {
+	s.regress = s.regress[:0]
 	for _, sw := range a.net.Switches() {
 		st := sw.FlowStateAt(idx)
 		if st == nil || !st.HasRule {
@@ -372,31 +451,29 @@ func (a *Auditor) checkVersions(idx int, f packet.FlowID) {
 		}
 		lv := a.lastVer[sw.ID]
 		if idx >= len(lv) {
-			grown := make([]uint32, idx+1)
-			copy(grown, lv)
-			lv = grown
+			lv = append(lv, make([]uint32, a.net.NumFlowSlots()-len(lv))...)
 			a.lastVer[sw.ID] = lv
 		}
 		if st.NewVersion < lv[idx] {
-			a.report(VersionRegress, f, sw.ID, fmt.Sprintf(
-				"applied version %d after %d", st.NewVersion, lv[idx]))
+			s.regress = append(s.regress, finding{VersionRegress, sw.ID, fmt.Sprintf(
+				"applied version %d after %d", st.NewVersion, lv[idx])})
 		} else {
 			lv[idx] = st.NewVersion
 		}
 	}
 }
 
-// report records one violation.
-func (a *Auditor) report(k Kind, f packet.FlowID, node topo.NodeID, detail string) {
-	a.counts[k]++
-	if a.flowSets[k] == nil {
-		a.flowSets[k] = make(map[packet.FlowID]struct{})
+// report records one flow violation for the current sweep.
+func (a *Auditor) report(f packet.FlowID, v *finding) {
+	a.counts[v.kind]++
+	if a.flowSets[v.kind] == nil {
+		a.flowSets[v.kind] = make(map[packet.FlowID]struct{})
 	}
-	a.flowSets[k][f] = struct{}{}
+	a.flowSets[v.kind][f] = struct{}{}
 	if len(a.examples) < a.cfg.MaxExamples {
 		a.examples = append(a.examples, Violation{
-			Kind: k, Step: a.step, Time: a.net.Eng.Now(),
-			Flow: f, Node: node, Detail: detail,
+			Kind: v.kind, Step: a.step, Time: a.net.Eng.Now(),
+			Flow: f, Node: v.node, Detail: v.detail,
 		})
 	}
 }

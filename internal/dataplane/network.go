@@ -116,6 +116,9 @@ type Network struct {
 	flows *flowTable
 	// retireScratch is RetireFlow's reusable list of a flow's holders.
 	retireScratch []topo.NodeID
+	// outageRev counts switch Crash and Restore transitions: whatever was
+	// derived from which switches are up is stale once it moves.
+	outageRev uint32
 }
 
 // noHolder ends a flow slot's holder chain.
@@ -144,6 +147,10 @@ type slotEntry struct {
 	// switch in on first touch and RetireFlow walks and clears it.
 	holder topo.NodeID
 	live   bool
+	// rev is the slot's forwarding revision (see FlowState): it moves
+	// whenever any switch writes one of the slot's forwarding registers,
+	// and when the slot changes tenant.
+	rev uint32
 }
 
 func (t *flowTable) slot(f packet.FlowID) int32 {
@@ -156,6 +163,7 @@ func (t *flowTable) slot(f packet.FlowID) int32 {
 		t.free = t.free[:k-1]
 		t.slots[i].id = f
 		t.slots[i].live = true
+		t.bump(i)
 	} else {
 		i = int32(len(t.slots))
 		t.slots = append(t.slots, slotEntry{id: f, holder: noHolder, live: true})
@@ -163,6 +171,10 @@ func (t *flowTable) slot(f packet.FlowID) int32 {
 	t.idx[f] = i
 	return i
 }
+
+// bump advances slot i's forwarding revision; every writer of a
+// forwarding register (see FlowState) calls it.
+func (t *flowTable) bump(i int32) { t.slots[i].rev++ }
 
 // release frees f's slot for reuse. The (f, i) pair is re-checked so a
 // stale release can never free a reassigned slot.
@@ -295,6 +307,27 @@ func (n *Network) FlowAt(i int32) (packet.FlowID, bool) {
 		return 0, false
 	}
 	return t.slots[i].id, true
+}
+
+// FlowRev returns the forwarding revision of dense slot i: a counter that
+// moves whenever a forwarding register of the slot's flow is written on
+// any switch (the contract is on FlowState) or the slot changes tenant.
+// An observer that remembers it can skip a flow nothing has happened to.
+func (n *Network) FlowRev(i int32) uint32 { return n.flows.slots[i].rev }
+
+// OutageRev returns the fabric's outage revision: it moves on every
+// switch Crash and Restore.
+func (n *Network) OutageRev() uint32 { return n.outageRev }
+
+// FlowChanged advances f's forwarding revision. Code that writes a
+// forwarding register through a State/PeekState pointer instead of the
+// switch's writers (tests forging a state no writer can produce) must
+// call it afterwards, or revision-keyed observers keep their old view
+// of the flow. A flow the fabric never interned is ignored.
+func (n *Network) FlowChanged(f packet.FlowID) {
+	if i, ok := n.flows.peek(f); ok {
+		n.flows.bump(i)
+	}
 }
 
 // RetireFlow removes every trace of a departed flow from the fabric —

@@ -49,6 +49,16 @@ const (
 // In the P4 prototype the "indication" labels live in registers written on
 // UIM arrival; we keep the freshest UIM as a staged struct (UIM) with the
 // same effect.
+//
+// Forwarding registers and the revision contract: HasRule, EgressPort,
+// NewVersion, PrevValid, PrevEgressPort and FlowSizeK decide where a
+// packet of the flow goes and what it weighs, and are what the invariant
+// auditor reads. Every write to one of them advances the flow slot's
+// revision (Network.FlowRev). All writers live in this package —
+// CommitState, InstallInitialRule, the cleanup handler and retirement —
+// and bump it themselves; protocol handlers and baselines change
+// forwarding only through them. Anything that assigns these six fields
+// through the pointer must call Network.FlowChanged afterwards.
 type FlowState struct {
 	NewDistance       uint16
 	NewVersion        uint32

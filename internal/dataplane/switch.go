@@ -229,18 +229,26 @@ func (sw *Switch) Now() time.Duration { return sw.net.Eng.Now() }
 // first touch. The returned pointer stays stable for the flow's lifetime
 // (handlers capture it in closures), only the index slice relocates.
 func (sw *Switch) State(f packet.FlowID) *FlowState {
-	i := int(sw.net.flowSlot(f))
-	sw.growFlows(i)
+	st, _ := sw.stateSlot(f)
+	return st
+}
+
+// stateSlot is State for the writers of forwarding registers: it also
+// returns the flow's dense slot, whose revision they bump, so a commit
+// pays for one interner lookup, not two.
+func (sw *Switch) stateSlot(f packet.FlowID) (*FlowState, int32) {
+	i := sw.net.flowSlot(f)
+	sw.growFlows(int(i))
 	r := sw.flowStates[i]
 	if r != 0 {
-		return sw.stateAt(r)
+		return sw.stateAt(r), i
 	}
 	r = sw.allocState()
 	sw.flowStates[i] = r
 	st := sw.stateAt(r)
 	head := &sw.net.flows.slots[i].holder
 	st.nextHolder, *head = *head, sw.ID
-	return st
+	return st, i
 }
 
 // PeekState returns the flow's register slice without allocating.
@@ -270,10 +278,11 @@ func (sw *Switch) Flows() []packet.FlowID {
 func (sw *Switch) Pool() *packet.Pool { return &sw.net.pool }
 
 // FlowStateAt returns the switch's state block for the fabric-wide flow
-// index i (Network.FlowIDs order), or nil if the flow never touched
-// this switch. It exists so the invariant auditor can scan per-flow
-// state without a map lookup per (node, flow) pair; callers must treat
-// the result as read-only.
+// index i (the slot Network.FlowAt names), or nil if the flow never
+// touched this switch. It exists so the invariant auditor can scan
+// per-flow state without a map lookup per (node, flow) pair; callers must
+// treat the result as read-only (a write to a forwarding register would
+// also have to bump the slot's revision, see FlowState).
 func (sw *Switch) FlowStateAt(i int) *FlowState {
 	if i >= 0 && i < len(sw.flowStates) {
 		if r := sw.flowStates[i]; r != 0 {
@@ -311,6 +320,7 @@ func (sw *Switch) retireFlow(i int32, f packet.FlowID) {
 		}
 	}
 	sw.flowStates[i] = 0
+	sw.net.flows.bump(i)
 	pend := st.PendingRes[:0]
 	*st = freshFlowState()
 	st.PendingRes = pend
@@ -434,8 +444,12 @@ func (sw *Switch) handleData(d *packet.Data, inPort topo.PortID) {
 // and not covered by a pending indication are removed; their capacity is
 // released.
 func (sw *Switch) handleCleanup(m *packet.CLN) {
-	st, ok := sw.PeekState(m.Flow)
-	if !ok || !st.HasRule {
+	i, ok := sw.net.peekFlowSlot(m.Flow)
+	if !ok {
+		return
+	}
+	st := sw.FlowStateAt(int(i))
+	if st == nil || !st.HasRule {
 		return
 	}
 	if st.EgressPort == PortLocal {
@@ -450,6 +464,7 @@ func (sw *Switch) handleCleanup(m *packet.CLN) {
 	st.EgressPortUpdated = topo.InvalidPort
 	st.NewDistance = FreshDistance
 	st.PrevValid = false
+	sw.net.flows.bump(i)
 	sw.Stats.RulesCleaned++
 }
 
@@ -731,6 +746,7 @@ func (sw *Switch) Crash() {
 	}
 	sw.down = true
 	sw.epoch++
+	sw.net.outageRev++
 	sw.Stats.Crashes++
 	sw.net.Eng.Trace.Crash(int32(sw.ID), sw.epoch)
 	// Clear waiter lists before releasing staged reservations so the
@@ -772,6 +788,7 @@ func (sw *Switch) Restore() {
 		return
 	}
 	sw.down = false
+	sw.net.outageRev++
 	sw.Stats.Restores++
 	sw.net.Eng.Trace.Restore(int32(sw.ID), sw.epoch)
 }
@@ -816,7 +833,7 @@ type Commit struct {
 
 // CommitState is the protocol-agnostic commit primitive behind CommitRule.
 func (sw *Switch) CommitState(f packet.FlowID, c Commit) bool {
-	st := sw.State(f)
+	st, slot := sw.stateSlot(f)
 	if st.HasRule && c.Version <= st.NewVersion {
 		// A newer (or same) version already committed: return any
 		// reservation staged for this superseded install.
@@ -869,6 +886,7 @@ func (sw *Switch) CommitState(f packet.FlowID, c Commit) bool {
 	st.LastType = c.Type
 	st.Counter = c.Counter
 	st.HasRule = true
+	sw.net.flows.bump(slot)
 	st.Applying = false
 	st.Priority = PriorityLow
 	sw.ClearHighWaiting(c.Port, f)
@@ -886,10 +904,11 @@ func (sw *Switch) CommitState(f packet.FlowID, c Commit) bool {
 // to set up experiment start states). It reserves capacity and marks the
 // rule as version/distance labelled.
 func (sw *Switch) InstallInitialRule(f packet.FlowID, port topo.PortID, version uint32, distance uint16, sizeK uint32) {
-	st := sw.State(f)
+	st, slot := sw.stateSlot(f)
 	if st.HasRule {
 		sw.Release(st.EgressPort, st.FlowSizeK)
 	}
+	sw.net.flows.bump(slot)
 	st.EgressPort = port
 	st.EgressPortUpdated = port
 	st.NewVersion = version
