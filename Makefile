@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ledger bench bench-smoke bench-churn bench-soak churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke check clean
+.PHONY: all build vet lint test race ledger bench bench-smoke bench-churn bench-soak churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke identical check clean
 
 all: check
 
@@ -111,6 +111,15 @@ deploy-smoke: daemons
 # round bound (fixed seeds; bound violations print in the table).
 fig7-six:
 	$(GO) run ./cmd/p4update -exp fig7six -runs 3 -seed 1 -workers 4
+
+# Behaviour-preservation gate for refactors: `make identical BASE=<rev>`
+# exports BASE into a temporary directory, builds both sides, and diffs
+# the fig2/fig4/fig7/fig7six/scale/churn/soak/faults stdout (wall-clock
+# fields masked) and the four benchmark sim_digests. Non-zero exit on
+# any difference. Not part of check: it needs a BASE.
+identical:
+	@test -n "$(BASE)" || { echo "usage: make identical BASE=<rev>"; exit 2; }
+	GO="$(GO)" scripts/identical.sh $(BASE)
 
 check: lint build test race churn-smoke soak-smoke deploy-smoke
 

@@ -50,17 +50,18 @@ func writeBenchJSON(path string, payload any) error {
 	return f.Close()
 }
 
-// runSyntheticOnce runs one forced-strategy update on the synthetic
-// topology with straggler install delays and returns the completion time.
+// runSyntheticOnce runs one forced-layer update ("SL" or "DL") on the
+// synthetic topology with straggler install delays and returns the
+// completion time.
 func runSyntheticOnce(strat string, oldP, newP []topo.NodeID, seed int64) (time.Duration, error) {
-	s := p4update.StrategySL
+	system := "p4update-sl"
 	if strat == "DL" {
-		s = p4update.StrategyDL
+		system = "p4update-dl"
 	}
 	rngSeed := seed
 	net := p4update.NewNetwork(topo.Synthetic(),
 		p4update.WithSeed(rngSeed),
-		p4update.WithStrategy(s),
+		p4update.WithSystem(system),
 	)
 	// Straggler model: exponential install delays, seeded per run.
 	eng := net.Fabric().Eng

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"p4update"
+	"p4update/internal/faults"
+	"p4update/internal/packet"
 )
 
 func TestFacadeFailureRecovery(t *testing.T) {
@@ -14,14 +16,9 @@ func TestFacadeFailureRecovery(t *testing.T) {
 		p4update.WithFailureRecovery(400*time.Millisecond, 3),
 	)
 	// Drop the first UNM on the 6->5 link.
-	dropped := false
-	net.Fabric().Drop = func(from, to p4update.NodeID, raw []byte) bool {
-		if !dropped && from == 6 && to == 5 && len(raw) > 0 && raw[0] == 4 /* TypeUNM */ {
-			dropped = true
-			return true
-		}
-		return false
-	}
+	inj := faults.Attach(net.Fabric(), faults.Plan{Rules: []faults.Rule{
+		faults.DropMatching(6, 5, packet.TypeUNM, 1),
+	}})
 	oldP, newP := p4update.SyntheticPaths()
 	f, _ := net.AddFlow(0, 7, oldP, 1.0)
 	u, err := net.UpdateFlow(f, newP)
@@ -29,7 +26,7 @@ func TestFacadeFailureRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Run()
-	if !dropped {
+	if inj.RuleHits(0) != 1 {
 		t.Fatal("drop not exercised")
 	}
 	if !u.Done() {
@@ -45,7 +42,7 @@ func TestFacadeTwoPhaseCommit(t *testing.T) {
 	net := p4update.NewNetwork(g,
 		p4update.WithSeed(10),
 		p4update.WithTwoPhaseCommit(),
-		p4update.WithStrategy(p4update.StrategySL),
+		p4update.WithSystem("p4update-sl"),
 		p4update.WithInstallDelay(func() time.Duration { return 30 * time.Millisecond }),
 	)
 	oldP, newP := p4update.SyntheticPaths()
@@ -115,20 +112,20 @@ func TestFacadeDestinationTree(t *testing.T) {
 		}
 	}
 	// Baselines refuse destination trees.
-	ez := p4update.NewNetwork(p4update.B4(), p4update.WithStrategy(p4update.StrategyEZSegway))
+	ez := p4update.NewNetwork(p4update.B4(), p4update.WithSystem("ez-segway"))
 	if _, err := ez.UpdateDestinationTree(1, nil); err == nil {
 		t.Error("ez-Segway strategy accepted a tree update")
 	}
 }
 
 func TestFacadeEZSegwayQueuedUpdate(t *testing.T) {
-	// Under StrategyEZSegway a second update of a flow still in flight is
+	// Under "ez-segway" a second update of a flow still in flight is
 	// returned immediately as a non-nil status in the Queued state and is
 	// launched (and completed) once the first update finishes.
 	g := p4update.Synthetic()
 	net := p4update.NewNetwork(g,
 		p4update.WithSeed(13),
-		p4update.WithStrategy(p4update.StrategyEZSegway),
+		p4update.WithSystem("ez-segway"),
 	)
 	oldP, newP := p4update.SyntheticPaths()
 	f, _ := net.AddFlow(0, 7, oldP, 1.0)
@@ -159,7 +156,7 @@ func TestFacadeChainedDualLayer(t *testing.T) {
 	g := p4update.Synthetic()
 	net := p4update.NewNetwork(g,
 		p4update.WithSeed(12),
-		p4update.WithStrategy(p4update.StrategyDL),
+		p4update.WithSystem("p4update-dl"),
 		p4update.WithChainedDualLayer(),
 	)
 	oldP, newP := p4update.SyntheticPaths()

@@ -415,24 +415,29 @@ func (c *Controller) armUpdateWatchdog(u *UpdateStatus) {
 			c.armUpdateWatchdog(u)
 			return
 		}
-		u.Retriggers++
-		u.LastRetrigger = c.Eng.Now()
-		c.Eng.Trace.Watchdog(trace.NodeController,
-			uint32(u.Flow), u.Version, uint32(u.Retriggers))
-		switch {
-		case u.Plan != nil:
-			// Nodes are still missing and no stall report reached us:
-			// re-send the plan's indications.
-			for i, uim := range u.Plan.UIMs {
-				c.Net.SendToSwitch(u.Plan.Targets[i], uim, 0)
-			}
-		case u.Resend != nil:
-			// Plan-less systems (LocalVerify, PPCU, OptOracle) re-send
-			// through their own scheduling loop.
-			u.Resend()
-		}
+		// Nodes are still missing and no stall report reached us.
+		c.retrigger(u)
 		c.armUpdateWatchdog(u)
 	})
+}
+
+// retrigger spends one unit of u's §11 budget on re-sending the update:
+// the plan's indications, or — for plan-less systems (LocalVerify, PPCU,
+// OptOracle) — whatever their own scheduling loop re-sends. Callers
+// check the budget and the ProbeTimeout spacing first.
+func (c *Controller) retrigger(u *UpdateStatus) {
+	u.Retriggers++
+	u.LastRetrigger = c.Eng.Now()
+	c.Eng.Trace.Watchdog(trace.NodeController,
+		uint32(u.Flow), u.Version, uint32(u.Retriggers))
+	switch {
+	case u.Plan != nil:
+		for i, uim := range u.Plan.UIMs {
+			c.Net.SendToSwitch(u.Plan.Targets[i], uim, 0)
+		}
+	case u.Resend != nil:
+		u.Resend()
+	}
 }
 
 // injectProbe launches the §9.1 confirmation traversal from the
@@ -521,17 +526,7 @@ func (c *Controller) handleUFM(m *packet.UFM) {
 		// the coordination restarts from the egress.
 		if ok && !u.Done() && (u.Plan != nil || u.Resend != nil) && u.Retriggers < c.MaxRetriggers &&
 			!(c.ProbeTimeout > 0 && u.Retriggers > 0 && c.Eng.Now()-u.LastRetrigger < c.ProbeTimeout) {
-			u.Retriggers++
-			u.LastRetrigger = c.Eng.Now()
-			c.Eng.Trace.Watchdog(trace.NodeController,
-				uint32(u.Flow), u.Version, uint32(u.Retriggers))
-			if u.Plan != nil {
-				for i, uim := range u.Plan.UIMs {
-					c.Net.SendToSwitch(u.Plan.Targets[i], uim, 0)
-				}
-			} else {
-				u.Resend()
-			}
+			c.retrigger(u)
 		}
 	}
 }

@@ -127,6 +127,23 @@ func TestMultiFlowInvariantStepping(t *testing.T) {
 	}
 }
 
+// unmSniffer records every UNM put on the wire and faults nothing.
+type unmSniffer []unmObs
+
+type unmObs struct {
+	from, to topo.NodeID
+	m        packet.UNM
+}
+
+func (s *unmSniffer) Inspect(_ dataplane.FaultClass, from, to topo.NodeID, raw []byte) ([]byte, dataplane.FaultAction) {
+	if m, err := packet.Decode(raw); err == nil {
+		if u, ok := m.(*packet.UNM); ok {
+			*s = append(*s, unmObs{from, to, *u})
+		}
+	}
+	return raw, dataplane.FaultAction{}
+}
+
 func TestEmittedUNMSemantics(t *testing.T) {
 	// The coordination contract of §7.2/§B, checked on the wire: after
 	// the egress applies, its notification carries Vn=version, Dn=0 and
@@ -137,19 +154,8 @@ func TestEmittedUNMSemantics(t *testing.T) {
 	oldP, newP := topo.SyntheticPaths()
 	f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
 
-	type obs struct {
-		from, to topo.NodeID
-		m        packet.UNM
-	}
-	var unms []obs
-	tb.net.Mangle = func(from, to topo.NodeID, raw []byte) []byte {
-		if m, err := packet.Decode(raw); err == nil {
-			if u, ok := m.(*packet.UNM); ok {
-				unms = append(unms, obs{from, to, *u})
-			}
-		}
-		return raw
-	}
+	var unms unmSniffer
+	tb.net.Faults = &unms
 	u, err := tb.ctl.TriggerUpdate(f, newP, forceType(packet.UpdateDual))
 	if err != nil {
 		t.Fatal(err)

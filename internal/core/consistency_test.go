@@ -7,6 +7,8 @@ import (
 
 	"p4update/internal/controlplane"
 	"p4update/internal/core"
+	"p4update/internal/dataplane"
+	"p4update/internal/faults"
 	"p4update/internal/packet"
 	"p4update/internal/sim"
 	"p4update/internal/topo"
@@ -35,6 +37,18 @@ func stepAndCheck(t *testing.T, tb *testbed, f packet.FlowID, ingress topo.NodeI
 			t.Fatal("simulation runaway")
 		}
 	}
+}
+
+// attachRules puts targeted, randomness-free fault rules on the fabric.
+func attachRules(tb *testbed, rules ...faults.Rule) *faults.Injector {
+	return faults.Attach(tb.net, faults.Plan{Rules: rules})
+}
+
+// duplicateAllData delivers every data-plane frame twice.
+func duplicateAllData() faults.Rule {
+	r := faults.DuplicateMatching(faults.AnyNode, faults.AnyNode, packet.TypeInvalid, 0)
+	r.Classes = faults.ClassData
+	return r
 }
 
 func TestInvariantHeldThroughoutSL(t *testing.T) {
@@ -153,9 +167,9 @@ func TestDroppedUIMStallsConsistently(t *testing.T) {
 	tb := newTestbed(g, 5, &core.Protocol{})
 	oldP, newP := topo.SyntheticPaths()
 	f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
-	tb.net.DropControl = func(node topo.NodeID, toController bool, raw []byte) bool {
-		return !toController && node == 3 // v3 never receives its UIM
-	}
+	lostUIM := faults.DropMatching(dataplane.NodeController, 3, packet.TypeUIM, 0)
+	lostUIM.Classes = faults.ClassDown // v3 never receives its UIM
+	attachRules(tb, lostUIM)
 	u, err := tb.ctl.TriggerUpdate(f, newP, forceType(packet.UpdateSingle))
 	if err != nil {
 		t.Fatal(err)
@@ -175,23 +189,14 @@ func TestDroppedUNMStallsConsistently(t *testing.T) {
 	tb := newTestbed(g, 5, &core.Protocol{})
 	oldP, newP := topo.SyntheticPaths()
 	f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
-	dropped := false
-	tb.net.Drop = func(from, to topo.NodeID, raw []byte) bool {
-		// Drop the first UNM crossing 5->4.
-		if m, err := packet.Decode(raw); err == nil {
-			if _, isUNM := m.(*packet.UNM); isUNM && from == 5 && to == 4 && !dropped {
-				dropped = true
-				return true
-			}
-		}
-		return false
-	}
+	// Drop the first UNM crossing 5->4.
+	inj := attachRules(tb, faults.DropMatching(5, 4, packet.TypeUNM, 1))
 	u, err := tb.ctl.TriggerUpdate(f, newP, forceType(packet.UpdateSingle))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stepAndCheck(t, tb, f, 0)
-	if !dropped {
+	if inj.RuleHits(0) != 1 {
 		t.Fatal("test did not exercise the drop")
 	}
 	if u.Done() {
@@ -208,12 +213,12 @@ func TestRandomizedDelaysAndReorderingProperty(t *testing.T) {
 		g := topo.Synthetic()
 		tb := newTestbed(g, seed, &core.Protocol{})
 		rng := rand.New(rand.NewSource(seed))
-		tb.net.ExtraControlDelay = func(topo.NodeID, bool, []byte) time.Duration {
-			return time.Duration(rng.Intn(400)) * time.Millisecond
-		}
-		tb.net.ExtraDelay = func(topo.NodeID, topo.NodeID, []byte) time.Duration {
-			return time.Duration(rng.Intn(10)) * time.Millisecond
-		}
+		control := faults.Rates{Jitter: 400 * time.Millisecond}
+		faults.Attach(tb.net, faults.Plan{
+			Seed: seed,
+			Data: faults.Rates{Jitter: 10 * time.Millisecond},
+			Up:   control, Down: control,
+		})
 		tb.net.SetInstallDelay(func() time.Duration {
 			return time.Duration(rng.ExpFloat64() * float64(50*time.Millisecond))
 		})
@@ -240,10 +245,8 @@ func TestSequentialUpdatesConvergeToHighestVersion(t *testing.T) {
 	// stay consistent throughout (§4.2 fast-forward).
 	g := topo.Synthetic()
 	tb := newTestbed(g, 99, &core.Protocol{})
-	rng := rand.New(rand.NewSource(99))
-	tb.net.ExtraControlDelay = func(topo.NodeID, bool, []byte) time.Duration {
-		return time.Duration(rng.Intn(200)) * time.Millisecond
-	}
+	control := faults.Rates{Jitter: 200 * time.Millisecond}
+	faults.Attach(tb.net, faults.Plan{Seed: 99, Up: control, Down: control})
 	oldP, newP := topo.SyntheticPaths()
 	f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
 	rec, _ := tb.ctl.Flow(f)
@@ -285,21 +288,26 @@ func TestSequentialUpdatesConvergeToHighestVersion(t *testing.T) {
 	}
 }
 
+// byteFlipper inverts one arbitrary byte of about every fourth data-plane
+// frame, in place. Unlike faults.Rates.Corrupt the damage is not
+// guaranteed detectable: the frame may decode into a wrong UNM, which is
+// Alg. 1/2's to reject rather than the decoder's.
+type byteFlipper struct{ rng *rand.Rand }
+
+func (b byteFlipper) Inspect(class dataplane.FaultClass, _, _ topo.NodeID, raw []byte) ([]byte, dataplane.FaultAction) {
+	if class == dataplane.FaultData && b.rng.Intn(4) == 0 && len(raw) > 0 {
+		raw[b.rng.Intn(len(raw))] ^= 0xff
+	}
+	return raw, dataplane.FaultAction{}
+}
+
 func TestMangledUNMDiscarded(t *testing.T) {
 	// Bit-flipped frames must not crash the pipeline or corrupt state:
 	// undecodable frames count as decode errors; decodable-but-wrong
 	// labels are rejected by verification.
 	g := topo.Synthetic()
 	tb := newTestbed(g, 5, &core.Protocol{})
-	rng := rand.New(rand.NewSource(5))
-	tb.net.Mangle = func(from, to topo.NodeID, raw []byte) []byte {
-		if rng.Intn(4) == 0 && len(raw) > 0 {
-			out := append([]byte{}, raw...)
-			out[rng.Intn(len(out))] ^= 0xff
-			return out
-		}
-		return raw
-	}
+	tb.net.Faults = byteFlipper{rand.New(rand.NewSource(5))}
 	oldP, newP := topo.SyntheticPaths()
 	f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
 	if _, err := tb.ctl.TriggerUpdate(f, newP, forceType(packet.UpdateSingle)); err != nil {
@@ -339,7 +347,7 @@ func TestDuplicatedUNMsIdempotent(t *testing.T) {
 	for _, ut := range []packet.UpdateType{packet.UpdateSingle, packet.UpdateDual} {
 		g := topo.Synthetic()
 		tb := newTestbed(g, 81, &core.Protocol{})
-		tb.net.Duplicate = func(topo.NodeID, topo.NodeID, []byte) bool { return true }
+		attachRules(tb, duplicateAllData())
 		oldP, newP := topo.SyntheticPaths()
 		f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
 		u, err := tb.ctl.TriggerUpdate(f, newP, &ut)
@@ -366,7 +374,7 @@ func TestDuplicatedControlAndDataUnderCongestion(t *testing.T) {
 	// must not be double-booked by replayed notifications.
 	g := topo.Synthetic()
 	tb := newTestbed(g, 82, &core.Protocol{Congestion: true})
-	tb.net.Duplicate = func(topo.NodeID, topo.NodeID, []byte) bool { return true }
+	attachRules(tb, duplicateAllData())
 	oldP, newP := topo.SyntheticPaths()
 	f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 600_000) // 600 Mbps of 1000
 	u, err := tb.ctl.TriggerUpdate(f, newP, forceType(packet.UpdateDual))

@@ -1,6 +1,4 @@
-// Faults-based equivalents of the bespoke Drop/Mangle closure tests:
-// the same scenarios expressed as plan rules. The legacy closure hooks
-// stay covered by TestSendPortDropAndMangle as the compatibility shim.
+// Drop, corrupt and duplicate on the data path, expressed as plan rules.
 // This file is an external test package because the in-package tests
 // cannot import internal/faults (import cycle).
 package dataplane_test

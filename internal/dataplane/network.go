@@ -10,8 +10,8 @@ import (
 	"p4update/internal/trace"
 )
 
-// FaultClass classifies a frame for the fault injector: the three
-// transmission paths of the fabric are faultable independently.
+// FaultClass classifies a frame for emit and the fault injector: the
+// three transmission paths of the fabric are faultable independently.
 type FaultClass uint8
 
 // Fault classes.
@@ -37,21 +37,26 @@ type FaultAction struct {
 	Delay time.Duration
 }
 
-// FaultInjector decides the fate of every transmitted frame. It is the
-// seam internal/faults plugs into; the legacy per-hook closures
-// (Drop/Duplicate/Mangle/...) remain as a thin compatibility shim for
-// targeted unit tests and are consulted before the injector.
+// FaultInjector decides the fate of every frame delivered inside this
+// process. It is the fabric's one fault seam: internal/faults is the
+// implementation every harness attaches, and a test that needs a
+// frame's content (a sniffer, a hand-picked byte flip) implements it
+// directly. The controller end of a control-channel frame is
+// NodeController.
 type FaultInjector interface {
-	// Inspect may corrupt the frame by rewriting raw in place; a
+	// Inspect may corrupt the frame by rewriting raw in place. The
 	// returned slice must alias raw's allocation (in-place edits or
-	// truncation only) so buffer recycling stays valid.
+	// truncation only): the buffer is pooled and recycled after its last
+	// delivery.
 	Inspect(class FaultClass, from, to topo.NodeID, raw []byte) ([]byte, FaultAction)
 }
 
-// Network is the fabric connecting the switches of one topology: it
-// serializes messages onto links, applies link latency, and offers
-// failure-injection hooks (drop, corrupt, delay) plus observation hooks
-// for the experiment harnesses.
+// Network is the fabric connecting the switches of one topology and
+// their controller. Every frame — switch to switch, switch to
+// controller, controller to switch — goes through one transmission path
+// (emit) with two seams on it: Proc routes frames that leave the process,
+// Faults loses, delays, duplicates or corrupts the ones that stay. The
+// OnApply/OnDeliver observers are measurement only.
 type Network struct {
 	Eng  *sim.Engine
 	Topo *topo.Topology
@@ -65,38 +70,16 @@ type Network struct {
 	// ControllerRx receives controller-bound messages (FRM/UFM).
 	ControllerRx func(from topo.NodeID, raw []byte)
 
-	// Drop, when set, may discard a data-plane frame in flight.
-	Drop func(from, to topo.NodeID, raw []byte) bool
-	// Duplicate, when set, may deliver a data-plane frame twice (tests
-	// protocol idempotence under at-least-once delivery).
-	Duplicate func(from, to topo.NodeID, raw []byte) bool
-	// Mangle, when set, may rewrite a data-plane frame in flight
-	// (bit-flip / corruption injection).
-	Mangle func(from, to topo.NodeID, raw []byte) []byte
-	// ExtraDelay, when set, adds latency to a data-plane frame.
-	ExtraDelay func(from, to topo.NodeID, raw []byte) time.Duration
-
-	// Faults, when set, is consulted for every frame on all three
-	// transmission paths — data plane and both control-channel
-	// directions (internal/faults implements it). It runs after the
-	// legacy closures above, so with no injector attached the fabric
-	// behaves byte-identically to earlier revisions.
+	// Faults, when set, is consulted for every frame of all three
+	// classes that is delivered inside this process. Nil is a lossless,
+	// in-order fabric.
 	Faults FaultInjector
 
-	// Proc, when set, splits the fabric across OS processes
-	// (deployment mode): frames addressed to nodes this process does
-	// not own are serialized into fresh buffers and handed to the
-	// transport instead of the in-memory delivery queue. Sends are
-	// trace-recorded before the intercept, so a process's flight
-	// recorder captures its half of the conversation exactly as the
-	// simulator would.
+	// Proc, when set, splits the fabric across OS processes (deployment
+	// mode): a frame addressed to a party this process does not own
+	// leaves through the transport instead of the in-memory delivery
+	// queue.
 	Proc Transport
-
-	// DropControl, when set, may discard a controller<->switch frame.
-	DropControl func(node topo.NodeID, toController bool, raw []byte) bool
-	// ExtraControlDelay, when set, adds latency to a controller<->switch
-	// frame (models stragglers and reordering, §4.1).
-	ExtraControlDelay func(node topo.NodeID, toController bool, raw []byte) time.Duration
 
 	// OnApply observes committed rule changes (measurement only).
 	OnApply func(node topo.NodeID, f packet.FlowID, version uint32)
@@ -196,16 +179,14 @@ func (t *flowTable) id(i int32) packet.FlowID {
 	return t.slots[i].id
 }
 
-// delivery is a pooled in-flight frame: switch-bound (ctrl false, via
-// node/inPort) or controller-bound (ctrl true, node = sender). recycle
-// marks the last delivery of raw, after which the buffer returns to the
-// pool.
+// delivery is a pooled in-flight frame, controller-bound when to is
+// NodeController. recycle marks the last delivery of raw, after which the
+// buffer returns to the pool.
 type delivery struct {
-	ctrl    bool
-	node    topo.NodeID
-	inPort  topo.PortID
-	raw     []byte
-	recycle bool
+	from, to topo.NodeID
+	inPort   topo.PortID
+	raw      []byte
+	recycle  bool
 }
 
 // NewNetwork builds a switch per topology node. Control latency defaults
@@ -382,9 +363,9 @@ func (n *Network) newDelivery() *delivery {
 // the steady-state send path allocates nothing.
 func (n *Network) deliver(x any) {
 	dv := x.(*delivery)
-	if dv.ctrl {
-		n.ControllerRx(dv.node, dv.raw)
-	} else if sw := n.switches[dv.node]; sw.down {
+	if dv.to == NodeController {
+		n.ControllerRx(dv.from, dv.raw)
+	} else if sw := n.switches[dv.to]; sw.down {
 		// Frames addressed to a crashed switch vanish at its port.
 		sw.Stats.CrashDrops++
 	} else {
@@ -418,24 +399,24 @@ func (n *Network) SetInstallDelay(f func() time.Duration) {
 }
 
 // Transport routes frames that leave this OS process in deployment
-// mode (cmd/controllerd, cmd/switchd). The Network consults it on
-// every send path; frames between two locally-owned parties stay on
-// the in-memory queue, everything else crosses the wire. Forward*
-// receive freshly-allocated buffers (never pooled) because a reliable
-// transport retains them for retransmission.
+// mode (cmd/controllerd, cmd/switchd). emit consults it for every
+// frame: one between two locally-owned parties stays on the in-memory
+// queue, everything else crosses the wire.
 type Transport interface {
-	// LocalNode reports whether this process owns switch n.
-	LocalNode(n topo.NodeID) bool
-	// LocalController reports whether this process owns the controller.
-	LocalController() bool
-	// ForwardPort carries a switch-to-switch frame that will arrive at
-	// to on inPort.
-	ForwardPort(from, to topo.NodeID, inPort topo.PortID, raw []byte)
-	// ForwardUp carries a switch-to-controller frame.
-	ForwardUp(from topo.NodeID, raw []byte)
-	// ForwardDown carries a controller-to-switch frame.
-	ForwardDown(to topo.NodeID, raw []byte)
+	// Local reports whether this process owns party: a switch, or the
+	// controller as NodeController.
+	Local(party topo.NodeID) bool
+	// Forward carries raw from from to to, where it arrives on inPort
+	// (topo.InvalidPort for a control-channel frame in either
+	// direction). raw is freshly allocated, never pooled: a reliable
+	// transport retains it for retransmission.
+	Forward(from, to topo.NodeID, inPort topo.PortID, raw []byte)
 }
+
+// NodeController is the sentinel NodeID of the controller end of a
+// control-channel frame: in emit, the fault injector, the transport and
+// the flight recorder.
+const NodeController topo.NodeID = -1
 
 // SendPort serializes m and transmits it out the given port of from,
 // delivering it to the neighbor after the link latency.
@@ -448,146 +429,63 @@ func (n *Network) SendPort(from topo.NodeID, port topo.PortID, m packet.Message)
 		panic(fmt.Sprintf("dataplane: node %d has no port %d", from, port))
 	}
 	to := link.Other(from)
-	if n.switches[from].down {
-		return // a crashed switch transmits nothing
-	}
-	if tr := n.Eng.Trace; tr != nil {
-		n.recordSend(tr, from, to, m)
-	}
-	if n.Proc != nil && !n.Proc.LocalNode(to) {
-		n.Proc.ForwardPort(from, to, link.PortAt(to), packet.Marshal(m))
-		return
-	}
-	raw := m.SerializeTo(n.pool.GetBuf())
-	if n.Drop != nil && n.Drop(from, to, raw) {
-		n.pool.PutBuf(raw)
-		return
-	}
-	recycle := true
-	if n.Mangle != nil {
-		// The hook may return an aliased or test-owned slice; never
-		// recycle a mangled frame.
-		raw = n.Mangle(from, to, raw)
-		recycle = false
-	}
-	delay := link.Latency
-	if n.ExtraDelay != nil {
-		delay += n.ExtraDelay(from, to, raw)
-	}
-	dup := n.Duplicate != nil && n.Duplicate(from, to, raw)
-	if n.Faults != nil {
-		var act FaultAction
-		raw, act = n.Faults.Inspect(FaultData, from, to, raw)
-		if act.Drop {
-			if recycle {
-				n.pool.PutBuf(raw)
-			}
-			return
-		}
-		dup = dup || act.Duplicate
-		delay += act.Delay
-	}
-	inPort := link.PortAt(to)
-	dv := n.newDelivery()
-	*dv = delivery{node: to, inPort: inPort, raw: raw, recycle: recycle && !dup}
-	n.Eng.ScheduleArg(delay, n.deliverFn, dv)
-	if dup {
-		// Same raw delivered twice: only the second (last) delivery may
-		// recycle the buffer.
-		dv2 := n.newDelivery()
-		*dv2 = delivery{node: to, inPort: inPort, raw: raw, recycle: recycle}
-		n.Eng.ScheduleArg(delay+time.Millisecond, n.deliverFn, dv2)
-	}
+	n.emit(FaultData, from, to, link.PortAt(to), link.Latency, m)
 }
 
-// NodeController is the sentinel NodeID representing the controller end
-// of a control-channel frame in fault-injector callbacks.
-const NodeController topo.NodeID = -1
-
 // SendToController serializes m and delivers it to the controller after
-// the node's control-channel latency.
+// the node's control-channel latency. With the controller in this
+// process and no ControllerRx attached there is nobody to send to:
+// nothing is transmitted and nothing traced.
 func (n *Network) SendToController(from topo.NodeID, m packet.Message) {
-	if n.Proc != nil && !n.Proc.LocalController() {
-		if n.switches[from].down {
-			return
-		}
-		if tr := n.Eng.Trace; tr != nil {
-			n.recordSend(tr, from, NodeController, m)
-		}
-		n.Proc.ForwardUp(from, packet.Marshal(m))
+	if n.ControllerRx == nil && n.local(NodeController) {
 		return
 	}
-	if n.ControllerRx == nil {
-		return
-	}
-	if n.switches[from].down {
-		return // a crashed switch transmits nothing
-	}
-	if tr := n.Eng.Trace; tr != nil {
-		n.recordSend(tr, from, NodeController, m)
-	}
-	raw := m.SerializeTo(n.pool.GetBuf())
-	if n.DropControl != nil && n.DropControl(from, true, raw) {
-		n.pool.PutBuf(raw)
-		return
-	}
-	var delay time.Duration
-	if n.ControlLatency != nil {
-		delay = n.ControlLatency(from)
-	}
-	if n.ExtraControlDelay != nil {
-		delay += n.ExtraControlDelay(from, true, raw)
-	}
-	var dup bool
-	if n.Faults != nil {
-		var act FaultAction
-		raw, act = n.Faults.Inspect(FaultControlUp, from, NodeController, raw)
-		if act.Drop {
-			n.pool.PutBuf(raw)
-			return
-		}
-		dup = act.Duplicate
-		delay += act.Delay
-	}
-	// raw is valid only for the duration of the ControllerRx call; the
-	// controller decodes (copying every field) and must not retain it.
-	dv := n.newDelivery()
-	*dv = delivery{ctrl: true, node: from, raw: raw, recycle: !dup}
-	n.Eng.ScheduleArg(delay, n.deliverFn, dv)
-	if dup {
-		dv2 := n.newDelivery()
-		*dv2 = delivery{ctrl: true, node: from, raw: raw, recycle: true}
-		n.Eng.ScheduleArg(delay+time.Millisecond, n.deliverFn, dv2)
-	}
+	n.emit(FaultControlUp, from, NodeController, topo.InvalidPort, n.controlDelay(from), m)
 }
 
 // SendToSwitch serializes m at the controller and delivers it to node
 // after the control-channel latency. The extraDelay parameter lets
 // callers model per-message controller-side queuing.
 func (n *Network) SendToSwitch(node topo.NodeID, m packet.Message, extraDelay time.Duration) {
+	n.emit(FaultControlDown, NodeController, node, topo.InvalidPort, extraDelay+n.controlDelay(node), m)
+}
+
+// local reports whether party lives in this process.
+func (n *Network) local(party topo.NodeID) bool { return n.Proc == nil || n.Proc.Local(party) }
+
+// controlDelay is the one-way control-channel latency of node.
+func (n *Network) controlDelay(node topo.NodeID) time.Duration {
+	if n.ControlLatency == nil {
+		return 0
+	}
+	return n.ControlLatency(node)
+}
+
+// emit is the one way onto the wire: every frame of every class passes
+// the same stages in the same order (DESIGN.md "One transmission path").
+// from or to is NodeController on the control channel, inPort the port
+// the frame arrives on at to, delay the path's latency before faults.
+func (n *Network) emit(class FaultClass, from, to topo.NodeID, inPort topo.PortID, delay time.Duration, m packet.Message) {
+	if from != NodeController && n.switches[from].down {
+		return // 1. a crashed switch transmits nothing
+	}
+	// 2. Record, before routing: each process's flight recorder holds its
+	// half of the conversation exactly as the simulator would.
 	if tr := n.Eng.Trace; tr != nil {
-		n.recordSend(tr, NodeController, node, m)
+		n.recordSend(tr, from, to, m)
 	}
-	if n.Proc != nil && !n.Proc.LocalNode(node) {
-		n.Proc.ForwardDown(node, packet.Marshal(m))
+	// 3. Route: a frame for a party another process owns leaves through
+	// the transport, which brings its own loss — no injection.
+	if !n.local(to) {
+		n.Proc.Forward(from, to, inPort, packet.Marshal(m))
 		return
 	}
+	// 4. Inject faults on the pooled serialized frame.
 	raw := m.SerializeTo(n.pool.GetBuf())
-	if n.DropControl != nil && n.DropControl(node, false, raw) {
-		n.pool.PutBuf(raw)
-		return
-	}
-	delay := extraDelay
-	if n.ControlLatency != nil {
-		delay += n.ControlLatency(node)
-	}
-	if n.ExtraControlDelay != nil {
-		delay += n.ExtraControlDelay(node, false, raw)
-	}
 	var dup bool
 	if n.Faults != nil {
 		var act FaultAction
-		raw, act = n.Faults.Inspect(FaultControlDown, NodeController, node, raw)
+		raw, act = n.Faults.Inspect(class, from, to, raw)
 		if act.Drop {
 			n.pool.PutBuf(raw)
 			return
@@ -595,12 +493,15 @@ func (n *Network) SendToSwitch(node topo.NodeID, m packet.Message, extraDelay ti
 		dup = act.Duplicate
 		delay += act.Delay
 	}
+	// 5. Schedule delivery. raw is valid only until the receiver returns
+	// (it decodes, copying every field); a duplicated frame is the same
+	// raw delivered twice, and only the last delivery recycles it.
 	dv := n.newDelivery()
-	*dv = delivery{node: node, inPort: topo.InvalidPort, raw: raw, recycle: !dup}
+	*dv = delivery{from: from, to: to, inPort: inPort, raw: raw, recycle: !dup}
 	n.Eng.ScheduleArg(delay, n.deliverFn, dv)
 	if dup {
 		dv2 := n.newDelivery()
-		*dv2 = delivery{node: node, inPort: topo.InvalidPort, raw: raw, recycle: true}
+		*dv2 = delivery{from: from, to: to, inPort: inPort, raw: raw, recycle: true}
 		n.Eng.ScheduleArg(delay+time.Millisecond, n.deliverFn, dv2)
 	}
 }

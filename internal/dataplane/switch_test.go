@@ -313,36 +313,3 @@ func TestTracePathLoopGuard(t *testing.T) {
 		t.Errorf("loop guard visited %d nodes, want maxHops+1", len(visited))
 	}
 }
-
-// TestSendPortDropAndMangle covers the legacy closure hooks, kept as a
-// thin compatibility shim under the plan-based chaos harness (see
-// faults_integration_test.go for the faults.Plan equivalents).
-func TestSendPortDropAndMangle(t *testing.T) {
-	net, _ := lineNet(t, 1)
-	f := packet.FlowID(3)
-	net.InstallPath(f, []topo.NodeID{0, 1, 2, 3}, 1, 100)
-
-	dropped := 0
-	net.Drop = func(from, to topo.NodeID, raw []byte) bool {
-		if from == 1 && to == 2 {
-			dropped++
-			return true
-		}
-		return false
-	}
-	net.Switch(0).InjectData(&packet.Data{Flow: f, Seq: 1, TTL: 8})
-	net.Eng.Run()
-	if dropped != 1 {
-		t.Fatal("drop hook not invoked")
-	}
-	if net.Switch(3).Stats.DataDelivered != 0 {
-		t.Error("dropped packet delivered")
-	}
-	net.Drop = nil
-	net.Mangle = func(from, to topo.NodeID, raw []byte) []byte { return []byte{0xee} }
-	net.Switch(0).InjectData(&packet.Data{Flow: f, Seq: 2, TTL: 8})
-	net.Eng.Run()
-	if net.Switch(1).Stats.DecodeErrors != 1 {
-		t.Error("mangled frame not rejected at the receiver")
-	}
-}

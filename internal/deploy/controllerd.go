@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"p4update/internal/controlplane"
+	"p4update/internal/dataplane"
 	"p4update/internal/packet"
 	"p4update/internal/topo"
 	"p4update/internal/transport"
@@ -113,7 +114,7 @@ func NewControllerDaemon(cfg ControllerConfig) (*ControllerDaemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.view = &wireView{controller: true}
+	d.view = &wireView{self: dataplane.NodeController}
 	d.sys = wiring.New(g, cfg.Scn.wiringCfg(d.view))
 	d.host = NewHost(d.sys.Eng)
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"p4update/internal/dataplane"
 	"p4update/internal/packet"
 	"p4update/internal/topo"
 	"p4update/internal/trace"
@@ -91,7 +92,7 @@ func (s Scenario) Force() *packet.UpdateType {
 
 // wiringCfg builds the trial config shared by the oracle and every
 // deployment process; tr is nil for the oracle.
-func (s Scenario) wiringCfg(tr wiringTransport) wiring.Config {
+func (s Scenario) wiringCfg(tr dataplane.Transport) wiring.Config {
 	return wiring.Config{
 		Seed:             s.Seed,
 		System:           "p4update",

@@ -12,36 +12,28 @@ import (
 	"p4update/internal/transport"
 )
 
-// wiringTransport is the seam the deployment glue plugs into the
-// dataplane (nil for the in-simulator oracle run).
-type wiringTransport = dataplane.Transport
-
 // wireView implements dataplane.Transport for one process: exactly one
-// party (switch Self, or the controller) is local; every frame bound
-// elsewhere is wrapped in a packet.Frame and handed to send (which
-// feeds the reliability endpoint). The remaining wiring.System parties
-// exist as silent replicas — the intercepts guarantee they never
-// receive traffic.
+// party (a switch, or the controller as dataplane.NodeController) is
+// local; every frame bound elsewhere is wrapped in a packet.Frame and
+// handed to send (which feeds the reliability endpoint). The remaining
+// wiring.System parties exist as silent replicas — the intercept
+// guarantees they never receive traffic.
 type wireView struct {
-	self       topo.NodeID
-	controller bool
-	send       func(to int32, f *packet.Frame)
+	self topo.NodeID
+	send func(to int32, f *packet.Frame)
 }
 
-func (v *wireView) LocalNode(n topo.NodeID) bool { return !v.controller && n == v.self }
-func (v *wireView) LocalController() bool        { return v.controller }
+func (v *wireView) Local(party topo.NodeID) bool { return party == v.self }
 
-func (v *wireView) ForwardPort(from, to topo.NodeID, inPort topo.PortID, raw []byte) {
+// Forward wraps raw for the reliability endpoint. The controller's node
+// ID is its peer ID (pinned below), and topo.InvalidPort (control-channel
+// frames) converts to packet.NoPort.
+func (v *wireView) Forward(from, to topo.NodeID, inPort topo.PortID, raw []byte) {
 	v.send(int32(to), &packet.Frame{Verb: packet.VerbMsg, InPort: uint16(int32(inPort)), Payload: raw})
 }
 
-func (v *wireView) ForwardUp(from topo.NodeID, raw []byte) {
-	v.send(int32(transport.ControllerPeer), &packet.Frame{Verb: packet.VerbMsg, InPort: packet.NoPort, Payload: raw})
-}
-
-func (v *wireView) ForwardDown(to topo.NodeID, raw []byte) {
-	v.send(int32(to), &packet.Frame{Verb: packet.VerbMsg, InPort: packet.NoPort, Payload: raw})
-}
+// Compile-time pin: dataplane.NodeController == transport.ControllerPeer.
+var _ = [1]struct{}{}[int32(dataplane.NodeController)-transport.ControllerPeer]
 
 // rxPort maps a frame's InPort back to the dataplane's notion: NoPort
 // (controller traffic) becomes topo.InvalidPort.

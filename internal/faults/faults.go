@@ -76,9 +76,9 @@ const (
 )
 
 // Rule is a targeted, randomness-free fault: it fires on the first
-// Count frames matching its filters (Count 0 = unlimited). Rules are
-// the plan-level replacement for the bespoke Drop/Duplicate/Mangle
-// closures the protocol recovery tests used to wire by hand.
+// Count frames matching its filters (Count 0 = unlimited). Rules are how
+// a test says "lose exactly this frame"; one that needs a frame's
+// content implements dataplane.FaultInjector itself.
 type Rule struct {
 	// From/To filter the frame's endpoints (AnyNode = wildcard; the
 	// controller end of a control frame is dataplane.NodeController).

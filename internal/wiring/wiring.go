@@ -30,64 +30,6 @@ import (
 	"p4update/internal/trace"
 )
 
-// Strategy selects the update system a wired network runs.
-//
-// Deprecated: select systems by registered name (Config.System /
-// Lookup). The enum remains as a thin alias layer so existing callers
-// keep compiling; it maps onto registry names via SystemName.
-type Strategy int
-
-// Strategies.
-const (
-	// Auto runs P4Update with the §7.5 single/dual-layer policy.
-	Auto Strategy = iota
-	// SingleLayer forces single-layer P4Update.
-	SingleLayer
-	// DualLayer forces dual-layer P4Update.
-	DualLayer
-	// EZSegway runs the decentralized ez-Segway baseline.
-	EZSegway
-	// Central runs the centralized dependency-graph baseline.
-	Central
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "p4update-auto"
-	case SingleLayer:
-		return "p4update-sl"
-	case DualLayer:
-		return "p4update-dl"
-	case EZSegway:
-		return "ez-segway"
-	case Central:
-		return "central"
-	default:
-		return "unknown"
-	}
-}
-
-// SystemName maps the deprecated enum value onto its registry name (""
-// for unknown values, which Lookup then rejects).
-func (s Strategy) SystemName() string {
-	switch s {
-	case Auto:
-		return "p4update"
-	case SingleLayer:
-		return "p4update-sl"
-	case DualLayer:
-		return "p4update-dl"
-	case EZSegway:
-		return "ez-segway"
-	case Central:
-		return "central"
-	default:
-		return ""
-	}
-}
-
 // Config is the one knob set from which every system is built. The zero
 // value is usable (seed 0, P4Update auto policy, no delays); callers
 // layer their own defaults on top before calling New.
@@ -96,13 +38,8 @@ type Config struct {
 	Seed int64
 	// System selects the update system by registered name ("p4update",
 	// "ez-segway", "central", "local-verify", "ppcu", "opt-oracle", or a
-	// registered variant). Empty falls back to the deprecated Strategy
-	// enum below.
+	// registered variant; AllNames lists them). Empty means "p4update".
 	System string
-	// Strategy selects the update system.
-	//
-	// Deprecated: set System to the registry name instead.
-	Strategy Strategy
 	// Congestion enables link-capacity enforcement and each system's
 	// scheduler (P4Update §7.4, ez-Segway's static dependency graph).
 	Congestion bool
@@ -264,7 +201,7 @@ func New(g *topo.Topology, cfg Config) *System {
 
 	name := cfg.System
 	if name == "" {
-		name = cfg.Strategy.SystemName()
+		name = "p4update"
 	}
 	s := &System{Cfg: cfg, Topo: g, Eng: eng, Net: net, Ctl: ctl, Trace: eng.Trace, name: name}
 	if drv, ok := Lookup(name); ok {

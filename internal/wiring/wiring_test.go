@@ -1,92 +1,85 @@
 package wiring
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"p4update/internal/topo"
 )
 
-func TestStrategyString(t *testing.T) {
-	cases := []struct {
-		s    Strategy
-		want string
-	}{
-		{Auto, "p4update-auto"},
-		{SingleLayer, "p4update-sl"},
-		{DualLayer, "p4update-dl"},
-		{EZSegway, "ez-segway"},
-		{Central, "central"},
-		{Strategy(42), "unknown"},
-	}
-	for _, c := range cases {
-		if got := c.s.String(); got != c.want {
-			t.Errorf("Strategy(%d).String() = %q, want %q", int(c.s), got, c.want)
-		}
-	}
-}
-
+// TestNewWiresStrategySpecificControllers: every registered name builds a
+// complete system, and each system's coordinator — only its own — is
+// attached. The empty name is "p4update".
 func TestNewWiresStrategySpecificControllers(t *testing.T) {
-	cases := []struct {
-		strategy       Strategy
-		wantEZ, wantCO bool
-	}{
-		{Auto, false, false},
-		{SingleLayer, false, false},
-		{DualLayer, false, false},
-		{EZSegway, true, false},
-		{Central, false, true},
-	}
-	for _, c := range cases {
-		sys := New(topo.Synthetic(), Config{Seed: 1, Strategy: c.strategy})
-		if sys.Eng == nil || sys.Net == nil || sys.Ctl == nil {
-			t.Fatalf("%v: incomplete system", c.strategy)
+	coordinators := func(s *System) map[string]bool {
+		return map[string]bool{
+			"ez-segway": s.EZ != nil, "central": s.CO != nil, "local-verify": s.LV != nil,
+			"ppcu": s.PP != nil, "opt-oracle": s.OO != nil,
 		}
-		if (sys.EZ != nil) != c.wantEZ || (sys.CO != nil) != c.wantCO {
-			t.Errorf("%v: EZ=%v CO=%v, want EZ=%v CO=%v",
-				c.strategy, sys.EZ != nil, sys.CO != nil, c.wantEZ, c.wantCO)
+	}
+	for _, name := range append(AllNames(), "") {
+		sys := New(topo.Synthetic(), Config{Seed: 1, System: name})
+		if sys.Eng == nil || sys.Net == nil || sys.Ctl == nil || sys.Driver == nil {
+			t.Fatalf("%q: incomplete system", name)
+		}
+		if name == "" {
+			name = "p4update"
+		}
+		if sys.SystemName() != name {
+			t.Errorf("SystemName() = %q, want %q", sys.SystemName(), name)
+		}
+		for owner, attached := range coordinators(sys) {
+			if attached != (owner == name) {
+				t.Errorf("%q: coordinator of %q attached = %v", name, owner, attached)
+			}
 		}
 	}
 }
 
 // TestTriggerCompletesUnderEveryStrategy drives one full update through
-// each strategy's dispatch path — the single wiring-level switch that
-// replaced the per-caller copies.
+// the dispatch path of every registered system.
 func TestTriggerCompletesUnderEveryStrategy(t *testing.T) {
 	oldP, newP := topo.SyntheticPaths()
-	for _, s := range []Strategy{Auto, SingleLayer, DualLayer, EZSegway, Central} {
+	for _, name := range AllNames() {
 		sys := New(topo.Synthetic(), Config{
 			Seed:          1,
-			Strategy:      s,
+			System:        name,
 			MaxEvents:     5_000_000,
 			CtrlProcDelay: 500 * time.Microsecond,
 		})
 		f, err := sys.Ctl.RegisterFlow(0, 7, oldP, 1000)
 		if err != nil {
-			t.Fatalf("%v: register: %v", s, err)
+			t.Fatalf("%s: register: %v", name, err)
 		}
 		u, err := sys.Trigger(f, newP)
 		if err != nil {
-			t.Fatalf("%v: trigger: %v", s, err)
+			t.Fatalf("%s: trigger: %v", name, err)
 		}
 		if u == nil {
-			t.Fatalf("%v: nil status", s)
+			t.Fatalf("%s: nil status", name)
 		}
 		sys.Eng.Run()
 		if !u.Done() {
-			t.Errorf("%v: update did not complete", s)
+			t.Errorf("%s: update did not complete", name)
 		}
 	}
 }
 
+// TestTriggerUnknownStrategyErrors: an unregistered name still wires an
+// inspectable data plane, and Trigger names the systems that exist.
 func TestTriggerUnknownStrategyErrors(t *testing.T) {
-	sys := New(topo.Synthetic(), Config{Seed: 1, Strategy: Strategy(42)})
+	sys := New(topo.Synthetic(), Config{Seed: 1, System: "no-such-system"})
 	oldP, _ := topo.SyntheticPaths()
 	f, err := sys.Ctl.RegisterFlow(0, 7, oldP, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Trigger(f, oldP); err == nil {
-		t.Fatal("unknown strategy did not error")
+	_, err = sys.Trigger(f, oldP)
+	if err == nil {
+		t.Fatal("unknown system name did not error")
+	}
+	if !strings.Contains(err.Error(), "no-such-system") || !strings.Contains(err.Error(), "ez-segway") {
+		t.Errorf("error %q names neither the unknown system nor the available ones", err)
 	}
 }

@@ -6,8 +6,10 @@
 // software-switch model (per-flow register arrays, clone, resubmit,
 // capacity accounting), the P4Update update protocol (single-layer and
 // dual-layer verification, congestion freedom with a dynamic data-plane
-// scheduler), the evaluation baselines (ez-Segway, Central), and the
-// harnesses regenerating the paper's figures.
+// scheduler), the evaluation baselines, and the harnesses regenerating
+// the paper's figures. WithSystem picks the update system by registered
+// name: "p4update" (default; §7.5 single/dual-layer policy), "p4update-sl",
+// "p4update-dl", "ez-segway", "central", "local-verify", "ppcu", "opt-oracle".
 //
 // Quick start:
 //
@@ -96,34 +98,6 @@ var (
 	EdgeSwitches = topo.EdgeSwitches
 )
 
-// Strategy selects the update system a Network runs. It aliases the
-// internal wiring strategy so the facade and the evaluation harness
-// share one construction path.
-//
-// Deprecated: select systems by registered name via WithSystem
-// ("p4update", "ez-segway", "central", "local-verify", "ppcu",
-// "opt-oracle", ...; see Systems). The enum remains a thin alias layer
-// over those names so existing callers keep compiling.
-type Strategy = wiring.Strategy
-
-// Strategies.
-//
-// Deprecated: use WithSystem with the corresponding registry name
-// instead ("p4update", "p4update-sl", "p4update-dl", "ez-segway",
-// "central").
-const (
-	// StrategyAuto runs P4Update with the §7.5 single/dual-layer policy.
-	StrategyAuto = wiring.Auto
-	// StrategySL forces single-layer P4Update.
-	StrategySL = wiring.SingleLayer
-	// StrategyDL forces dual-layer P4Update.
-	StrategyDL = wiring.DualLayer
-	// StrategyEZSegway runs the decentralized ez-Segway baseline.
-	StrategyEZSegway = wiring.EZSegway
-	// StrategyCentral runs the centralized dependency-graph baseline.
-	StrategyCentral = wiring.Central
-)
-
 // Systems lists every registered update-system name accepted by
 // WithSystem: the primary systems in evaluation order followed by the
 // registered variants.
@@ -155,11 +129,6 @@ type Option func(*config)
 // WithSeed fixes the simulation seed (runs are fully deterministic per
 // seed).
 func WithSeed(seed int64) Option { return func(c *config) { c.Seed = seed } }
-
-// WithStrategy selects the update system (default StrategyAuto).
-//
-// Deprecated: use WithSystem with a registered name instead.
-func WithStrategy(s Strategy) Option { return func(c *config) { c.Strategy = s } }
 
 // WithSystem selects the update system by its registered name (see
 // Systems for the accepted names; default "p4update"). Building a
@@ -206,7 +175,7 @@ func WithSampledControlLatency(f func() time.Duration) Option {
 	return func(c *config) { c.SampledControl = f }
 }
 
-// Network is a fully wired system under one update strategy.
+// Network is a fully wired system under one update system.
 type Network struct {
 	sys *wiring.System
 }
@@ -236,7 +205,7 @@ func (n *Network) Controller() *controlplane.Controller { return n.sys.Ctl }
 // Switch returns the data-plane switch at a node.
 func (n *Network) Switch(id NodeID) *Switch { return n.sys.Net.Switch(id) }
 
-// Fabric exposes the data-plane network (failure-injection hooks,
+// Fabric exposes the data-plane network (the Faults injection seam,
 // observation taps).
 func (n *Network) Fabric() *dataplane.Network { return n.sys.Net }
 
@@ -262,8 +231,8 @@ func (n *Network) AddFlow(src, dst NodeID, path []NodeID, rateMbps float64) (Flo
 }
 
 // UpdateFlow triggers a consistent route update of flow f to newPath
-// under the network's strategy. The returned status is always non-nil on
-// success: under StrategyEZSegway an update requested while a previous
+// under the network's update system. The returned status is always non-nil
+// on success: under "ez-segway" an update requested while a previous
 // update of the same flow is still in flight is returned in the Queued
 // state and launches automatically once the ongoing update completes.
 func (n *Network) UpdateFlow(f FlowID, newPath []NodeID) (*UpdateStatus, error) {

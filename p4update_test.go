@@ -33,12 +33,9 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestAllStrategiesConverge(t *testing.T) {
-	for _, s := range []p4update.Strategy{
-		p4update.StrategyAuto, p4update.StrategySL, p4update.StrategyDL,
-		p4update.StrategyEZSegway, p4update.StrategyCentral,
-	} {
+	for _, s := range p4update.Systems() {
 		g := p4update.Synthetic()
-		net := p4update.NewNetwork(g, p4update.WithSeed(3), p4update.WithStrategy(s))
+		net := p4update.NewNetwork(g, p4update.WithSeed(3), p4update.WithSystem(s))
 		oldP, newP := p4update.SyntheticPaths()
 		f, err := net.AddFlow(0, 7, oldP, 1.0)
 		if err != nil {
@@ -55,22 +52,6 @@ func TestAllStrategiesConverge(t *testing.T) {
 		got, delivered := net.Forwarding(f, 0)
 		if !delivered || len(got) != len(newP) {
 			t.Fatalf("%v: forwarding %v, want %v", s, got, newP)
-		}
-	}
-}
-
-func TestStrategyStringer(t *testing.T) {
-	want := map[p4update.Strategy]string{
-		p4update.StrategyAuto:     "p4update-auto",
-		p4update.StrategySL:       "p4update-sl",
-		p4update.StrategyDL:       "p4update-dl",
-		p4update.StrategyEZSegway: "ez-segway",
-		p4update.StrategyCentral:  "central",
-		p4update.Strategy(42):     "unknown",
-	}
-	for s, w := range want {
-		if s.String() != w {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), w)
 		}
 	}
 }
