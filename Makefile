@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ledger bench bench-smoke bench-churn bench-soak churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke identical check clean
+.PHONY: all build vet lint test race ledger bench churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke identical check clean
 
 all: check
 
@@ -43,19 +43,10 @@ race:
 ledger:
 	$(GO) run ./benchmark -workload $(WORKLOAD)
 
-# Hot-path microbenchmarks (engine schedule/step) plus the end-to-end
-# Fig. 7 trial benchmark. Results are tracked in BENCH_hotpath.json and
-# BENCH_shared_plan.json.
+# The repository benchmark (BENCHMARK.json): every workload of the
+# ledger, end to end, each in its own process.
 bench:
-	$(GO) test -bench=BenchmarkEngine -benchmem -run=^$$ ./internal/sim/
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Quick regression sweep of the perf-critical benchmarks (10 iterations
-# each): the pooled engine hot path, one Fig. 7 trial, the shared-vs-
-# per-trial setup comparison, and a 500-flow scale trial.
-bench-smoke:
-	$(GO) test -bench=BenchmarkEngine -benchmem -benchtime=10x -run=^$$ ./internal/sim/
-	$(GO) test -bench='BenchmarkFig7Trial|BenchmarkTrialSetup|BenchmarkManyFlowsTrial' -benchmem -benchtime=10x -run=^$$ .
+	$(GO) run ./benchmark
 
 # Fixed-seed short streaming-churn run with the continuous invariant
 # auditor attached (zero audit violations asserted in-test), plus a
@@ -64,12 +55,6 @@ churn-smoke:
 	$(GO) test -run 'TestChurnSmoke|TestChurnAuditSmoke' -v ./internal/experiments/
 	$(GO) run ./cmd/p4update -exp churn -topo fattree4 -arrival-rate 2000 -live-flows 1000 -churn-duration 2s -reroute-every 25ms
 
-# Headline streaming-churn benchmark: 10^5+ live flows sustained on
-# fat-tree K=16 with continuous reroute waves; regenerates
-# BENCH_churn.json.
-bench-churn:
-	P4UPDATE_CHURN_BENCH=1 $(GO) test -run TestWriteChurnBench -v -timeout 30m .
-
 # Fixed-seed soak gate: P4Update must sustain ≥99% availability with
 # zero stalls and zero invariant violations under the squall storm
 # while at least one baseline degrades (asserted in-test), plus a small
@@ -77,12 +62,6 @@ bench-churn:
 soak-smoke:
 	$(GO) test -run 'TestSoak' -v ./internal/experiments/
 	$(GO) run ./cmd/p4update -exp soak -topo b4 -soak-rate 150 -soak-duration 4s -seed 42
-
-# Headline soak benchmark: the full system × storm-profile grid at
-# operator scale (long virtual horizon, all three storm profiles);
-# regenerates BENCH_soak.json.
-bench-soak:
-	P4UPDATE_SOAK_BENCH=1 $(GO) test -run TestWriteSoakBench -v -timeout 30m .
 
 # Short native-fuzzing pass over the wire decoder — the surface the
 # fault injector's corrupt path hammers in every chaotic trial.

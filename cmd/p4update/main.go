@@ -301,54 +301,41 @@ func runFig2(seed int64, topt *trace.Options) *trace.Recorder {
 }
 
 func runFig4(runs int, seed int64) {
-	r, err := experiments.Fig4(runs, seed)
+	fmt.Println(must(experiments.Fig4(runs, seed)))
+}
+
+// must exits on an experiment's error and otherwise returns its result.
+func must[R any](r R, err error) R {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Print(r)
-	fmt.Println()
+	return r
+}
+
+// show prints one experiment's result and a blank line, and returns acc
+// extended by the experiment's trials.
+func show(acc []p4update.TrialResult, result string, trials []p4update.TrialResult) []p4update.TrialResult {
+	fmt.Println(result)
+	return append(acc, trials...)
+}
+
+// showFig7 is show for a Fig. 7-shaped result, followed by its CDF rows
+// when cdf is set.
+func showFig7(acc []p4update.TrialResult, r *experiments.Fig7Result, cdf bool) []p4update.TrialResult {
+	if cdf {
+		return show(acc, r.String()+r.CDFSeries(), r.Trials)
+	}
+	return show(acc, r.String(), r.Trials)
 }
 
 func runFig7(runs int, seed int64, cdf bool, opt experiments.RunOptions) []p4update.TrialResult {
-	type job struct {
-		run  func() (*experiments.Fig7Result, error)
-		name string
-	}
-	jobs := []job{
-		{func() (*experiments.Fig7Result, error) {
-			return experiments.Fig7SingleFlowOpts(topo.Synthetic, "synthetic (Fig. 7a)", runs, seed, opt)
-		}, "fig7a"},
-		{func() (*experiments.Fig7Result, error) {
-			return experiments.Fig7MultiFlowOpts(func() *topo.Topology { return topo.FatTree(4) },
-				"fat-tree K=4 (Fig. 7b)", true, runs, seed, opt)
-		}, "fig7b"},
-		{func() (*experiments.Fig7Result, error) {
-			return experiments.Fig7SingleFlowOpts(topo.B4, "B4 (Fig. 7c)", runs, seed, opt)
-		}, "fig7c"},
-		{func() (*experiments.Fig7Result, error) {
-			return experiments.Fig7MultiFlowOpts(topo.B4, "B4 (Fig. 7d)", false, runs, seed, opt)
-		}, "fig7d"},
-		{func() (*experiments.Fig7Result, error) {
-			return experiments.Fig7SingleFlowOpts(topo.Internet2, "Internet2 (Fig. 7e)", runs, seed, opt)
-		}, "fig7e"},
-		{func() (*experiments.Fig7Result, error) {
-			return experiments.Fig7MultiFlowOpts(topo.Internet2, "Internet2 (Fig. 7f)", false, runs, seed, opt)
-		}, "fig7f"},
-	}
-	var trials []p4update.TrialResult
-	for _, j := range jobs {
-		r, err := j.run()
-		if err != nil {
-			fail(fmt.Errorf("%s: %w", j.name, err))
-		}
-		fmt.Print(r)
-		if cdf {
-			fmt.Print(r.CDFSeries())
-		}
-		fmt.Println()
-		trials = append(trials, r.Trials...)
-	}
-	return trials
+	fatTree4 := func() *topo.Topology { return topo.FatTree(4) }
+	t := showFig7(nil, must(experiments.Fig7SingleFlowOpts(topo.Synthetic, "synthetic (Fig. 7a)", runs, seed, opt)), cdf)
+	t = showFig7(t, must(experiments.Fig7MultiFlowOpts(fatTree4, "fat-tree K=4 (Fig. 7b)", true, runs, seed, opt)), cdf)
+	t = showFig7(t, must(experiments.Fig7SingleFlowOpts(topo.B4, "B4 (Fig. 7c)", runs, seed, opt)), cdf)
+	t = showFig7(t, must(experiments.Fig7MultiFlowOpts(topo.B4, "B4 (Fig. 7d)", false, runs, seed, opt)), cdf)
+	t = showFig7(t, must(experiments.Fig7SingleFlowOpts(topo.Internet2, "Internet2 (Fig. 7e)", runs, seed, opt)), cdf)
+	return showFig7(t, must(experiments.Fig7MultiFlowOpts(topo.Internet2, "Internet2 (Fig. 7f)", false, runs, seed, opt)), cdf)
 }
 
 // runFig7Six runs the optimality-gap evaluation on B4: the Fig. 7c/7d
@@ -356,29 +343,10 @@ func runFig7(runs int, seed int64, cdf bool, opt experiments.RunOptions) []p4upd
 // the commit-round tracker attached, and each trial scored against the
 // offline oracle's round bound.
 func runFig7Six(runs int, seed int64, opt experiments.RunOptions) []p4update.TrialResult {
-	type job struct {
-		run  func() (*experiments.OptGapResult, error)
-		name string
-	}
-	jobs := []job{
-		{func() (*experiments.OptGapResult, error) {
-			return experiments.OptGapSingleFlow(topo.B4, "B4", runs, seed, opt)
-		}, "fig7six-single"},
-		{func() (*experiments.OptGapResult, error) {
-			return experiments.OptGapMultiFlow(topo.B4, "B4", runs, seed, opt)
-		}, "fig7six-multi"},
-	}
-	var trials []p4update.TrialResult
-	for _, j := range jobs {
-		r, err := j.run()
-		if err != nil {
-			fail(fmt.Errorf("%s: %w", j.name, err))
-		}
-		fmt.Print(r)
-		fmt.Println()
-		trials = append(trials, r.Trials...)
-	}
-	return trials
+	single := must(experiments.OptGapSingleFlow(topo.B4, "B4", runs, seed, opt))
+	t := show(nil, single.String(), single.Trials)
+	multi := must(experiments.OptGapMultiFlow(topo.B4, "B4", runs, seed, opt))
+	return show(t, multi.String(), multi.Trials)
 }
 
 // topoBuilder is one named topology the -topo flag can select.
@@ -419,35 +387,17 @@ func validTopos() string {
 	return strings.Join(names, "|")
 }
 
-// runScale runs the many-flow scale experiment (Fig7ManyFlows): nFlows
-// simultaneous flow updates per trial on the selected topologies.
+// runScale runs the many-flow scale experiment (Fig7ManyFlowsOpts):
+// nFlows simultaneous flow updates per trial on the selected topologies.
 func runScale(nFlows int, topoSel string, runs int, seed int64, cdf bool, opt experiments.RunOptions) []p4update.TrialResult {
-	var jobs []topoBuilder
+	names := []string{topoSel}
 	if topoSel == "all" {
-		// The historical default pair: one fat-tree, one WAN.
-		fe, _ := lookupTopo("fattree8")
-		b4, _ := lookupTopo("b4")
-		jobs = []topoBuilder{fe, b4}
-	} else {
-		tb, ok := lookupTopo(topoSel)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -topo %q (valid values: %s|all)\n", topoSel, validTopos())
-			os.Exit(2)
-		}
-		jobs = []topoBuilder{tb}
+		names = []string{"fattree8", "b4"} // the historical default pair: one fat-tree, one WAN
 	}
 	var trials []p4update.TrialResult
-	for _, j := range jobs {
-		r, err := experiments.Fig7ManyFlowsOpts(j.mk, j.label, j.fatTree, nFlows, runs, seed, opt)
-		if err != nil {
-			fail(fmt.Errorf("scale %s: %w", j.label, err))
-		}
-		fmt.Print(r)
-		if cdf {
-			fmt.Print(r.CDFSeries())
-		}
-		fmt.Println()
-		trials = append(trials, r.Trials...)
+	for _, name := range names {
+		tb, _ := lookupTopo(name)
+		trials = showFig7(trials, must(experiments.Fig7ManyFlowsOpts(tb.mk, tb.label, tb.fatTree, nFlows, runs, seed, opt)), cdf)
 	}
 	return trials
 }
@@ -459,37 +409,23 @@ func runChurn(topoSel string, rate float64, live int, dur, rerouteEvery time.Dur
 	if topoSel == "all" {
 		topoSel = "fattree16"
 	}
-	tb, ok := lookupTopo(topoSel)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -topo %q (valid values: %s|all)\n", topoSel, validTopos())
-		os.Exit(2)
-	}
+	tb, _ := lookupTopo(topoSel)
 	co := experiments.DefaultChurnOpts()
 	co.ArrivalRate = rate
 	co.MeanLifetime = time.Duration(float64(live) / rate * float64(time.Second))
 	co.Duration = dur
 	co.RerouteEvery = rerouteEvery
 	co.EdgeOnly = tb.fatTree
-	r, err := experiments.RunChurn(tb.mk, tb.label, runs, seed, co, opt)
-	if err != nil {
-		fail(fmt.Errorf("churn %s: %w", tb.label, err))
-	}
-	fmt.Print(r)
-	fmt.Println()
-	return r.Trials
+	r := must(experiments.RunChurn(tb.mk, tb.label, runs, seed, co, opt))
+	return show(nil, r.String(), r.Trials)
 }
 
 // runFaults runs the deterministic chaos sweep: loss × reorder fault
 // cells across all three systems with the continuous invariant auditor
 // attached. The rate lists arrive pre-validated from the flag block.
 func runFaults(lossRates, reorderRates []float64, crash, auditEvery, runs int, seed int64, opt experiments.RunOptions) []p4update.TrialResult {
-	r, err := experiments.FaultSweep(lossRates, reorderRates, crash, auditEvery, runs, seed, opt)
-	if err != nil {
-		fail(fmt.Errorf("faults: %w", err))
-	}
-	fmt.Print(r)
-	fmt.Println()
-	return r.Trials
+	r := must(experiments.FaultSweep(lossRates, reorderRates, crash, auditEvery, runs, seed, opt))
+	return show(nil, r.String(), r.Trials)
 }
 
 // runSoak runs the fabric-operator soak scenario: streaming churn
@@ -501,11 +437,7 @@ func runSoak(topoSel string, storms []string, rate float64, dur time.Duration, a
 	if topoSel == "all" {
 		topoSel = "b4"
 	}
-	tb, ok := lookupTopo(topoSel)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -topo %q (valid values: %s|all)\n", topoSel, validTopos())
-		os.Exit(2)
-	}
+	tb, _ := lookupTopo(topoSel)
 	so := experiments.DefaultSoakOpts()
 	so.Churn.ArrivalRate = rate
 	so.Churn.Duration = dur
@@ -514,12 +446,8 @@ func runSoak(topoSel string, storms []string, rate float64, dur time.Duration, a
 	if flagGiven("audit-every") {
 		so.AuditEvery = auditEvery
 	}
-	r, err := experiments.RunSoak(tb.mk, tb.label, runs, seed, so, opt)
-	if err != nil {
-		fail(fmt.Errorf("soak %s: %w", tb.label, err))
-	}
-	fmt.Print(r)
-	fmt.Println()
+	r := must(experiments.RunSoak(tb.mk, tb.label, runs, seed, so, opt))
+	trials := show(nil, r.String(), r.Trials)
 	for i, t := range r.Trials {
 		rep := r.Reports[i]
 		if t.Failed || rep == nil || rep.Violations.Total == 0 || t.TraceRec == nil {
@@ -532,7 +460,7 @@ func runSoak(topoSel string, storms []string, rate float64, dur time.Duration, a
 		fmt.Printf("post-mortem: %s recorded %d invariant violations; wrote trailing %d events to %s\n",
 			t.Label, rep.Violations.Total, t.TraceRec.Recorded(), path)
 	}
-	return r.Trials
+	return trials
 }
 
 // parseStorms splits the -storm selection; "all" expands to every
@@ -602,13 +530,8 @@ func runFig8(updates int, seed int64, opt experiments.RunOptions) []p4update.Tri
 			// slow; 200 updates give the same ratio statistics.
 			n = 200
 		}
-		r, err := experiments.Fig8Opts(congestion, n, 30, seed, opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(r)
-		fmt.Println()
-		trials = append(trials, r.Trials...)
+		r := must(experiments.Fig8Opts(congestion, n, 30, seed, opt))
+		trials = show(trials, r.String(), r.Trials)
 	}
 	return trials
 }

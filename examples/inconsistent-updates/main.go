@@ -25,7 +25,7 @@ func main() {
 	for _, kind := range []experiments.SystemKind{
 		experiments.KindEZSegway, experiments.KindP4Update,
 	} {
-		r, err := experiments.Fig2(kind, 1)
+		r, _, err := experiments.Fig2Opts(kind, 1, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -174,3 +174,46 @@ func TestFacadeChainedDualLayer(t *testing.T) {
 		t.Fatal("chained DL update did not complete via the facade")
 	}
 }
+
+// TestAblationDualLayerBeatsSingleLayer is the §7.5 ablation: on the
+// segmented Fig-1 update (old 0,4,2,7 → new 0..7) under exponential
+// 100 ms straggler install delays, forcing the dual-layer update type
+// completes faster on average over seeds 1–10 than forcing the single
+// layer, whose backward segment waits for the whole path.
+func TestAblationDualLayerBeatsSingleLayer(t *testing.T) {
+	oldP := []p4update.NodeID{0, 4, 2, 7}
+	newP := []p4update.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
+	mean := func(system string) time.Duration {
+		const runs = 10
+		var total time.Duration
+		for seed := int64(1); seed <= runs; seed++ {
+			net := p4update.NewNetwork(p4update.Synthetic(),
+				p4update.WithSeed(seed),
+				p4update.WithSystem(system),
+			)
+			eng := net.Fabric().Eng
+			net.Fabric().SetInstallDelay(func() time.Duration {
+				return time.Duration(eng.Rand().ExpFloat64() * float64(100*time.Millisecond))
+			})
+			f, err := net.AddFlow(0, 7, oldP, 1.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := net.UpdateFlow(f, newP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Run()
+			if !u.Done() {
+				t.Fatalf("%s seed %d: update did not complete", system, seed)
+			}
+			total += u.Completed - u.Sent
+		}
+		return total / runs
+	}
+	dl, sl := mean("p4update-dl"), mean("p4update-sl")
+	t.Logf("segmented update, mean completion: DL %v, SL %v", dl, sl)
+	if dl >= sl {
+		t.Errorf("dual layer (%v) not faster than single layer (%v) on the segmented update", dl, sl)
+	}
+}

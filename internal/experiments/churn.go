@@ -44,7 +44,7 @@ type ChurnOpts struct {
 }
 
 // DefaultChurnOpts returns a short smoke-scale configuration; the
-// headline benchmark scales ArrivalRate/Duration up (see BENCH_churn).
+// headline run scales ArrivalRate/Duration up (`p4update -exp churn`).
 func DefaultChurnOpts() ChurnOpts {
 	return ChurnOpts{
 		ArrivalRate:   2000,
@@ -158,16 +158,6 @@ func runChurnTrial(sys *wiring.System, g *topo.Topology, seed int64, opt ChurnOp
 	return m, nil
 }
 
-// churnSystems resolves the grid's system list: churn defaults to
-// P4Update only (the headline perf scenario) rather than the full
-// registered comparison.
-func churnSystems(opt RunOptions) []SystemKind {
-	if len(opt.Systems) > 0 {
-		return opt.Systems
-	}
-	return []SystemKind{KindP4Update}
-}
-
 // RunChurn runs the streaming churn scenario on topology builder mk:
 // `runs` independent trials per system, each sustaining a Poisson
 // arrival/departure stream with continuous reroute waves. Every trial
@@ -181,7 +171,9 @@ func RunChurn(mk func() *topo.Topology, label string, runs int, seed int64, co C
 	}
 	res := &ChurnResult{Label: label, Opts: co}
 	bed := DefaultBedConfig()
-	systems := churnSystems(opt)
+	// Churn defaults to P4Update only (the headline perf scenario) rather
+	// than the full registered comparison.
+	systems := opt.systems(KindP4Update)
 	trials := make([]runner.Trial, 0, len(systems)*runs)
 	for _, kind := range systems {
 		for run := 0; run < runs; run++ {
@@ -189,17 +181,16 @@ func RunChurn(mk func() *topo.Topology, label string, runs int, seed int64, co C
 			g := mk()
 			if co.LatencyJitter > 0 {
 				// One-time seeded jitter, applied before wiring so control
-				// latencies and region partitions see the jittered weights;
-				// makes fat-tree shortest paths unique (exact incremental
-				// repair, see internal/topo/repair.go).
+				// latencies see the jittered weights; makes fat-tree
+				// shortest paths unique (exact incremental repair, see
+				// internal/topo/repair.go).
 				traffic.JitterLatencies(g, trialSeed, co.LatencyJitter)
 			}
 			cfg := bed.WiringConfig(kind, trialSeed)
-			opts := co
 			trials = append(trials, runner.BedTrial(
 				fmt.Sprintf("churn/%s/run%d", label, run), kind.String(), g, cfg,
 				func(sys *wiring.System) (runner.Metrics, error) {
-					return runChurnTrial(sys, g, cfg.Seed, opts)
+					return runChurnTrial(sys, g, cfg.Seed, co)
 				}))
 		}
 	}

@@ -8,11 +8,10 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
-	"p4update/internal/controlplane"
-	"p4update/internal/packet"
 	"p4update/internal/runner"
 	"p4update/internal/topo"
 	"p4update/internal/trace"
@@ -78,10 +77,14 @@ type RunOptions struct {
 	Systems []SystemKind
 }
 
-// systems resolves the grid's system list.
-func (o RunOptions) systems() []SystemKind {
+// systems resolves the grid's system list: the Systems selection, else
+// the grid's own default list, else every registered primary system.
+func (o RunOptions) systems(def ...SystemKind) []SystemKind {
 	if len(o.Systems) > 0 {
 		return o.Systems
+	}
+	if len(def) > 0 {
+		return def
 	}
 	return AllSystems()
 }
@@ -165,42 +168,27 @@ func (b *Bed) Register(flows []traffic.FlowSpec) error {
 	return nil
 }
 
-// workloadCache memoizes per-run workloads shared by all systems of a
-// figure: the same (seed, run) workload is generated exactly once —
-// even when parallel trial workers race for it — and handed read-only
-// to every trial. FlowSpecs are never mutated after generation, so
-// sharing is safe.
-type workloadCache struct {
-	mu      sync.Mutex
-	entries map[int64]*workloadEntry
+// newWorkloadRand derives the per-run workload RNG. It is separate from
+// the simulation engine's RNG so every system sees the identical workload
+// for a given run index.
+func newWorkloadRand(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed ^ 0x6f10))
 }
 
-type workloadEntry struct {
-	once  sync.Once
-	flows []traffic.FlowSpec
-	err   error
-}
-
-func newWorkloadCache() *workloadCache {
-	return &workloadCache{entries: make(map[int64]*workloadEntry)}
-}
-
-// get returns the workload for key, generating it via gen on first use
-// (single-flight: concurrent callers of the same key block on the one
-// generation).
-func (c *workloadCache) get(key int64, gen func() ([]traffic.FlowSpec, error)) ([]traffic.FlowSpec, error) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &workloadEntry{}
-		c.entries[key] = e
+// runWorkloads hands every system of a run the same flows: run r's
+// workload is drawn by gen from the run's seed exactly once — even when
+// parallel trial workers race for it — and shared read-only (FlowSpecs
+// are never mutated after generation).
+func runWorkloads(runs int, seed int64, gen func(*rand.Rand) ([]traffic.FlowSpec, error)) func(run int) ([]traffic.FlowSpec, error) {
+	type workload struct {
+		once  sync.Once
+		flows []traffic.FlowSpec
+		err   error
 	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.flows, e.err = gen() })
-	return e.flows, e.err
-}
-
-// Trigger starts the flow's update under the bed's system.
-func (b *Bed) Trigger(f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
-	return b.System.Trigger(f, newPath)
+	perRun := make([]workload, runs)
+	return func(run int) ([]traffic.FlowSpec, error) {
+		w := &perRun[run]
+		w.once.Do(func() { w.flows, w.err = gen(newWorkloadRand(seed + int64(run))) })
+		return w.flows, w.err
+	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFig2EZSegwayLoopsAndLoses(t *testing.T) {
-	r, err := Fig2(KindEZSegway, 1)
+	r, _, err := Fig2Opts(KindEZSegway, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestFig2EZSegwayLoopsAndLoses(t *testing.T) {
 }
 
 func TestFig2P4UpdateConsistent(t *testing.T) {
-	r, err := Fig2(KindP4Update, 1)
+	r, _, err := Fig2Opts(KindP4Update, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFig4FastForwardBeatWaiting(t *testing.T) {
 }
 
 func TestFig7SingleFlowSynthetic(t *testing.T) {
-	r, err := Fig7SingleFlow(topo.Synthetic, "synthetic", 5, 100)
+	r, err := Fig7SingleFlowOpts(topo.Synthetic, "synthetic", 5, 100, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFig7SingleFlowSynthetic(t *testing.T) {
 }
 
 func TestFig7MultiFlowSynthetic(t *testing.T) {
-	r, err := Fig7MultiFlow(topo.Synthetic, "synthetic", false, 3, 300)
+	r, err := Fig7MultiFlowOpts(topo.Synthetic, "synthetic", false, 3, 300, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func fig8Retry(t *testing.T, congestion bool, updates int, check func(*Fig8Resul
 	t.Helper()
 	var violations []string
 	for attempt := 1; attempt <= fig8Attempts; attempt++ {
-		r, err := Fig8(congestion, updates, 3, 1)
+		r, err := Fig8Opts(congestion, updates, 3, 1, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"time"
 
-	"p4update/internal/controlplane"
 	"p4update/internal/faults"
 	"p4update/internal/plancache"
 	"p4update/internal/runner"
@@ -145,7 +145,11 @@ func FaultSweep(lossRates, reorderRates []float64, crashes, auditEvery, runs int
 	g := topo.B4()
 	g.Freeze()
 	plans := plancache.New(g)
-	workloads := newWorkloadCache()
+	// The workload depends only on the run index: every system and every
+	// fault cell of a run updates the same flows.
+	workloads := runWorkloads(runs, seed, func(rng *rand.Rand) ([]traffic.FlowSpec, error) {
+		return traffic.ManyFlowWorkload(g, rng, faultSweepFlows, nil)
+	})
 	res := &FaultsResult{
 		Label: fmt.Sprintf("B4, %d flows, %d runs/cell, audit every %d steps",
 			faultSweepFlows, runs, auditEvery),
@@ -198,10 +202,9 @@ func FaultSweep(lossRates, reorderRates []float64, crashes, auditEvery, runs int
 // faultTrial builds one chaos trial: the run's shared workload updated
 // under the cell's fault plan with the §11 recovery machinery armed and
 // the auditor attached.
-func faultTrial(g *topo.Topology, plans *plancache.Cache, workloads *workloadCache,
+func faultTrial(g *topo.Topology, plans *plancache.Cache, workloads func(run int) ([]traffic.FlowSpec, error),
 	kind SystemKind, cell FaultCell, crashes, auditEvery, run int, seed int64, tr *trace.Options) runner.Trial {
-	cfg := DefaultBedConfig()
-	wcfg := cfg.WiringConfig(kind, seed+int64(run))
+	wcfg := DefaultBedConfig().WiringConfig(kind, seed+int64(run))
 	wcfg.Plans = plans
 	wcfg.Trace = tr
 	wcfg.WatchdogTimeout = faultWatchdog
@@ -212,30 +215,14 @@ func faultTrial(g *topo.Topology, plans *plancache.Cache, workloads *workloadCac
 	label := fmt.Sprintf("faults/%s/loss%.2f-reorder%.2f/run%02d", kind, cell.Loss, cell.Reorder, run)
 	return runner.BedTrial(label, kind.String(), g, wcfg,
 		func(sys *wiring.System) (runner.Metrics, error) {
-			b := &Bed{Kind: kind, System: sys}
-			// The workload depends only on the run index: every system
-			// and every fault cell of a run updates the same flows.
-			flows, err := workloads.get(int64(run), func() ([]traffic.FlowSpec, error) {
-				return traffic.ManyFlowWorkload(g, newWorkloadRand(seed+int64(run)), faultSweepFlows, nil)
-			})
+			flows, err := workloads(run)
 			if err != nil {
 				return runner.Metrics{}, err
 			}
-			if err := b.Register(flows); err != nil {
+			updates, err := (&Bed{Kind: kind, System: sys}).launch(flows)
+			if err != nil {
 				return runner.Metrics{}, err
 			}
-			var updates []*controlplane.UpdateStatus
-			for _, f := range flows {
-				u, err := b.Trigger(f.ID(), f.New)
-				if err != nil {
-					return runner.Metrics{}, fmt.Errorf("%s: trigger: %w", kind, err)
-				}
-				if u != nil {
-					updates = append(updates, u)
-				}
-			}
-			b.Eng.Run()
-
 			var last time.Duration
 			done, retr := 0, 0
 			for _, u := range updates {
@@ -244,9 +231,7 @@ func faultTrial(g *topo.Topology, plans *plancache.Cache, workloads *workloadCac
 					continue
 				}
 				done++
-				if u.Completed > last {
-					last = u.Completed
-				}
+				last = max(last, u.Completed)
 			}
 			m := runner.Metrics{Values: map[string]float64{
 				"loss":       cell.Loss,

@@ -53,18 +53,12 @@ func uniqueSeqs(obs []PacketObs) map[uint32]int {
 	return m
 }
 
-// Fig2 runs the inconsistent-update scenario of §4.1 on the given system
-// (P4Update or ez-Segway): data packets at 125 pps with TTL 64 from v0 to
-// v4; configuration (c) deploys at 200 ms, configuration (b)'s delayed
-// messages arrive at 600 ms.
-func Fig2(kind SystemKind, seed int64) (*Fig2Result, error) {
-	res, _, err := Fig2Opts(kind, seed, nil)
-	return res, err
-}
-
-// Fig2Opts is Fig2 with an optional flight recorder attached to the
-// trial (nil tr runs untraced). The recorder is returned alongside the
-// result so callers can export the event log.
+// Fig2Opts runs the inconsistent-update scenario of §4.1 on the given
+// system (P4Update or ez-Segway): data packets at 125 pps with TTL 64
+// from v0 to v4; configuration (c) deploys at 200 ms, configuration (b)'s
+// delayed messages arrive at 600 ms. An optional flight recorder is
+// attached to the trial (nil tr runs untraced) and returned alongside
+// the result so callers can export the event log.
 func Fig2Opts(kind SystemKind, seed int64, tr *trace.Options) (*Fig2Result, *trace.Recorder, error) {
 	g, _, _, _ := topo.Fig2Scenario()
 	cfg := DefaultBedConfig()
@@ -109,16 +103,8 @@ func Fig2Opts(kind SystemKind, seed int64, tr *trace.Options) (*Fig2Result, *tra
 		if err != nil {
 			return nil, nil, err
 		}
-		sendC = func() {
-			for i := range planC.Msgs {
-				b.Net.SendToSwitch(planC.Targets[i], planC.Msgs[i], 0)
-			}
-		}
-		sendB = func() {
-			for i := range planB.Msgs {
-				b.Net.SendToSwitch(planB.Targets[i], planB.Msgs[i], 0)
-			}
-		}
+		sendC = func() { sendAll(b.Net, planC.Targets, planC.Msgs) }
+		sendB = func() { sendAll(b.Net, planB.Targets, planB.Msgs) }
 	case KindP4Update:
 		sl := packet.UpdateSingle
 		planB, err := controlplane.PreparePlan(g, f, pathA, pathB, 2, rec.SizeK, &sl)
@@ -129,16 +115,8 @@ func Fig2Opts(kind SystemKind, seed int64, tr *trace.Options) (*Fig2Result, *tra
 		if err != nil {
 			return nil, nil, err
 		}
-		sendC = func() {
-			for i := range planC.UIMs {
-				b.Net.SendToSwitch(planC.Targets[i], planC.UIMs[i], 0)
-			}
-		}
-		sendB = func() {
-			for i := range planB.UIMs {
-				b.Net.SendToSwitch(planB.Targets[i], planB.UIMs[i], 0)
-			}
-		}
+		sendC = func() { sendAll(b.Net, planC.Targets, planC.UIMs) }
+		sendB = func() { sendAll(b.Net, planB.Targets, planB.UIMs) }
 	default:
 		return nil, nil, fmt.Errorf("fig2 compares P4Update and ez-Segway only")
 	}
@@ -175,4 +153,12 @@ func Fig2Opts(kind SystemKind, seed int64, tr *trace.Options) (*Fig2Result, *tra
 		}
 	}
 	return res, b.Trace, nil
+}
+
+// sendAll pushes one prepared configuration's messages to their target
+// switches.
+func sendAll[M packet.Message](net *dataplane.Network, targets []topo.NodeID, msgs []M) {
+	for i, m := range msgs {
+		net.SendToSwitch(targets[i], m, 0)
+	}
 }

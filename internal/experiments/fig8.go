@@ -58,16 +58,6 @@ func fig8Topologies() []func() *topo.Topology {
 	return []func() *topo.Topology{topo.B4, topo.Internet2, topo.AttMpls, topo.Chinanet}
 }
 
-// Fig8 measures the control-plane preparation cost of `updates` flow
-// updates, repeated `runs` times, on each evaluation topology. Without
-// congestion freedom both systems compute per-flow labeling/segmentation;
-// with congestion freedom ez-Segway additionally recomputes the global
-// inter-flow dependency graph per update, which P4Update offloads to the
-// data plane entirely.
-func Fig8(congestion bool, updates, runs int, seed int64) (*Fig8Result, error) {
-	return Fig8Opts(congestion, updates, runs, seed, RunOptions{})
-}
-
 // fig8Trial measures one run: `updates` preparations of both systems on
 // one topology, returning the wall-clock totals as named values.
 func fig8Trial(mk func() *topo.Topology, congestion bool, updates int, seed int64, run int) runner.Trial {
@@ -126,8 +116,13 @@ func fig8Trial(mk func() *topo.Topology, congestion bool, updates int, seed int6
 	}
 }
 
-// Fig8Opts is Fig8 with explicit execution options: the (topology × run)
-// grid shards across the trial pool; rows merge in trial-index order.
+// Fig8Opts measures the control-plane preparation cost of `updates` flow
+// updates, repeated `runs` times, on each evaluation topology. Without
+// congestion freedom both systems compute per-flow labeling/segmentation;
+// with congestion freedom ez-Segway additionally recomputes the global
+// inter-flow dependency graph per update, which P4Update offloads to the
+// data plane entirely. The (topology × run) grid shards across the trial
+// pool; rows merge in trial-index order.
 // Note the per-trial metrics are wall-clock measurements, so heavily
 // oversubscribed workers can inflate both systems' absolute times — the
 // reported quantity is their ratio, measured within one trial, which is

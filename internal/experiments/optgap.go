@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"p4update/internal/controlplane"
 	"p4update/internal/metrics"
@@ -68,44 +67,46 @@ func (r *OptGapResult) String() string {
 	return b.String()
 }
 
-// roundExtras scores one completed update against the oracle: measured
-// commit rounds from the tracker, the oracle bound for the path pair,
-// and whether the bound was violated.
+// roundExtras scores one completed trial against the oracle: the commit
+// rounds the tracker measured for every update and the oracle bound for
+// its flow's path pair, each summed over the trial, and how many updates
+// undercut their bound.
 func roundExtras(sys *wiring.System, plans *plancache.Cache, g *topo.Topology,
-	f traffic.FlowSpec, version uint32, extra map[string]float64) {
-	measured := float64(sys.Rounds.Rounds(f.ID(), version))
-	bound := float64(optoracle.RoundsCached(plans, g, f.Old, f.New))
-	extra["rounds"] += measured
-	extra["opt_bound"] += bound
-	if measured < bound {
-		extra["bound_violations"]++
+	flows []traffic.FlowSpec, updates []*controlplane.UpdateStatus) map[string]float64 {
+	extra := make(map[string]float64)
+	i := 0
+	for _, u := range updates {
+		for flows[i].ID() != u.Flow {
+			i++ // a flow whose trigger returned no update
+		}
+		measured := float64(sys.Rounds.Rounds(u.Flow, u.Version))
+		bound := float64(optoracle.RoundsCached(plans, g, flows[i].Old, flows[i].New))
+		extra["rounds"] += measured
+		extra["opt_bound"] += bound
+		if measured < bound {
+			extra["bound_violations"]++
+		}
 	}
+	return extra
 }
 
 // aggregateOptGap folds the merged trial grid into per-system series
 // (same system-major trial order as runFig7Grid).
 func aggregateOptGap(res *OptGapResult, systems []SystemKind, runs int) {
 	for ki, kind := range systems {
-		s := OptGapSeries{System: kind}
-		var samples []time.Duration
-		var rounds, bound float64
-		completed := 0
-		for run := 0; run < runs; run++ {
-			r := res.Trials[ki*runs+run]
-			if r.Failed || len(r.Samples) == 0 {
-				s.Failed++
-				continue
+		trials := res.Trials[ki*runs : (ki+1)*runs]
+		f := series(kind, trials)
+		s := OptGapSeries{System: kind, CDF: f.CDF, Failed: f.Failed}
+		for _, r := range trials {
+			if !r.Failed && len(r.Samples) > 0 {
+				s.Rounds += r.Extra["rounds"]
+				s.Bound += r.Extra["opt_bound"]
+				s.Violations += int(r.Extra["bound_violations"])
 			}
-			samples = append(samples, r.Samples...)
-			completed++
-			rounds += r.Extra["rounds"]
-			bound += r.Extra["opt_bound"]
-			s.Violations += int(r.Extra["bound_violations"])
 		}
-		s.CDF = metrics.NewCDF(samples)
-		if completed > 0 {
-			s.Rounds = rounds / float64(completed)
-			s.Bound = bound / float64(completed)
+		if completed := runs - s.Failed; completed > 0 {
+			s.Rounds /= float64(completed)
+			s.Bound /= float64(completed)
 		}
 		if s.Bound > 0 {
 			s.Gap = s.Rounds / s.Bound
@@ -115,131 +116,29 @@ func aggregateOptGap(res *OptGapResult, systems []SystemKind, runs int) {
 	}
 }
 
-// OptGapSingleFlow runs the Fig. 7 single-flow scenario (one long flow,
-// exponential per-node install delays) with the round tracker attached
-// and scores every trial against the oracle's round bound.
+// OptGapSingleFlow is the Fig. 7 single-flow grid (Fig7SingleFlowOpts)
+// with the round tracker attached, every trial scored against the
+// oracle's round bound.
 func OptGapSingleFlow(mk func() *topo.Topology, label string, runs int, seed int64, opt RunOptions) (*OptGapResult, error) {
-	res := &OptGapResult{Label: label + " – single flow"}
-	g := mk()
-	g.Freeze()
-	spec, err := singleFlowSpec(g)
+	sc, err := singleFlowScenario(mk, label, runs, seed)
 	if err != nil {
 		return nil, err
 	}
-	plans := plancache.New(g)
-	systems := opt.systems()
-	trials := make([]runner.Trial, 0, len(systems)*runs)
-	for _, kind := range systems {
-		for run := 0; run < runs; run++ {
-			kind, run := kind, run
-			cfg := DefaultBedConfig()
-			cfg.NodeDelayMean = 100 * time.Millisecond
-			wcfg := cfg.WiringConfig(kind, seed+int64(run))
-			wcfg.Plans = plans
-			wcfg.Trace = opt.Trace
-			wcfg.TrackRounds = true
-			trials = append(trials, runner.BedTrial(
-				fmt.Sprintf("%s/%s/run%02d", label, kind, run), kind.String(),
-				g, wcfg,
-				func(sys *wiring.System) (runner.Metrics, error) {
-					b := &Bed{Kind: kind, System: sys}
-					if err := b.Register([]traffic.FlowSpec{spec}); err != nil {
-						return runner.Metrics{}, err
-					}
-					u, err := b.Trigger(spec.ID(), spec.New)
-					if err != nil {
-						return runner.Metrics{}, err
-					}
-					b.Eng.Run()
-					if u == nil || !u.Done() {
-						return runner.Metrics{}, nil // incomplete: failed run
-					}
-					extra := make(map[string]float64)
-					roundExtras(sys, plans, g, spec, u.Version, extra)
-					return runner.Metrics{
-						Samples: []time.Duration{u.Completed - u.Sent},
-						Extra:   extra,
-					}, nil
-				}))
-		}
-	}
-	res.Trials = opt.Pool().Run(trials)
-	aggregateOptGap(res, systems, runs)
-	return res, nil
+	return optGap(sc, opt), nil
 }
 
-// OptGapMultiFlow runs the Fig. 7 multiple-flow scenario (gravity-model
-// workload, congestion enforced) with round tracking; each trial's
-// rounds and bound sum over the workload's flows, and the bound is
-// checked per flow.
+// OptGapMultiFlow is the Fig. 7 multiple-flow grid (Fig7MultiFlowOpts,
+// fatTree=false) with round tracking; each trial's rounds and bound sum
+// over the workload's flows, and the bound is checked per flow.
 func OptGapMultiFlow(mk func() *topo.Topology, label string, runs int, seed int64, opt RunOptions) (*OptGapResult, error) {
-	res := &OptGapResult{Label: label + " – multiple flows"}
-	g := mk()
-	g.Freeze()
-	plans := plancache.New(g)
-	workloads := newWorkloadCache()
-	systems := opt.systems()
-	trials := make([]runner.Trial, 0, len(systems)*runs)
-	for _, kind := range systems {
-		for run := 0; run < runs; run++ {
-			kind, run := kind, run
-			cfg := DefaultBedConfig()
-			cfg.Congestion = true
-			wcfg := cfg.WiringConfig(kind, seed+int64(run))
-			wcfg.Plans = plans
-			wcfg.Trace = opt.Trace
-			wcfg.TrackRounds = true
-			trials = append(trials, runner.BedTrial(
-				fmt.Sprintf("%s/%s/run%02d", label, kind, run), kind.String(),
-				g, wcfg,
-				func(sys *wiring.System) (runner.Metrics, error) {
-					b := &Bed{Kind: kind, System: sys}
-					flows, err := workloads.get(int64(run), func() ([]traffic.FlowSpec, error) {
-						return traffic.MultiFlowWorkload(g, newWorkloadRand(seed+int64(run)), traffic.DefaultConfig())
-					})
-					if err != nil {
-						return runner.Metrics{}, err
-					}
-					if err := b.Register(flows); err != nil {
-						return runner.Metrics{}, err
-					}
-					type pending struct {
-						spec traffic.FlowSpec
-						u    *controlplane.UpdateStatus
-					}
-					var updates []pending
-					for _, f := range flows {
-						u, err := b.Trigger(f.ID(), f.New)
-						if err != nil {
-							return runner.Metrics{}, fmt.Errorf("%s: trigger: %w", kind, err)
-						}
-						if u != nil {
-							updates = append(updates, pending{f, u})
-						}
-					}
-					b.Eng.Run()
-					var last time.Duration
-					extra := make(map[string]float64)
-					for _, p := range updates {
-						if !p.u.Done() {
-							return runner.Metrics{}, nil // incomplete: failed run
-						}
-						if p.u.Completed > last {
-							last = p.u.Completed
-						}
-						roundExtras(sys, plans, g, p.spec, p.u.Version, extra)
-					}
-					if last == 0 {
-						return runner.Metrics{}, nil
-					}
-					return runner.Metrics{
-						Samples: []time.Duration{last},
-						Extra:   extra,
-					}, nil
-				}))
-		}
-	}
-	res.Trials = opt.Pool().Run(trials)
-	aggregateOptGap(res, systems, runs)
-	return res, nil
+	return optGap(multiFlowScenario(mk, label, false, runs, seed), opt), nil
+}
+
+// optGap runs sc's grid with the round tracker on and aggregates the
+// optimality-gap table.
+func optGap(sc scenario, opt RunOptions) *OptGapResult {
+	sc.rounds = true
+	res := &OptGapResult{Label: sc.title, Trials: runFig7Grid(sc, opt)}
+	aggregateOptGap(res, opt.systems(), sc.runs)
+	return res
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"p4update/internal/optoracle"
+	"p4update/internal/runner"
 	"p4update/internal/topo"
 	"p4update/internal/traffic"
 )
@@ -48,6 +50,49 @@ func TestOptGapBoundRespected(t *testing.T) {
 		}
 		if r.Extra["rounds"] < r.Extra["opt_bound"] {
 			t.Errorf("%s: rounds %.0f < bound %.0f", r.Label, r.Extra["rounds"], r.Extra["opt_bound"])
+		}
+	}
+}
+
+// TestOptGapIsFig7WithRounds pins the optimality gap to the Fig. 7 grid
+// it is folded onto: with the round tracker attached, every trial must
+// run exactly the matching Fig. 7 trial — same label, seed, event count
+// and samples — so the tracker only observes; and every completed trial
+// must carry its oracle score.
+func TestOptGapIsFig7WithRounds(t *testing.T) {
+	opt := RunOptions{Workers: 2}
+	gapSingle, err := OptGapSingleFlow(topo.B4, "B4", 3, 1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	figSingle, err := Fig7SingleFlowOpts(topo.B4, "B4", 3, 1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gapMulti, err := OptGapMultiFlow(topo.B4, "B4", 2, 1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	figMulti, err := Fig7MultiFlowOpts(topo.B4, "B4", false, 2, 1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ gap, fig []runner.Result }{
+		{gapSingle.Trials, figSingle.Trials},
+		{gapMulti.Trials, figMulti.Trials},
+	} {
+		if len(c.gap) != len(c.fig) {
+			t.Fatalf("%d optimality-gap trials, %d Fig. 7 trials", len(c.gap), len(c.fig))
+		}
+		for i, g := range c.gap {
+			f := c.fig[i]
+			if g.Label != f.Label || g.Seed != f.Seed || g.Events != f.Events || !slices.Equal(g.Samples, f.Samples) {
+				t.Errorf("trial %d: optgap %s seed=%d events=%d samples=%v; fig7 %s seed=%d events=%d samples=%v",
+					i, g.Label, g.Seed, g.Events, g.Samples, f.Label, f.Seed, f.Events, f.Samples)
+			}
+			if len(g.Samples) > 0 && g.Extra["opt_bound"] <= 0 {
+				t.Errorf("%s: completed trial without an oracle score (extra %v)", g.Label, g.Extra)
+			}
 		}
 	}
 }

@@ -36,8 +36,8 @@ type SoakOpts struct {
 }
 
 // DefaultSoakOpts returns the smoke-scale soak configuration: ~600
-// steady-state flows on B4 for 10 virtual seconds. The headline
-// benchmark (BENCH_soak) scales duration up.
+// steady-state flows on B4 for 10 virtual seconds. Longer soaks scale
+// the duration up (`p4update -exp soak -soak-duration …`).
 func DefaultSoakOpts() SoakOpts {
 	return SoakOpts{
 		Churn: ChurnOpts{
@@ -99,16 +99,6 @@ func (r *SoakResult) String() string {
 			recovered, episodes, rep.Violations.Total)
 	}
 	return b.String()
-}
-
-// soakSystems resolves the grid's system list: the paper's three-way
-// comparison by default (the storm regime is where the decentralized
-// baselines differ most).
-func soakSystems(opt RunOptions) []SystemKind {
-	if len(opt.Systems) > 0 {
-		return opt.Systems
-	}
-	return []SystemKind{KindP4Update, KindEZSegway, KindCentral}
 }
 
 // soakMetrics flattens the report's headline numbers into the runner's
@@ -180,7 +170,9 @@ func RunSoak(mk func() *topo.Topology, label string, runs int, seed int64, so So
 
 	res := &SoakResult{Label: label, Opts: so}
 	bed := DefaultBedConfig()
-	systems := soakSystems(opt)
+	// The paper's three-way comparison by default: the storm regime is
+	// where the decentralized baselines differ most.
+	systems := opt.systems(KindP4Update, KindEZSegway, KindCentral)
 	trials := make([]runner.Trial, 0, len(systems)*len(profiles)*runs)
 	for _, kind := range systems {
 		for _, profile := range profiles {
@@ -221,10 +213,8 @@ func RunSoak(mk func() *topo.Topology, label string, runs int, seed int64, so So
 				sopt := co.soakOptions()
 				sopt.Episodes = episodes
 				sopt.MaxRetriggers = so.MaxRetriggers
-				kindName := string(kind)
-				profileName := profile.Name
 				trials = append(trials, runner.BedTrial(
-					fmt.Sprintf("soak/%s/%s/%s/run%d", label, kindName, profileName, run),
+					fmt.Sprintf("soak/%s/%s/%s/run%d", label, string(kind), profile.Name, run),
 					kind.String(), g, wcfg,
 					func(sys *wiring.System) (runner.Metrics, error) {
 						w, err := soak.NewWorkload(g, trialSeed, sopt)
@@ -235,7 +225,7 @@ func RunSoak(mk func() *topo.Topology, label string, runs int, seed int64, so So
 						h.Start()
 						sys.Eng.RunUntil(co.Duration + co.Drain)
 
-						rep := h.Finish(kindName, profileName, trialSeed)
+						rep := h.Finish(string(kind), profile.Name, trialSeed)
 						raw, err := rep.Marshal()
 						if err != nil {
 							return runner.Metrics{}, err

@@ -11,7 +11,7 @@ import (
 // Report is the JSON export of one evaluation run: the merged per-trial
 // results plus the execution context needed to interpret wall-clock
 // numbers (worker count, host parallelism). It is the payload format of
-// cmd/p4update's -json flag and of the BENCH_*.json trajectory files.
+// cmd/p4update's -json flag.
 type Report struct {
 	Name       string        `json:"name"`
 	Workers    int           `json:"workers"`
