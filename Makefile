@@ -22,8 +22,9 @@ test:
 	$(GO) test ./...
 
 # The trial runner is the concurrent subsystem; the sim and topo
-# packages carry the pooled engine and the shared path oracle, the
-# plancache serves all trial workers concurrently, so all four run
+# packages carry the pooled engine and the path oracle that all trials
+# of a grid share over one frozen topology, the plancache serves all
+# trial workers concurrently, so all four run
 # under the race detector — as do faults and audit, whose per-trial
 # injectors and auditors execute inside concurrently running trials,
 # and trace, whose per-trial recorders must stay disjoint across

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -135,19 +134,10 @@ func runChurnTrial(sys *wiring.System, g *topo.Topology, seed int64, opt ChurnOp
 		"batched_uims":      float64(sys.Ctl.BatchedUIMs),
 	}
 	if len(samples) > 0 {
-		sorted := append([]time.Duration(nil), samples...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		var sum time.Duration
-		for _, s := range sorted {
-			sum += s
-		}
-		q := func(p float64) float64 {
-			i := int(p * float64(len(sorted)-1))
-			return float64(sorted[i]) / float64(time.Millisecond)
-		}
-		m.Values["update_p50_ms"] = q(0.50)
-		m.Values["update_p99_ms"] = q(0.99)
-		m.Values["update_mean_ms"] = float64(sum) / float64(len(sorted)) / float64(time.Millisecond)
+		l := soak.SummarizeLatency(samples)
+		m.Values["update_p50_ms"] = l.P50Ms
+		m.Values["update_p99_ms"] = l.P99Ms
+		m.Values["update_mean_ms"] = l.MeanMs
 	}
 	// Host-side throughput: how many arrivals the simulation sustained
 	// per wall-clock second. Like WallClock/Allocs, determinism

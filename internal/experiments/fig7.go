@@ -71,7 +71,7 @@ func (r *Fig7Result) CDFSeries() string {
 
 // scenario is one Fig. 7-shaped trial grid. Every (system × run) trial
 // wires cfg over the one frozen topology g — all trial workers share it,
-// its snapshot path oracle and the plan cache read-only — updates the
+// its path oracle and the plan cache read-only — updates the
 // run's flows, and yields the single sample measure reads off the
 // updates. rounds attaches the commit-round tracker and scores every
 // completed trial against the oracle bound (roundExtras).

@@ -47,7 +47,7 @@ func TestFig7DeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestManyFlowsDeterministicAcrossWorkerCounts runs the many-flow scale
 // experiment — hundreds of simultaneous updates per trial over one
-// shared frozen snapshot, plan cache and workload cache — at several
+// shared frozen topology, plan cache and workload cache — at several
 // worker counts and requires byte-identical merged results. 150 flows
 // on B4 exceeds its 132 distinct (src, dst) pairs, so the salted
 // flow-ID path is exercised too.

@@ -95,9 +95,9 @@ type Trial struct {
 // engine after body returns.
 //
 // All trials of a grid share g read-only: freezing it (topo.Freeze)
-// makes concurrent path queries safe and routes them through the shared
-// snapshot oracle, so per-trial setup no longer rebuilds the topology
-// or re-warms a private path cache.
+// makes it refuse mutation, so its one path oracle is never flushed and
+// serves every trial's concurrent queries; per-trial setup neither
+// rebuilds the topology nor re-warms a private path cache.
 func BedTrial(label, system string, g *topo.Topology, cfg wiring.Config,
 	body func(*wiring.System) (Metrics, error)) Trial {
 	return Trial{

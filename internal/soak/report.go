@@ -130,12 +130,27 @@ func (r *Report) Marshal() ([]byte, error) {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// quantile returns the p-quantile of sorted in milliseconds.
-func quantile(sorted []time.Duration, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// SummarizeLatency returns the quantile summary of update-completion
+// samples, zero when there are none. The p-quantile is the sample at
+// floor(p·(n−1)) in sorted order; samples itself is left unsorted.
+func SummarizeLatency(samples []time.Duration) LatencySLO {
+	if len(samples) == 0 {
+		return LatencySLO{}
 	}
-	return ms(sorted[int(p*float64(len(sorted)-1))])
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var sum time.Duration
+	for _, s := range sorted {
+		sum += s
+	}
+	q := func(p float64) float64 { return ms(sorted[int(p*float64(len(sorted)-1))]) }
+	return LatencySLO{
+		P50Ms:  q(0.50),
+		P99Ms:  q(0.99),
+		P999Ms: q(0.999),
+		MaxMs:  ms(sorted[len(sorted)-1]),
+		MeanMs: float64(sum) / float64(len(sorted)) / float64(time.Millisecond),
+	}
 }
 
 // Finish closes the trial and builds its operator report. Call it after
@@ -205,22 +220,8 @@ func (h *Harness) Finish(system, profile string, seed int64) *Report {
 		MaxRetriggers: h.opt.MaxRetriggers,
 		Retriggers:    h.slo.totalRetrig,
 		ProbeRetries:  h.c.ProbeRetries,
-	}
 
-	if len(h.samples) > 0 {
-		sorted := append([]time.Duration(nil), h.samples...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		var sum time.Duration
-		for _, s := range sorted {
-			sum += s
-		}
-		rep.Latency = LatencySLO{
-			P50Ms:  quantile(sorted, 0.50),
-			P99Ms:  quantile(sorted, 0.99),
-			P999Ms: quantile(sorted, 0.999),
-			MaxMs:  ms(sorted[len(sorted)-1]),
-			MeanMs: ms(sum) / float64(len(sorted)),
-		}
+		Latency: SummarizeLatency(h.samples),
 	}
 
 	if h.opt.MaxRetriggers > 0 && h.c.Triggered > 0 {

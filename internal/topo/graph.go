@@ -9,6 +9,7 @@ package topo
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -80,11 +81,8 @@ type Topology struct {
 	oracle  *PathOracle
 	once    sync.Once
 
-	// frozen marks the topology immutable (set by Freeze); snap is the
-	// shared read-only view handed to concurrent trial workers.
-	frozen   bool
-	snap     *Snapshot
-	snapOnce sync.Once
+	// frozen marks the topology immutable (set by Freeze).
+	frozen atomic.Bool
 }
 
 // New returns an empty topology with the given name.
@@ -155,8 +153,25 @@ func (t *Topology) SetLinkLatency(id LinkID, latency time.Duration) {
 	}
 }
 
+// Freeze marks the topology immutable: AddNode, AddLink and
+// SetLinkLatency panic from then on. A frozen topology never bumps its
+// version or repairs its oracle, so every trial of a grid can share it
+// and its PathOracle read-only. Freeze is idempotent and safe for
+// concurrent use.
+func (t *Topology) Freeze() { t.frozen.Store(true) }
+
+// Frozen reports whether Freeze has been called.
+func (t *Topology) Frozen() bool { return t.frozen.Load() }
+
+// mustNotBeFrozen panics when a mutation reaches a frozen topology.
+func (t *Topology) mustNotBeFrozen(op string) {
+	if t.Frozen() {
+		panic(fmt.Sprintf("topo: %s on frozen topology %q", op, t.Name))
+	}
+}
+
 // Version counts topology mutations. The PathOracle compares it against
-// its own snapshot to decide when memoized results are stale.
+// the version its cache was filled at to decide when to flush.
 func (t *Topology) Version() uint64 { return t.version }
 
 // Oracle returns the topology's memoizing path oracle, creating it on
@@ -185,12 +200,8 @@ func (t *Topology) Nodes() []NodeID {
 	return ids
 }
 
-// NodeByName returns the first node with the given name. On a frozen
-// topology the lookup uses the snapshot's index table.
+// NodeByName returns the first node with the given name.
 func (t *Topology) NodeByName(name string) (NodeID, bool) {
-	if s := t.snapshot(); s != nil {
-		return s.NodeByName(name)
-	}
 	for _, n := range t.nodes {
 		if n.Name == name {
 			return n.ID, true

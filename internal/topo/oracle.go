@@ -31,7 +31,7 @@ type oracleItem struct {
 // full sweep writes straight into the tree it returns), and the spur
 // query's blocked sets as mark arrays. KShortestPaths sets and clears
 // the marks; at rest they are all false. The PathOracle owns one under
-// its mutex, the SharedOracle recycles them through a sync.Pool.
+// its mutex.
 type dijkstraScratch struct {
 	d    []float64
 	prev []NodeID
@@ -80,7 +80,8 @@ func newDijkstraScratch(n int) *dijkstraScratch {
 //
 // The oracle is safe for concurrent readers (a mutex serializes
 // queries); topology mutation is not concurrent-safe, matching the
-// Topology contract.
+// Topology contract. A frozen topology (Topology.Freeze) never mutates,
+// so its cache is never flushed and every trial of a grid shares it.
 type PathOracle struct {
 	t  *Topology
 	mu sync.Mutex

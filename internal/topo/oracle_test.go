@@ -122,8 +122,7 @@ func tieGraph(n, links, isolated int, seed int64) *Topology {
 // exact ties, zero-latency links and unreachable nodes, the path walked
 // out of the source's shortest-path tree is node for node the path the
 // early-exit point-to-point Dijkstra (spurPath with nothing blocked)
-// returns, with the same cost — on the PathOracle over the adjacency
-// lists and, frozen, on the SharedOracle over the CSR arrays.
+// returns, with the same cost.
 func TestTreeWalkEqualsEarlyExitDijkstra(t *testing.T) {
 	builders := []func() *Topology{func() *Topology { return FatTree(4) }, B4} // uniform fat-tree: massively tied
 	for seed := int64(0); seed < 40; seed++ {
@@ -133,31 +132,22 @@ func TestTreeWalkEqualsEarlyExitDijkstra(t *testing.T) {
 		})
 	}
 	for gi, mk := range builders {
-		for _, frozen := range []bool{false, true} {
-			g := mk()
-			spur := func(src, dst NodeID, w Weight) ([]NodeID, float64) {
-				o := g.Oracle()
-				o.mu.Lock()
-				defer o.mu.Unlock()
-				o.refresh()
-				return o.spurPath([]NodeID{src}, dst, w)
-			}
-			if frozen {
-				s := g.Freeze()
-				sc := newDijkstraScratch(s.NumNodes())
-				spur = func(src, dst NodeID, w Weight) ([]NodeID, float64) {
-					return s.spurPath(sc, []NodeID{src}, dst, w)
-				}
-			}
-			for _, w := range []Weight{ByLatency, ByHops} {
-				for _, src := range g.Nodes() {
-					for _, dst := range g.Nodes() {
-						got, gotCost := g.ShortestPath(src, dst, w), g.Distances(src, w)[dst]
-						want, wantCost := spur(src, dst, w)
-						if !equalPath(got, want) || gotCost != wantCost {
-							t.Fatalf("graph %d (%s) frozen=%v weight %v %d->%d: tree walk %v cost %v, early-exit Dijkstra %v cost %v",
-								gi, g.Name, frozen, w, src, dst, got, gotCost, want, wantCost)
-						}
+		g := mk()
+		spur := func(src, dst NodeID, w Weight) ([]NodeID, float64) {
+			o := g.Oracle()
+			o.mu.Lock()
+			defer o.mu.Unlock()
+			o.refresh()
+			return o.spurPath([]NodeID{src}, dst, w)
+		}
+		for _, w := range []Weight{ByLatency, ByHops} {
+			for _, src := range g.Nodes() {
+				for _, dst := range g.Nodes() {
+					got, gotCost := g.ShortestPath(src, dst, w), g.Distances(src, w)[dst]
+					want, wantCost := spur(src, dst, w)
+					if !equalPath(got, want) || gotCost != wantCost {
+						t.Fatalf("graph %d (%s) weight %v %d->%d: tree walk %v cost %v, early-exit Dijkstra %v cost %v",
+							gi, g.Name, w, src, dst, got, gotCost, want, wantCost)
 					}
 				}
 			}

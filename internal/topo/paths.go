@@ -27,9 +27,6 @@ func (t *Topology) edgeWeight(l Link, w Weight) float64 {
 // path is walked out of src's memoized shortest-path tree (one Dijkstra
 // sweep per source, see PathOracle) into a fresh slice the caller owns.
 func (t *Topology) ShortestPath(src, dst NodeID, w Weight) []NodeID {
-	if s := t.snapshot(); s != nil {
-		return s.Oracle().ShortestPath(src, dst, w)
-	}
 	return t.Oracle().ShortestPath(src, dst, w)
 }
 
@@ -37,9 +34,6 @@ func (t *Topology) ShortestPath(src, dst NodeID, w Weight) []NodeID {
 // for unreachable nodes). The result is memoized in the topology's
 // PathOracle and shared between callers: treat it as read-only.
 func (t *Topology) Distances(src NodeID, w Weight) []float64 {
-	if s := t.snapshot(); s != nil {
-		return s.Oracle().Distances(src, w)
-	}
 	return t.Oracle().Distances(src, w)
 }
 
@@ -50,9 +44,9 @@ type candidate struct {
 
 // KShortestPaths returns up to k loop-free paths from src to dst in
 // non-decreasing weight order (Yen's algorithm). Every spur query is one
-// unmemoized early-exit Dijkstra on a scratch held for the whole call —
-// pooled when the topology is frozen, else the PathOracle's under its
-// mutex — with the blocked sets kept as mark arrays on that scratch.
+// unmemoized early-exit Dijkstra on the PathOracle's scratch, held under
+// its mutex for the whole call, with the blocked sets kept as mark
+// arrays on that scratch.
 func (t *Topology) KShortestPaths(src, dst NodeID, k int, w Weight) [][]NodeID {
 	if k <= 0 {
 		return nil
@@ -61,21 +55,11 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int, w Weight) [][]NodeID {
 	if first == nil {
 		return nil
 	}
-	var (
-		s  = t.snapshot()
-		o  *PathOracle
-		sc *dijkstraScratch
-	)
-	if s != nil {
-		sc = s.oracle.scratch.Get().(*dijkstraScratch)
-		defer s.oracle.scratch.Put(sc)
-	} else {
-		o = t.Oracle()
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		o.refresh()
-		sc = o.sc
-	}
+	o := t.Oracle()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.refresh()
+	sc := o.sc
 	result := [][]NodeID{first}
 	var pool []candidate
 
@@ -91,13 +75,7 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int, w Weight) [][]NodeID {
 					sc.blockedNext[p[i+1]] = true
 				}
 			}
-			var total []NodeID
-			var spurCost float64
-			if s != nil {
-				total, spurCost = s.spurPath(sc, rootPath, dst, w)
-			} else {
-				total, spurCost = o.spurPath(rootPath, dst, w)
-			}
+			total, spurCost := o.spurPath(rootPath, dst, w)
 			clear(sc.blockedNext)
 			if total == nil {
 				continue
@@ -152,20 +130,13 @@ func equalPath(a, b []NodeID) bool {
 // distance to all other nodes (the paper places the controller there).
 // The result is memoized per topology generation.
 func (t *Topology) Centroid() NodeID {
-	if s := t.snapshot(); s != nil {
-		return s.Oracle().Centroid()
-	}
 	return t.Oracle().Centroid()
 }
 
 // ControlLatencies returns the control-channel latency from the controller
-// node to every switch: the latency-weighted shortest-path distance. On a
-// frozen topology the result is memoized and shared: treat it as
-// read-only.
+// node to every switch: the latency-weighted shortest-path distance, in
+// a fresh slice the caller owns.
 func (t *Topology) ControlLatencies(controller NodeID) []time.Duration {
-	if s := t.snapshot(); s != nil {
-		return s.Oracle().ControlLatencies(controller)
-	}
 	dist := t.Distances(controller, ByLatency)
 	out := make([]time.Duration, len(dist))
 	for i, d := range dist {

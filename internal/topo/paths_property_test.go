@@ -256,8 +256,8 @@ func refKShortestPaths(t *Topology, src, dst NodeID, k int, w Weight) [][]NodeID
 // map-based one it replaced: the identical path list, order included,
 // for every node pair under both weights and a small and a large k, on
 // the WAN topologies the Fig. 7 search runs over and on the massively
-// tied fat-tree, whether the topology is frozen (CSR spur primitive,
-// pooled scratch) or not (adjacency lists, the PathOracle's scratch).
+// tied fat-tree, on a plain topology and on a frozen one shared the way
+// a grid's trials share it.
 func TestKShortestPathsMatchesMapBasedYen(t *testing.T) {
 	for _, mk := range []func() *Topology{B4, Internet2, func() *Topology { return FatTree(4) }} {
 		ref, plain, frozen := mk(), mk(), mk()
