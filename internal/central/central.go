@@ -44,18 +44,21 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 	sw.Tracer().Verdict(int32(sw.ID), trace.CodeApplyCentral,
 		uint32(m.Flow), m.Version, uint32(int32(newPort)), 0)
 	portChanged := !st.HasRule || st.EgressPort != newPort
+	// m is pool-owned and recycled when dispatch returns; the commit
+	// outlives this call.
+	cp := *m
 	sw.Apply(portChanged, func() {
-		if sw.CommitState(m.Flow, dataplane.Commit{
+		if sw.CommitState(cp.Flow, dataplane.Commit{
 			Port:        newPort,
-			Version:     m.Version,
-			Distance:    m.NewDistance,
+			Version:     cp.Version,
+			Distance:    cp.NewDistance,
 			OldVersion:  st.NewVersion,
 			OldDistance: st.NewDistance,
-			SizeK:       m.FlowSizeK,
+			SizeK:       cp.FlowSizeK,
 			Type:        packet.UpdateSingle,
 		}) {
-			sw.SendUFM(&packet.UFM{
-				Flow: m.Flow, Version: m.Version, Status: packet.StatusUpdated,
+			sw.SendUFM(packet.UFM{
+				Flow: cp.Flow, Version: cp.Version, Status: packet.StatusUpdated,
 			})
 		}
 	})

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"p4update/internal/dataplane"
@@ -74,7 +75,10 @@ type UpdateStatus struct {
 	// MaxRetriggers.
 	Resend func()
 
-	pending map[topo.NodeID]bool
+	// pending holds the nodes whose version-tagged commit is still
+	// outstanding, in no particular order: a path's worth of nodes, so
+	// a linear scan beats a map and costs one allocation, not two.
+	pending []topo.NodeID
 }
 
 // Done reports whether the probe confirmed the update.
@@ -82,7 +86,7 @@ func (u *UpdateStatus) Done() bool { return u.Completed > 0 }
 
 // Pending reports whether node n's version-tagged commit is still
 // outstanding for this update.
-func (u *UpdateStatus) Pending(n topo.NodeID) bool { return u.pending[n] }
+func (u *UpdateStatus) Pending(n topo.NodeID) bool { return slices.Contains(u.pending, n) }
 
 // Controller is the logically centralized control plane.
 type Controller struct {
@@ -136,12 +140,18 @@ type Controller struct {
 	// UIM batching (BeginUIMBatch/FlushUIMBatch): while batching is on,
 	// UIMs pushed through PushMessagesInto are coalesced per target
 	// switch and shipped as one UIMBatch frame per switch at flush. The
-	// batch scratch is reused across waves, so a steady-state reroute
-	// wave allocates one frame struct per touched switch.
+	// batch scratch and the frame are reused across waves, so a
+	// steady-state reroute wave allocates nothing.
 	batching   bool
 	batchOrder []topo.NodeID
 	batchIdx   map[topo.NodeID]int
-	batchItems [][]*packet.UIM
+	batchItems [][]packet.UIM
+	batchFrame packet.UIMBatch
+	// cln is the cleanup message cleanupStaleRules sends from; like every
+	// frame it is serialized before SendToSwitch returns.
+	cln packet.CLN
+	// planKey is TriggerUpdate's reusable plan-cache key.
+	planKey KeyBuf
 	// BatchFrames / BatchedUIMs count flushed frames and the UIMs they
 	// carried (experiment reporting).
 	BatchFrames uint64
@@ -224,7 +234,7 @@ func (c *Controller) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID, force
 		return nil, fmt.Errorf("controlplane: unknown flow %d", f)
 	}
 	version := rec.Version + 1
-	plan, err := PreparePlanCached(c.Plans, c.Topo, f, rec.Path, newPath, version, rec.SizeK, force)
+	plan, err := preparePlanCached(c.Plans, &c.planKey, c.Topo, f, rec.Path, newPath, version, rec.SizeK, force)
 	if err != nil {
 		return nil, err
 	}
@@ -235,12 +245,12 @@ func (c *Controller) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID, force
 // record is updated optimistically (the controller's view of the intended
 // state); completion is confirmed by UFMs and the probe traversal.
 func (c *Controller) Push(plan *Plan, rec *FlowRecord) (*UpdateStatus, error) {
-	msgs := make([]packet.Message, len(plan.UIMs))
-	for i, m := range plan.UIMs {
-		msgs[i] = m
-	}
-	u := c.PushMessages(plan.Flow, plan.Version, plan.OldPath, plan.NewPath, nil, plan.Targets, msgs, rec)
+	u := c.track(nil, plan.Flow, plan.Version, plan.OldPath, plan.NewPath, nil)
 	u.Plan = plan
+	for i, m := range plan.UIMs {
+		c.send(plan.Targets[i], m)
+	}
+	c.launched(u, rec)
 	return u, nil
 }
 
@@ -263,6 +273,22 @@ func (c *Controller) PushMessagesInto(u *UpdateStatus, flow packet.FlowID, versi
 	oldPath, newPath, pendingNodes []topo.NodeID,
 	targets []topo.NodeID, msgs []packet.Message, rec *FlowRecord) *UpdateStatus {
 
+	u = c.track(u, flow, version, oldPath, newPath, pendingNodes)
+	for i, m := range msgs {
+		if uim, ok := m.(*packet.UIM); ok {
+			c.send(targets[i], uim)
+		} else {
+			c.Net.SendToSwitch(targets[i], m, 0)
+		}
+	}
+	c.launched(u, rec)
+	return u
+}
+
+// track starts tracking one update (see PushMessagesInto): it fills u, a
+// fresh record when nil, and registers it under (flow, version).
+func (c *Controller) track(u *UpdateStatus, flow packet.FlowID, version uint32,
+	oldPath, newPath, pendingNodes []topo.NodeID) *UpdateStatus {
 	if pendingNodes == nil {
 		pendingNodes = newPath
 	}
@@ -273,28 +299,36 @@ func (c *Controller) PushMessagesInto(u *UpdateStatus, flow packet.FlowID, versi
 	u.Version = version
 	u.Sent = c.Eng.Now()
 	u.Queued = false
-	u.pending = make(map[topo.NodeID]bool, len(pendingNodes))
+	u.pending = slices.Grow(u.pending[:0], len(pendingNodes))
+	for _, n := range pendingNodes {
+		if !slices.Contains(u.pending, n) {
+			u.pending = append(u.pending, n)
+		}
+	}
 	u.OldPath = oldPath
 	u.NewPath = newPath
-	for _, n := range pendingNodes {
-		u.pending[n] = true
-	}
 	c.updates[updateKey{flow, version}] = u
-	for i, m := range msgs {
-		if c.batching {
-			if uim, ok := m.(*packet.UIM); ok {
-				c.batchAdd(targets[i], uim)
-				continue
-			}
-		}
-		c.Net.SendToSwitch(targets[i], m, 0)
-	}
+	return u
+}
+
+// launched finishes a push once its messages are on the wire: the Flow-DB
+// record moves to the new configuration and the completion watchdog arms.
+func (c *Controller) launched(u *UpdateStatus, rec *FlowRecord) {
 	if rec != nil {
-		rec.Path = newPath
-		rec.Version = version
+		rec.Path = u.NewPath
+		rec.Version = u.Version
 	}
 	c.armUpdateWatchdog(u)
-	return u
+}
+
+// send transmits one indication, or adds it to the target's batch while
+// batching is on.
+func (c *Controller) send(target topo.NodeID, m *packet.UIM) {
+	if c.batching {
+		c.batchAdd(target, m)
+		return
+	}
+	c.Net.SendToSwitch(target, m, 0)
 }
 
 // BeginUIMBatch switches the controller into UIM-batching mode: every
@@ -323,7 +357,7 @@ func (c *Controller) batchAdd(target topo.NodeID, m *packet.UIM) {
 			c.batchItems = append(c.batchItems, nil)
 		}
 	}
-	c.batchItems[bi] = append(c.batchItems[bi], m)
+	c.batchItems[bi] = append(c.batchItems[bi], *m)
 }
 
 // FlushUIMBatch transmits every pending batch — one UIMBatch frame per
@@ -339,9 +373,11 @@ func (c *Controller) FlushUIMBatch() {
 	for bi, node := range c.batchOrder {
 		items := c.batchItems[bi]
 		if len(items) == 1 {
-			c.Net.SendToSwitch(node, items[0], 0)
+			c.Net.SendToSwitch(node, &items[0], 0)
 		} else {
-			c.Net.SendToSwitch(node, &packet.UIMBatch{Items: items}, 0)
+			c.batchFrame.Items = items
+			c.Net.SendToSwitch(node, &c.batchFrame, 0)
+			c.batchFrame.Items = nil
 			c.BatchFrames++
 			c.BatchedUIMs += uint64(len(items))
 		}
@@ -447,9 +483,10 @@ func (c *Controller) injectProbe(u *UpdateStatus) {
 	if c.InjectProbeHook != nil && c.InjectProbeHook(u) {
 		return
 	}
-	c.Net.Switch(ingress).InjectData(&packet.Data{
-		Flow: u.Flow, TTL: 64, Probe: true, ProbeVersion: u.Version,
-	})
+	d := c.Net.Pool().GetData()
+	*d = packet.Data{Flow: u.Flow, TTL: 64, Probe: true, ProbeVersion: u.Version}
+	c.Net.Switch(ingress).InjectData(d)
+	c.Net.Pool().PutData(d)
 }
 
 // TrackOnly registers completion tracking for (flow, version, newPath)
@@ -464,10 +501,15 @@ func (c *Controller) TrackOnly(flow packet.FlowID, version uint32, oldPath, newP
 // "which we record with a packet traversal").
 func (c *Controller) onApply(node topo.NodeID, f packet.FlowID, version uint32) {
 	u, ok := c.updates[updateKey{f, version}]
-	if !ok || !u.pending[node] {
+	if !ok {
 		return
 	}
-	delete(u.pending, node)
+	i := slices.Index(u.pending, node)
+	if i < 0 {
+		return
+	}
+	u.pending[i] = u.pending[len(u.pending)-1]
+	u.pending = u.pending[:len(u.pending)-1]
 	if len(u.pending) > 0 || u.AllApplied > 0 {
 		return
 	}
@@ -475,8 +517,19 @@ func (c *Controller) onApply(node topo.NodeID, f packet.FlowID, version uint32) 
 	c.injectProbe(u)
 }
 
-// receive is the controller's message sink.
+// receive is the controller's message sink. Feedback, the bulk of what
+// it hears, decodes into a local value; anything else (a flow report, or
+// a frame corrupted into another type) takes the general decoder.
 func (c *Controller) receive(from topo.NodeID, raw []byte) {
+	if len(raw) > 0 && packet.MsgType(raw[0]) == packet.TypeUFM {
+		var m packet.UFM
+		if m.DecodeFromBytes(raw) != nil {
+			return
+		}
+		c.Eng.Trace.Recv(trace.NodeController, uint8(packet.TypeUFM), int32(from), uint32(m.Flow), m.Version)
+		c.handleUFM(&m)
+		return
+	}
 	m, err := packet.Decode(raw)
 	if err != nil {
 		return
@@ -485,13 +538,10 @@ func (c *Controller) receive(from topo.NodeID, raw []byte) {
 		flow, ver := dataplane.MsgMeta(m)
 		tr.Recv(trace.NodeController, uint8(m.Type()), int32(from), flow, ver)
 	}
-	switch m := m.(type) {
-	case *packet.FRM:
+	if m, ok := m.(*packet.FRM); ok {
 		if _, known := c.flows[m.Flow]; !known && c.OnNewFlow != nil {
 			c.OnNewFlow(m.Flow)
 		}
-	case *packet.UFM:
-		c.handleUFM(m)
 	}
 }
 
@@ -535,16 +585,10 @@ func (c *Controller) handleUFM(m *packet.UFM) {
 // confirmed, the controller removes the flow's rules (and thereby their
 // capacity reservations) from old-path nodes that left the path.
 func (c *Controller) cleanupStaleRules(u *UpdateStatus) {
-	if len(u.OldPath) == 0 {
-		return
-	}
-	onNew := make(map[topo.NodeID]bool, len(u.NewPath))
-	for _, n := range u.NewPath {
-		onNew[n] = true
-	}
 	for _, n := range u.OldPath {
-		if !onNew[n] {
-			c.Net.SendToSwitch(n, &packet.CLN{Flow: u.Flow, Version: u.Version}, 0)
+		if !slices.Contains(u.NewPath, n) {
+			c.cln = packet.CLN{Flow: u.Flow, Version: u.Version}
+			c.Net.SendToSwitch(n, &c.cln, 0)
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // exercising the controller's tracking machinery in isolation).
 type echoHandler struct{}
 
-func (echoHandler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
+func (echoHandler) HandleUIM(sw *dataplane.Switch, pooled *packet.UIM) {
+	m := *pooled // recycled when dispatch returns; the commit outlives it
 	st := sw.State(m.Flow)
 	port := dataplane.PortLocal
 	if m.EgressPort != packet.NoPort {

@@ -38,7 +38,10 @@ type Protocol struct {
 // defaultMaxStallReports is the per-version stall-report budget.
 const defaultMaxStallReports = 8
 
-var _ dataplane.Handler = (*Protocol)(nil)
+var (
+	_ dataplane.Handler   = (*Protocol)(nil)
+	_ dataplane.Committer = (*Protocol)(nil)
+)
 
 // portFromWire converts a UIM wire port to a topo.PortID.
 func portFromWire(p uint16) topo.PortID {
@@ -88,8 +91,8 @@ func (p *Protocol) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 		sw.Alarm(m.Flow, m.Version, packet.ReasonFlowSize)
 		return
 	}
-	st.UIM = m
-	st.ChildPorts = st.ChildPorts[:0]
+	st.Indicate(m)
+	st.ChildPorts.Reset()
 	p.addChild(st, m)
 	if m.Version > st.IndicatedVersion {
 		st.IndicatedVersion = m.Version
@@ -154,7 +157,7 @@ func (p *Protocol) armWatchdog(sw *dataplane.Switch, flow packet.FlowID, version
 		cur.StallReports++
 		sw.Tracer().Watchdog(int32(sw.ID), uint32(flow), version,
 			uint32(cur.StallReports))
-		sw.SendUFM(&packet.UFM{
+		sw.SendUFM(packet.UFM{
 			Flow: flow, Version: version, Status: packet.StatusStalled,
 		})
 		p.armWatchdog(sw, flow, version)
@@ -179,9 +182,7 @@ func (p *Protocol) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.Po
 
 	switch v.Decision {
 	case DecisionWaitUIM:
-		// Park a copy: m is pool-owned and recycled after dispatch.
-		cp := *m
-		sw.ParkOnUIM(m.Flow, func() { p.HandleUNM(sw, &cp, inPort) })
+		sw.ParkUNMOnUIM(m, inPort)
 	case DecisionReject:
 		sw.Alarm(m.Flow, m.Vn, v.Reason)
 	case DecisionWaitDependency, DecisionDuplicate:
@@ -200,8 +201,7 @@ func (p *Protocol) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.Po
 			// the branch-3 inheritance path).
 			sw.Tracer().Verdict(int32(sw.ID), trace.CodeWaitUIM,
 				uint32(m.Flow), m.Vn, uint32(m.Dn), uint32(m.Do))
-			cp := *m
-			sw.ParkOnUIM(m.Flow, func() { p.HandleUNM(sw, &cp, inPort) })
+			sw.ParkUNMOnUIM(m, inPort)
 			return
 		}
 		if p.Congestion && !p.congestionGate(sw, m, inPort, st, uim) {
@@ -212,7 +212,9 @@ func (p *Protocol) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.Po
 }
 
 // stageApply stages the rule change (egress_port_updated) and commits it
-// after the switch's install delay, then runs the post-apply coordination.
+// after the switch's install delay (CommitStaged), then runs the
+// post-apply coordination. The staged record copies uim: the indication
+// being installed stays fixed even if a newer one arrives meanwhile.
 func (p *Protocol) stageApply(sw *dataplane.Switch, f packet.FlowID, st *dataplane.FlowState, uim *packet.UIM, v Verdict) {
 	if st.Applying && st.ApplyingVersion >= uim.Version {
 		return // an equal-or-newer install is already in flight
@@ -221,13 +223,23 @@ func (p *Protocol) stageApply(sw *dataplane.Switch, f packet.FlowID, st *datapla
 	st.ApplyingVersion = uim.Version
 	st.EgressPortUpdated = portFromWire(uim.EgressPort)
 	portChanged := !st.HasRule || st.EgressPort != st.EgressPortUpdated
-	sw.Apply(portChanged, func() {
-		if sw.CommitRule(f, uim, v.OldVer, v.Inherited, v.Counter) {
-			p.afterApply(sw, f, sw.State(f), uim)
-		} else if st.ApplyingVersion == uim.Version {
-			st.Applying = false
-		}
-	})
+	c := sw.StageCommit()
+	*c = dataplane.StagedCommit{
+		Flow: f, UIM: *uim, State: st,
+		OldVersion: v.OldVer, Inherited: v.Inherited, Counter: v.Counter,
+	}
+	sw.ApplyStaged(portChanged, c)
+}
+
+// CommitStaged implements dataplane.Committer: it commits a rule staged
+// by stageApply, re-validated by CommitRule against a newer version that
+// may have won the race meanwhile.
+func (p *Protocol) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
+	if sw.CommitRule(c.Flow, &c.UIM, c.OldVersion, c.Inherited, c.Counter) {
+		p.afterApply(sw, c.Flow, sw.State(c.Flow), &c.UIM)
+	} else if c.State.ApplyingVersion == c.UIM.Version {
+		c.State.Applying = false
+	}
 }
 
 // afterApply notifies the child (upstream neighbor on the new path) and,
@@ -238,7 +250,7 @@ func (p *Protocol) afterApply(sw *dataplane.Switch, f packet.FlowID, st *datapla
 	// flight (they may carry smaller inherited distances).
 	sw.WakeUIMWaiters(f)
 	if uim.Role.Has(packet.RoleIngress) {
-		sw.SendUFM(&packet.UFM{
+		sw.SendUFM(packet.UFM{
 			Flow: f, Version: uim.Version, Status: packet.StatusUpdated,
 		})
 	}
@@ -247,16 +259,9 @@ func (p *Protocol) afterApply(sw *dataplane.Switch, f packet.FlowID, st *datapla
 // addChild records the indication's child port in the version's clone
 // group (destination trees deliver one indication per child).
 func (p *Protocol) addChild(st *dataplane.FlowState, m *packet.UIM) {
-	port := portFromWire(m.ChildPort)
-	if port == dataplane.PortLocal {
-		return
+	if port := portFromWire(m.ChildPort); port != dataplane.PortLocal {
+		st.ChildPorts.Add(port)
 	}
-	for _, c := range st.ChildPorts {
-		if c == port {
-			return
-		}
-	}
-	st.ChildPorts = append(st.ChildPorts, port)
 }
 
 // emit clones a UNM toward the node's children on the new path (the
@@ -267,7 +272,8 @@ func (p *Protocol) addChild(st *dataplane.FlowState, m *packet.UIM) {
 // runs this version, its current applied distance before that (the early
 // proposal of the dual-layer intuition in §3.2).
 func (p *Protocol) emit(sw *dataplane.Switch, f packet.FlowID, st *dataplane.FlowState, uim *packet.UIM, layer packet.Layer) {
-	if uim == nil || len(st.ChildPorts) == 0 {
+	children := st.ChildPorts.Ports()
+	if len(children) == 0 {
 		return // the ingress / a tree leaf has no children
 	}
 	do := st.CurrentDistance()
@@ -278,7 +284,7 @@ func (p *Protocol) emit(sw *dataplane.Switch, f packet.FlowID, st *dataplane.Flo
 			vo = st.OldVersion
 		}
 	}
-	for _, child := range st.ChildPorts {
+	for _, child := range children {
 		// SendUNM serializes synchronously, so a pooled struct can be
 		// recycled as soon as it returns.
 		unm := sw.Pool().GetUNM()
@@ -327,8 +333,7 @@ func (p *Protocol) congestionGate(sw *dataplane.Switch, m *packet.UNM, inPort to
 		if st.Priority == dataplane.PriorityHigh {
 			sw.MarkHighWaiting(newPort, m.Flow)
 		}
-		cp := *m
-		sw.ParkOnCapacity(newPort, func() { p.HandleUNM(sw, &cp, inPort) })
+		sw.ParkUNMOnCapacity(newPort, m, inPort)
 		return false
 	}
 	// Capacity suffices, but a low-priority flow must let waiting
@@ -336,8 +341,7 @@ func (p *Protocol) congestionGate(sw *dataplane.Switch, m *packet.UNM, inPort to
 	if st.Priority == dataplane.PriorityLow && sw.HighWaitingOn(newPort, m.Flow) {
 		sw.Tracer().Verdict(int32(sw.ID), trace.CodePriorityYield,
 			uint32(m.Flow), m.Vn, uint32(int32(newPort)), uint32(uim.FlowSizeK))
-		cp := *m
-		sw.ParkOnCapacity(newPort, func() { p.HandleUNM(sw, &cp, inPort) })
+		sw.ParkUNMOnCapacity(newPort, m, inPort)
 		return false
 	}
 	// Book the capacity now so concurrent gate decisions during the

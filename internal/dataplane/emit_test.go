@@ -113,7 +113,10 @@ func TestEmitStageOrder(t *testing.T) {
 	}
 	for _, row := range rows {
 		// build wires a line fabric with the probe on both seams and one
-		// known buffer in the pool, so buffer identity is checkable.
+		// known buffer in the pool, so buffer identity is checkable: every
+		// row's frame is short, so it is serialized into that buffer and
+		// travels inline in its delivery record, and the buffer goes
+		// straight back to the pool.
 		build := func(t *testing.T) (*Network, *topo.Topology, *pipelineProbe, *arrivals, *byte) {
 			net, g := lineNet(t, 1)
 			rec := trace.New(trace.Options{})
@@ -165,7 +168,13 @@ func TestEmitStageOrder(t *testing.T) {
 		t.Run(row.name+"/traced, then inspected, then delivered", func(t *testing.T) {
 			net, g, probe, arr, pooled := build(t)
 			row.send(net, g)
-			want := seamCall{class: row.class, from: row.from, to: row.to, buf: pooled, traced: 1}
+			want := seamCall{class: row.class, from: row.from, to: row.to, traced: 1}
+			if len(probe.inspected) == 1 {
+				if probe.inspected[0].buf == pooled {
+					t.Error("Inspect was handed the pool buffer; a short frame travels inline in its delivery record")
+				}
+				want.buf = probe.inspected[0].buf
+			}
 			if !slices.Equal(probe.inspected, []seamCall{want}) {
 				t.Fatalf("Inspect saw %+v, want %+v", probe.inspected, want)
 			}
@@ -198,10 +207,12 @@ func TestEmitStageOrder(t *testing.T) {
 			net, g, probe, arr, pooled := build(t)
 			probe.act = FaultAction{Duplicate: true, Delay: 4 * time.Millisecond}
 			row.send(net, g)
+			inFlight := len(net.deliveries.free)
 			first := row.delay + 4*time.Millisecond
 			net.Eng.RunUntil(first)
-			if len(arr.at) != 1 || net.pool.GetBuf() != nil {
-				t.Fatalf("after the first copy: %d arrivals (want 1), buffer must still be in flight", len(arr.at))
+			if len(arr.at) != 1 || len(net.deliveries.free) != inFlight+1 {
+				t.Fatalf("after the first copy: %d arrivals (want 1), %d records recycled (want 1)",
+					len(arr.at), len(net.deliveries.free)-inFlight)
 			}
 			net.Eng.Run()
 			if !slices.Equal(arr.at, []time.Duration{first, first + time.Millisecond}) {
@@ -231,6 +242,34 @@ func TestEmitStageOrder(t *testing.T) {
 				t.Errorf("forwarded frame also delivered locally at %v", arr.at)
 			}
 		})
+	}
+}
+
+// TestEmitLongFrameTravelsInPooledBuffer: a frame longer than a delivery
+// record's inline space (a UIM batch) travels in the pool's buffer, is
+// inspected in place there, and the buffer returns to the pool once the
+// frame is delivered.
+func TestEmitLongFrameTravelsInPooledBuffer(t *testing.T) {
+	net, _ := lineNet(t, 1)
+	probe := &pipelineProbe{rec: trace.New(trace.Options{}), remote: noParty}
+	net.Faults = probe
+	arr := &arrivals{net: net}
+	net.SetHandler(arr)
+	pooled := make([]byte, 1, 256)
+	net.pool.PutBuf(pooled)
+	net.SendToSwitch(2, &packet.UIMBatch{Items: []packet.UIM{{Flow: 7, Version: 2}, {Flow: 8, Version: 2}}}, 0)
+	if len(probe.inspected) != 1 || probe.inspected[0].buf != &pooled[0] {
+		t.Fatalf("Inspect saw %+v, want one call on the pool buffer", probe.inspected)
+	}
+	if net.pool.GetBuf() != nil {
+		t.Fatal("the pool buffer came back before the frame was delivered")
+	}
+	net.Eng.Run()
+	if len(arr.at) != 2 {
+		t.Fatalf("%d indications arrived, want 2", len(arr.at))
+	}
+	if b := net.pool.GetBuf(); b == nil || &b[:1][0] != &pooled[0] {
+		t.Error("the pool buffer did not return after delivery")
 	}
 }
 
@@ -265,7 +304,7 @@ func TestEmitBatchTracesAsItems(t *testing.T) {
 	net.Eng.Trace = rec
 	probe := &pipelineProbe{rec: rec, remote: noParty}
 	net.Faults = probe
-	net.SendToSwitch(2, &packet.UIMBatch{Items: []*packet.UIM{
+	net.SendToSwitch(2, &packet.UIMBatch{Items: []packet.UIM{
 		{Flow: 7, Version: 2}, {Flow: 8, Version: 5},
 	}}, 0)
 	evs := rec.Events()

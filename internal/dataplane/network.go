@@ -86,13 +86,20 @@ type Network struct {
 	// OnDeliver observes local data-packet delivery at an egress.
 	OnDeliver func(node topo.NodeID, d *packet.Data)
 
-	// pool recycles message structs and marshal buffers; deliveries and
-	// frames drawn from it live only until Receive/ControllerRx return.
+	// pool recycles message structs and marshal buffers; frames drawn
+	// from it live only until Receive/ControllerRx return.
 	pool packet.Pool
-	// freeDeliv recycles in-flight delivery records; deliverFn is the
-	// method value bound once so scheduling a delivery allocates nothing.
-	freeDeliv []*delivery
-	deliverFn func(any)
+	// deliveries, parks and commits hold the records of the update path's
+	// in-flight work: frames on the wire, work parked for resubmission and
+	// rule installs waiting out their delay. Each is scheduled through
+	// ScheduleArg with a method value bound once (deliverFn, resubmitFn,
+	// commitFn), so none of them costs a closure.
+	deliveries slab[delivery]
+	parks      slab[parked]
+	commits    slab[StagedCommit]
+	deliverFn  func(any)
+	resubmitFn func(any)
+	commitFn   func(any)
 
 	// flows interns flow IDs into dense indexes shared by every switch of
 	// the fabric (see flowTable).
@@ -179,14 +186,158 @@ func (t *flowTable) id(i int32) packet.FlowID {
 	return t.slots[i].id
 }
 
+// slab hands out records from blocks it allocates itself and recycles
+// them through a free list, so a trial pays one allocation per block of
+// concurrently live records rather than one per record. Blocks grow from
+// 8 to maxSlabBlock records and are never regrown, so a record's address
+// is stable while it is out. Like the engine it serves, it is
+// single-threaded.
+type slab[T any] struct {
+	free []*T
+	next int // size of the next block
+}
+
+const maxSlabBlock = 256
+
+func (s *slab[T]) get() *T {
+	if k := len(s.free); k > 0 {
+		r := s.free[k-1]
+		s.free = s.free[:k-1]
+		return r
+	}
+	s.next = min(max(2*s.next, 8), maxSlabBlock)
+	blk := make([]T, s.next)
+	for i := len(blk) - 1; i > 0; i-- {
+		s.free = append(s.free, &blk[i])
+	}
+	return &blk[0]
+}
+
+// put zeroes r and returns it to the free list.
+func (s *slab[T]) put(r *T) {
+	var zero T
+	*r = zero
+	s.free = append(s.free, r)
+}
+
+// inlineFrame is the longest frame a delivery record carries inline:
+// every fixed-layout message fits (the largest, UIM and EZI, take 23
+// bytes); only UIM batches and transport envelopes need a buffer.
+const inlineFrame = 24
+
 // delivery is a pooled in-flight frame, controller-bound when to is
-// NodeController. recycle marks the last delivery of raw, after which the
-// buffer returns to the pool.
+// NodeController. A frame of at most inlineFrame bytes travels in the
+// record itself (inline[:n]); a longer one in big, a pooled buffer that
+// returns to the pool with the record.
 type delivery struct {
 	from, to topo.NodeID
 	inPort   topo.PortID
-	raw      []byte
-	recycle  bool
+	n        int32
+	inline   [inlineFrame]byte
+	big      []byte
+}
+
+// hold takes ownership of the serialized frame buf, a buffer drawn from
+// p: a short frame is copied inline and buf goes straight back to the
+// pool. It returns the frame as the record now stores it.
+func (dv *delivery) hold(buf []byte, p *packet.Pool) []byte {
+	if len(buf) > inlineFrame {
+		dv.big = buf
+		return buf
+	}
+	dv.n = int32(copy(dv.inline[:], buf))
+	p.PutBuf(buf)
+	return dv.inline[:dv.n]
+}
+
+// frame returns the record's frame.
+func (dv *delivery) frame() []byte {
+	if dv.big != nil {
+		return dv.big
+	}
+	return dv.inline[:dv.n]
+}
+
+// truncate records that the frame now ends at n bytes (a fault injector
+// may shorten it in place).
+func (dv *delivery) truncate(n int) {
+	if dv.big != nil {
+		dv.big = dv.big[:n]
+	} else {
+		dv.n = int32(n)
+	}
+}
+
+// parked is one piece of work waiting for an indication or for capacity,
+// the resubmitted packet of the P4 prototype. A notification parks by
+// value (unm, inPort) and is handed back to the switch's handler when it
+// is resubmitted; the baselines park closures (fire). Records come from
+// the network's slab and chain into their wait queue through next.
+type parked struct {
+	next   *parked
+	sw     *Switch
+	fire   func()
+	unm    packet.UNM
+	inPort topo.PortID
+}
+
+// parkQueue is a queue of parked work held as one pointer (it sits in
+// every FlowState): a list linked newest first, which wake reverses into
+// parking order.
+type parkQueue struct{ newest *parked }
+
+// park adds one piece of work to q: fire, or else a copy of m.
+func (n *Network) park(q *parkQueue, sw *Switch, fire func(), m *packet.UNM, inPort topo.PortID) {
+	w := n.parks.get()
+	w.sw, w.fire, w.inPort = sw, fire, inPort
+	if m != nil {
+		w.unm = *m
+	}
+	w.next, q.newest = q.newest, w
+}
+
+// takeParked empties q and returns its work in parking order, linked
+// through next.
+func takeParked(q *parkQueue) *parked {
+	var first *parked
+	for w := q.newest; w != nil; {
+		next := w.next
+		w.next, first = first, w
+		w = next
+	}
+	q.newest = nil
+	return first
+}
+
+// dropParked discards the work queued on q.
+func (n *Network) dropParked(q *parkQueue) {
+	for w := q.newest; w != nil; {
+		next := w.next
+		n.parks.put(w)
+		w = next
+	}
+	q.newest = nil
+}
+
+// resubmit runs one woken piece of parked work and recycles its record.
+func (n *Network) resubmit(x any) {
+	w := x.(*parked)
+	if w.fire != nil {
+		w.fire()
+	} else {
+		w.sw.handler.HandleUNM(w.sw, &w.unm, w.inPort)
+	}
+	n.parks.put(w)
+}
+
+// commitStaged runs one staged commit whose install delay has elapsed and
+// recycles its record.
+func (n *Network) commitStaged(x any) {
+	c := x.(*StagedCommit)
+	if sw := c.sw; sw.epoch == c.epoch && !sw.down {
+		sw.handler.(Committer).CommitStaged(sw, c)
+	}
+	n.commits.put(c)
 }
 
 // NewNetwork builds a switch per topology node. Control latency defaults
@@ -195,6 +346,8 @@ func NewNetwork(eng *sim.Engine, t *topo.Topology) *Network {
 	n := &Network{Eng: eng, Topo: t}
 	n.flows = &flowTable{idx: make(map[packet.FlowID]int32)}
 	n.deliverFn = n.deliver
+	n.resubmitFn = n.resubmit
+	n.commitFn = n.commitStaged
 	n.switches = make([]*Switch, t.NumNodes())
 	for _, id := range t.Nodes() {
 		n.switches[id] = newSwitch(id, n)
@@ -245,8 +398,8 @@ func (n *Network) recordSend(tr *trace.Recorder, from, to topo.NodeID, m packet.
 	if b, ok := m.(*packet.UIMBatch); ok {
 		// A batch frame traces as its contained UIMs, so batched and
 		// unbatched runs produce comparable message summaries.
-		for _, it := range b.Items {
-			tr.Send(int32(from), uint8(packet.TypeUIM), int32(to), uint32(it.Flow), it.Version)
+		for i := range b.Items {
+			tr.Send(int32(from), uint8(packet.TypeUIM), int32(to), uint32(b.Items[i].Flow), b.Items[i].Version)
 		}
 		return
 	}
@@ -346,36 +499,30 @@ func (n *Network) RetireFlow(f packet.FlowID) bool {
 	return true
 }
 
-// newDelivery pops a delivery record from the free list.
-func (n *Network) newDelivery() *delivery {
-	if k := len(n.freeDeliv); k > 0 {
-		dv := n.freeDeliv[k-1]
-		n.freeDeliv = n.freeDeliv[:k-1]
-		return dv
-	}
-	return &delivery{}
-}
-
 // deliver consumes a scheduled delivery record: it hands the frame to
-// the destination (switch pipeline or controller), recycles the marshal
-// buffer if this was its last use, and returns the record to the free
-// list. It is scheduled through ScheduleArg with the bound deliverFn so
-// the steady-state send path allocates nothing.
+// the destination (switch pipeline or controller), then recycles the
+// record and any frame buffer it held. It is scheduled through
+// ScheduleArg with the bound deliverFn so the send path allocates
+// nothing.
 func (n *Network) deliver(x any) {
 	dv := x.(*delivery)
 	if dv.to == NodeController {
-		n.ControllerRx(dv.from, dv.raw)
+		n.ControllerRx(dv.from, dv.frame())
 	} else if sw := n.switches[dv.to]; sw.down {
 		// Frames addressed to a crashed switch vanish at its port.
 		sw.Stats.CrashDrops++
 	} else {
-		sw.Receive(dv.raw, dv.inPort)
+		sw.Receive(dv.frame(), dv.inPort)
 	}
-	if dv.recycle {
-		n.pool.PutBuf(dv.raw)
+	n.release(dv)
+}
+
+// release recycles a delivery record and its frame buffer, if any.
+func (n *Network) release(dv *delivery) {
+	if dv.big != nil {
+		n.pool.PutBuf(dv.big)
 	}
-	dv.raw = nil
-	n.freeDeliv = append(n.freeDeliv, dv)
+	n.deliveries.put(dv)
 }
 
 // Switch returns the switch at the given node.
@@ -480,28 +627,31 @@ func (n *Network) emit(class FaultClass, from, to topo.NodeID, inPort topo.PortI
 		n.Proc.Forward(from, to, inPort, packet.Marshal(m))
 		return
 	}
-	// 4. Inject faults on the pooled serialized frame.
-	raw := m.SerializeTo(n.pool.GetBuf())
+	// 4. Serialize into a delivery record and inject faults on the frame
+	// it holds.
+	dv := n.deliveries.get()
+	dv.from, dv.to, dv.inPort = from, to, inPort
+	raw := dv.hold(m.SerializeTo(n.pool.GetBuf()), &n.pool)
 	var dup bool
 	if n.Faults != nil {
 		var act FaultAction
 		raw, act = n.Faults.Inspect(class, from, to, raw)
 		if act.Drop {
-			n.pool.PutBuf(raw)
+			n.release(dv)
 			return
 		}
+		dv.truncate(len(raw))
 		dup = act.Duplicate
 		delay += act.Delay
 	}
-	// 5. Schedule delivery. raw is valid only until the receiver returns
-	// (it decodes, copying every field); a duplicated frame is the same
-	// raw delivered twice, and only the last delivery recycles it.
-	dv := n.newDelivery()
-	*dv = delivery{from: from, to: to, inPort: inPort, raw: raw, recycle: !dup}
+	// 5. Schedule delivery. The frame is valid only until the receiver
+	// returns (it decodes, copying every field); a duplicated frame is a
+	// second record holding its own copy of the same bytes.
 	n.Eng.ScheduleArg(delay, n.deliverFn, dv)
 	if dup {
-		dv2 := n.newDelivery()
-		*dv2 = delivery{from: from, to: to, inPort: inPort, raw: raw, recycle: true}
+		dv2 := n.deliveries.get()
+		dv2.from, dv2.to, dv2.inPort = from, to, inPort
+		dv2.hold(append(n.pool.GetBuf(), raw...), &n.pool)
 		n.Eng.ScheduleArg(delay+time.Millisecond, n.deliverFn, dv2)
 	}
 }

@@ -47,8 +47,8 @@ const (
 //	counter             -> Counter     (dual-layer hop counter)
 //
 // In the P4 prototype the "indication" labels live in registers written on
-// UIM arrival; we keep the freshest UIM as a staged struct (UIM) with the
-// same effect.
+// UIM arrival; we keep a copy of the freshest UIM in the block (Indicate)
+// with the same effect.
 //
 // Forwarding registers and the revision contract: HasRule, EgressPort,
 // NewVersion, PrevValid, PrevEgressPort and FlowSizeK decide where a
@@ -86,13 +86,16 @@ type FlowState struct {
 	// PendingRes tracks capacity staged for in-flight rule installs so
 	// concurrent gate decisions cannot oversubscribe a link.
 	PendingRes []PendingReservation
-	// UIM is the freshest (highest-version) indication received.
+	// UIM is the freshest (highest-version) indication received, nil if
+	// none. Indicate points it at the block's own copy (uim), since the
+	// received message is pool-owned; the block never moves, so neither
+	// does the copy.
 	UIM *packet.UIM
 	// ChildPorts is the clone group for the UIM's version: the ports
 	// toward every child that must be notified after this node applies.
 	// Path flows have one child; destination trees (§11) have one per
 	// tree child. Populated from the indications' ChildPort fields.
-	ChildPorts []topo.PortID
+	ChildPorts CloneGroup
 	// Proto holds protocol-private per-flow state (the baselines use it
 	// for their instruction records).
 	Proto any
@@ -105,15 +108,16 @@ type FlowState struct {
 	// It is reset whenever the awaited indication (re-)arrives.
 	StallReports uint8
 
-	// uimSlot is the flow's slot in the switch's UIM-waiter table plus
-	// one (0 = not assigned yet); assigned on first ParkOnUIM so the
-	// table stays as small as the set of flows that ever parked.
-	uimSlot int32
 	// nextHolder links the block into its flow slot's holder chain
 	// (slotEntry.holder): the next switch holding state for the flow, or
 	// noHolder. Meaningful only while the block is installed; set on first
 	// touch by Switch.State.
 	nextHolder topo.NodeID
+	// uim holds the indication UIM points at (see Indicate).
+	uim packet.UIM
+	// uimWait queues the work parked until an indication for the flow
+	// arrives (ParkOnUIM).
+	uimWait parkQueue
 }
 
 // CurrentDistance returns the node's effective distance under its applied
@@ -123,6 +127,60 @@ func (st *FlowState) CurrentDistance() uint16 {
 		return FreshDistance
 	}
 	return st.NewDistance
+}
+
+// Indicate records m as the flow's freshest indication: the block keeps
+// a copy, so m may be recycled once the handler returns.
+func (st *FlowState) Indicate(m *packet.UIM) {
+	st.uim = *m
+	st.UIM = &st.uim
+}
+
+// CloneGroup is a small ordered set of clone-session ports. The first
+// len(inline) ports live in the struct itself, so a path flow's group
+// (one child) costs no allocation; a destination-tree node with more
+// children spills the whole group into a slice it then keeps. The spill
+// is held through a pointer so the group is no larger than a slice.
+type CloneGroup struct {
+	inline [2]topo.PortID
+	n      int32
+	spill  *[]topo.PortID
+}
+
+// Ports returns the group in insertion order. The slice aliases the
+// group and is valid until the next Add or Reset.
+func (g *CloneGroup) Ports() []topo.PortID {
+	if g.spill != nil {
+		return *g.spill
+	}
+	return g.inline[:g.n]
+}
+
+// Add appends port unless the group already holds it.
+func (g *CloneGroup) Add(port topo.PortID) {
+	for _, c := range g.Ports() {
+		if c == port {
+			return
+		}
+	}
+	switch {
+	case g.spill != nil:
+		*g.spill = append(*g.spill, port)
+	case int(g.n) < len(g.inline):
+		g.inline[g.n] = port
+		g.n++
+	default:
+		spill := append(append(make([]topo.PortID, 0, 2*len(g.inline)), g.inline[:]...), port)
+		g.spill = &spill
+	}
+}
+
+// Reset empties the group, keeping any spill capacity.
+func (g *CloneGroup) Reset() {
+	g.n = 0
+	if g.spill != nil {
+		*g.spill = (*g.spill)[:0]
+	}
 }
 
 // PendingReservation is capacity booked at verification time for a rule

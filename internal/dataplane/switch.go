@@ -10,6 +10,8 @@ import (
 
 // Handler implements an update protocol on top of the switch substrate.
 // P4Update (internal/core) and the evaluation baselines plug in here.
+// The message a handler is given is pool-owned and recycled when the
+// call returns: anything kept past it is copied by value.
 type Handler interface {
 	// HandleUIM processes a controller indication (or baseline
 	// instruction encoded as a UIM).
@@ -51,11 +53,10 @@ type Switch struct {
 	stateChunks [][]FlowState
 	// freeStates recycles retired flows' state blocks (reset to fresh,
 	// reservation-slice capacity kept), so steady-state churn allocates
-	// no new slab blocks; freeUIMSlots recycles their waiter-table rows.
-	freeStates   []stateRef
-	freeUIMSlots []int32
-	reserved     []uint64 // kbps reserved per real egress port
-	handler      Handler
+	// no new slab blocks.
+	freeStates []stateRef
+	reserved   []uint64 // kbps reserved per real egress port
+	handler    Handler
 
 	// InstallDelay samples the time a forwarding-rule change takes to
 	// commit (the per-node update slowness of §9.1). Nil means instant.
@@ -75,13 +76,11 @@ type Switch struct {
 	// (used by the Fig-2 per-packet traces).
 	DataTap func(sw *Switch, d *packet.Data, inPort topo.PortID)
 
-	// capWaiters holds work parked on insufficient capacity or on the
+	// capWaiters queues work parked on insufficient capacity or on the
 	// priority gate, indexed by the slot of the egress port it waits for.
-	capWaiters [][]parked
-	// uimWaiters holds work parked until an indication arrives
-	// (Alg. 1 line 10 / Alg. 2 line 5), indexed by the flow's lazily
-	// assigned FlowState.uimSlot.
-	uimWaiters [][]parked
+	// Work parked until an indication arrives (Alg. 1 line 10 / Alg. 2
+	// line 5) queues on its flow's FlowState instead.
+	capWaiters []parkQueue
 	// highWaiting tracks, per egress-port slot, the HIGH priority flows
 	// currently waiting to move onto that port (§7.4 gate). The sets are
 	// tiny, so membership is a linear scan.
@@ -89,16 +88,12 @@ type Switch struct {
 
 	// down marks the switch crashed (fail-stop): it neither sends nor
 	// receives, and its soft state is gone. epoch counts crashes so that
-	// commits staged before a crash (Apply closures already in the event
-	// queue) recognize they belong to a dead incarnation.
+	// commits staged before a crash (already in the event queue)
+	// recognize they belong to a dead incarnation.
 	down  bool
 	epoch uint32
 
 	Stats Stats
-}
-
-type parked struct {
-	fire func()
 }
 
 // newSwitch wires a switch into its network.
@@ -109,7 +104,7 @@ func newSwitch(id topo.NodeID, net *Network) *Switch {
 		net:         net,
 		degree:      deg,
 		reserved:    make([]uint64, deg),
-		capWaiters:  make([][]parked, deg+1),
+		capWaiters:  make([]parkQueue, deg+1),
 		highWaiting: make([][]packet.FlowID, deg+1),
 	}
 }
@@ -213,8 +208,8 @@ func (sw *Switch) recordRecv(tr *trace.Recorder, m packet.Message, inPort topo.P
 		}
 	}
 	if b, ok := m.(*packet.UIMBatch); ok {
-		for _, it := range b.Items {
-			tr.Recv(int32(sw.ID), uint8(packet.TypeUIM), peer, uint32(it.Flow), it.Version)
+		for i := range b.Items {
+			tr.Recv(int32(sw.ID), uint8(packet.TypeUIM), peer, uint32(b.Items[i].Flow), b.Items[i].Version)
 		}
 		return
 	}
@@ -306,10 +301,7 @@ func (sw *Switch) retireFlow(i int32, f packet.FlowID) {
 	if st.HasRule {
 		sw.Release(st.EgressPort, st.FlowSizeK)
 	}
-	if st.uimSlot != 0 {
-		sw.uimWaiters[st.uimSlot-1] = sw.uimWaiters[st.uimSlot-1][:0]
-		sw.freeUIMSlots = append(sw.freeUIMSlots, st.uimSlot)
-	}
+	sw.net.dropParked(&st.uimWait)
 	for s := range sw.highWaiting {
 		set := sw.highWaiting[s]
 		for j, g := range set {
@@ -331,9 +323,9 @@ func (sw *Switch) retireFlow(i int32, f packet.FlowID) {
 // dispatches on message type. inPort is the arrival port, or
 // topo.InvalidPort for frames from the controller or host side.
 //
-// Pooled message types (Data, UNM, EZN) are recycled once dispatch
-// returns: a handler that parks work for later resubmission must copy
-// the message into the closure rather than capture the pointer.
+// Every decoded message is pool-owned and recycled once dispatch
+// returns: a handler that keeps anything beyond the call (an indication,
+// a parked notification, a staged commit) copies it by value.
 func (sw *Switch) Receive(raw []byte, inPort topo.PortID) {
 	m, err := sw.net.pool.Decode(raw)
 	if err != nil {
@@ -352,6 +344,7 @@ func (sw *Switch) Receive(raw []byte, inPort topo.PortID) {
 		if sw.handler != nil {
 			sw.handler.HandleUIM(sw, m)
 		}
+		sw.net.pool.Recycle(m)
 	case *packet.UNM:
 		sw.Stats.UNMReceived++
 		if sw.handler != nil {
@@ -360,16 +353,16 @@ func (sw *Switch) Receive(raw []byte, inPort topo.PortID) {
 		sw.net.pool.PutUNM(m)
 	case *packet.CLN:
 		sw.handleCleanup(m)
+		sw.net.pool.Recycle(m)
 	case *packet.UIMBatch:
 		// Unpack and dispatch each indication as if it arrived alone.
-		// Items are freshly allocated by the decoder (never pooled):
-		// handlers retain the staged pointer in FlowState.UIM.
-		for _, u := range m.Items {
+		for i := range m.Items {
 			sw.Stats.UIMReceived++
 			if sw.handler != nil {
-				sw.handler.HandleUIM(sw, u)
+				sw.handler.HandleUIM(sw, &m.Items[i])
 			}
 		}
+		sw.net.pool.Recycle(m)
 	default:
 		// Baseline protocols define extra message types; hand them to the
 		// handler when it supports them, else drop.
@@ -414,9 +407,8 @@ func (sw *Switch) handleData(d *packet.Data, inPort topo.PortID) {
 	if out == PortLocal {
 		sw.Stats.DataDelivered++
 		if d.Probe {
-			sw.net.SendToController(sw.ID, &packet.UFM{
-				Flow: d.Flow, Version: d.ProbeVersion,
-				Status: packet.StatusProbeOK, Node: uint16(sw.ID),
+			sw.SendUFM(packet.UFM{
+				Flow: d.Flow, Version: d.ProbeVersion, Status: packet.StatusProbeOK,
 			})
 		}
 		if sw.net.OnDeliver != nil {
@@ -488,10 +480,15 @@ func (sw *Switch) SendUNM(port topo.PortID, m *packet.UNM) {
 	sw.net.SendPort(sw.ID, port, m)
 }
 
-// SendUFM clones a feedback message to the controller.
-func (sw *Switch) SendUFM(m *packet.UFM) {
-	m.Node = uint16(sw.ID)
-	sw.net.SendToController(sw.ID, m)
+// SendUFM clones a feedback message to the controller, stamped with the
+// switch's ID. The message is passed by value and sent from a pooled
+// struct, so reporting allocates nothing.
+func (sw *Switch) SendUFM(m packet.UFM) {
+	u := sw.net.pool.GetUFM()
+	*u = m
+	u.Node = uint16(sw.ID)
+	sw.net.SendToController(sw.ID, u)
+	sw.net.pool.PutUFM(u)
 }
 
 // Alarm reports an inconsistent update to the controller (the "drop UNM,
@@ -499,7 +496,7 @@ func (sw *Switch) SendUFM(m *packet.UFM) {
 func (sw *Switch) Alarm(f packet.FlowID, version uint32, reason packet.AlarmReason) {
 	sw.Stats.AlarmsSent++
 	sw.net.Eng.Trace.Alarm(int32(sw.ID), uint8(reason), uint32(f), version)
-	sw.SendUFM(&packet.UFM{
+	sw.SendUFM(packet.UFM{
 		Flow: f, Version: version, Status: packet.StatusAlarm, Reason: reason,
 	})
 }
@@ -507,35 +504,20 @@ func (sw *Switch) Alarm(f packet.FlowID, version uint32, reason packet.AlarmReas
 // ParkOnUIM stores work until a (newer) indication for the flow arrives;
 // the P4 prototype realizes this wait by packet resubmission.
 func (sw *Switch) ParkOnUIM(f packet.FlowID, fire func()) {
-	st := sw.State(f)
-	if st.uimSlot == 0 {
-		if k := len(sw.freeUIMSlots); k > 0 {
-			st.uimSlot = sw.freeUIMSlots[k-1]
-			sw.freeUIMSlots = sw.freeUIMSlots[:k-1]
-		} else {
-			sw.uimWaiters = append(sw.uimWaiters, nil)
-			st.uimSlot = int32(len(sw.uimWaiters))
-		}
-	}
-	sw.uimWaiters[st.uimSlot-1] = append(sw.uimWaiters[st.uimSlot-1], parked{fire: fire})
+	sw.net.park(&sw.State(f).uimWait, sw, fire, nil, 0)
+}
+
+// ParkUNMOnUIM is ParkOnUIM for a notification: a copy of m is
+// resubmitted to the switch's handler, arriving again on inPort, once an
+// indication for its flow arrives. Parking it costs no closure.
+func (sw *Switch) ParkUNMOnUIM(m *packet.UNM, inPort topo.PortID) {
+	sw.net.park(&sw.State(m.Flow).uimWait, sw, nil, m, inPort)
 }
 
 // WakeUIMWaiters re-injects work parked on the flow's indication.
 func (sw *Switch) WakeUIMWaiters(f packet.FlowID) {
-	st, ok := sw.PeekState(f)
-	if !ok || st.uimSlot == 0 {
-		return
-	}
-	waiters := sw.uimWaiters[st.uimSlot-1]
-	if len(waiters) == 0 {
-		return
-	}
-	// Reset before scheduling so the backing array is reused by the next
-	// park; the fires run later, off the engine, never reentrantly here.
-	sw.uimWaiters[st.uimSlot-1] = waiters[:0]
-	for _, w := range waiters {
-		sw.Stats.Resubmissions++
-		sw.net.Eng.Schedule(resubmitLatency, w.fire)
+	if st, ok := sw.PeekState(f); ok {
+		sw.wake(&st.uimWait)
 	}
 }
 
@@ -543,24 +525,35 @@ func (sw *Switch) WakeUIMWaiters(f packet.FlowID) {
 // (release or waiter-set shrink).
 func (sw *Switch) ParkOnCapacity(port topo.PortID, fire func()) {
 	if s := sw.portSlot(port); s >= 0 {
-		sw.capWaiters[s] = append(sw.capWaiters[s], parked{fire: fire})
+		sw.net.park(&sw.capWaiters[s], sw, fire, nil, 0)
+	}
+}
+
+// ParkUNMOnCapacity is ParkOnCapacity for a notification, resubmitted
+// like ParkUNMOnUIM's.
+func (sw *Switch) ParkUNMOnCapacity(port topo.PortID, m *packet.UNM, inPort topo.PortID) {
+	if s := sw.portSlot(port); s >= 0 {
+		sw.net.park(&sw.capWaiters[s], sw, nil, m, inPort)
 	}
 }
 
 // wakeCapacityWaiters re-injects work parked on port.
 func (sw *Switch) wakeCapacityWaiters(port topo.PortID) {
-	s := sw.portSlot(port)
-	if s < 0 {
-		return
+	if s := sw.portSlot(port); s >= 0 {
+		sw.wake(&sw.capWaiters[s])
 	}
-	waiters := sw.capWaiters[s]
-	if len(waiters) == 0 {
-		return
-	}
-	sw.capWaiters[s] = waiters[:0]
-	for _, w := range waiters {
+}
+
+// wake empties q and schedules each parked piece of work one
+// resubmission pass later, in parking order. The queue is reset before
+// scheduling; the work runs later, off the engine, never reentrantly here.
+func (sw *Switch) wake(q *parkQueue) {
+	for w := takeParked(q); w != nil; {
+		next := w.next
+		w.next = nil
 		sw.Stats.Resubmissions++
-		sw.net.Eng.Schedule(resubmitLatency, w.fire)
+		sw.net.Eng.ScheduleArg(resubmitLatency, sw.net.resubmitFn, w)
+		w = next
 	}
 }
 
@@ -620,7 +613,7 @@ func (sw *Switch) Release(port topo.PortID, sizeK uint32) {
 // capacity on port (input to the dynamic priority rule of §7.4).
 func (sw *Switch) HasCapacityWaiters(port topo.PortID) bool {
 	s := sw.portSlot(port)
-	return s >= 0 && len(sw.capWaiters[s]) > 0
+	return s >= 0 && sw.capWaiters[s].newest != nil
 }
 
 // StageReservation books capacity for an in-flight rule install of flow f
@@ -713,10 +706,7 @@ const registerWriteDelay = 50 * time.Microsecond
 // once; it must re-validate against the registers because a higher
 // version may have won the race meanwhile.
 func (sw *Switch) Apply(portChanged bool, commit func()) {
-	d := registerWriteDelay
-	if portChanged && sw.InstallDelay != nil {
-		d = sw.InstallDelay()
-	}
+	d := sw.installDelay(portChanged)
 	if sw.net.Faults != nil || sw.epoch > 0 {
 		// Epoch-guard the staged commit: if the switch crashes while the
 		// install is in flight, the commit belonged to the dead
@@ -732,6 +722,52 @@ func (sw *Switch) Apply(portChanged bool, commit func()) {
 		return
 	}
 	sw.net.Eng.Schedule(d, commit)
+}
+
+// installDelay samples how long a staged change takes to commit.
+func (sw *Switch) installDelay(portChanged bool) time.Duration {
+	if portChanged && sw.InstallDelay != nil {
+		return sw.InstallDelay()
+	}
+	return registerWriteDelay
+}
+
+// StagedCommit is a rule install waiting out the switch's install delay,
+// scheduled as a pooled record instead of a closure: the indication it
+// installs, held by value so an indication arriving meanwhile cannot
+// change it, and the Table-1 labels verification chose for it.
+type StagedCommit struct {
+	Flow       packet.FlowID
+	UIM        packet.UIM
+	OldVersion uint32
+	Inherited  uint16
+	Counter    uint16
+	// State is the flow's register block at staging time.
+	State *FlowState
+
+	sw    *Switch
+	epoch uint32
+}
+
+// Committer is the Handler extension of protocols that stage commits as
+// records (StageCommit / ApplyStaged) rather than closures.
+type Committer interface {
+	// CommitStaged runs when c's install delay has elapsed on a switch
+	// that has not crashed since. c is recycled when it returns.
+	CommitStaged(sw *Switch, c *StagedCommit)
+}
+
+// StageCommit returns a zeroed record for ApplyStaged.
+func (sw *Switch) StageCommit() *StagedCommit { return sw.net.commits.get() }
+
+// ApplyStaged is Apply for a record from StageCommit: after the install
+// delay the switch hands c to its handler's CommitStaged, unless the
+// switch crashed in between (the install belonged to the dead
+// incarnation, see Apply). A record carries its epoch for free, so unlike
+// an Apply closure it is guarded whether or not faults are attached.
+func (sw *Switch) ApplyStaged(portChanged bool, c *StagedCommit) {
+	c.sw, c.epoch = sw, sw.epoch
+	sw.net.Eng.ScheduleArg(sw.installDelay(portChanged), sw.net.commitFn, c)
 }
 
 // Crash takes the switch offline in the fail-stop model §11 assumes:
@@ -752,23 +788,21 @@ func (sw *Switch) Crash() {
 	// Clear waiter lists before releasing staged reservations so the
 	// releases' wakeCapacityWaiters find nothing to reschedule.
 	for i := range sw.capWaiters {
-		sw.capWaiters[i] = sw.capWaiters[i][:0]
+		sw.net.dropParked(&sw.capWaiters[i])
 		sw.highWaiting[i] = sw.highWaiting[i][:0]
-	}
-	for i := range sw.uimWaiters {
-		sw.uimWaiters[i] = sw.uimWaiters[i][:0]
 	}
 	for i := range sw.flowStates {
 		st := sw.FlowStateAt(i)
 		if st == nil {
 			continue
 		}
+		sw.net.dropParked(&st.uimWait)
 		for _, pr := range st.PendingRes {
 			sw.Release(pr.Port, pr.SizeK)
 		}
 		st.PendingRes = st.PendingRes[:0]
 		st.UIM = nil
-		st.ChildPorts = nil
+		st.ChildPorts.Reset()
 		st.Applying = false
 		st.ApplyingVersion = 0
 		st.Priority = PriorityLow

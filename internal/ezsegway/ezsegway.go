@@ -340,7 +340,7 @@ func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 		}
 		if instr.Flags.Has(packet.EZIngress) {
 			// Flow ingress: report completion of the final segment.
-			sw.SendUFM(&packet.UFM{
+			sw.SendUFM(packet.UFM{
 				Flow: m.Flow, Version: m.Version, Status: packet.StatusUpdated,
 			})
 		}
@@ -387,7 +387,8 @@ func PrepareCached(p controlplane.Planner, t *topo.Topology, flow packet.FlowID,
 	if p == nil {
 		return PreparePlanDep(t, flow, oldPath, newPath, version, sizeK, prio, dep)
 	}
-	var k controlplane.KeyBuf
+	var scratch [128]byte
+	k := controlplane.NewKeyBuf(scratch[:])
 	k.U8('e')
 	k.U32(uint32(flow))
 	k.U32(version)
@@ -396,9 +397,12 @@ func PrepareCached(p controlplane.Planner, t *topo.Topology, flow packet.FlowID,
 	k.U32(uint32(dep))
 	k.Path(oldPath)
 	k.Path(newPath)
-	v, err := p.Memo(t, k.String(), func() (any, error) {
-		return PreparePlanDep(t, flow, oldPath, newPath, version, sizeK, prio, dep)
-	})
+	v, ok, err := p.Cached(t, k.Bytes())
+	if !ok {
+		v, err = p.Memo(t, k.Bytes(), func() (any, error) {
+			return PreparePlanDep(t, flow, oldPath, newPath, version, sizeK, prio, dep)
+		})
+	}
 	plan, _ := v.(*Plan)
 	return plan, err
 }
@@ -419,7 +423,8 @@ func DependenciesCached(p controlplane.Planner, t *topo.Topology, updates []Flow
 	if p == nil {
 		return ComputeCongestionDependencies(t, updates)
 	}
-	var k controlplane.KeyBuf
+	var scratch [256]byte
+	k := controlplane.NewKeyBuf(scratch[:])
 	k.U8('d')
 	k.U32(uint32(len(updates)))
 	for _, u := range updates {
@@ -428,10 +433,13 @@ func DependenciesCached(p controlplane.Planner, t *topo.Topology, updates []Flow
 		k.Path(u.Old)
 		k.Path(u.New)
 	}
-	v, _ := p.Memo(t, k.String(), func() (any, error) {
-		classes, edges := ComputeCongestionDependencies(t, updates)
-		return depGraph{classes, edges}, nil
-	})
+	v, ok, _ := p.Cached(t, k.Bytes())
+	if !ok {
+		v, _ = p.Memo(t, k.Bytes(), func() (any, error) {
+			classes, edges := ComputeCongestionDependencies(t, updates)
+			return depGraph{classes, edges}, nil
+		})
+	}
 	g, _ := v.(depGraph)
 	return g.classes, g.edges
 }

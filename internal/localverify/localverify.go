@@ -84,15 +84,19 @@ func PrepareCached(p controlplane.Planner, t *topo.Topology, flow packet.FlowID,
 	if p == nil {
 		return PreparePlan(t, flow, newPath, version, sizeK)
 	}
-	var k controlplane.KeyBuf
+	var scratch [128]byte
+	k := controlplane.NewKeyBuf(scratch[:])
 	k.U8('l')
 	k.U32(uint32(flow))
 	k.U32(version)
 	k.U32(sizeK)
 	k.Path(newPath)
-	v, err := p.Memo(t, k.String(), func() (any, error) {
-		return PreparePlan(t, flow, newPath, version, sizeK)
-	})
+	v, ok, err := p.Cached(t, k.Bytes())
+	if !ok {
+		v, err = p.Memo(t, k.Bytes(), func() (any, error) {
+			return PreparePlan(t, flow, newPath, version, sizeK)
+		})
+	}
 	plan, _ := v.(*Plan)
 	return plan, err
 }
@@ -158,15 +162,13 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 // label (a hop-count witness that the downstream next hop really runs
 // the new configuration).
 func (h *Handler) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.PortID) {
-	cp := *m
-	m = &cp
 	st := sw.State(m.Flow)
 	ls := lvState(st)
 	if ls.instr == nil || ls.instr.Version < m.Vn {
 		// Instruction not here yet: wait (resubmission).
 		sw.Tracer().Verdict(int32(sw.ID), trace.CodeWaitUIM,
 			uint32(m.Flow), m.Vn, 0, 0)
-		sw.ParkOnUIM(m.Flow, func() { h.HandleUNM(sw, m, inPort) })
+		sw.ParkUNMOnUIM(m, inPort)
 		return
 	}
 	instr := ls.instr
@@ -232,7 +234,7 @@ func (h *Handler) apply(sw *dataplane.Switch, ls *flowLVState, instr *packet.UIM
 		ls.applied = true
 		h.confirmUpstream(sw, instr)
 		if instr.Role.Has(packet.RoleIngress) {
-			sw.SendUFM(&packet.UFM{
+			sw.SendUFM(packet.UFM{
 				Flow: instr.Flow, Version: instr.Version, Status: packet.StatusUpdated,
 			})
 		}

@@ -146,13 +146,17 @@ func ScheduleCached(p controlplane.Planner, t *topo.Topology, oldPath, newPath [
 	if p == nil {
 		return Schedule(oldPath, newPath)
 	}
-	var k controlplane.KeyBuf
+	var scratch [128]byte
+	k := controlplane.NewKeyBuf(scratch[:])
 	k.U8('o')
 	k.Path(oldPath)
 	k.Path(newPath)
-	v, _ := p.Memo(t, k.String(), func() (any, error) {
-		return Schedule(oldPath, newPath), nil
-	})
+	v, ok, _ := p.Cached(t, k.Bytes())
+	if !ok {
+		v, _ = p.Memo(t, k.Bytes(), func() (any, error) {
+			return Schedule(oldPath, newPath), nil
+		})
+	}
 	batches, _ := v.([][]topo.NodeID)
 	return batches
 }
@@ -172,7 +176,7 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 	}
 	if st.HasRule && m.Version <= st.NewVersion {
 		if m.Version == st.NewVersion {
-			sw.SendUFM(&packet.UFM{
+			sw.SendUFM(packet.UFM{
 				Flow: m.Flow, Version: m.Version, Status: packet.StatusUpdated,
 			})
 		}
@@ -198,7 +202,7 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 			SizeK:       cp.FlowSizeK,
 			Type:        packet.UpdateSingle,
 		}) {
-			sw.SendUFM(&packet.UFM{
+			sw.SendUFM(packet.UFM{
 				Flow: cp.Flow, Version: cp.Version, Status: packet.StatusUpdated,
 			})
 		}

@@ -17,7 +17,7 @@ const TypeUIMBatch MsgType = 19
 // order). The receiving switch unpacks and dispatches each item as if
 // it had arrived alone.
 type UIMBatch struct {
-	Items []*UIM
+	Items []UIM
 }
 
 // batchHeader is the frame prefix: type byte + uint16 item count.
@@ -39,15 +39,15 @@ func (m *UIMBatch) SerializeTo(b []byte) []byte {
 	hdr[0] = byte(TypeUIMBatch)
 	binary.BigEndian.PutUint16(hdr[1:3], uint16(len(m.Items)))
 	b = append(b, hdr[:]...)
-	for _, it := range m.Items {
-		b = it.SerializeTo(b)
+	for i := range m.Items {
+		b = m.Items[i].SerializeTo(b)
 	}
 	return b
 }
 
-// DecodeFromBytes implements Message. Items are decoded into fresh UIM
-// structs (never pooled): switches retain the staged indication pointer
-// in FlowState.UIM, so batch items must outlive the frame.
+// DecodeFromBytes implements Message. Items are decoded by value into
+// the batch's own item array, reusing its capacity, so a pooled batch
+// decodes a frame without allocating.
 func (m *UIMBatch) DecodeFromBytes(b []byte) error {
 	if len(b) < batchHeader {
 		return fmt.Errorf("packet: UIMBatch frame is %d bytes, want >= %d", len(b), batchHeader)
@@ -60,14 +60,12 @@ func (m *UIMBatch) DecodeFromBytes(b []byte) error {
 		return fmt.Errorf("packet: UIMBatch frame is %d bytes, want %d for %d items",
 			len(b), batchHeader+n*uimSize, n)
 	}
-	m.Items = make([]*UIM, n)
-	for i := 0; i < n; i++ {
-		it := &UIM{}
+	m.Items = append(m.Items[:0], make([]UIM, n)...)
+	for i := range m.Items {
 		off := batchHeader + i*uimSize
-		if err := it.DecodeFromBytes(b[off : off+uimSize]); err != nil {
+		if err := m.Items[i].DecodeFromBytes(b[off : off+uimSize]); err != nil {
 			return err
 		}
-		m.Items[i] = it
 	}
 	return nil
 }

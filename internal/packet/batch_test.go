@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-func batchUIM(i int) *UIM {
-	return &UIM{
+func batchUIM(i int) UIM {
+	return UIM{
 		Flow: FlowID(100 + i), Version: uint32(2 + i), NewDistance: uint16(i),
 		OldDistance: uint16(i + 1), EgressPort: 3, ChildPort: NoPort,
 		FlowSizeK: uint32(10 * i), UpdateType: UpdateSingle, Role: RoleIngress,
@@ -14,7 +14,7 @@ func batchUIM(i int) *UIM {
 }
 
 func TestRoundTripUIMBatch(t *testing.T) {
-	in := &UIMBatch{Items: []*UIM{batchUIM(0), batchUIM(1), batchUIM(2)}}
+	in := &UIMBatch{Items: []UIM{batchUIM(0), batchUIM(1), batchUIM(2)}}
 	out := &UIMBatch{}
 	if err := out.DecodeFromBytes(Marshal(in)); err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func TestRoundTripUIMBatch(t *testing.T) {
 }
 
 func TestDecodeDispatchesUIMBatch(t *testing.T) {
-	in := &UIMBatch{Items: []*UIM{batchUIM(0), batchUIM(1)}}
+	in := &UIMBatch{Items: []UIM{batchUIM(0), batchUIM(1)}}
 	m, err := Decode(Marshal(in))
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestDecodeDispatchesUIMBatch(t *testing.T) {
 }
 
 func TestUIMBatchDecodeRejectsBadFrames(t *testing.T) {
-	good := Marshal(&UIMBatch{Items: []*UIM{batchUIM(0), batchUIM(1)}})
+	good := Marshal(&UIMBatch{Items: []UIM{batchUIM(0), batchUIM(1)}})
 	cases := map[string][]byte{
 		"empty":           {},
 		"header only":     good[:batchHeader],
@@ -57,16 +57,19 @@ func TestUIMBatchDecodeRejectsBadFrames(t *testing.T) {
 }
 
 func TestUIMBatchItemsAreIndependent(t *testing.T) {
-	// Decoded items must be fresh allocations — switches retain the
-	// *UIM pointers in their flow state, so pooling or aliasing them
-	// across frames would corrupt live state.
-	raw := Marshal(&UIMBatch{Items: []*UIM{batchUIM(0), batchUIM(0)}})
+	// A pooled batch decodes frame after frame into one item array: the
+	// items are values, so each decode must replace every item of the
+	// previous frame (none may survive past the new count) and items
+	// must not alias each other.
 	out := &UIMBatch{}
-	if err := out.DecodeFromBytes(raw); err != nil {
+	if err := out.DecodeFromBytes(Marshal(&UIMBatch{Items: []UIM{batchUIM(1), batchUIM(2), batchUIM(3)}})); err != nil {
 		t.Fatal(err)
 	}
-	if out.Items[0] == out.Items[1] {
-		t.Fatal("decoded batch items alias the same UIM")
+	if err := out.DecodeFromBytes(Marshal(&UIMBatch{Items: []UIM{batchUIM(0), batchUIM(0)}})); err != nil {
+		t.Fatal(err)
+	}
+	if want := []UIM{batchUIM(0), batchUIM(0)}; !reflect.DeepEqual(out.Items, want) {
+		t.Fatalf("second decode left %+v, want %+v", out.Items, want)
 	}
 	out.Items[0].Version = 99
 	if out.Items[1].Version == 99 {
@@ -75,7 +78,7 @@ func TestUIMBatchItemsAreIndependent(t *testing.T) {
 }
 
 func TestUIMBatchSerializePanicsPastLimit(t *testing.T) {
-	items := make([]*UIM, maxBatchItems+1)
+	items := make([]UIM, maxBatchItems+1)
 	u := batchUIM(0)
 	for i := range items {
 		items[i] = u

@@ -9,7 +9,8 @@
 //
 // Cache implements the unified controlplane.Planner seam: each system's
 // XxxCached wrapper builds a collision-free key (controlplane.KeyBuf
-// with a per-system prefix byte) and calls Memo. A Cache is bound to a
+// with a per-system prefix byte), asks Cached and calls Memo only on a
+// miss. A Cache is bound to a
 // single frozen topology; queries about any other topology fall through
 // to direct computation, so a mis-wired cache can never return plans
 // for the wrong graph. Caches are safe for concurrent use by parallel
@@ -67,12 +68,30 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
+// Cached implements controlplane.Planner: the read-locked lookup of
+// Memo's hit path, without a compute closure.
+func (c *Cache) Cached(t *topo.Topology, key []byte) (any, bool, error) {
+	if t != c.g {
+		return nil, false, nil
+	}
+	c.mu.RLock()
+	e, ok := c.memo[string(key)]
+	c.mu.RUnlock()
+	if ok {
+		c.mu.Lock()
+		c.hits++
+		c.mu.Unlock()
+	}
+	return e.v, ok, e.err
+}
+
 // Memo implements controlplane.Planner. Values stored under a key are
 // shared across trials and must be treated as immutable.
-func (c *Cache) Memo(t *topo.Topology, key string, compute func() (any, error)) (any, error) {
+func (c *Cache) Memo(t *topo.Topology, rawKey []byte, compute func() (any, error)) (any, error) {
 	if t != c.g {
 		return compute()
 	}
+	key := string(rawKey)
 	var e entry
 	c.acquire(key,
 		func() bool { var ok bool; e, ok = c.memo[key]; return ok },

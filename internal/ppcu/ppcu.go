@@ -42,7 +42,7 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 	}
 	if st.HasRule && m.Version <= st.NewVersion {
 		if m.Version == st.NewVersion {
-			sw.SendUFM(&packet.UFM{
+			sw.SendUFM(packet.UFM{
 				Flow: m.Flow, Version: m.Version, Status: packet.StatusUpdated,
 			})
 		}
@@ -87,7 +87,7 @@ func (h *Handler) apply(sw *dataplane.Switch, m *packet.UIM) {
 			SizeK:       m.FlowSizeK,
 			Type:        packet.UpdateSingle,
 		}) {
-			sw.SendUFM(&packet.UFM{
+			sw.SendUFM(packet.UFM{
 				Flow: m.Flow, Version: m.Version, Status: packet.StatusUpdated,
 			})
 		}
