@@ -28,13 +28,13 @@ test:
 # under the race detector — as do faults and audit, whose per-trial
 # injectors and auditors execute inside concurrently running trials,
 # and trace, whose per-trial recorders must stay disjoint across
-# workers. The wiring registry and the three registry-added systems run
-# under the detector too: their coordinators execute inside concurrently
-# running trials and their plan caches are shared across workers. The
-# second line adds the churn and soak harness tests, which drive the
-# pool end to end.
+# workers. The wiring registry and all five baselines run under the
+# detector too: their handlers and coordinators execute inside
+# concurrently running trials, and those with plan caches share them
+# across workers. The second line adds the churn and soak harness tests, which
+# drive the pool end to end.
 race:
-	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/topo/... ./internal/plancache/... ./internal/faults/... ./internal/audit/... ./internal/trace/... ./internal/wiring/... ./internal/localverify/... ./internal/ppcu/... ./internal/optoracle/... ./internal/dataplane/... ./internal/controlplane/... ./internal/traffic/... ./internal/packet/... ./internal/soak/... ./internal/transport/... ./internal/replaydiff/... ./internal/deploy/...
+	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/topo/... ./internal/plancache/... ./internal/faults/... ./internal/audit/... ./internal/trace/... ./internal/wiring/... ./internal/central/... ./internal/ezsegway/... ./internal/localverify/... ./internal/ppcu/... ./internal/optoracle/... ./internal/dataplane/... ./internal/controlplane/... ./internal/traffic/... ./internal/packet/... ./internal/soak/... ./internal/transport/... ./internal/replaydiff/... ./internal/deploy/...
 	$(GO) test -race -run 'Churn|Soak' ./internal/experiments/
 
 # One workload of the repository benchmark (BENCHMARK.json), end to end:

@@ -37,35 +37,29 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 			uint32(m.Flow), m.Version, 0, 0)
 		return
 	}
-	newPort := dataplane.PortLocal
-	if m.EgressPort != packet.NoPort {
-		newPort = topo.PortID(int32(m.EgressPort))
-	}
+	newPort := dataplane.PortFromWire(m.EgressPort)
 	sw.Tracer().Verdict(int32(sw.ID), trace.CodeApplyCentral,
 		uint32(m.Flow), m.Version, uint32(int32(newPort)), 0)
 	portChanged := !st.HasRule || st.EgressPort != newPort
-	// m is pool-owned and recycled when dispatch returns; the commit
-	// outlives this call.
-	cp := *m
-	sw.Apply(portChanged, func() {
-		if sw.CommitState(cp.Flow, dataplane.Commit{
-			Port:        newPort,
-			Version:     cp.Version,
-			Distance:    cp.NewDistance,
-			OldVersion:  st.NewVersion,
-			OldDistance: st.NewDistance,
-			SizeK:       cp.FlowSizeK,
-			Type:        packet.UpdateSingle,
-		}) {
-			sw.SendUFM(packet.UFM{
-				Flow: cp.Flow, Version: cp.Version, Status: packet.StatusUpdated,
-			})
-		}
-	})
+	c := sw.StageCommit()
+	*c = dataplane.StagedCommit{Flow: m.Flow, UIM: *m, State: st}
+	sw.Apply(portChanged, c)
+}
+
+// CommitStaged commits the instructed rule and acknowledges it.
+func (h *Handler) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
+	if sw.CommitRule(c.Flow, &c.UIM, c.State.NewVersion, c.State.NewDistance, 0) {
+		sw.SendUFM(packet.UFM{
+			Flow: c.Flow, Version: c.UIM.Version, Status: packet.StatusUpdated,
+		})
+	}
 }
 
 // HandleUNM is unused by the centralized baseline.
 func (h *Handler) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.PortID) {}
+
+// Resubmit is unused: the centralized baseline never parks.
+func (h *Handler) Resubmit(sw *dataplane.Switch, m packet.Message, inPort topo.PortID) {}
 
 // Coordinator drives centralized round-based updates.
 type Coordinator struct {

@@ -14,23 +14,19 @@ import (
 // exercising the controller's tracking machinery in isolation).
 type echoHandler struct{}
 
-func (echoHandler) HandleUIM(sw *dataplane.Switch, pooled *packet.UIM) {
-	m := *pooled // recycled when dispatch returns; the commit outlives it
-	st := sw.State(m.Flow)
-	port := dataplane.PortLocal
-	if m.EgressPort != packet.NoPort {
-		port = topo.PortID(int32(m.EgressPort))
-	}
-	sw.Apply(true, func() {
-		sw.CommitState(m.Flow, dataplane.Commit{
-			Port: port, Version: m.Version, Distance: m.NewDistance,
-			OldVersion: st.NewVersion, OldDistance: st.NewDistance,
-			SizeK: m.FlowSizeK,
-		})
-	})
+func (echoHandler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
+	c := sw.StageCommit()
+	*c = dataplane.StagedCommit{Flow: m.Flow, UIM: *m, State: sw.State(m.Flow)}
+	sw.Apply(true, c)
+}
+
+func (echoHandler) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
+	sw.CommitRule(c.Flow, &c.UIM, c.State.NewVersion, c.State.NewDistance, 0)
 }
 
 func (echoHandler) HandleUNM(*dataplane.Switch, *packet.UNM, topo.PortID) {}
+
+func (echoHandler) Resubmit(*dataplane.Switch, packet.Message, topo.PortID) {}
 
 func bed(t *testing.T) (*sim.Engine, *dataplane.Network, *Controller) {
 	t.Helper()

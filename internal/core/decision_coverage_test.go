@@ -214,7 +214,7 @@ func TestDecisionCoverage(t *testing.T) {
 				// moving away frees it, so the mover turns high priority.
 				st := sw.State(f)
 				st.HasRule, st.NewVersion, st.EgressPort, st.FlowSizeK = true, 1, pDown, 10
-				sw.ParkOnCapacity(pDown, func() {})
+				sw.ParkOnCapacity(pDown, &packet.UNM{Flow: f + 1, Vn: 2}, pIn)
 				p.HandleUIM(sw, uim(2, 3, pDown2, 10, packet.UpdateSingle, 0))
 				p.HandleUNM(sw, unm(2, 2, 1, 3, 0, packet.UpdateSingle), pIn)
 			},

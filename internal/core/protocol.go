@@ -38,18 +38,7 @@ type Protocol struct {
 // defaultMaxStallReports is the per-version stall-report budget.
 const defaultMaxStallReports = 8
 
-var (
-	_ dataplane.Handler   = (*Protocol)(nil)
-	_ dataplane.Committer = (*Protocol)(nil)
-)
-
-// portFromWire converts a UIM wire port to a topo.PortID.
-func portFromWire(p uint16) topo.PortID {
-	if p == packet.NoPort {
-		return dataplane.PortLocal
-	}
-	return topo.PortID(int32(p))
-}
+var _ dataplane.Handler = (*Protocol)(nil)
 
 // HandleUIM processes an Update Indication Message: it stores the highest
 // indication, verifies the flow-size bound (§A.2), applies immediately at
@@ -182,7 +171,7 @@ func (p *Protocol) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.Po
 
 	switch v.Decision {
 	case DecisionWaitUIM:
-		sw.ParkUNMOnUIM(m, inPort)
+		sw.ParkOnUIM(m, inPort)
 	case DecisionReject:
 		sw.Alarm(m.Flow, m.Vn, v.Reason)
 	case DecisionWaitDependency, DecisionDuplicate:
@@ -201,7 +190,7 @@ func (p *Protocol) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.Po
 			// the branch-3 inheritance path).
 			sw.Tracer().Verdict(int32(sw.ID), trace.CodeWaitUIM,
 				uint32(m.Flow), m.Vn, uint32(m.Dn), uint32(m.Do))
-			sw.ParkUNMOnUIM(m, inPort)
+			sw.ParkOnUIM(m, inPort)
 			return
 		}
 		if p.Congestion && !p.congestionGate(sw, m, inPort, st, uim) {
@@ -209,6 +198,12 @@ func (p *Protocol) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.Po
 		}
 		p.stageApply(sw, m.Flow, st, uim, v)
 	}
+}
+
+// Resubmit re-verifies a notification parked on an indication or on
+// capacity, as if it arrived again on inPort.
+func (p *Protocol) Resubmit(sw *dataplane.Switch, m packet.Message, inPort topo.PortID) {
+	p.HandleUNM(sw, m.(*packet.UNM), inPort)
 }
 
 // stageApply stages the rule change (egress_port_updated) and commits it
@@ -221,19 +216,19 @@ func (p *Protocol) stageApply(sw *dataplane.Switch, f packet.FlowID, st *datapla
 	}
 	st.Applying = true
 	st.ApplyingVersion = uim.Version
-	st.EgressPortUpdated = portFromWire(uim.EgressPort)
+	st.EgressPortUpdated = dataplane.PortFromWire(uim.EgressPort)
 	portChanged := !st.HasRule || st.EgressPort != st.EgressPortUpdated
 	c := sw.StageCommit()
 	*c = dataplane.StagedCommit{
 		Flow: f, UIM: *uim, State: st,
 		OldVersion: v.OldVer, Inherited: v.Inherited, Counter: v.Counter,
 	}
-	sw.ApplyStaged(portChanged, c)
+	sw.Apply(portChanged, c)
 }
 
-// CommitStaged implements dataplane.Committer: it commits a rule staged
-// by stageApply, re-validated by CommitRule against a newer version that
-// may have won the race meanwhile.
+// CommitStaged commits a rule staged by stageApply, re-validated by
+// CommitRule against a newer version that may have won the race
+// meanwhile.
 func (p *Protocol) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
 	if sw.CommitRule(c.Flow, &c.UIM, c.OldVersion, c.Inherited, c.Counter) {
 		p.afterApply(sw, c.Flow, sw.State(c.Flow), &c.UIM)
@@ -259,7 +254,7 @@ func (p *Protocol) afterApply(sw *dataplane.Switch, f packet.FlowID, st *datapla
 // addChild records the indication's child port in the version's clone
 // group (destination trees deliver one indication per child).
 func (p *Protocol) addChild(st *dataplane.FlowState, m *packet.UIM) {
-	if port := portFromWire(m.ChildPort); port != dataplane.PortLocal {
+	if port := dataplane.PortFromWire(m.ChildPort); port != dataplane.PortLocal {
 		st.ChildPorts.Add(port)
 	}
 }
@@ -307,7 +302,7 @@ func (p *Protocol) emit(sw *dataplane.Switch, f packet.FlowID, st *dataplane.Flo
 // dynamic priority scheduler of §7.4. It returns true when the move may
 // proceed; otherwise the notification is parked and false returned.
 func (p *Protocol) congestionGate(sw *dataplane.Switch, m *packet.UNM, inPort topo.PortID, st *dataplane.FlowState, uim *packet.UIM) bool {
-	newPort := portFromWire(uim.EgressPort)
+	newPort := dataplane.PortFromWire(uim.EgressPort)
 	if newPort == dataplane.PortLocal {
 		return true // egress needs no outgoing capacity
 	}
@@ -333,7 +328,7 @@ func (p *Protocol) congestionGate(sw *dataplane.Switch, m *packet.UNM, inPort to
 		if st.Priority == dataplane.PriorityHigh {
 			sw.MarkHighWaiting(newPort, m.Flow)
 		}
-		sw.ParkUNMOnCapacity(newPort, m, inPort)
+		sw.ParkOnCapacity(newPort, m, inPort)
 		return false
 	}
 	// Capacity suffices, but a low-priority flow must let waiting
@@ -341,7 +336,7 @@ func (p *Protocol) congestionGate(sw *dataplane.Switch, m *packet.UNM, inPort to
 	if st.Priority == dataplane.PriorityLow && sw.HighWaitingOn(newPort, m.Flow) {
 		sw.Tracer().Verdict(int32(sw.ID), trace.CodePriorityYield,
 			uint32(m.Flow), m.Vn, uint32(int32(newPort)), uint32(uim.FlowSizeK))
-		sw.ParkUNMOnCapacity(newPort, m, inPort)
+		sw.ParkOnCapacity(newPort, m, inPort)
 		return false
 	}
 	// Book the capacity now so concurrent gate decisions during the

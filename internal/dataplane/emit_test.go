@@ -72,6 +72,10 @@ func (a *arrivals) HandleUNM(_ *Switch, _ *packet.UNM, inPort topo.PortID) {
 	a.in = append(a.in, inPort)
 }
 
+func (a *arrivals) Resubmit(*Switch, packet.Message, topo.PortID) {}
+
+func (a *arrivals) CommitStaged(*Switch, *StagedCommit) {}
+
 // TestEmitStageOrder pins the one transmission path, one row per frame
 // class: crashed sender -> record -> route -> inject -> schedule.
 func TestEmitStageOrder(t *testing.T) {

@@ -268,17 +268,19 @@ func (dv *delivery) truncate(n int) {
 	}
 }
 
-// parked is one piece of work waiting for an indication or for capacity,
-// the resubmitted packet of the P4 prototype. A notification parks by
-// value (unm, inPort) and is handed back to the switch's handler when it
-// is resubmitted; the baselines park closures (fire). Records come from
-// the network's slab and chain into their wait queue through next.
+// parked is one message waiting for an indication or for capacity, the
+// resubmitted packet of the P4 prototype: a copy of the message, held in
+// the field of its type, that msg points at, and the port it is handed
+// back to the switch's handler on. Records come from the network's slab
+// and chain into their wait queue through next.
 type parked struct {
 	next   *parked
 	sw     *Switch
-	fire   func()
-	unm    packet.UNM
+	msg    packet.Message
 	inPort topo.PortID
+	unm    packet.UNM
+	uim    packet.UIM
+	ezn    packet.EZN
 }
 
 // parkQueue is a queue of parked work held as one pointer (it sits in
@@ -286,12 +288,22 @@ type parked struct {
 // parking order.
 type parkQueue struct{ newest *parked }
 
-// park adds one piece of work to q: fire, or else a copy of m.
-func (n *Network) park(q *parkQueue, sw *Switch, fire func(), m *packet.UNM, inPort topo.PortID) {
+// park adds a copy of m to q.
+func (n *Network) park(q *parkQueue, sw *Switch, m packet.Message, inPort topo.PortID) {
 	w := n.parks.get()
-	w.sw, w.fire, w.inPort = sw, fire, inPort
-	if m != nil {
+	w.sw, w.inPort = sw, inPort
+	switch m := m.(type) {
+	case *packet.UNM:
 		w.unm = *m
+		w.msg = &w.unm
+	case *packet.UIM:
+		w.uim = *m
+		w.msg = &w.uim
+	case *packet.EZN:
+		w.ezn = *m
+		w.msg = &w.ezn
+	default:
+		panic(fmt.Sprintf("dataplane: cannot park a %v", m.Type()))
 	}
 	w.next, q.newest = q.newest, w
 }
@@ -319,14 +331,11 @@ func (n *Network) dropParked(q *parkQueue) {
 	q.newest = nil
 }
 
-// resubmit runs one woken piece of parked work and recycles its record.
+// resubmit hands one woken parked message to its switch's handler and
+// recycles its record.
 func (n *Network) resubmit(x any) {
 	w := x.(*parked)
-	if w.fire != nil {
-		w.fire()
-	} else {
-		w.sw.handler.HandleUNM(w.sw, &w.unm, w.inPort)
-	}
+	w.sw.handler.Resubmit(w.sw, w.msg, w.inPort)
 	n.parks.put(w)
 }
 
@@ -335,7 +344,7 @@ func (n *Network) resubmit(x any) {
 func (n *Network) commitStaged(x any) {
 	c := x.(*StagedCommit)
 	if sw := c.sw; sw.epoch == c.epoch && !sw.down {
-		sw.handler.(Committer).CommitStaged(sw, c)
+		sw.handler.CommitStaged(sw, c)
 	}
 	n.commits.put(c)
 }

@@ -10,65 +10,73 @@ import (
 )
 
 // recorder is a Handler that keeps what it is handed: resubmitted
-// notifications by value, staged commits by their flow and version.
+// messages as their frames, with the switch and port they came back on,
+// and staged commits by their indication and commit instant.
 type recorder struct {
-	unms    []packet.UNM
-	inPorts []topo.PortID
-	commits []packet.UIM
+	frames   []string
+	nodes    []topo.NodeID
+	inPorts  []topo.PortID
+	commits  []packet.UIM
+	commitAt []time.Duration
 }
 
 func (r *recorder) HandleUIM(*Switch, *packet.UIM) {}
 
-func (r *recorder) HandleUNM(_ *Switch, m *packet.UNM, inPort topo.PortID) {
-	r.unms = append(r.unms, *m)
+func (r *recorder) HandleUNM(*Switch, *packet.UNM, topo.PortID) {}
+
+func (r *recorder) Resubmit(sw *Switch, m packet.Message, inPort topo.PortID) {
+	r.frames = append(r.frames, string(packet.Marshal(m)))
+	r.nodes = append(r.nodes, sw.ID)
 	r.inPorts = append(r.inPorts, inPort)
 }
 
-func (r *recorder) CommitStaged(_ *Switch, c *StagedCommit) {
+func (r *recorder) CommitStaged(sw *Switch, c *StagedCommit) {
 	r.commits = append(r.commits, c.UIM)
+	r.commitAt = append(r.commitAt, sw.Now())
 }
 
-// TestParkedNotificationIsACopy: a notification parked on an indication
-// is a copy — the pool-owned original is recycled as soon as dispatch
-// returns — resubmitted to the handler in parking order on its arrival
-// port, and its record goes back to the slab.
-func TestParkedNotificationIsACopy(t *testing.T) {
+// TestParkedMessageIsACopy: a message parked on an indication is a copy —
+// the pool-owned original is recycled as soon as dispatch returns —
+// handed back to the handler's Resubmit in parking order on its arrival
+// port, whatever its type, and its record goes back to the slab.
+func TestParkedMessageIsACopy(t *testing.T) {
 	net, _ := lineNet(t, 1)
 	rec := &recorder{}
 	net.SetHandler(rec)
 	sw := net.Switch(1)
-	for i, port := range []topo.PortID{0, 1} {
-		m := net.pool.GetUNM()
-		*m = packet.UNM{Flow: 3, Vn: uint32(2 + i), Dn: 4}
-		sw.ParkUNMOnUIM(m, port)
-		net.pool.PutUNM(m) // zeroes the original
-	}
+	unm := &packet.UNM{Flow: 3, Vn: 2, Dn: 4}
+	uim := &packet.UIM{Flow: 3, Version: 3, NewDistance: 1, EgressPort: 1}
+	ezn := &packet.EZN{Flow: 3, Version: 4}
+	want := []string{string(packet.Marshal(unm)), string(packet.Marshal(uim)), string(packet.Marshal(ezn))}
+	sw.ParkOnUIM(unm, 0)
+	sw.ParkOnUIM(uim, 1)
+	sw.ParkOnUIM(ezn, 2)
+	*unm, *uim, *ezn = packet.UNM{}, packet.UIM{}, packet.EZN{} // the originals are recycled
 	free := len(net.parks.free)
 	sw.WakeUIMWaiters(3)
 	net.Eng.Run()
-	want := []packet.UNM{{Flow: 3, Vn: 2, Dn: 4}, {Flow: 3, Vn: 3, Dn: 4}}
-	if !slices.Equal(rec.unms, want) || !slices.Equal(rec.inPorts, []topo.PortID{0, 1}) {
-		t.Fatalf("resubmitted %+v on ports %v, want %+v on [0 1]", rec.unms, rec.inPorts, want)
+	if !slices.Equal(rec.frames, want) || !slices.Equal(rec.inPorts, []topo.PortID{0, 1, 2}) {
+		t.Fatalf("resubmitted %q on ports %v, want %q on [0 1 2]", rec.frames, rec.inPorts, want)
 	}
-	if got := len(net.parks.free) - free; got != 2 {
-		t.Errorf("%d parked records recycled, want 2", got)
+	if got := len(net.parks.free) - free; got != 3 {
+		t.Errorf("%d parked records recycled, want 3", got)
 	}
-	if sw.Stats.Resubmissions != 2 {
-		t.Errorf("resubmissions = %d, want 2", sw.Stats.Resubmissions)
+	if sw.Stats.Resubmissions != 3 {
+		t.Errorf("resubmissions = %d, want 3", sw.Stats.Resubmissions)
 	}
 }
 
-// TestCrashDropsParkedWork: a crash discards work parked on indications
-// and on capacity alike, returning every record to the slab.
+// TestCrashDropsParkedWork: a crash discards messages parked on
+// indications and on capacity alike, returning every record to the slab.
 func TestCrashDropsParkedWork(t *testing.T) {
 	net, g := lineNet(t, 1)
 	rec := &recorder{}
 	net.SetHandler(rec)
 	sw := net.Switch(1)
 	m := &packet.UNM{Flow: 3, Vn: 2}
-	sw.ParkUNMOnUIM(m, 0)
-	sw.ParkUNMOnCapacity(g.PortTo(1, 2), m, 0)
-	sw.ParkOnCapacity(g.PortTo(1, 2), func() { t.Error("parked closure survived the crash") })
+	sw.ParkOnUIM(m, 0)
+	sw.ParkOnCapacity(g.PortTo(1, 2), m, 0)
+	sw.ParkOnCapacity(g.PortTo(1, 2), &packet.UIM{Flow: 3, Version: 2}, topo.InvalidPort)
 	sw.Crash()
 	if n := len(net.parks.free); n != 8 {
 		t.Errorf("%d of the slab's 8 records free after the crash, want all", n)
@@ -77,8 +85,8 @@ func TestCrashDropsParkedWork(t *testing.T) {
 	sw.WakeUIMWaiters(3)
 	sw.Release(g.PortTo(1, 2), 0)
 	net.Eng.Run()
-	if len(rec.unms) != 0 {
-		t.Errorf("parked notifications survived the crash: %+v", rec.unms)
+	if len(rec.frames) != 0 {
+		t.Errorf("parked messages survived the crash: %q", rec.frames)
 	}
 }
 
@@ -94,7 +102,7 @@ func TestStagedCommitHoldsItsIndication(t *testing.T) {
 	uim := packet.UIM{Flow: 3, Version: 2, NewDistance: 1}
 	c := sw.StageCommit()
 	*c = StagedCommit{Flow: 3, UIM: uim}
-	sw.ApplyStaged(true, c)
+	sw.Apply(true, c)
 	uim.Version = 9
 	net.Eng.RunUntil(4 * time.Millisecond)
 	if len(rec.commits) != 0 {
@@ -116,12 +124,12 @@ func TestStagedCommitDiesWithItsIncarnation(t *testing.T) {
 	sw := net.Switch(1)
 	c := sw.StageCommit()
 	*c = StagedCommit{Flow: 3, UIM: packet.UIM{Flow: 3, Version: 2}}
-	sw.ApplyStaged(true, c)
+	sw.Apply(true, c)
 	sw.Crash()
 	sw.Restore()
 	c = sw.StageCommit()
 	*c = StagedCommit{Flow: 3, UIM: packet.UIM{Flow: 3, Version: 3}}
-	sw.ApplyStaged(true, c)
+	sw.Apply(true, c)
 	net.Eng.Run()
 	if want := []packet.UIM{{Flow: 3, Version: 3}}; !slices.Equal(rec.commits, want) {
 		t.Fatalf("committed %+v, want only the post-restore %+v", rec.commits, want)

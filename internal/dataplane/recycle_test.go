@@ -229,18 +229,19 @@ func TestRetireFlowAfterReroute(t *testing.T) {
 	if net.Switch(1).ReservedK(g.PortTo(1, 2)) != 300 || net.Switch(3).ReservedK(g.PortTo(3, 4)) != 300 {
 		t.Fatal("expected live reservations on both the old and the new path")
 	}
-	var woken []topo.NodeID
+	rec := &recorder{}
+	net.SetHandler(rec)
 	for _, n := range []topo.NodeID{4, 1, 3, 0, 2} {
 		port := g.PortTo(n, map[topo.NodeID]topo.NodeID{0: 3, 1: 2, 2: 5, 3: 4, 4: 5}[n])
-		net.Switch(n).ParkOnCapacity(port, func() { woken = append(woken, n) })
+		net.Switch(n).ParkOnCapacity(port, &packet.UIM{Flow: 99, Version: 2}, topo.InvalidPort)
 	}
 
 	if !net.RetireFlow(f) {
 		t.Fatal("RetireFlow of a live flow returned false")
 	}
 	net.Eng.Run()
-	if want := []topo.NodeID{0, 1, 2, 3, 4}; !slices.Equal(woken, want) {
-		t.Errorf("capacity waiters woke in order %v, want ascending %v", woken, want)
+	if want := []topo.NodeID{0, 1, 2, 3, 4}; !slices.Equal(rec.nodes, want) {
+		t.Errorf("capacity waiters woke in order %v, want ascending %v", rec.nodes, want)
 	}
 	for _, sw := range net.Switches() {
 		if _, ok := sw.PeekState(f); ok {

@@ -18,6 +18,15 @@ import (
 // the switch is the flow's egress and hands the packet to the host side.
 const PortLocal topo.PortID = -2
 
+// PortFromWire converts a wire port to a forwarding port: packet.NoPort
+// means local delivery.
+func PortFromWire(p uint16) topo.PortID {
+	if p == packet.NoPort {
+		return PortLocal
+	}
+	return topo.PortID(int32(p))
+}
+
 // FreshDistance is the effective distance label of a node that has no
 // forwarding rule for a flow yet. Treating it as +inf makes the dual-layer
 // gateway check Dn(v) > Do(UNM) pass for fresh nodes.
@@ -212,7 +221,7 @@ type Stats struct {
 	UNMReceived    uint64
 	UIMReceived    uint64
 	AlarmsSent     uint64 // StatusAlarm UFMs emitted
-	Resubmissions  uint64 // parked messages re-injected into the pipeline
+	Resubmissions  uint64 // parked messages woken and handed to the handler's Resubmit
 	RulesApplied   uint64 // committed forwarding-rule changes
 	RulesCleaned   uint64 // stale rules removed by cleanup messages
 	Crashes        uint64 // Crash() transitions

@@ -10,14 +10,24 @@ import (
 
 // Handler implements an update protocol on top of the switch substrate.
 // P4Update (internal/core) and the evaluation baselines plug in here.
-// The message a handler is given is pool-owned and recycled when the
-// call returns: anything kept past it is copied by value.
+// A protocol waits only by parking a message (ParkOnUIM, ParkOnCapacity)
+// and changes a rule only by staging a commit (Apply); both come back
+// through this interface. The message or record a handler is given is
+// pool-owned and recycled when the call returns: anything kept past it
+// is copied by value.
 type Handler interface {
 	// HandleUIM processes a controller indication (or baseline
 	// instruction encoded as a UIM).
 	HandleUIM(sw *Switch, m *packet.UIM)
 	// HandleUNM processes a data-plane notification arriving on inPort.
 	HandleUNM(sw *Switch, m *packet.UNM, inPort topo.PortID)
+	// Resubmit resumes a message parked with ParkOnUIM or ParkOnCapacity
+	// once its wait ends: m is the parked copy, inPort the port it was
+	// parked with.
+	Resubmit(sw *Switch, m packet.Message, inPort topo.PortID)
+	// CommitStaged runs when a commit staged with Apply has waited out
+	// its install delay on a switch that has not crashed since.
+	CommitStaged(sw *Switch, c *StagedCommit)
 }
 
 // MessageHandler is an optional Handler extension for protocols with
@@ -222,7 +232,7 @@ func (sw *Switch) Now() time.Duration { return sw.net.Eng.Now() }
 
 // State returns the flow's register slice, allocating fresh-node state on
 // first touch. The returned pointer stays stable for the flow's lifetime
-// (handlers capture it in closures), only the index slice relocates.
+// (staged commits hold it), only the index slice relocates.
 func (sw *Switch) State(f packet.FlowID) *FlowState {
 	st, _ := sw.stateSlot(f)
 	return st
@@ -325,7 +335,7 @@ func (sw *Switch) retireFlow(i int32, f packet.FlowID) {
 //
 // Every decoded message is pool-owned and recycled once dispatch
 // returns: a handler that keeps anything beyond the call (an indication,
-// a parked notification, a staged commit) copies it by value.
+// a parked message, a staged commit) copies it by value.
 func (sw *Switch) Receive(raw []byte, inPort topo.PortID) {
 	m, err := sw.net.pool.Decode(raw)
 	if err != nil {
@@ -501,17 +511,13 @@ func (sw *Switch) Alarm(f packet.FlowID, version uint32, reason packet.AlarmReas
 	})
 }
 
-// ParkOnUIM stores work until a (newer) indication for the flow arrives;
-// the P4 prototype realizes this wait by packet resubmission.
-func (sw *Switch) ParkOnUIM(f packet.FlowID, fire func()) {
-	sw.net.park(&sw.State(f).uimWait, sw, fire, nil, 0)
-}
-
-// ParkUNMOnUIM is ParkOnUIM for a notification: a copy of m is
-// resubmitted to the switch's handler, arriving again on inPort, once an
-// indication for its flow arrives. Parking it costs no closure.
-func (sw *Switch) ParkUNMOnUIM(m *packet.UNM, inPort topo.PortID) {
-	sw.net.park(&sw.State(m.Flow).uimWait, sw, nil, m, inPort)
+// ParkOnUIM holds a copy of m (a UNM, UIM or EZN) until a (newer)
+// indication for its flow arrives, then hands it to the handler's
+// Resubmit with inPort; the P4 prototype realizes this wait by packet
+// resubmission.
+func (sw *Switch) ParkOnUIM(m packet.Message, inPort topo.PortID) {
+	f, _ := MsgMeta(m)
+	sw.net.park(&sw.State(packet.FlowID(f)).uimWait, sw, m, inPort)
 }
 
 // WakeUIMWaiters re-injects work parked on the flow's indication.
@@ -521,19 +527,12 @@ func (sw *Switch) WakeUIMWaiters(f packet.FlowID) {
 	}
 }
 
-// ParkOnCapacity stores work until capacity conditions on port change
-// (release or waiter-set shrink).
-func (sw *Switch) ParkOnCapacity(port topo.PortID, fire func()) {
+// ParkOnCapacity holds a copy of m until capacity conditions on port
+// change (release or waiter-set shrink), then resubmits it like
+// ParkOnUIM.
+func (sw *Switch) ParkOnCapacity(port topo.PortID, m packet.Message, inPort topo.PortID) {
 	if s := sw.portSlot(port); s >= 0 {
-		sw.net.park(&sw.capWaiters[s], sw, fire, nil, 0)
-	}
-}
-
-// ParkUNMOnCapacity is ParkOnCapacity for a notification, resubmitted
-// like ParkUNMOnUIM's.
-func (sw *Switch) ParkUNMOnCapacity(port topo.PortID, m *packet.UNM, inPort topo.PortID) {
-	if s := sw.portSlot(port); s >= 0 {
-		sw.net.park(&sw.capWaiters[s], sw, nil, m, inPort)
+		sw.net.park(&sw.capWaiters[s], sw, m, inPort)
 	}
 }
 
@@ -683,10 +682,7 @@ func (sw *Switch) RaisePriorityOfMoversFrom(port topo.PortID) {
 		}
 		if st.UIM != nil && st.UIM.Version > st.NewVersion {
 			st.Priority = PriorityHigh
-			dest := topo.PortID(int32(st.UIM.EgressPort))
-			if st.UIM.EgressPort == packet.NoPort {
-				dest = PortLocal
-			}
+			dest := PortFromWire(st.UIM.EgressPort)
 			if tr := sw.net.Eng.Trace; tr != nil {
 				tr.Verdict(int32(sw.ID), trace.CodePriorityPromote,
 					uint32(sw.net.flows.id(int32(i))), st.UIM.Version, uint32(int32(dest)), uint32(int32(port)))
@@ -699,31 +695,6 @@ func (sw *Switch) RaisePriorityOfMoversFrom(port topo.PortID) {
 // registerWriteDelay models a pure register update (no table change).
 const registerWriteDelay = 50 * time.Microsecond
 
-// Apply stages a forwarding-state change and commits it after the install
-// delay. portChanged selects the cost model: a forwarding-table rewrite
-// pays the (possibly sampled) install delay, while a register-only
-// relabel is a fast data-plane write. The commit closure runs exactly
-// once; it must re-validate against the registers because a higher
-// version may have won the race meanwhile.
-func (sw *Switch) Apply(portChanged bool, commit func()) {
-	d := sw.installDelay(portChanged)
-	if sw.net.Faults != nil || sw.epoch > 0 {
-		// Epoch-guard the staged commit: if the switch crashes while the
-		// install is in flight, the commit belonged to the dead
-		// incarnation and must not touch the ASIC. The wrapper is only
-		// built when faults are possible, keeping the zero-allocation
-		// baseline hot path intact.
-		e := sw.epoch
-		sw.net.Eng.Schedule(d, func() {
-			if sw.epoch == e && !sw.down {
-				commit()
-			}
-		})
-		return
-	}
-	sw.net.Eng.Schedule(d, commit)
-}
-
 // installDelay samples how long a staged change takes to commit.
 func (sw *Switch) installDelay(portChanged bool) time.Duration {
 	if portChanged && sw.InstallDelay != nil {
@@ -733,9 +704,9 @@ func (sw *Switch) installDelay(portChanged bool) time.Duration {
 }
 
 // StagedCommit is a rule install waiting out the switch's install delay,
-// scheduled as a pooled record instead of a closure: the indication it
-// installs, held by value so an indication arriving meanwhile cannot
-// change it, and the Table-1 labels verification chose for it.
+// a pooled record: the indication it installs, held by value so an
+// indication arriving meanwhile cannot change it, and the Table-1 labels
+// verification chose for it.
 type StagedCommit struct {
 	Flow       packet.FlowID
 	UIM        packet.UIM
@@ -744,28 +715,26 @@ type StagedCommit struct {
 	Counter    uint16
 	// State is the flow's register block at staging time.
 	State *FlowState
+	// Proto is protocol-specific install data beyond the indication
+	// (ez-Segway's instruction, which is not a UIM).
+	Proto any
 
 	sw    *Switch
 	epoch uint32
 }
 
-// Committer is the Handler extension of protocols that stage commits as
-// records (StageCommit / ApplyStaged) rather than closures.
-type Committer interface {
-	// CommitStaged runs when c's install delay has elapsed on a switch
-	// that has not crashed since. c is recycled when it returns.
-	CommitStaged(sw *Switch, c *StagedCommit)
-}
-
-// StageCommit returns a zeroed record for ApplyStaged.
+// StageCommit returns a zeroed record for Apply.
 func (sw *Switch) StageCommit() *StagedCommit { return sw.net.commits.get() }
 
-// ApplyStaged is Apply for a record from StageCommit: after the install
-// delay the switch hands c to its handler's CommitStaged, unless the
-// switch crashed in between (the install belonged to the dead
-// incarnation, see Apply). A record carries its epoch for free, so unlike
-// an Apply closure it is guarded whether or not faults are attached.
-func (sw *Switch) ApplyStaged(portChanged bool, c *StagedCommit) {
+// Apply stages the forwarding-state change c (a record from StageCommit)
+// and, after the install delay, hands it to the handler's CommitStaged —
+// unless the switch crashed in between: the install belonged to the dead
+// incarnation and must not touch the ASIC. portChanged selects the cost
+// model: a forwarding-table rewrite pays the (possibly sampled) install
+// delay, while a register-only relabel is a fast data-plane write.
+// CommitStaged must re-validate against the registers, because a higher
+// version may have won the race meanwhile.
+func (sw *Switch) Apply(portChanged bool, c *StagedCommit) {
 	c.sw, c.epoch = sw, sw.epoch
 	sw.net.Eng.ScheduleArg(sw.installDelay(portChanged), sw.net.commitFn, c)
 }
@@ -837,12 +806,8 @@ func (sw *Switch) Down() bool { return sw.down }
 // dual-layer) and bumps Stats. Callers are responsible for verification;
 // CommitRule only refuses to move backwards in version.
 func (sw *Switch) CommitRule(f packet.FlowID, uim *packet.UIM, oldVersion uint32, inherited uint16, counter uint16) bool {
-	newPort := topo.PortID(int32(uim.EgressPort))
-	if uim.EgressPort == packet.NoPort {
-		newPort = PortLocal
-	}
 	return sw.CommitState(f, Commit{
-		Port:        newPort,
+		Port:        PortFromWire(uim.EgressPort),
 		Version:     uim.Version,
 		Distance:    uim.NewDistance,
 		OldVersion:  oldVersion,

@@ -174,19 +174,20 @@ func TestStagedReservationConsumedOrReturned(t *testing.T) {
 
 func TestParkAndWakeUIM(t *testing.T) {
 	net, _ := lineNet(t, 1)
+	rec := &recorder{}
+	net.SetHandler(rec)
 	sw := net.Switch(1)
-	fired := 0
-	sw.ParkOnUIM(3, func() { fired++ })
-	sw.ParkOnUIM(3, func() { fired++ })
+	sw.ParkOnUIM(&packet.UNM{Flow: 3, Vn: 2}, 0)
+	sw.ParkOnUIM(&packet.EZN{Flow: 3, Version: 2}, 0)
 	sw.WakeUIMWaiters(4) // different flow: nothing
 	net.Eng.Run()
-	if fired != 0 {
+	if len(rec.frames) != 0 {
 		t.Fatal("woke the wrong flow's waiters")
 	}
 	sw.WakeUIMWaiters(3)
 	net.Eng.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
+	if len(rec.frames) != 2 {
+		t.Fatalf("resubmitted %d messages, want 2", len(rec.frames))
 	}
 	if sw.Stats.Resubmissions != 2 {
 		t.Errorf("resubmissions = %d, want 2", sw.Stats.Resubmissions)
@@ -195,19 +196,20 @@ func TestParkAndWakeUIM(t *testing.T) {
 
 func TestParkOnCapacityWokenByRelease(t *testing.T) {
 	net, g := lineNet(t, 1)
+	rec := &recorder{}
+	net.SetHandler(rec)
 	sw := net.Switch(1)
 	p := g.PortTo(1, 2)
-	fired := false
 	sw.Reserve(p, 100_000)
-	sw.ParkOnCapacity(p, func() { fired = true })
+	sw.ParkOnCapacity(p, &packet.UIM{Flow: 3, Version: 2}, topo.InvalidPort)
 	net.Eng.Run()
-	if fired {
+	if len(rec.frames) != 0 {
 		t.Fatal("woke without a release")
 	}
 	sw.Release(p, 100_000)
 	net.Eng.Run()
-	if !fired {
-		t.Fatal("release did not wake the parked work")
+	if len(rec.frames) != 1 {
+		t.Fatal("release did not wake the parked instruction")
 	}
 }
 
@@ -285,12 +287,21 @@ func TestDecodeErrorCounted(t *testing.T) {
 
 func TestApplyDelayModel(t *testing.T) {
 	net, _ := lineNet(t, 1)
+	rec := &recorder{}
+	net.SetHandler(rec)
 	sw := net.Switch(0)
 	sw.InstallDelay = func() time.Duration { return 10 * time.Millisecond }
-	var portChangeAt, relabelAt time.Duration
-	sw.Apply(true, func() { portChangeAt = net.Eng.Now() })
-	sw.Apply(false, func() { relabelAt = net.Eng.Now() })
+	for _, v := range []uint32{2, 3} {
+		c := sw.StageCommit()
+		*c = StagedCommit{Flow: 3, UIM: packet.UIM{Flow: 3, Version: v}}
+		sw.Apply(v == 2, c) // version 2 changes the port, 3 only relabels
+	}
 	net.Eng.Run()
+	at := map[uint32]time.Duration{}
+	for i, c := range rec.commits {
+		at[c.Version] = rec.commitAt[i]
+	}
+	portChangeAt, relabelAt := at[2], at[3]
 	if portChangeAt != 10*time.Millisecond {
 		t.Errorf("port change committed at %v, want 10ms", portChangeAt)
 	}

@@ -1,13 +1,17 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
 	"p4update/internal/topo"
 	"p4update/internal/traffic"
 )
 
+// TestContentionLevel pins the claim EXPERIMENTS.md's multi-flow
+// deviation rests on: feasibility-checked gravity workloads on B4 block
+// no move, so the congestion scheduler never parks anything. A nonzero
+// resubmission count means the workloads now exercise it and the
+// explanation of the P4Update/ez-Segway draw needs revisiting.
 func TestContentionLevel(t *testing.T) {
 	for _, util := range []float64{0.85, 0.95} {
 		g := topo.B4()
@@ -25,10 +29,13 @@ func TestContentionLevel(t *testing.T) {
 			b.Trigger(f.ID(), f.New)
 		}
 		b.Eng.Run()
-		var resub, parked uint64
+		var resub uint64
 		for _, sw := range b.Net.Switches() {
 			resub += sw.Stats.Resubmissions
 		}
-		fmt.Printf("util=%.2f flows=%d resubmissions=%d parked=%d\n", util, len(flows), resub, parked)
+		t.Logf("util=%.2f flows=%d resubmissions=%d", util, len(flows), resub)
+		if resub != 0 {
+			t.Errorf("util=%.2f: %d resubmissions, want 0 capacity-blocked moves", util, resub)
+		}
 	}
 }

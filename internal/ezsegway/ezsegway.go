@@ -211,6 +211,12 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {}
 // HandleUNM is unused by ez-Segway.
 func (h *Handler) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.PortID) {}
 
+// Resubmit re-runs handleEZN on a notification parked on its instruction
+// or on capacity.
+func (h *Handler) Resubmit(sw *dataplane.Switch, m packet.Message, inPort topo.PortID) {
+	h.handleEZN(sw, m.(*packet.EZN))
+}
+
 // HandleMessage dispatches the baseline message types.
 func (h *Handler) HandleMessage(sw *dataplane.Switch, m packet.Message, inPort topo.PortID) {
 	switch m := m.(type) {
@@ -257,19 +263,17 @@ func (h *Handler) initiate(sw *dataplane.Switch, m *packet.EZI, es *flowEZState)
 	sw.Pool().PutEZN(ezn)
 }
 
+// handleEZN stages the instruction's rule once the segment's
+// notification for it arrives. m is recycled when the call returns:
+// parks copy it, and the dependency timer keeps its own copy.
 func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
-	// m may be pool-owned and recycled when dispatch returns, but the
-	// closures below (parks, the dependency timeout, the Apply commit)
-	// outlive this call — rebind m to a private copy up front.
-	cp := *m
-	m = &cp
 	st := sw.State(m.Flow)
 	es := ezState(st)
 	if es.instr == nil || es.instr.Version < m.Version {
 		// Instruction not here yet: wait (resubmission).
 		sw.Tracer().Verdict(int32(sw.ID), trace.CodeWaitUIM,
 			uint32(m.Flow), m.Version, 0, 0)
-		sw.ParkOnUIM(m.Flow, func() { h.handleEZN(sw, m) })
+		sw.ParkOnUIM(m, topo.InvalidPort)
 		return
 	}
 	if es.instr.Version > m.Version || es.applied {
@@ -278,10 +282,7 @@ func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 		return // stale or duplicate notification
 	}
 	instr := es.instr
-	newPort := dataplane.PortLocal
-	if instr.EgressPort != packet.NoPort {
-		newPort = topo.PortID(int32(instr.EgressPort))
-	}
+	newPort := dataplane.PortFromWire(instr.EgressPort)
 	if h.Congestion && newPort != dataplane.PortLocal &&
 		!(st.HasRule && st.EgressPort == newPort && st.FlowSizeK >= instr.FlowSizeK) {
 		// Static CP-computed dependency: wait until the depended flow has
@@ -292,14 +293,15 @@ func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 			if dst, ok := sw.PeekState(dep); ok && dst.HasRule && dst.EgressPort == newPort {
 				sw.Tracer().Verdict(int32(sw.ID), trace.CodeWaitDependency,
 					uint32(m.Flow), m.Version, uint32(dep), uint32(int32(newPort)))
-				sw.ParkOnCapacity(newPort, func() { h.handleEZN(sw, m) })
+				sw.ParkOnCapacity(newPort, m, topo.InvalidPort)
 				// Fallback: the static graph can contain cycles; waive
 				// the dependency after a timeout and retry on capacity
 				// alone.
+				ezn := *m
 				sw.Network().Eng.Schedule(500*time.Millisecond, func() {
 					if !es.applied {
 						es.depWaived = true
-						h.handleEZN(sw, m)
+						h.handleEZN(sw, &ezn)
 					}
 				})
 				return
@@ -308,7 +310,7 @@ func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 		if sw.RemainingK(newPort) < uint64(instr.FlowSizeK) {
 			sw.Tracer().Verdict(int32(sw.ID), trace.CodeCapacityBlock,
 				uint32(m.Flow), m.Version, uint32(int32(newPort)), uint32(instr.FlowSizeK))
-			sw.ParkOnCapacity(newPort, func() { h.handleEZN(sw, m) })
+			sw.ParkOnCapacity(newPort, m, topo.InvalidPort)
 			return
 		}
 		sw.StageReservation(m.Flow, newPort, instr.FlowSizeK, instr.Version)
@@ -316,41 +318,50 @@ func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 	sw.Tracer().Verdict(int32(sw.ID), trace.CodeApplyEZ,
 		uint32(m.Flow), m.Version, uint32(int32(newPort)), 0)
 	portChanged := !st.HasRule || st.EgressPort != newPort
-	sw.Apply(portChanged, func() {
-		ok := sw.CommitState(m.Flow, dataplane.Commit{
-			Port:    newPort,
-			Version: instr.Version,
-			// ez-Segway carries no distance labels; keep the old ones.
-			Distance:    st.NewDistance,
-			OldVersion:  st.NewVersion,
-			OldDistance: st.OldDistance,
-			SizeK:       instr.FlowSizeK,
-			Type:        packet.UpdateSingle,
-		})
-		if !ok {
-			return
-		}
-		es.applied = true
-		// Segment-interior nodes relay the notification upstream.
-		if instr.Flags.Has(packet.EZRelay) && instr.ChildPort != packet.NoPort {
-			ezn := sw.Pool().GetEZN()
-			ezn.Flow, ezn.Version = m.Flow, m.Version
-			sw.Network().SendPort(sw.ID, topo.PortID(int32(instr.ChildPort)), ezn)
-			sw.Pool().PutEZN(ezn)
-		}
-		if instr.Flags.Has(packet.EZIngress) {
-			// Flow ingress: report completion of the final segment.
-			sw.SendUFM(packet.UFM{
-				Flow: m.Flow, Version: m.Version, Status: packet.StatusUpdated,
-			})
-		}
-		// A gateway that just applied may now initiate its in_loop
-		// upstream segment (the downstream dependency resolved).
-		if instr.Flags.Has(packet.EZInitAfterApply) {
-			es.started = false
-			h.initiate(sw, instr, es)
-		}
+	c := sw.StageCommit()
+	*c = dataplane.StagedCommit{Flow: m.Flow, State: st, Proto: instr}
+	sw.Apply(portChanged, c)
+}
+
+// CommitStaged commits the rule of the instruction staged by handleEZN,
+// then relays, reports or initiates as the instruction's role asks.
+func (h *Handler) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
+	st, instr := c.State, c.Proto.(*packet.EZI)
+	newPort := dataplane.PortFromWire(instr.EgressPort)
+	ok := sw.CommitState(c.Flow, dataplane.Commit{
+		Port:    newPort,
+		Version: instr.Version,
+		// ez-Segway carries no distance labels; keep the old ones.
+		Distance:    st.NewDistance,
+		OldVersion:  st.NewVersion,
+		OldDistance: st.OldDistance,
+		SizeK:       instr.FlowSizeK,
+		Type:        packet.UpdateSingle,
 	})
+	if !ok {
+		return
+	}
+	es := ezState(st)
+	es.applied = true
+	// Segment-interior nodes relay the notification upstream.
+	if instr.Flags.Has(packet.EZRelay) && instr.ChildPort != packet.NoPort {
+		ezn := sw.Pool().GetEZN()
+		ezn.Flow, ezn.Version = c.Flow, instr.Version
+		sw.Network().SendPort(sw.ID, topo.PortID(int32(instr.ChildPort)), ezn)
+		sw.Pool().PutEZN(ezn)
+	}
+	if instr.Flags.Has(packet.EZIngress) {
+		// Flow ingress: report completion of the final segment.
+		sw.SendUFM(packet.UFM{
+			Flow: c.Flow, Version: instr.Version, Status: packet.StatusUpdated,
+		})
+	}
+	// A gateway that just applied may now initiate its in_loop
+	// upstream segment (the downstream dependency resolved).
+	if instr.Flags.Has(packet.EZInitAfterApply) {
+		es.started = false
+		h.initiate(sw, instr, es)
+	}
 }
 
 // Controller drives ez-Segway updates: it wraps the shared tracking

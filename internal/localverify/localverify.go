@@ -143,8 +143,8 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 			uint32(m.Flow), m.Version, 0, 0)
 		return
 	}
-	// m is pool-owned and recycled when dispatch returns, but the parks
-	// and Apply commits below outlive this call — keep a private copy.
+	// m is pool-owned and recycled when dispatch returns; the flow's
+	// state keeps a private copy.
 	cp := *m
 	ls.instr = &cp
 	ls.applied = false
@@ -152,7 +152,7 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 		st.IndicatedVersion = m.Version
 	}
 	if cp.Role.Has(packet.RoleEgress) {
-		h.apply(sw, ls, &cp)
+		h.apply(sw, &cp)
 	}
 	sw.WakeUIMWaiters(m.Flow)
 }
@@ -168,7 +168,7 @@ func (h *Handler) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.Por
 		// Instruction not here yet: wait (resubmission).
 		sw.Tracer().Verdict(int32(sw.ID), trace.CodeWaitUIM,
 			uint32(m.Flow), m.Vn, 0, 0)
-		sw.ParkUNMOnUIM(m, inPort)
+		sw.ParkOnUIM(m, inPort)
 		return
 	}
 	instr := ls.instr
@@ -194,23 +194,31 @@ func (h *Handler) HandleUNM(sw *dataplane.Switch, m *packet.UNM, inPort topo.Por
 		h.confirmUpstream(sw, instr)
 		return
 	}
-	h.apply(sw, ls, instr)
+	h.apply(sw, instr)
 }
 
-// apply commits the instructed rule (capacity-gated under Congestion)
-// and confirms upstream.
-func (h *Handler) apply(sw *dataplane.Switch, ls *flowLVState, instr *packet.UIM) {
-	st := sw.State(instr.Flow)
-	newPort := dataplane.PortLocal
-	if instr.EgressPort != packet.NoPort {
-		newPort = topo.PortID(int32(instr.EgressPort))
+// Resubmit resumes a parked message: a confirmation that waited for its
+// instruction is verified again, an instruction that waited for capacity
+// re-runs apply.
+func (h *Handler) Resubmit(sw *dataplane.Switch, m packet.Message, inPort topo.PortID) {
+	switch m := m.(type) {
+	case *packet.UNM:
+		h.HandleUNM(sw, m, inPort)
+	case *packet.UIM:
+		h.apply(sw, m)
 	}
+}
+
+// apply stages the instructed rule (capacity-gated under Congestion).
+func (h *Handler) apply(sw *dataplane.Switch, instr *packet.UIM) {
+	st := sw.State(instr.Flow)
+	newPort := dataplane.PortFromWire(instr.EgressPort)
 	if h.Congestion && newPort != dataplane.PortLocal &&
 		!(st.HasRule && st.EgressPort == newPort && st.FlowSizeK >= instr.FlowSizeK) {
 		if sw.RemainingK(newPort) < uint64(instr.FlowSizeK) {
 			sw.Tracer().Verdict(int32(sw.ID), trace.CodeCapacityBlock,
 				uint32(instr.Flow), instr.Version, uint32(int32(newPort)), uint32(instr.FlowSizeK))
-			sw.ParkOnCapacity(newPort, func() { h.apply(sw, ls, instr) })
+			sw.ParkOnCapacity(newPort, instr, topo.InvalidPort)
 			return
 		}
 		sw.StageReservation(instr.Flow, newPort, instr.FlowSizeK, instr.Version)
@@ -218,27 +226,24 @@ func (h *Handler) apply(sw *dataplane.Switch, ls *flowLVState, instr *packet.UIM
 	sw.Tracer().Verdict(int32(sw.ID), trace.CodeApplyLV,
 		uint32(instr.Flow), instr.Version, uint32(int32(newPort)), 0)
 	portChanged := !st.HasRule || st.EgressPort != newPort
-	sw.Apply(portChanged, func() {
-		ok := sw.CommitState(instr.Flow, dataplane.Commit{
-			Port:        newPort,
-			Version:     instr.Version,
-			Distance:    instr.NewDistance,
-			OldVersion:  st.NewVersion,
-			OldDistance: st.NewDistance,
-			SizeK:       instr.FlowSizeK,
-			Type:        packet.UpdateSingle,
+	c := sw.StageCommit()
+	*c = dataplane.StagedCommit{Flow: instr.Flow, UIM: *instr, State: st}
+	sw.Apply(portChanged, c)
+}
+
+// CommitStaged commits the instructed rule and confirms upstream; the
+// flow ingress also acknowledges.
+func (h *Handler) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
+	if !sw.CommitRule(c.Flow, &c.UIM, c.State.NewVersion, c.State.NewDistance, 0) {
+		return
+	}
+	lvState(c.State).applied = true
+	h.confirmUpstream(sw, &c.UIM)
+	if c.UIM.Role.Has(packet.RoleIngress) {
+		sw.SendUFM(packet.UFM{
+			Flow: c.Flow, Version: c.UIM.Version, Status: packet.StatusUpdated,
 		})
-		if !ok {
-			return
-		}
-		ls.applied = true
-		h.confirmUpstream(sw, instr)
-		if instr.Role.Has(packet.RoleIngress) {
-			sw.SendUFM(packet.UFM{
-				Flow: instr.Flow, Version: instr.Version, Status: packet.StatusUpdated,
-			})
-		}
-	})
+	}
 }
 
 // confirmUpstream relays the verified confirmation toward the ingress.

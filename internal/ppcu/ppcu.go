@@ -50,26 +50,22 @@ func (h *Handler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 			uint32(m.Flow), m.Version, 0, 0)
 		return
 	}
-	cp := *m
-	h.apply(sw, &cp)
+	h.apply(sw, m)
 }
 
-// apply commits the instructed rule (capacity-gated under Congestion).
+// apply stages the instructed rule (capacity-gated under Congestion).
 func (h *Handler) apply(sw *dataplane.Switch, m *packet.UIM) {
 	st := sw.State(m.Flow)
 	if st.HasRule && m.Version <= st.NewVersion {
 		return // raced a newer commit while parked on capacity
 	}
-	newPort := dataplane.PortLocal
-	if m.EgressPort != packet.NoPort {
-		newPort = topo.PortID(int32(m.EgressPort))
-	}
+	newPort := dataplane.PortFromWire(m.EgressPort)
 	if h.Congestion && newPort != dataplane.PortLocal &&
 		!(st.HasRule && st.EgressPort == newPort && st.FlowSizeK >= m.FlowSizeK) {
 		if sw.RemainingK(newPort) < uint64(m.FlowSizeK) {
 			sw.Tracer().Verdict(int32(sw.ID), trace.CodeCapacityBlock,
 				uint32(m.Flow), m.Version, uint32(int32(newPort)), uint32(m.FlowSizeK))
-			sw.ParkOnCapacity(newPort, func() { h.apply(sw, m) })
+			sw.ParkOnCapacity(newPort, m, topo.InvalidPort)
 			return
 		}
 		sw.StageReservation(m.Flow, newPort, m.FlowSizeK, m.Version)
@@ -77,21 +73,23 @@ func (h *Handler) apply(sw *dataplane.Switch, m *packet.UIM) {
 	sw.Tracer().Verdict(int32(sw.ID), trace.CodeApplyPPCU,
 		uint32(m.Flow), m.Version, uint32(int32(newPort)), 0)
 	portChanged := !st.HasRule || st.EgressPort != newPort
-	sw.Apply(portChanged, func() {
-		if sw.CommitState(m.Flow, dataplane.Commit{
-			Port:        newPort,
-			Version:     m.Version,
-			Distance:    m.NewDistance,
-			OldVersion:  st.NewVersion,
-			OldDistance: st.NewDistance,
-			SizeK:       m.FlowSizeK,
-			Type:        packet.UpdateSingle,
-		}) {
-			sw.SendUFM(packet.UFM{
-				Flow: m.Flow, Version: m.Version, Status: packet.StatusUpdated,
-			})
-		}
-	})
+	c := sw.StageCommit()
+	*c = dataplane.StagedCommit{Flow: m.Flow, UIM: *m, State: st}
+	sw.Apply(portChanged, c)
+}
+
+// CommitStaged commits the instructed rule and acknowledges it.
+func (h *Handler) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
+	if sw.CommitRule(c.Flow, &c.UIM, c.State.NewVersion, c.State.NewDistance, 0) {
+		sw.SendUFM(packet.UFM{
+			Flow: c.Flow, Version: c.UIM.Version, Status: packet.StatusUpdated,
+		})
+	}
+}
+
+// Resubmit re-runs apply on an instruction parked on capacity.
+func (h *Handler) Resubmit(sw *dataplane.Switch, m packet.Message, inPort topo.PortID) {
+	h.apply(sw, m.(*packet.UIM))
 }
 
 // HandleUNM is unused by PPCU.

@@ -119,16 +119,9 @@ func TestEveryRegisteredSystemZeroAllocDataPathUntraced(t *testing.T) {
 	}
 }
 
-// TestP4UpdateUpdatePathAllocations pins the update path's allocation
-// budget: a flow flips between the two rails of a ladder, single-layer
-// updates each way. Once the plan cache holds the plans, an update —
-// indications out, verification, staged commits, notifications, probe,
-// feedback, cleanup — allocates its UpdateStatus and that record's
-// pending set, plus a share of the record slabs and engine queue warming
-// up and of the controller's update map growing: 2.3 in all (3.3 under
-// the race detector), against 36 when indications, commits, parks and
-// frames each took an allocation.
-func TestP4UpdateUpdatePathAllocations(t *testing.T) {
+// ladder builds two disjoint four-hop rails from src (rails[r][0]) to
+// dst (the last node of each rail), frozen.
+func ladder() (*topo.Topology, [2][]topo.NodeID) {
 	g := topo.New("ladder")
 	src, dst := g.AddNode("src", 0, 0), g.AddNode("dst", 0, 0)
 	rails := [2][]topo.NodeID{{src}, {src}}
@@ -142,31 +135,119 @@ func TestP4UpdateUpdatePathAllocations(t *testing.T) {
 		rails[r] = append(rails[r], dst)
 	}
 	g.Freeze()
-	plans := plancache.New(g)
-	const updates = 200
-	perUpdate := func() float64 {
-		sys := New(g, Config{Seed: 1, System: "p4update-sl", MaxEvents: 5_000_000, Plans: plans})
-		const f = packet.FlowID(77)
-		if err := sys.Ctl.RegisterFlowID(f, src, dst, rails[0], 1); err != nil {
-			t.Fatal(err)
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 1; i <= updates; i++ {
-			u, err := sys.Trigger(f, rails[i%2])
-			if err != nil {
+	return g, rails
+}
+
+// updatePathAllocs is each system's allocation budget for one reroute
+// of TestUpdatePathAllocations: its reading under the race detector,
+// which adds one allocation a reroute to the plain build's, rounded up.
+var updatePathAllocs = map[string]float64{
+	"p4update":     4,
+	"p4update-sl":  4,
+	"p4update-dl":  4,
+	"ez-segway":    11,
+	"central":      33,
+	"local-verify": 12,
+	"ppcu":         21,
+	"opt-oracle":   18,
+}
+
+// TestUpdatePathAllocations pins every system's update-path allocation
+// budget: a flow flips between the two rails of a ladder, 200 reroutes.
+// Once the plan cache holds the plans, a P4Update update — indications
+// out, verification, staged commits, notifications, probe, feedback,
+// cleanup — allocates its UpdateStatus and that record's pending set,
+// plus a share of the record slabs and engine queue warming up and of
+// the controller's update map growing: 2.3 in all (3.3 under the race
+// detector), against 36 when indications, commits, parks and frames each
+// took an allocation. The baselines pay for their coordinators' per-run
+// maps on top.
+func TestUpdatePathAllocations(t *testing.T) {
+	g, rails := ladder()
+	src, dst := rails[0][0], rails[0][len(rails[0])-1]
+	for _, name := range AllNames() {
+		t.Run(name, func(t *testing.T) {
+			plans := plancache.New(g)
+			const updates = 200
+			perUpdate := func() float64 {
+				sys := New(g, Config{Seed: 1, System: name, MaxEvents: 5_000_000, Plans: plans, ChainedDL: true})
+				const f = packet.FlowID(77)
+				if err := sys.Ctl.RegisterFlowID(f, src, dst, rails[0], 1); err != nil {
+					t.Fatal(err)
+				}
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for i := 1; i <= updates; i++ {
+					u, err := sys.Trigger(f, rails[i%2])
+					if err != nil {
+						t.Fatal(err)
+					}
+					sys.Eng.Run()
+					if !u.Done() {
+						t.Fatalf("update %d did not complete", i)
+					}
+				}
+				runtime.ReadMemStats(&m1)
+				return float64(m1.Mallocs-m0.Mallocs) / updates
+			}
+			perUpdate() // fills the plan cache for every version the second run asks for
+			got := perUpdate()
+			t.Logf("%s: %.2f allocations per reroute", name, got)
+			if max := updatePathAllocs[name]; got > max {
+				t.Errorf("a %s reroute allocates %.2f times, want at most %v", name, got, max)
+			}
+		})
+	}
+}
+
+// TestCrashBeforeCommitLosesTheInstall: a rule install still waiting out
+// its delay when its switch crashes belonged to the dead incarnation.
+// With no fault injector attached, the restored switch must neither
+// commit it nor acknowledge it, whichever baseline staged it.
+func TestCrashBeforeCommitLosesTheInstall(t *testing.T) {
+	g, rails := ladder()
+	src, dst := rails[0][0], rails[0][len(rails[0])-1]
+	port := g.PortTo(src, rails[1][1])
+	for _, name := range []string{"central", "ppcu", "local-verify", "opt-oracle", "ez-segway"} {
+		t.Run(name, func(t *testing.T) {
+			sys := New(g, Config{Seed: 1, System: name, BaseInstallDelay: 10 * time.Millisecond})
+			const f = packet.FlowID(77)
+			if err := sys.Ctl.RegisterFlowID(f, src, dst, rails[0], 1); err != nil {
 				t.Fatal(err)
 			}
-			sys.Eng.Run()
-			if !u.Done() {
-				t.Fatalf("update %d did not complete", i)
+			acks := 0
+			rx := sys.Net.ControllerRx
+			sys.Net.ControllerRx = func(from topo.NodeID, raw []byte) {
+				if m, err := packet.Decode(raw); err == nil {
+					if u, ok := m.(*packet.UFM); ok && u.Flow == f && u.Status == packet.StatusUpdated {
+						acks++
+					}
+				}
+				rx(from, raw)
 			}
-		}
-		runtime.ReadMemStats(&m1)
-		return float64(m1.Mallocs-m0.Mallocs) / updates
-	}
-	perUpdate() // fills the plan cache for every version the second run asks for
-	if got := perUpdate(); got > 4 {
-		t.Errorf("a P4Update reroute allocates %.2f times, want at most 4", got)
+			// Version 2 moves the ingress onto the other rail. Each system
+			// applies it on arrival and, at the flow ingress, acknowledges.
+			sw := sys.Net.Switch(src)
+			if name == "ez-segway" {
+				sw.Receive(packet.Marshal(&packet.EZI{Flow: f, Version: 2, EgressPort: uint16(port),
+					ChildPort: packet.NoPort, FlowSizeK: 1, Flags: packet.EZIngress}), topo.InvalidPort)
+				sw.Receive(packet.Marshal(&packet.EZN{Flow: f, Version: 2}), port)
+			} else {
+				sw.Receive(packet.Marshal(&packet.UIM{Flow: f, Version: 2, NewDistance: 5, EgressPort: uint16(port),
+					ChildPort: packet.NoPort, FlowSizeK: 1, Role: packet.RoleIngress | packet.RoleEgress}), topo.InvalidPort)
+			}
+			sys.Eng.RunUntil(5 * time.Millisecond)
+			sw.Crash()
+			sw.Restore()
+			sys.Eng.Run()
+			st, _ := sw.PeekState(f)
+			if st.NewVersion != 1 || st.EgressPort == port || sw.Stats.RulesApplied != 0 {
+				t.Errorf("the install staged before the crash committed: version %d, %d rules applied",
+					st.NewVersion, sw.Stats.RulesApplied)
+			}
+			if acks != 0 {
+				t.Errorf("%d StatusUpdated feedback left for the lost install, want none", acks)
+			}
+		})
 	}
 }
