@@ -7,11 +7,19 @@
 //
 // The event queue is allocation-free in steady state: event payloads
 // live in a pooled slot arena reused through a free list, and the
-// priority queue is a value-typed 4-ary heap of {at, seq, slot}
-// entries. Schedule, Step, and Timer.Stop therefore do zero heap
-// allocations once the arena has grown to the simulation's high-water
-// mark. The engine is single-threaded by contract, so the pool needs no
-// locking.
+// queue holds value-typed {at, seq, slot} entries. Schedule, Step, and
+// Timer.Stop therefore do zero heap allocations once the arena and the
+// queue have grown to the simulation's high-water mark. The engine is
+// single-threaded by contract, so the pool needs no locking.
+//
+// The queue is a 4-ary heap with delay lanes in front of it. A
+// simulated network has a handful of fixed delays (a link's latency, a
+// resubmission pass, a rule write), and the events pushed with one
+// fixed delay are already in (at, seq) order, so a FIFO per delay
+// keeps them sorted without a sift. Non-empty lanes are merged through
+// a small heap of their head entries, and every pop takes the smaller
+// of the heap's and the lanes' minimum. Which queue an event joins is a
+// speed choice only: the execution order is (at, seq) either way.
 package sim
 
 import (
@@ -22,9 +30,11 @@ import (
 	"p4update/internal/trace"
 )
 
-// entry is one element of the value-typed 4-ary event heap. The slot
-// index points into Engine.slots, where the payload lives; keeping the
-// heap free of pointers makes sifting cheap and allocation-free.
+// entry is one element of the event queue: a heap element, a lane
+// element, or (with slot holding a lane index) a lane-heap element.
+// The slot index points into Engine.slots, where the payload lives;
+// keeping the queue free of pointers makes sifting cheap and
+// allocation-free.
 type entry struct {
 	at   time.Duration
 	seq  uint64
@@ -38,20 +48,76 @@ func entryLess(a, b entry) bool {
 	return a.seq < b.seq
 }
 
+const (
+	// numLanes is the number of delay lanes; a delay maps to one lane
+	// by hash. A burst-k8 trial pushes four hot delays (100 µs links
+	// and resubmits, 1 ms installs, 50 µs register writes, 500 µs) and
+	// ~65 per-switch control latencies of ~70 events each. 64 lanes
+	// hold the hot four apart; 128 read within noise of 64 (alternated
+	// 8 s runs, 2-core Xeon: wall_ns_per_event 315–329 vs 328–332 ns)
+	// at twice the engine's lane table, and 16 lanes gave up a third
+	// of the gain in a prototype.
+	numLanes = 1 << laneBits
+	laneBits = 6
+	// laneGate is the heap size from which pushes may use a lane. Below
+	// it a sift is shallow and the lanes buy nothing: gates of 32, 64
+	// and 128 read the same on burst-k8, while a gate of 0 put
+	// paper-grid's ~40-event trials on the lane path for 0.4 % more
+	// allocs_per_update (each engine grows a lane heap) and no speed.
+	laneGate = 64
+	// laneMaxCredit caps a lane's credit (see lane): the number of
+	// foreign pushes it takes to unseat an idle delay.
+	laneMaxCredit = 16
+)
+
+// lane is a FIFO of events pushed with one delay, linked through their
+// slots. For a fixed delay d an event's instant is now+d, now never
+// decreases and seq always increases, so a lane is sorted by (at, seq)
+// without a sift.
+type lane struct {
+	head, tail int32 // slots; valid while n > 0
+	n          int32
+	// credit is a saturating vote for delay: +1 for each push of it,
+	// −1 for each push of another delay that hashes here. Another delay
+	// claims the lane only once it is empty and the credit is spent, so
+	// a delay that recurs keeps its lane against one-off delays and
+	// rarer colliding ones.
+	credit int32
+	delay  time.Duration
+}
+
+// laneIndex maps a delay to its lane with the murmur3 finalizer, which
+// keeps the round delays of a model (50 µs, 100 µs, 500 µs, 1 ms, …)
+// apart where a plain multiplicative hash put 500 µs and 1 ms together.
+func laneIndex(d time.Duration) int32 {
+	x := uint64(d)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return int32(x >> (64 - laneBits))
+}
+
 // eventSlot holds a scheduled event's payload. Slots are recycled via
 // the engine's free list; gen disambiguates a recycled slot from the
 // incarnation an outstanding Timer refers to.
 //
-// Exactly one heap entry references a live or cancelled slot at any
-// time: Timer.Stop only marks the slot dead, and the slot returns to
-// the free list when its heap entry is discarded (peekLive) or executed
-// (Step). This invariant is what lets heap entries omit a generation.
+// Exactly one queue entry (in the heap or in a lane) references a live
+// or cancelled slot at any time: Timer.Stop only marks the slot dead,
+// and the slot returns to the free list when its entry is discarded
+// (peekLive) or executed (Step). This invariant is what lets queue
+// entries omit a generation.
 type eventSlot struct {
 	fn   func()
 	afn  func(any)
 	arg  any
 	gen  uint32
 	live bool
+	// next, at and seq link a lane's events (unused in the heap).
+	next int32
+	at   time.Duration
+	seq  uint64
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. The
@@ -75,7 +141,7 @@ func (t Timer) Stop() {
 	}
 	s.live = false
 	// Drop closure references now; the slot itself is reclaimed when
-	// its heap entry surfaces.
+	// its queue entry surfaces.
 	s.fn, s.afn, s.arg = nil, nil, nil
 	e.live--
 }
@@ -84,12 +150,19 @@ func (t Timer) Stop() {
 //
 // The zero value is not usable; construct with New.
 type Engine struct {
-	now    time.Duration
-	heap   []entry
-	slots  []eventSlot
-	free   []int32
-	seq    uint64
+	now  time.Duration
+	heap []entry
+	// laneHeap orders the non-empty lanes by their head entries; an
+	// element's slot field is the lane's index in lanes.
+	laneHeap []entry
+	lanes    [numLanes]lane
+	slots    []eventSlot
+	free     []int32
+	seq      uint64
+	// rng is seeded from seed on the first Rand call: trials that never
+	// draw skip seeding math/rand's 607-word state.
 	rng    *rand.Rand
+	seed   int64
 	nsteps uint64
 	nsched uint64
 	// live counts queued events that are neither cancelled nor executed,
@@ -117,14 +190,19 @@ type Engine struct {
 
 // New returns an engine whose random streams are derived from seed.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Rand exposes the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Steps reports how many events have been executed so far.
 func (e *Engine) Steps() uint64 { return e.nsteps }
@@ -181,7 +259,8 @@ func (e *Engine) mustNotRegress(at time.Duration) {
 }
 
 // push allocates a slot (reusing the free list), stores the payload,
-// and inserts a heap entry. Exactly one of fn/afn is non-nil.
+// and queues an entry: in the lane of its delay at-now when one takes
+// it, else in the heap. Exactly one of fn/afn is non-nil.
 func (e *Engine) push(at time.Duration, fn func(), afn func(any), arg any) Timer {
 	var slot int32
 	if n := len(e.free); n > 0 {
@@ -194,11 +273,45 @@ func (e *Engine) push(at time.Duration, fn func(), afn func(any), arg any) Timer
 	s := &e.slots[slot]
 	s.fn, s.afn, s.arg = fn, afn, arg
 	s.live = true
-	e.heapPush(entry{at: at, seq: e.seq, slot: slot})
+	it := entry{at: at, seq: e.seq, slot: slot}
+	if len(e.heap) < laneGate || !e.lanePush(at-e.now, it) {
+		e.heap = heapPush(e.heap, it)
+	}
 	e.seq++
 	e.nsched++
 	e.live++
 	return Timer{eng: e, slot: slot, gen: s.gen}
+}
+
+// lanePush appends it to the lane for delay d and reports whether the
+// lane took it. A lane holds one delay at a time, which keeps it sorted.
+func (e *Engine) lanePush(d time.Duration, it entry) bool {
+	li := laneIndex(d)
+	l := &e.lanes[li]
+	if l.delay != d {
+		if l.credit > 0 {
+			l.credit--
+			return false
+		}
+		if l.n > 0 {
+			return false
+		}
+		l.delay = d
+	}
+	if l.credit < laneMaxCredit {
+		l.credit++
+	}
+	if l.n == 0 {
+		l.head = it.slot
+		e.laneHeap = heapPush(e.laneHeap, entry{at: it.at, seq: it.seq, slot: li})
+	} else {
+		e.slots[l.tail].next = it.slot
+	}
+	l.tail = it.slot
+	l.n++
+	s := &e.slots[it.slot]
+	s.at, s.seq = it.at, it.seq
+	return true
 }
 
 // freeSlot returns a slot to the free list, bumping its generation so
@@ -211,30 +324,60 @@ func (e *Engine) freeSlot(slot int32) {
 	e.free = append(e.free, slot)
 }
 
-// peekLive discards cancelled events at the head of the heap (freeing
-// their slots) and reports whether a live event remains. This is the
-// single place dead events are skipped; Step and RunUntil both go
-// through it, so the MaxEvents backstop and the skip logic cannot
-// diverge.
-func (e *Engine) peekLive() bool {
-	for len(e.heap) > 0 {
-		slot := e.heap[0].slot
-		if e.slots[slot].live {
-			return true
+// peekLive discards cancelled events at the front of the queue (freeing
+// their slots) and returns the first live one, with whether it heads a
+// lane (else the heap). This is the single place dead events are
+// skipped; Step, RunUntil and NextAt all go through it, so the
+// MaxEvents backstop and the skip logic cannot diverge.
+func (e *Engine) peekLive() (head entry, inLane, ok bool) {
+	for {
+		switch {
+		case len(e.laneHeap) > 0 && (len(e.heap) == 0 || entryLess(e.laneHeap[0], e.heap[0])):
+			top := e.laneHeap[0]
+			head, inLane = entry{at: top.at, seq: top.seq, slot: e.lanes[top.slot].head}, true
+		case len(e.heap) > 0:
+			head, inLane = e.heap[0], false
+		default:
+			return entry{}, false, false
 		}
-		e.heapPop()
-		e.freeSlot(slot)
+		if e.slots[head.slot].live {
+			return head, inLane, true
+		}
+		e.pop(inLane)
+		e.freeSlot(head.slot)
 	}
-	return false
+}
+
+// pop removes the front entry peekLive returned.
+func (e *Engine) pop(inLane bool) {
+	if inLane {
+		e.lanePop()
+	} else {
+		e.heap = heapPop(e.heap)
+	}
+}
+
+// lanePop removes the head of the lane at the top of the lane heap.
+func (e *Engine) lanePop() {
+	li := e.laneHeap[0].slot
+	l := &e.lanes[li]
+	l.n--
+	if l.n == 0 {
+		e.laneHeap = heapPop(e.laneHeap)
+		return
+	}
+	l.head = e.slots[l.head].next
+	next := &e.slots[l.head]
+	siftDown(e.laneHeap, entry{at: next.at, seq: next.seq, slot: li})
 }
 
 // Step executes the next pending event. It reports whether an event ran.
 func (e *Engine) Step() bool {
-	if !e.peekLive() {
+	head, inLane, ok := e.peekLive()
+	if !ok {
 		return false
 	}
-	head := e.heap[0]
-	e.heapPop()
+	e.pop(inLane)
 	if head.at < e.now {
 		panic(fmt.Sprintf("sim: time ran backwards: %v < %v", head.at, e.now))
 	}
@@ -271,8 +414,9 @@ func (e *Engine) Run() time.Duration {
 // RunUntil executes events with timestamps <= deadline. Events scheduled
 // later stay queued; the clock is advanced to deadline if it quiesced early.
 func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
-	for e.peekLive() {
-		if e.heap[0].at > deadline {
+	for {
+		head, _, ok := e.peekLive()
+		if !ok || head.at > deadline {
 			break
 		}
 		e.Step()
@@ -290,10 +434,8 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 // It lets a real-time host (cmd/controllerd, cmd/switchd) sleep exactly
 // until the next virtual deadline instead of polling.
 func (e *Engine) NextAt() (time.Duration, bool) {
-	if !e.peekLive() {
-		return 0, false
-	}
-	return e.heap[0].at, true
+	head, _, ok := e.peekLive()
+	return head.at, ok
 }
 
 // Pending reports the number of live queued events (cancelled timers
@@ -301,25 +443,35 @@ func (e *Engine) NextAt() (time.Duration, bool) {
 // Schedule, Step, and Timer.Stop.
 func (e *Engine) Pending() int { return e.live }
 
-// heapPush inserts it into the 4-ary min-heap.
-func (e *Engine) heapPush(it entry) {
-	e.heap = append(e.heap, it)
-	i := len(e.heap) - 1
+// heapPush inserts it into the 4-ary min-heap h.
+func heapPush(h []entry, it entry) []entry {
+	h = append(h, it)
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !entryLess(e.heap[i], e.heap[p]) {
+		if !entryLess(h[i], h[p]) {
 			break
 		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
+		h[i], h[p] = h[p], h[i]
 		i = p
 	}
+	return h
 }
 
-// heapPop removes the minimum entry from the 4-ary min-heap.
-func (e *Engine) heapPop() {
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
+// heapPop removes the minimum entry from the non-empty 4-ary min-heap h.
+func heapPop(h []entry) []entry {
+	n := len(h) - 1
+	siftDown(h[:n], h[n])
+	return h[:n]
+}
+
+// siftDown replaces the minimum of the 4-ary min-heap h with it and
+// restores the heap property; on an empty h it does nothing.
+func siftDown(h []entry, it entry) {
+	n := len(h)
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
 		first := 4*i + 1
@@ -327,19 +479,17 @@ func (e *Engine) heapPop() {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if entryLess(e.heap[c], e.heap[best]) {
+			if entryLess(h[c], h[best]) {
 				best = c
 			}
 		}
-		if !entryLess(e.heap[best], e.heap[i]) {
+		if !entryLess(h[best], it) {
 			break
 		}
-		e.heap[i], e.heap[best] = e.heap[best], e.heap[i]
+		h[i] = h[best]
 		i = best
 	}
+	h[i] = it
 }

@@ -365,3 +365,42 @@ func TestPendingTracksCancelledTimers(t *testing.T) {
 		t.Fatalf("Pending after re-Schedule = %d, want 1", got)
 	}
 }
+
+// TestSteadyStateZeroAllocs makes the engine's zero-allocation claim a
+// test on both queue paths: a warm engine holding burst-k8's depth and
+// delay mix (most events in delay lanes), and one kept below the lane
+// gate (every event in the heap).
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	fn := func() {}
+	delays := burstMix(1 << 12)
+	for _, tc := range []struct {
+		name    string
+		pending int
+		inLanes bool
+	}{
+		{"lanes", 2400, true},
+		{"heap", laneGate / 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(1)
+			for i := 0; i < tc.pending; i++ {
+				e.Schedule(delays[i], fn)
+			}
+			i := 0
+			cycle := func() {
+				e.Step()
+				e.Schedule(delays[i&(len(delays)-1)], fn)
+				i++
+			}
+			for j := 0; j < 1<<15; j++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(10000, cycle); allocs != 0 {
+				t.Errorf("Step+Schedule allocates %.2f/op, want 0", allocs)
+			}
+			if got := len(e.laneHeap) > 0; got != tc.inLanes {
+				t.Errorf("lanes in use = %v, want %v", got, tc.inLanes)
+			}
+		})
+	}
+}
