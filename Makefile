@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ledger bench churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke identical check clean
+.PHONY: all build vet lint test race ledger bench microbench churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke identical check clean
 
 all: check
 
@@ -48,6 +48,13 @@ ledger:
 # ledger, end to end, each in its own process.
 bench:
 	$(GO) run ./benchmark
+
+# Package micro-benchmarks with allocation counts: the event engine
+# (internal/sim) and the switch state (internal/dataplane: install/retire
+# at fat-tree K=16 scale, (switch, flow) lookups). A quick A/B for a
+# queue or state-layout change, without the 24 s ledger run.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/
 
 # Fixed-seed short streaming-churn run with the continuous invariant
 # auditor attached (zero audit violations asserted in-test), plus a

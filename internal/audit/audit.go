@@ -32,6 +32,7 @@ package audit
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"p4update/internal/controlplane"
@@ -140,8 +141,12 @@ type finding struct {
 // audited.
 type slotVerdict struct {
 	// flow is the slot's tenant when it was last seen live; the slot's
-	// lastVer history belongs to it.
+	// version history (lastVer) belongs to it.
 	flow packet.FlowID
+	// lastVer is the highest applied version seen per node for flow, the
+	// memory of the monotonicity invariant, sorted by node. It is reset
+	// when a different flow moves into the slot, never on vacancy.
+	lastVer []nodeVersion
 	// audited marks rev, outageRev and the fields below as describing
 	// flow's current registers; it is cleared when the slot is vacated or
 	// the Flow DB does not know the tenant.
@@ -156,6 +161,12 @@ type slotVerdict struct {
 	traced   finding
 	traceBad bool
 	charges  []charge
+}
+
+// nodeVersion is the highest version a node was seen to apply.
+type nodeVersion struct {
+	node topo.NodeID
+	ver  uint32
 }
 
 // Auditor holds the sweep state for one attached fabric. All scratch is
@@ -181,14 +192,8 @@ type Auditor struct {
 	visGen  uint32
 	// load is the traced kbps per (node, egress port): the sum of every
 	// audited slot's charges, kept across sweeps.
-	load [][]uint64
-	// lastVer tracks the highest applied version seen per (node, flow
-	// slot) for the monotonicity invariant. It belongs to the slot's
-	// remembered tenant (slotVerdict.flow): a recycled slot's history is
-	// reset instead of charging the new tenant with its predecessor's
-	// versions.
-	lastVer [][]uint32
-	slots   []slotVerdict
+	load  [][]uint64
+	slots []slotVerdict
 
 	// OnSweep, when set, observes every completed sweep with its instant
 	// and the violations newly recorded during it. Like the auditor it
@@ -230,7 +235,6 @@ func Attach(net *dataplane.Network, ctl *controlplane.Controller, cfg Config) *A
 		ctl:     ctl,
 		visited: make([]uint32, n),
 		load:    make([][]uint64, n),
-		lastVer: make([][]uint32, n),
 	}
 	for _, id := range net.Topo.Nodes() {
 		a.load[id] = make([]uint64, net.Topo.Degree(id))
@@ -296,11 +300,7 @@ func (a *Auditor) Sweep() {
 		}
 		if s.flow != f {
 			s.flow, s.audited = f, false
-			for _, lv := range a.lastVer {
-				if idx < len(lv) {
-					lv[idx] = 0
-				}
-			}
+			s.lastVer = s.lastVer[:0]
 		}
 		rev := a.net.FlowRev(int32(idx))
 		if !s.audited || s.rev != rev || s.outageRev != outage {
@@ -441,24 +441,33 @@ func (a *Auditor) checkCapacity() {
 }
 
 // checkVersions asserts the flow's applied version never decreases on
-// any node, remembering the regressions in s.
+// any node, remembering the regressions in s. It visits the slot's
+// holders, which come in ascending node order like s.lastVer, so the
+// two merge in one pass.
 func (a *Auditor) checkVersions(idx int, s *slotVerdict) {
 	s.regress = s.regress[:0]
-	for _, sw := range a.net.Switches() {
-		st := sw.FlowStateAt(idx)
-		if st == nil || !st.HasRule {
+	i, j, m := int32(idx), 0, a.net.NumFlowHolders(int32(idx))
+	if s.lastVer == nil {
+		// Room for a reroute's worth of new holders: the slice is kept
+		// for every later tenant of the slot.
+		s.lastVer = make([]nodeVersion, 0, 2*m)
+	}
+	for k := 0; k < m; k++ {
+		node, st := a.net.FlowHolder(i, k)
+		if !st.HasRule {
 			continue
 		}
-		lv := a.lastVer[sw.ID]
-		if idx >= len(lv) {
-			lv = append(lv, make([]uint32, a.net.NumFlowSlots()-len(lv))...)
-			a.lastVer[sw.ID] = lv
+		for j < len(s.lastVer) && s.lastVer[j].node < node {
+			j++
 		}
-		if st.NewVersion < lv[idx] {
-			s.regress = append(s.regress, finding{VersionRegress, sw.ID, fmt.Sprintf(
-				"applied version %d after %d", st.NewVersion, lv[idx])})
+		if j == len(s.lastVer) || s.lastVer[j].node != node {
+			s.lastVer = slices.Insert(s.lastVer, j, nodeVersion{node: node})
+		}
+		if lv := &s.lastVer[j]; st.NewVersion < lv.ver {
+			s.regress = append(s.regress, finding{VersionRegress, node, fmt.Sprintf(
+				"applied version %d after %d", st.NewVersion, lv.ver)})
 		} else {
-			lv[idx] = st.NewVersion
+			lv.ver = st.NewVersion
 		}
 	}
 }

@@ -102,27 +102,26 @@ type Network struct {
 	commitFn   func(any)
 
 	// flows interns flow IDs into dense indexes shared by every switch of
-	// the fabric (see flowTable).
+	// the fabric and records which switches hold state for each (see
+	// flowTable).
 	flows *flowTable
-	// retireScratch is RetireFlow's reusable list of a flow's holders.
-	retireScratch []topo.NodeID
 	// outageRev counts switch Crash and Restore transitions: whatever was
 	// derived from which switches are up is stale once it moves.
 	outageRev uint32
 }
 
-// noHolder ends a flow slot's holder chain.
-const noHolder topo.NodeID = -1
-
 // flowTable interns flow IDs into dense indexes in first-touch order,
 // with a free list so retired flows' slots are recycled: under
-// streaming churn the table (and every per-switch dense slice indexed
-// by it) is sized by *live* flows, not by every flow that ever existed.
+// streaming churn the table is sized by *live* flows, not by every flow
+// that ever existed. Each slot's holder set (holders, parallel to
+// slots) names the switches holding a state block for its flow, so
+// per-switch state is sized by the flows that traverse the switch.
 // Like the engine it serves, the table is single-threaded and lock-free.
 type flowTable struct {
-	idx   map[packet.FlowID]int32
-	slots []slotEntry
-	free  []int32 // recycled slots, LIFO
+	idx     map[packet.FlowID]int32
+	slots   []slotEntry
+	holders []holderSet
+	free    []int32 // recycled slots, LIFO
 	// scratch is the reusable backing array of FlowIDs(): the compacted
 	// live view, rebuilt per call.
 	scratch []packet.FlowID
@@ -130,13 +129,8 @@ type flowTable struct {
 
 // slotEntry is one entry of the dense slot space.
 type slotEntry struct {
-	id packet.FlowID // dead slots hold their last ID
-	// holder heads the chain of switches that hold a state block for the
-	// slot's flow (noHolder when none does). The chain runs through
-	// FlowState.nextHolder, newest holder first; Switch.State links a
-	// switch in on first touch and RetireFlow walks and clears it.
-	holder topo.NodeID
-	live   bool
+	id   packet.FlowID // dead slots hold their last ID
+	live bool
 	// rev is the slot's forwarding revision (see FlowState): it moves
 	// whenever any switch writes one of the slot's forwarding registers,
 	// and when the slot changes tenant.
@@ -156,7 +150,8 @@ func (t *flowTable) slot(f packet.FlowID) int32 {
 		t.bump(i)
 	} else {
 		i = int32(len(t.slots))
-		t.slots = append(t.slots, slotEntry{id: f, holder: noHolder, live: true})
+		t.slots = append(t.slots, slotEntry{id: f, live: true})
+		t.holders = append(t.holders, holderSet{})
 	}
 	t.idx[f] = i
 	return i
@@ -458,6 +453,20 @@ func (n *Network) FlowAt(i int32) (packet.FlowID, bool) {
 // An observer that remembers it can skip a flow nothing has happened to.
 func (n *Network) FlowRev(i int32) uint32 { return n.flows.slots[i].rev }
 
+// NumFlowHolders returns how many switches hold a state block for the
+// flow in dense slot i.
+func (n *Network) NumFlowHolders(i int32) int { return int(n.flows.holders[i].n) }
+
+// FlowHolder returns the k-th switch (k < NumFlowHolders(i), ascending
+// node order) holding a state block for the flow in dense slot i, and
+// that block. It lets the invariant auditor visit a flow's holders
+// without asking every switch; like FlowStateAt, the block is
+// read-only to callers.
+func (n *Network) FlowHolder(i int32, k int) (topo.NodeID, *FlowState) {
+	h := n.flows.holders[i].at(k)
+	return h.node, n.switches[h.node].stateAt(h.ref)
+}
+
 // OutageRev returns the fabric's outage revision: it moves on every
 // switch Crash and Restore.
 func (n *Network) OutageRev() uint32 { return n.outageRev }
@@ -477,7 +486,7 @@ func (n *Network) FlowChanged(f packet.FlowID) {
 // per-switch state blocks (recycled into each switch's free list),
 // capacity reservations, waiter-table slots — and releases its dense
 // slot for reuse. It visits only the switches that hold state for the
-// flow (the slot's holder chain: old-path and new-path switches alike),
+// flow (the slot's holder set: old-path and new-path switches alike),
 // in ascending node order: releasing a reservation can wake capacity
 // waiters, and wake order is event order. Callers must only retire
 // quiescent flows (no update in flight): late frames for a retired flow
@@ -489,21 +498,14 @@ func (n *Network) RetireFlow(f packet.FlowID) bool {
 	if !ok {
 		return false
 	}
-	// Collect the chain before tearing it down (retiring a block resets
-	// its link), insertion-sorting as we go: a handful of entries, and
-	// sort.Slice would allocate on the steady-state recycling path.
-	hs := n.retireScratch[:0]
-	for node := n.flows.slots[i].holder; node != noHolder; node = n.switches[node].FlowStateAt(int(i)).nextHolder {
-		hs = append(hs, node)
-		for j := len(hs) - 1; j > 0 && hs[j] < hs[j-1]; j-- {
-			hs[j], hs[j-1] = hs[j-1], hs[j]
-		}
+	// The set is sorted by node; retiring a block wakes waiters only
+	// through the engine, so nothing joins the set during the walk.
+	hs := &n.flows.holders[i]
+	for k := range int(hs.n) {
+		h := hs.at(k)
+		n.switches[h.node].retireFlow(i, f, h.ref)
 	}
-	n.flows.slots[i].holder = noHolder
-	for _, node := range hs {
-		n.switches[node].retireFlow(i, f)
-	}
-	n.retireScratch = hs
+	hs.reset()
 	n.flows.release(f, i)
 	return true
 }

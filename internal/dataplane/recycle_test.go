@@ -181,13 +181,13 @@ func TestRetireFlowReleasesSwitchState(t *testing.T) {
 	}
 }
 
-// TestRetireFlowAfterReroute covers the holder chain RetireFlow walks
+// TestRetireFlowAfterReroute covers the holder set RetireFlow walks
 // instead of the whole fabric: a flow rerouted from 0-1-2-5 onto 0-3-4-5
 // holds state on old-path and new-path switches alike (the old transit
 // rules are still installed and still reserve capacity), and retirement
 // must find every one of them, leaving no state, no reservation and a
 // reusable slot. It must also release them in ascending node order
-// whatever order they joined the chain in: a release wakes the port's
+// whatever order they joined the set in: a release wakes the port's
 // capacity waiters, and wake order is event order.
 func TestRetireFlowAfterReroute(t *testing.T) {
 	g := topo.New("two-paths")
@@ -203,7 +203,7 @@ func TestRetireFlowAfterReroute(t *testing.T) {
 	newPath := []topo.NodeID{0, 3, 4, 5}
 	net.InstallPath(f, oldPath, 1, 300)
 	// Commit version 2 along the new path egress-first, as an update
-	// would; holders therefore join the chain in no particular node order.
+	// would; holders therefore join the set in no particular node order.
 	for i := len(newPath) - 1; i >= 0; i-- {
 		port := PortLocal
 		if i+1 < len(newPath) {

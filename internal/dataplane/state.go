@@ -117,11 +117,6 @@ type FlowState struct {
 	// It is reset whenever the awaited indication (re-)arrives.
 	StallReports uint8
 
-	// nextHolder links the block into its flow slot's holder chain
-	// (slotEntry.holder): the next switch holding state for the flow, or
-	// noHolder. Meaningful only while the block is installed; set on first
-	// touch by Switch.State.
-	nextHolder topo.NodeID
 	// uim holds the indication UIM points at (see Indicate).
 	uim packet.UIM
 	// uimWait queues the work parked until an indication for the flow

@@ -40,10 +40,11 @@ type MessageHandler interface {
 const resubmitLatency = 100 * time.Microsecond
 
 // Switch is one P4 forwarding device. Its per-flow and per-port state
-// lives in dense slices instead of maps: flows are indexed by the
-// fabric-wide interned flow index (Network.flowSlot), ports by their
-// slot (real ports map to themselves, PortLocal to one extra trailing
-// slot), so the busiest lookups of the simulation are array loads.
+// lives in slabs and dense slices instead of maps: a flow's state block
+// is found through the holder set of its fabric-wide interned slot
+// (Network.flowSlot), a scan of the few switches the flow traverses,
+// and ports index by their slot (real ports map to themselves,
+// PortLocal to one extra trailing slot).
 type Switch struct {
 	ID  topo.NodeID
 	net *Network
@@ -51,11 +52,6 @@ type Switch struct {
 	// real ports plus slot degree for PortLocal.
 	degree int
 
-	// flowStates is dense by flow index and sized to the fabric-wide slot
-	// space on every switch, so it holds 4-byte slab references rather
-	// than pointers: half the memory, and nothing for the collector to
-	// scan.
-	flowStates []stateRef
 	// stateChunks slab-allocates FlowState values in fixed-capacity
 	// blocks: pointers into a block never move (blocks are appended, not
 	// regrown), and a fresh-flow touch costs one allocation per block
@@ -131,17 +127,6 @@ func (sw *Switch) portSlot(port topo.PortID) int {
 		return sw.degree
 	}
 	return -1
-}
-
-// growFlows extends the per-flow index to hold slot i. It grows to the
-// fabric's whole slot space at once (capacity geometric, by append): the
-// interner hands slots out densely, so a switch that needs slot i will
-// soon need its neighbours.
-func (sw *Switch) growFlows(i int) {
-	if i < len(sw.flowStates) {
-		return
-	}
-	sw.flowStates = append(sw.flowStates, make([]stateRef, sw.net.NumFlowSlots()-len(sw.flowStates))...)
 }
 
 // maxStateChunk caps the FlowState slab block size. Blocks double from
@@ -232,7 +217,7 @@ func (sw *Switch) Now() time.Duration { return sw.net.Eng.Now() }
 
 // State returns the flow's register slice, allocating fresh-node state on
 // first touch. The returned pointer stays stable for the flow's lifetime
-// (staged commits hold it), only the index slice relocates.
+// (staged commits hold it).
 func (sw *Switch) State(f packet.FlowID) *FlowState {
 	st, _ := sw.stateSlot(f)
 	return st
@@ -243,23 +228,19 @@ func (sw *Switch) State(f packet.FlowID) *FlowState {
 // pays for one interner lookup, not two.
 func (sw *Switch) stateSlot(f packet.FlowID) (*FlowState, int32) {
 	i := sw.net.flowSlot(f)
-	sw.growFlows(int(i))
-	r := sw.flowStates[i]
-	if r != 0 {
-		return sw.stateAt(r), i
+	hs := &sw.net.flows.holders[i]
+	r, k := hs.find(sw.ID)
+	if r == 0 {
+		r = sw.allocState()
+		hs.insert(k, sw.ID, r)
 	}
-	r = sw.allocState()
-	sw.flowStates[i] = r
-	st := sw.stateAt(r)
-	head := &sw.net.flows.slots[i].holder
-	st.nextHolder, *head = *head, sw.ID
-	return st, i
+	return sw.stateAt(r), i
 }
 
 // PeekState returns the flow's register slice without allocating.
 func (sw *Switch) PeekState(f packet.FlowID) (*FlowState, bool) {
-	if i, ok := sw.net.peekFlowSlot(f); ok && int(i) < len(sw.flowStates) {
-		if r := sw.flowStates[i]; r != 0 {
+	if i, ok := sw.net.peekFlowSlot(f); ok {
+		if r := sw.net.flows.holders[i].ref(sw.ID); r != 0 {
 			return sw.stateAt(r), true
 		}
 	}
@@ -269,9 +250,9 @@ func (sw *Switch) PeekState(f packet.FlowID) (*FlowState, bool) {
 // Flows returns the IDs of all flows with state on this switch, in
 // deterministic fabric-interning order.
 func (sw *Switch) Flows() []packet.FlowID {
-	out := make([]packet.FlowID, 0, len(sw.flowStates))
-	for i, r := range sw.flowStates {
-		if r != 0 {
+	var out []packet.FlowID
+	for i := range sw.net.flows.holders {
+		if sw.net.flows.holders[i].ref(sw.ID) != 0 {
 			out = append(out, sw.net.flows.id(int32(i)))
 		}
 	}
@@ -289,21 +270,21 @@ func (sw *Switch) Pool() *packet.Pool { return &sw.net.pool }
 // treat the result as read-only (a write to a forwarding register would
 // also have to bump the slot's revision, see FlowState).
 func (sw *Switch) FlowStateAt(i int) *FlowState {
-	if i >= 0 && i < len(sw.flowStates) {
-		if r := sw.flowStates[i]; r != 0 {
+	if hs := sw.net.flows.holders; i >= 0 && i < len(hs) {
+		if r := hs[i].ref(sw.ID); r != 0 {
 			return sw.stateAt(r)
 		}
 	}
 	return nil
 }
 
-// retireFlow tears down the flow occupying dense slot i on this switch:
-// it returns the committed rule's capacity reservation and any staged
-// ones, clears waiter-table membership, and recycles the state block
-// and waiter row. Called by Network.RetireFlow, for quiescent flows and
-// only on switches in the slot's holder chain.
-func (sw *Switch) retireFlow(i int32, f packet.FlowID) {
-	r := sw.flowStates[i]
+// retireFlow tears down the flow occupying dense slot i on this switch,
+// whose state block is r: it returns the committed rule's capacity
+// reservation and any staged ones, clears waiter-table membership, and
+// recycles the state block. Called by Network.RetireFlow, for quiescent
+// flows and only on switches in the slot's holder set; RetireFlow
+// empties the set afterwards.
+func (sw *Switch) retireFlow(i int32, f packet.FlowID, r stateRef) {
 	st := sw.stateAt(r)
 	for _, pr := range st.PendingRes {
 		sw.Release(pr.Port, pr.SizeK)
@@ -321,7 +302,6 @@ func (sw *Switch) retireFlow(i int32, f packet.FlowID) {
 			}
 		}
 	}
-	sw.flowStates[i] = 0
 	sw.net.flows.bump(i)
 	pend := st.PendingRes[:0]
 	*st = freshFlowState()
@@ -675,7 +655,7 @@ func (sw *Switch) HighWaitingOn(port topo.PortID, f packet.FlowID) bool {
 // that desire to move away from e obtain high priority"). Iteration is in
 // fabric-interning order, so the marking order is deterministic.
 func (sw *Switch) RaisePriorityOfMoversFrom(port topo.PortID) {
-	for i := range sw.flowStates {
+	for i := range sw.net.flows.holders {
 		st := sw.FlowStateAt(i)
 		if st == nil || !st.HasRule || st.EgressPort != port {
 			continue
@@ -760,7 +740,7 @@ func (sw *Switch) Crash() {
 		sw.net.dropParked(&sw.capWaiters[i])
 		sw.highWaiting[i] = sw.highWaiting[i][:0]
 	}
-	for i := range sw.flowStates {
+	for i := range sw.net.flows.holders {
 		st := sw.FlowStateAt(i)
 		if st == nil {
 			continue
