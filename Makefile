@@ -31,10 +31,14 @@ test:
 # workers. The wiring registry and all five baselines run under the
 # detector too: their handlers and coordinators execute inside
 # concurrently running trials, and those with plan caches share them
-# across workers. The second line adds the churn and soak harness tests, which
-# drive the pool end to end.
+# across workers. The second line repeats the test that races Centroid's
+# scratch sweeps against cache-miss path queries on one frozen topology,
+# ten times, since one run sees only a single Centroid computation. The
+# third adds the churn and soak harness tests, which drive the pool end
+# to end.
 race:
 	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/topo/... ./internal/plancache/... ./internal/faults/... ./internal/audit/... ./internal/trace/... ./internal/wiring/... ./internal/central/... ./internal/ezsegway/... ./internal/localverify/... ./internal/ppcu/... ./internal/optoracle/... ./internal/dataplane/... ./internal/controlplane/... ./internal/traffic/... ./internal/packet/... ./internal/soak/... ./internal/transport/... ./internal/replaydiff/... ./internal/deploy/...
+	$(GO) test -race -count=10 -run 'TestOracleConcurrentCentroid' ./internal/topo/
 	$(GO) test -race -run 'Churn|Soak' ./internal/experiments/
 
 # One workload of the repository benchmark (BENCHMARK.json), end to end:
@@ -50,11 +54,13 @@ bench:
 	$(GO) run ./benchmark
 
 # Package micro-benchmarks with allocation counts: the event engine
-# (internal/sim) and the switch state (internal/dataplane: install/retire
-# at fat-tree K=16 scale, (switch, flow) lookups). A quick A/B for a
-# queue or state-layout change, without the 24 s ledger run.
+# (internal/sim), the switch state (internal/dataplane: install/retire
+# at fat-tree K=16 scale, (switch, flow) lookups), the path oracle's
+# per-reroute tree repair (internal/topo) and the churn harness's
+# link→flow index (internal/soak). A quick A/B for a queue, state-layout,
+# oracle or harness-index change, without the 24 s ledger run.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/
 
 # Fixed-seed short streaming-churn run with the continuous invariant
 # auditor attached (zero audit violations asserted in-test), plus a

@@ -22,7 +22,6 @@ package soak
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"p4update/internal/controlplane"
@@ -86,10 +85,16 @@ type Counters struct {
 
 // soakFlow is the harness's view of one live flow.
 type soakFlow struct {
+	id       packet.FlowID
 	src, dst topo.NodeID
-	path     []topo.NodeID
 	updating bool
 	departed bool
+	path     []topo.NodeID
+
+	// hops is the flow's place in the link index, one slot per hop of
+	// path; it aliases inline unless path has more than inlineHops hops.
+	hops   []hopSlot
+	inline [inlineHops]hopSlot
 }
 
 // Harness drives one trial: it owns the live-flow table and the
@@ -103,14 +108,14 @@ type Harness struct {
 	opt Options
 
 	live      map[packet.FlowID]*soakFlow
-	linkFlows []map[packet.FlowID]struct{} // indexed by LinkID; nil until first use
+	linkFlows linkIndex
 	samples   []time.Duration
 	inflight  map[packet.FlowID]*controlplane.UpdateStatus
 
 	c   Counters
 	slo *SLO
 
-	scratch []packet.FlowID // sorted wave worklist, reused
+	scratch []*soakFlow // wave worklist sorted by FlowID, reused
 }
 
 // NewWorkload builds the seeded churn workload for one trial under opt.
@@ -143,7 +148,7 @@ func NewHarness(sys *wiring.System, g *topo.Topology, w *traffic.ChurnWorkload, 
 		w:         w,
 		opt:       opt,
 		live:      make(map[packet.FlowID]*soakFlow),
-		linkFlows: make([]map[packet.FlowID]struct{}, g.NumLinks()),
+		linkFlows: newLinkIndex(g),
 		inflight:  make(map[packet.FlowID]*controlplane.UpdateStatus),
 		slo:       newSLO(opt.Episodes, opt.MaxRetriggers),
 	}
@@ -174,34 +179,6 @@ func (h *Harness) Samples() []time.Duration { return h.samples }
 
 // LiveFlows returns the current live-flow population.
 func (h *Harness) LiveFlows() int { return len(h.live) }
-
-// pathLinks calls fn with the LinkID of every hop of path.
-func (h *Harness) pathLinks(path []topo.NodeID, fn func(topo.LinkID)) {
-	for i := 0; i+1 < len(path); i++ {
-		l, ok := h.g.LinkBetween(path[i], path[i+1])
-		if !ok {
-			panic(fmt.Sprintf("soak: no link %d-%d on flow path", path[i], path[i+1]))
-		}
-		fn(l.ID)
-	}
-}
-
-func (h *Harness) indexFlow(f packet.FlowID, path []topo.NodeID) {
-	h.pathLinks(path, func(id topo.LinkID) {
-		m := h.linkFlows[id]
-		if m == nil {
-			m = make(map[packet.FlowID]struct{})
-			h.linkFlows[id] = m
-		}
-		m[f] = struct{}{}
-	})
-}
-
-func (h *Harness) unindexFlow(f packet.FlowID, path []topo.NodeID) {
-	h.pathLinks(path, func(id topo.LinkID) {
-		delete(h.linkFlows[id], f)
-	})
-}
 
 // pathDown reports whether any switch on path is currently crashed.
 func (h *Harness) pathDown(path []topo.NodeID) bool {
@@ -235,7 +212,7 @@ func (h *Harness) retire(f packet.FlowID) {
 		h.sys.Eng.Schedule(grace, func() { h.retire(f) })
 		return
 	}
-	h.unindexFlow(f, cf.path)
+	h.linkFlows.remove(cf)
 	delete(h.live, f)
 	h.sys.Ctl.UnregisterFlow(f)
 	h.sys.Net.RetireFlow(f)
@@ -250,9 +227,9 @@ func (h *Harness) onArrival(a traffic.ChurnArrival) {
 	if err := h.sys.Ctl.RegisterFlowID(f, a.Src, a.Dst, path, 1); err != nil {
 		panic(fmt.Sprintf("soak: register: %v", err))
 	}
-	cf := &soakFlow{src: a.Src, dst: a.Dst, path: path}
+	cf := &soakFlow{id: f, src: a.Src, dst: a.Dst, path: path}
 	h.live[f] = cf
-	h.indexFlow(f, path)
+	h.linkFlows.add(h.g, cf)
 	h.c.Arrivals++
 	if len(h.live) > h.c.PeakLive {
 		h.c.PeakLive = len(h.live)
@@ -326,16 +303,12 @@ func (h *Harness) deferWave(link topo.LinkID) bool {
 // flows are visited in FlowID order so the trigger sequence is
 // deterministic.
 func (h *Harness) waveScan(link topo.LinkID) {
-	h.scratch = h.scratch[:0]
-	for f := range h.linkFlows[link] {
-		h.scratch = append(h.scratch, f)
-	}
-	slices.Sort(h.scratch)
+	h.scratch = h.linkFlows.worklist(h.scratch, link)
 
 	h.sys.Ctl.BeginUIMBatch()
-	for _, f := range h.scratch {
-		cf := h.live[f]
-		if cf == nil || cf.updating || cf.departed {
+	for _, cf := range h.scratch {
+		f := cf.id
+		if cf.updating || cf.departed {
 			h.c.SkippedBusy++
 			continue
 		}
@@ -349,10 +322,10 @@ func (h *Harness) waveScan(link topo.LinkID) {
 			h.c.TriggerErrs++
 			continue
 		}
-		h.unindexFlow(f, cf.path)
+		h.linkFlows.remove(cf)
 		cf.path = sp
 		cf.updating = true
-		h.indexFlow(f, sp)
+		h.linkFlows.add(h.g, cf)
 		h.c.Triggered++
 		if u != nil {
 			h.inflight[f] = u

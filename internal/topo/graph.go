@@ -8,6 +8,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,6 +76,11 @@ type Topology struct {
 	links []Link
 	adj   [][]adjacency // indexed by NodeID, ordered by PortID
 
+	// latSec[id] is links[id].Latency.Seconds(), the ByLatency edge
+	// weight every Dijkstra relaxation reads; AddLink and SetLinkLatency
+	// keep it in step.
+	latSec []float64
+
 	// version counts mutations (AddNode/AddLink); the PathOracle uses
 	// it to invalidate memoized path computations.
 	version uint64
@@ -123,6 +129,7 @@ func (t *Topology) AddLink(a, b NodeID, latency time.Duration, capacity float64)
 		ID: id, A: a, B: b, PortA: pa, PortB: pb,
 		Latency: latency, Capacity: capacity,
 	})
+	t.latSec = append(t.latSec, latency.Seconds())
 	t.adj[a] = append(t.adj[a], adjacency{neighbor: b, port: pa, link: id})
 	t.adj[b] = append(t.adj[b], adjacency{neighbor: a, port: pb, link: id})
 	t.version++
@@ -148,6 +155,7 @@ func (t *Topology) SetLinkLatency(id LinkID, latency time.Duration) {
 	}
 	old := l.Latency
 	l.Latency = latency
+	t.latSec[id] = latency.Seconds()
 	if t.oracle != nil {
 		t.oracle.linkLatencyChanged(*l, old)
 	}
@@ -312,20 +320,20 @@ func (t *Topology) PathLatency(path []NodeID) time.Duration {
 }
 
 // ValidatePath reports an error unless path is a sequence of distinct,
-// pairwise-adjacent nodes.
+// pairwise-adjacent nodes. It allocates nothing on a valid path: a
+// repeat is found by scanning the prefix, which for the few hops of a
+// route is cheaper than any set.
 func (t *Topology) ValidatePath(path []NodeID) error {
 	if len(path) == 0 {
 		return fmt.Errorf("empty path")
 	}
-	seen := make(map[NodeID]bool, len(path))
 	for i, n := range path {
 		if n < 0 || int(n) >= len(t.nodes) {
 			return fmt.Errorf("unknown node %d at position %d", n, i)
 		}
-		if seen[n] {
+		if slices.Contains(path[:i], n) {
 			return fmt.Errorf("node %d repeats at position %d", n, i)
 		}
-		seen[n] = true
 		if i+1 < len(path) {
 			if t.PortTo(n, path[i+1]) == InvalidPort {
 				return fmt.Errorf("nodes %d and %d not adjacent", n, path[i+1])

@@ -189,6 +189,42 @@ func TestValidatePath(t *testing.T) {
 	if err := g.ValidatePath([]NodeID{9}); err == nil {
 		t.Error("unknown node accepted")
 	}
+	// The first offending position is reported, with the checks in
+	// their order at each position: unknown node, repeat, then
+	// adjacency to the next node.
+	for _, c := range []struct {
+		path []NodeID
+		want string
+	}{
+		{[]NodeID{0, 1, 2, 1}, "node 1 repeats at position 3"},
+		{[]NodeID{0, 1, 0, 9}, "node 0 repeats at position 2"},
+		{[]NodeID{9, 9}, "unknown node 9 at position 0"},
+		{[]NodeID{0, 1, 2, 3, 2}, "node 2 repeats at position 4"},
+		{[]NodeID{0, 2, 2}, "nodes 0 and 2 not adjacent"},
+		{[]NodeID{0, 9}, "nodes 0 and 9 not adjacent"},
+	} {
+		if err := g.ValidatePath(c.path); err == nil || err.Error() != c.want {
+			t.Errorf("ValidatePath(%v) = %v, want %q", c.path, err, c.want)
+		}
+	}
+}
+
+// TestValidatePathAllocatesNothing: ValidatePath runs on every flow
+// registration and every baseline trigger, so a valid path costs no
+// allocation.
+func TestValidatePathAllocatesNothing(t *testing.T) {
+	g := FatTree(4)
+	path := g.ShortestPath(EdgeSwitches(g)[0], EdgeSwitches(g)[7], ByLatency)
+	if len(path) < 5 {
+		t.Fatalf("want a path through the core, got %v", path)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := g.ValidatePath(path); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("ValidatePath allocates %v times per call, want 0", a)
+	}
 }
 
 func TestCentroidLine(t *testing.T) {

@@ -91,8 +91,9 @@ type PathOracle struct {
 	centroid     NodeID
 	haveCentroid bool
 
-	// sweeps counts full single-source Dijkstra runs; tests assert that
-	// it grows with distinct sources, not with queries.
+	// sweeps counts the full single-source Dijkstra runs that filled a
+	// cached tree; tests assert that it grows with distinct sources, not
+	// with queries. Centroid's scratch sweeps are not counted.
 	sweeps uint64
 
 	sc   *dijkstraScratch
@@ -173,37 +174,42 @@ func (tr spTree) pathTo(root []NodeID, dst NodeID) ([]NodeID, float64) {
 }
 
 // Centroid returns the node minimizing the worst-case latency-weighted
-// distance to all other nodes, memoized per topology generation.
+// distance to all other nodes, memoized per topology generation. Each
+// node's eccentricity is read off its cached tree when one exists and
+// otherwise off a sweep on the scratch, so Centroid leaves the tree
+// cache as it found it: latency repair (repair.go) then only has the
+// trees path queries asked for to keep up.
 func (o *PathOracle) Centroid() NodeID {
 	o.mu.Lock()
-	if o.tree != nil && o.version == o.t.version && o.haveCentroid {
-		c := o.centroid
-		o.mu.Unlock()
-		return c
+	defer o.mu.Unlock()
+	o.refresh()
+	if o.haveCentroid {
+		return o.centroid
 	}
-	o.mu.Unlock()
-
 	best := NodeID(0)
 	bestWorst := math.Inf(1)
-	for _, n := range o.t.Nodes() {
-		dist := o.Distances(n, ByLatency)
+	sc := o.sc
+	for n := range o.t.nodes {
+		src := NodeID(n)
+		tr, ok := o.tree[distKey{src, ByLatency}]
+		if !ok {
+			tr = spTree{d: sc.d, prev: sc.prev}
+			sc.start(tr, src)
+			o.relaxFromHeap(tr.d, tr.prev, ByLatency)
+		}
 		worst := 0.0
-		for _, d := range dist {
+		for _, d := range tr.d {
 			if d > worst {
 				worst = d
 			}
 		}
 		if worst < bestWorst {
 			bestWorst = worst
-			best = n
+			best = src
 		}
 	}
-
-	o.mu.Lock()
-	o.refresh()
 	o.centroid = best
 	o.haveCentroid = true
-	o.mu.Unlock()
 	return best
 }
 
@@ -237,7 +243,7 @@ func (o *PathOracle) spurPath(root []NodeID, dst NodeID, w Weight) ([]NodeID, fl
 			if sc.blockedNode[ad.neighbor] || (cur.node == src && sc.blockedNext[ad.neighbor]) {
 				continue
 			}
-			sc.relax(cur, ad.neighbor, t.edgeWeight(t.links[ad.link], w))
+			sc.relax(cur, ad.neighbor, t.edgeWeight(ad.link, w))
 		}
 	}
 	return tr.pathTo(root[:len(root)-1], dst)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -200,4 +201,104 @@ func TestOneSweepPerSource(t *testing.T) {
 		t.Fatalf("KShortestPaths from a swept source: %d sweeps, %d trees; want %d, %d",
 			o.sweeps, len(o.tree), sweeps, 2*len(sources))
 	}
+}
+
+// allTreesCentroid is the reference centroid: a cached tree from every
+// node, each read for its eccentricity.
+func allTreesCentroid(g *Topology) NodeID {
+	best, bestWorst := NodeID(0), math.Inf(1)
+	for _, n := range g.Nodes() {
+		worst := 0.0
+		for _, d := range g.Distances(n, ByLatency) {
+			worst = math.Max(worst, d)
+		}
+		if worst < bestWorst {
+			best, bestWorst = n, worst
+		}
+	}
+	return best
+}
+
+func jitteredFatTree(k int, seed int64) *Topology {
+	g := FatTree(k)
+	jitterLatencies(g, rand.New(rand.NewSource(seed)))
+	return g
+}
+
+// TestCentroidCachesNothing: Centroid agrees with the all-trees
+// reference on a jittered fat-tree K=8 but leaves the tree cache as it
+// found it — empty on a fresh oracle, and holding just the queried
+// trees (none re-swept) once some sources have been asked for — so
+// latency repair only ever maintains trees a path query uses.
+func TestCentroidCachesNothing(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		g := jitteredFatTree(8, seed)
+		want := allTreesCentroid(jitteredFatTree(8, seed))
+		o := g.Oracle()
+		if got := g.Centroid(); got != want {
+			t.Fatalf("seed %d: Centroid = %d, all-trees reference %d", seed, got, want)
+		}
+		if len(o.tree) != 0 || o.sweeps != 0 {
+			t.Fatalf("seed %d: Centroid left %d trees (%d sweeps) in the cache, want none", seed, len(o.tree), o.sweeps)
+		}
+
+		// Perturb (dropping the memoized centroid), query a few sources,
+		// and recompute: the cached trees are read, nothing is added.
+		g.SetLinkLatency(0, 3*g.Link(0).Latency)
+		ref := jitteredFatTree(8, seed)
+		ref.SetLinkLatency(0, g.Link(0).Latency)
+		edges := EdgeSwitches(g)
+		for _, s := range edges[:4] {
+			g.ShortestPath(s, edges[len(edges)-1], ByLatency)
+		}
+		if got, want := g.Centroid(), allTreesCentroid(ref); got != want {
+			t.Fatalf("seed %d: after a perturbation Centroid = %d, all-trees reference %d", seed, got, want)
+		}
+		if len(o.tree) != 4 || o.sweeps != 4 {
+			t.Fatalf("seed %d: %d trees, %d sweeps after 4 queried sources and Centroid, want 4 each", seed, len(o.tree), o.sweeps)
+		}
+	}
+}
+
+// TestOracleConcurrentCentroid: Centroid sweeps on the oracle's shared
+// scratch, the same scratch a cache-miss ShortestPath or Distances
+// sweeps on. Several goroutines race all three on one frozen jittered
+// fat-tree, checking every answer against a private reference (make
+// race runs this under the detector with -count=10).
+func TestOracleConcurrentCentroid(t *testing.T) {
+	g := jitteredFatTree(4, 5)
+	g.Freeze()
+	want := allTreesCentroid(jitteredFatTree(4, 5))
+	const workers = 6
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ref := jitteredFatTree(4, 5)
+			n := g.NumNodes()
+			for i := 0; i < n; i++ {
+				src, dst := NodeID((i+w)%n), NodeID((3*i+w)%n)
+				if w%2 == 0 && g.Centroid() != want {
+					t.Errorf("worker %d: Centroid differs", w)
+					return
+				}
+				if got, exp := g.ShortestPath(src, dst, ByLatency), ref.ShortestPath(src, dst, ByLatency); !equalPath(got, exp) {
+					t.Errorf("worker %d: ShortestPath(%d,%d) = %v, want %v", w, src, dst, got, exp)
+					return
+				}
+				gd, rd := g.Distances(dst, ByHops), ref.Distances(dst, ByHops)
+				for j := range rd {
+					if gd[j] != rd[j] {
+						t.Errorf("worker %d: Distances(%d) differ at %d", w, dst, j)
+						return
+					}
+				}
+			}
+			if g.Centroid() != want {
+				t.Errorf("worker %d: Centroid differs", w)
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -15,11 +15,11 @@ const (
 	ByHops
 )
 
-func (t *Topology) edgeWeight(l Link, w Weight) float64 {
+func (t *Topology) edgeWeight(id LinkID, w Weight) float64 {
 	if w == ByHops {
 		return 1
 	}
-	return l.Latency.Seconds()
+	return t.latSec[id]
 }
 
 // ShortestPath returns the minimum-weight path from src to dst, or nil if
@@ -83,7 +83,7 @@ func (t *Topology) KShortestPaths(src, dst NodeID, k int, w Weight) [][]NodeID {
 			rootCost := 0.0
 			for j := 0; j+1 < len(rootPath); j++ {
 				l, _ := t.LinkBetween(rootPath[j], rootPath[j+1])
-				rootCost += t.edgeWeight(l, w)
+				rootCost += t.edgeWeight(l.ID, w)
 			}
 			c := candidate{path: total, cost: rootCost + spurCost}
 			dup := false

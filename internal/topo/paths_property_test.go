@@ -168,7 +168,7 @@ func refSpurPath(t *Topology, src, dst NodeID, w Weight,
 			if blockedNodes[ad.neighbor] || blockedEdges[[2]NodeID{cur.node, ad.neighbor}] {
 				continue
 			}
-			alt := cur.dist + t.edgeWeight(t.links[ad.link], w)
+			alt := cur.dist + refWeight(t.links[ad.link], w)
 			if alt < sc.d[ad.neighbor] {
 				sc.d[ad.neighbor] = alt
 				sc.prev[ad.neighbor] = cur.node
@@ -188,6 +188,15 @@ func refSpurPath(t *Topology, src, dst NodeID, w Weight,
 		path = append([]NodeID{v}, path...)
 	}
 	return path, sc.d[dst]
+}
+
+// refWeight is the edge weight recomputed from the link itself, which
+// the oracle's cached per-link weights must reproduce bit for bit.
+func refWeight(l Link, w Weight) float64 {
+	if w == ByHops {
+		return 1
+	}
+	return l.Latency.Seconds()
 }
 
 // refKShortestPaths is the map-based Yen KShortestPaths replaced: two
@@ -222,7 +231,7 @@ func refKShortestPaths(t *Topology, src, dst NodeID, k int, w Weight) [][]NodeID
 			rootCost := 0.0
 			for j := 0; j+1 < len(rootPath); j++ {
 				l, _ := t.LinkBetween(rootPath[j], rootPath[j+1])
-				rootCost += t.edgeWeight(l, w)
+				rootCost += refWeight(l, w)
 			}
 			c := candidate{path: total, cost: rootCost + spurCost}
 			dup := false

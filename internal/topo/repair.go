@@ -144,7 +144,7 @@ func (o *PathOracle) repairIncrease(tr spTree, l Link) {
 			if mark[ad.neighbor] == inside {
 				continue
 			}
-			if alt := d[ad.neighbor] + t.edgeWeight(t.links[ad.link], ByLatency); alt < d[v] {
+			if alt := d[ad.neighbor] + t.edgeWeight(ad.link, ByLatency); alt < d[v] {
 				d[v] = alt
 				prev[v] = ad.neighbor
 			}
@@ -167,7 +167,7 @@ func (o *PathOracle) relaxFromHeap(d []float64, prev []NodeID, w Weight) {
 	for len(sc.h) > 0 {
 		cur := sc.hPop()
 		for _, ad := range t.adj[cur.node] {
-			alt := cur.dist + t.edgeWeight(t.links[ad.link], w)
+			alt := cur.dist + t.edgeWeight(ad.link, w)
 			if alt < d[ad.neighbor] {
 				d[ad.neighbor] = alt
 				prev[ad.neighbor] = cur.node

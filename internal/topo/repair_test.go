@@ -86,6 +86,13 @@ func compareAgainstFresh(t *testing.T, live, fresh *Topology) {
 // — must equal a cold recompute on a topology built with the final
 // latencies. It also holds the repair to being one: over
 // the whole sequence the live oracle must not run a single new sweep.
+//
+// The late-trees case is the pattern streaming churn produces now that
+// Centroid caches nothing: trees for half the sources are built, ~50
+// perturbations are repaired into them, and only then are the other
+// half's trees built, from the perturbed latencies. Both halves must
+// answer like a cold recompute, with exactly one sweep per (source,
+// weight) over the whole run.
 func TestRepairMatchesFullRecompute(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -97,37 +104,25 @@ func TestRepairMatchesFullRecompute(t *testing.T) {
 		{"fattree4", func() *Topology { return FatTree(4) }, true},
 	}
 	for _, tc := range cases {
+		mk := tc.mk
+		if tc.jitter {
+			mk = func() *Topology {
+				g := tc.mk()
+				jitterLatencies(g, rand.New(rand.NewSource(42)))
+				return g
+			}
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			live := tc.mk()
-			mk := tc.mk
-			if tc.jitter {
-				jrng := rand.New(rand.NewSource(42))
-				jitterLatencies(live, jrng)
-				mk = func() *Topology {
-					g := tc.mk()
-					jitterLatencies(g, rand.New(rand.NewSource(42)))
-					return g
-				}
-			}
-			base := make([]time.Duration, live.NumLinks())
-			for _, l := range live.Links() {
-				base[l.ID] = l.Latency
-			}
+			live := mk()
+			base := baseLatencies(live)
 			const rounds = 40
 			warm(live)
 			warmSweeps := live.Oracle().sweeps
-			increases, decreases := 0, 0
 			rng := rand.New(rand.NewSource(7))
+			increases, decreases := 0, 0
 			for round := 0; round < rounds; round++ {
-				id := LinkID(rng.Intn(live.NumLinks()))
-				f := 0.5 + 1.5*rng.Float64()
-				lat := time.Duration(float64(base[id]) * f)
-				if was := live.Link(id).Latency; lat > was {
-					increases++
-				} else if lat < was {
-					decreases++
-				}
-				live.SetLinkLatency(id, lat)
+				inc, dec := perturb(live, base, rng)
+				increases, decreases = increases+inc, decreases+dec
 				fresh := cloneWithLatencies(mk, live)
 				compareAgainstFresh(t, live, fresh)
 			}
@@ -138,7 +133,58 @@ func TestRepairMatchesFullRecompute(t *testing.T) {
 				t.Fatalf("%d re-sweeps over %d perturbations: repair must not drop a tree", resweeps, rounds)
 			}
 		})
+		t.Run(tc.name+"-late-trees", func(t *testing.T) {
+			live := mk()
+			base := baseLatencies(live)
+			nodes := live.Nodes()
+			early, late := nodes[:len(nodes)/2], nodes[len(nodes)/2:]
+			for _, n := range early {
+				live.Distances(n, ByLatency)
+				live.Distances(n, ByHops)
+			}
+			const rounds = 50
+			rng := rand.New(rand.NewSource(11))
+			increases, decreases := 0, 0
+			for round := 0; round < rounds; round++ {
+				inc, dec := perturb(live, base, rng)
+				increases, decreases = increases+inc, decreases+dec
+			}
+			if increases == 0 || decreases == 0 {
+				t.Fatalf("sequence not mixed: %d increases, %d decreases", increases, decreases)
+			}
+			for _, n := range late {
+				live.Distances(n, ByLatency)
+				live.Distances(n, ByHops)
+			}
+			compareAgainstFresh(t, live, cloneWithLatencies(mk, live))
+			if sweeps, want := live.Oracle().sweeps, uint64(2*len(nodes)); sweeps != want {
+				t.Fatalf("%d sweeps, want %d (one per source and weight, no re-sweep)", sweeps, want)
+			}
+		})
 	}
+}
+
+// baseLatencies returns every link's current latency, by LinkID.
+func baseLatencies(g *Topology) []time.Duration {
+	base := make([]time.Duration, g.NumLinks())
+	for _, l := range g.Links() {
+		base[l.ID] = l.Latency
+	}
+	return base
+}
+
+// perturb sets one random link to a random factor in [0.5, 2) of its
+// base latency and reports whether that was an increase or a decrease.
+func perturb(g *Topology, base []time.Duration, rng *rand.Rand) (inc, dec int) {
+	id := LinkID(rng.Intn(g.NumLinks()))
+	lat := time.Duration(float64(base[id]) * (0.5 + 1.5*rng.Float64()))
+	if was := g.Link(id).Latency; lat > was {
+		inc = 1
+	} else if lat < was {
+		dec = 1
+	}
+	g.SetLinkLatency(id, lat)
+	return inc, dec
 }
 
 // TestRepairNeverResweeps is the perf property behind the repair: no
