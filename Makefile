@@ -56,11 +56,13 @@ bench:
 # Package micro-benchmarks with allocation counts: the event engine
 # (internal/sim), the switch state (internal/dataplane: install/retire
 # at fat-tree K=16 scale, (switch, flow) lookups), the path oracle's
-# per-reroute tree repair (internal/topo) and the churn harness's
-# link→flow index (internal/soak). A quick A/B for a queue, state-layout,
-# oracle or harness-index change, without the 24 s ledger run.
+# per-reroute tree repair and Yen's k-shortest paths (internal/topo),
+# the churn harness's link→flow index (internal/soak) and the Fig. 7
+# single-flow scenario search (internal/traffic). A quick A/B for a
+# queue, state-layout, oracle, path or harness-index change, without
+# the 24 s ledger run.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/ ./internal/traffic/
 
 # Fixed-seed short streaming-churn run with the continuous invariant
 # auditor attached (zero audit violations asserted in-test), plus a

@@ -30,7 +30,8 @@ type oracleItem struct {
 // every run uses, the distance/parent arrays of a Yen spur query (a
 // full sweep writes straight into the tree it returns), and the spur
 // query's blocked sets as mark arrays. KShortestPaths sets and clears
-// the marks; at rest they are all false. The PathOracle owns one under
+// the marks; at rest they are all false. It also keeps KShortestPaths'
+// bookkeeping (yenScratch) between calls. The PathOracle owns one under
 // its mutex.
 type dijkstraScratch struct {
 	d    []float64
@@ -45,6 +46,8 @@ type dijkstraScratch struct {
 	// source, replaces a set of directed edges.
 	blockedNode []bool
 	blockedNext []bool
+
+	yen yenScratch
 }
 
 func newDijkstraScratch(n int) *dijkstraScratch {
@@ -228,10 +231,15 @@ func (o *PathOracle) sweep(src NodeID, w Weight) spTree {
 // last node of root toward dst that skips the scratch's blocked nodes
 // and, out of the source, its blocked next hops. It returns the whole
 // candidate — root with the spur path appended — and the spur path's
-// cost. Callers hold o.mu.
+// cost. Callers hold o.mu. A spur node other than dst whose every
+// neighbour is blocked has no path, and returns before the scratch is
+// reset.
 func (o *PathOracle) spurPath(root []NodeID, dst NodeID, w Weight) ([]NodeID, float64) {
 	t, sc := o.t, o.sc
 	src := root[len(root)-1]
+	if src != dst && sc.allBlocked(t.adj[src]) {
+		return nil, math.Inf(1)
+	}
 	tr := spTree{d: sc.d, prev: sc.prev}
 	sc.start(tr, src)
 	for len(sc.h) > 0 {
@@ -247,6 +255,17 @@ func (o *PathOracle) spurPath(root []NodeID, dst NodeID, w Weight) ([]NodeID, fl
 		}
 	}
 	return tr.pathTo(root[:len(root)-1], dst)
+}
+
+// allBlocked reports whether every neighbour in adj is a blocked node
+// or a blocked next hop.
+func (sc *dijkstraScratch) allBlocked(adj []adjacency) bool {
+	for _, ad := range adj {
+		if !sc.blockedNode[ad.neighbor] && !sc.blockedNext[ad.neighbor] {
+			return false
+		}
+	}
+	return true
 }
 
 // newTree allocates the tree a full sweep from src fills and starts the

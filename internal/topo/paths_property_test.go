@@ -263,27 +263,64 @@ func refKShortestPaths(t *Topology, src, dst NodeID, k int, w Weight) [][]NodeID
 
 // TestKShortestPathsMatchesMapBasedYen holds the scratch-mark Yen to the
 // map-based one it replaced: the identical path list, order included,
-// for every node pair under both weights and a small and a large k, on
-// the WAN topologies the Fig. 7 search runs over and on the massively
-// tied fat-tree, on a plain topology and on a frozen one shared the way
-// a grid's trials share it.
+// under both weights and for every k a caller passes (the datacenter
+// example's 4, the multi-flow workloads' 2, the Fig. 7 search's 30 and
+// SingleLongFlow's 40), on a plain topology and on a frozen one shared
+// the way a grid's trials share it. The graphs are the WAN topologies
+// the Fig. 7 search runs over, the paper's Fig. 1 example, the
+// massively tied fat-tree K=4 and a latency-jittered fat-tree K=8 on a
+// sample of its pairs; the fat-trees' equal-cost candidates must leave
+// the sorted pool in the order a stable sort gives.
 func TestKShortestPathsMatchesMapBasedYen(t *testing.T) {
-	for _, mk := range []func() *Topology{B4, Internet2, func() *Topology { return FatTree(4) }} {
-		ref, plain, frozen := mk(), mk(), mk()
+	allPairs := func(g *Topology) [][2]NodeID {
+		var pairs [][2]NodeID
+		for _, src := range g.Nodes() {
+			for _, dst := range g.Nodes() {
+				if src != dst {
+					pairs = append(pairs, [2]NodeID{src, dst})
+				}
+			}
+		}
+		return pairs
+	}
+	samplePairs := func(g *Topology) [][2]NodeID {
+		rng := rand.New(rand.NewSource(7))
+		var pairs [][2]NodeID
+		for len(pairs) < 24 {
+			src, dst := NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes()))
+			if src != dst {
+				pairs = append(pairs, [2]NodeID{src, dst})
+			}
+		}
+		return pairs
+	}
+	jitteredFatTree8 := func() *Topology {
+		g := FatTree(8)
+		jitterLatencies(g, rand.New(rand.NewSource(1)))
+		return g
+	}
+	for _, tc := range []struct {
+		mk    func() *Topology
+		pairs func(*Topology) [][2]NodeID
+	}{
+		{B4, allPairs},
+		{Internet2, allPairs},
+		{Synthetic, allPairs},
+		{func() *Topology { return FatTree(4) }, allPairs},
+		{jitteredFatTree8, samplePairs},
+	} {
+		ref, plain, frozen := tc.mk(), tc.mk(), tc.mk()
 		frozen.Freeze()
+		pairs := tc.pairs(ref)
 		for _, w := range []Weight{ByLatency, ByHops} {
-			for _, k := range []int{2, 30} {
-				for _, src := range ref.Nodes() {
-					for _, dst := range ref.Nodes() {
-						if src == dst {
-							continue
-						}
-						want := refKShortestPaths(ref, src, dst, k, w)
-						for _, g := range []*Topology{plain, frozen} {
-							if got := g.KShortestPaths(src, dst, k, w); !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s frozen=%v weight %v k=%d %d->%d:\n got %v\nwant %v",
-									g.Name, g.Frozen(), w, k, src, dst, got, want)
-							}
+			for _, k := range []int{1, 2, 4, 30, 40} {
+				for _, pr := range pairs {
+					src, dst := pr[0], pr[1]
+					want := refKShortestPaths(ref, src, dst, k, w)
+					for _, g := range []*Topology{plain, frozen} {
+						if got := g.KShortestPaths(src, dst, k, w); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s frozen=%v weight %v k=%d %d->%d:\n got %v\nwant %v",
+								g.Name, g.Frozen(), w, k, src, dst, got, want)
 						}
 					}
 				}

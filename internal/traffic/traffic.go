@@ -319,7 +319,15 @@ func SegmentedSingleFlow(t *topo.Topology, sizeK uint32) (FlowSpec, error) {
 			for i, old := range paths {
 				markPath(oldPos, old)
 				for j, nw := range paths {
-					if i == j {
+					// Skip a new path too short to beat bestScore. With q
+					// of its nodes on the old path (q ≥ 2: src and dst),
+					// at most q−2 of the segments between them are
+					// backward — the one ending at dst, which has the
+					// largest old-path index, never is — and interiors
+					// are off-path nodes, at most len(nw)−q. So score ≤
+					// (q−2) + 2(len(nw)−q) ≤ 2·len(nw) − 4, and only a
+					// strict improvement is kept.
+					if i == j || 2*len(nw)-4 <= bestScore {
 						continue
 					}
 					backward, interiors := controlplane.BackwardSegments(oldPos, nw)
@@ -387,9 +395,14 @@ func Feasible(t *topo.Topology, flows []FlowSpec, useNew bool) bool {
 // SingleLongFlow returns the paper's single-flow scenario: a flow between
 // the latency-farthest node pair whose old and new paths "have been
 // intentionally selected to traverse a long distance within the topology
-// and to trigger segmentation" (§9.1). Among the k-shortest alternatives
-// it prefers the first one whose dual-layer segmentation contains a
-// backward segment, falling back to the longest alternative.
+// and to trigger segmentation" (§9.1). It walks the node pairs from the
+// latency-farthest down, takes each pair's shortest path as the old path
+// and its other k-shortest paths (k=40) as the candidates, and returns,
+// for the first pair where any candidate has a backward segment, the
+// candidate with the highest backward-segments-plus-interiors score
+// (the earliest on a tie). If no pair has one, it falls back to the
+// farthest pair with an alternative and its alternative with the most
+// hops.
 func SingleLongFlow(t *topo.Topology, sizeK uint32) (FlowSpec, error) {
 	type pair struct {
 		s, d topo.NodeID

@@ -194,8 +194,9 @@ func TestSingleLongFlowAndSegmented(t *testing.T) {
 }
 
 // TestSegmentedSingleFlowPinned pins the search result the Fig. 7
-// single-flow panels are built on: the scorer and Yen behind it may get
-// faster, but the chosen old/new paths may not move.
+// single-flow panels are built on: the scorer, its score bound and Yen
+// behind it may get faster, but the chosen old/new paths may not move.
+// The larger graphs are where the bound skips the most new paths.
 func TestSegmentedSingleFlowPinned(t *testing.T) {
 	for _, tc := range []struct {
 		g        *topo.Topology
@@ -203,6 +204,9 @@ func TestSegmentedSingleFlowPinned(t *testing.T) {
 	}{
 		{topo.B4(), []topo.NodeID{0, 2, 1, 3}, []topo.NodeID{0, 1, 10, 11, 8, 7, 6, 5, 4, 2, 3}},
 		{topo.Internet2(), []topo.NodeID{13, 9, 11, 10, 12, 14}, []topo.NodeID{13, 12, 10, 11, 8, 6, 5, 2, 1, 3, 4, 7, 9, 14}},
+		{topo.AttMpls(), []topo.NodeID{0, 19, 13, 12}, []topo.NodeID{0, 13, 2, 15, 19, 12}},
+		{topo.Chinanet(), []topo.NodeID{0, 14, 10, 34, 15}, []topo.NodeID{0, 10, 29, 28, 16, 14, 15}},
+		{topo.FatTree(4), []topo.NodeID{6, 4, 0, 8, 10, 9, 3, 5, 7}, []topo.NodeID{6, 5, 2, 13, 14, 12, 1, 4, 7}},
 	} {
 		f, err := SegmentedSingleFlow(tc.g, 1000)
 		if err != nil {
@@ -210,6 +214,33 @@ func TestSegmentedSingleFlowPinned(t *testing.T) {
 		}
 		if !reflect.DeepEqual(f.Old, tc.old) || !reflect.DeepEqual(f.New, tc.new) {
 			t.Errorf("%s: old %v new %v, want old %v new %v", tc.g.Name, f.Old, f.New, tc.old, tc.new)
+		}
+	}
+}
+
+// TestSegmentScoreBound checks the bound SegmentedSingleFlow skips new
+// paths by: for every ordered pair of distinct k-shortest paths between
+// two nodes, backward + 2·interiors ≤ 2·len(new) − 4.
+func TestSegmentScoreBound(t *testing.T) {
+	for _, g := range []*topo.Topology{topo.Synthetic(), topo.B4(), topo.Internet2(), topo.FatTree(4)} {
+		pos := offPath(g)
+		for _, s := range g.Nodes() {
+			for _, d := range g.Nodes() {
+				if d <= s {
+					continue
+				}
+				paths := g.KShortestPaths(s, d, 30, topo.ByLatency)
+				for i, old := range paths {
+					markPath(pos, old)
+					for j, nw := range paths {
+						backward, interiors := controlplane.BackwardSegments(pos, nw)
+						if score := backward + 2*interiors; i != j && score > 2*len(nw)-4 {
+							t.Fatalf("%s: old %v new %v scores %d > 2·%d−4", g.Name, old, nw, score, len(nw))
+						}
+					}
+					unmarkPath(pos, old)
+				}
+			}
 		}
 	}
 }
