@@ -92,18 +92,21 @@ func TestGoldenTraceFig7B4(t *testing.T) {
 	checkGolden(t, "golden_fig7_b4_p4update.jsonl", jsonl(t, tr.TraceRec))
 }
 
-// TestGoldenTraceFig7B4NewSystems pins the event logs of the three
-// registry-added systems on the same B4 single-flow trial the P4Update
-// golden covers: their instruction waves, verification verdicts, phase
-// flips and round boundaries are locked byte for byte.
+// TestGoldenTraceFig7B4NewSystems pins the event logs of the two
+// published baselines and the three registry-added systems on the same
+// B4 single-flow trial the P4Update golden covers: their instruction
+// waves, verification verdicts, phase flips and round boundaries are
+// locked byte for byte.
 func TestGoldenTraceFig7B4NewSystems(t *testing.T) {
-	kinds := []SystemKind{KindLocalVerify, KindPPCU, KindOptOracle}
+	kinds := []SystemKind{KindEZSegway, KindCentral, KindLocalVerify, KindPPCU, KindOptOracle}
 	res, err := Fig7SingleFlowOpts(topo.B4, "B4", 1, 1,
 		RunOptions{Workers: 1, Trace: &trace.Options{}, Systems: kinds})
 	if err != nil {
 		t.Fatal(err)
 	}
 	files := []string{
+		"golden_fig7_b4_ezsegway.jsonl",
+		"golden_fig7_b4_central.jsonl",
 		"golden_fig7_b4_localverify.jsonl",
 		"golden_fig7_b4_ppcu.jsonl",
 		"golden_fig7_b4_optoracle.jsonl",
