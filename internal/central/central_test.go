@@ -8,6 +8,7 @@ import (
 	"p4update/internal/dataplane"
 	"p4update/internal/sim"
 	"p4update/internal/topo"
+	"p4update/internal/trace"
 )
 
 type bed struct {
@@ -21,7 +22,7 @@ func newBed(g *topo.Topology, seed int64, congestion bool) *bed {
 	eng := sim.New(seed)
 	eng.MaxEvents = 2_000_000
 	net := dataplane.NewNetwork(eng, g)
-	net.SetHandler(&Handler{})
+	net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyCentral})
 	node := controlplane.UseCentroidControl(net)
 	ctl := controlplane.NewController(net, node)
 	co := NewCoordinator(ctl, 500*time.Microsecond)
@@ -89,17 +90,9 @@ func TestCentralUsesMultipleRounds(t *testing.T) {
 	if _, err := b.co.TriggerUpdate(f, newP); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot the run before it completes and is deleted.
-	var rounds *int
-	for _, r := range b.co.runs {
-		rounds = &r.Rounds
-	}
-	if rounds == nil {
-		t.Fatal("no active run")
-	}
 	b.eng.Run()
-	if *rounds < 2 {
-		t.Errorf("rounds = %d, want >= 2 (v2 depends on v4)", *rounds)
+	if b.co.Rounds < 2 {
+		t.Errorf("rounds = %d, want >= 2 (v2 depends on v4)", b.co.Rounds)
 	}
 }
 

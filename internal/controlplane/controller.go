@@ -105,9 +105,6 @@ type Controller struct {
 	// OnNewFlow, when set, is invoked for Flow Report Messages of
 	// unknown flows.
 	OnNewFlow func(f packet.FlowID)
-	// OnUFM, when set, observes every feedback message (the Central
-	// baseline drives its rounds from per-node acknowledgements).
-	OnUFM func(u packet.UFM)
 	// OnAlarm, when set, observes verification alarms.
 	OnAlarm func(u packet.UFM)
 	// OnComplete, when set, observes probe-confirmed update completions.
@@ -152,6 +149,9 @@ type Controller struct {
 	cln packet.CLN
 	// planKey is TriggerUpdate's reusable plan-cache key.
 	planKey KeyBuf
+	// rounds is the registered round executor (NewRoundExecutor); it
+	// hears every feedback message.
+	rounds *RoundExecutor
 	// BatchFrames / BatchedUIMs count flushed frames and the UIMs they
 	// carried (experiment reporting).
 	BatchFrames uint64
@@ -458,9 +458,9 @@ func (c *Controller) armUpdateWatchdog(u *UpdateStatus) {
 }
 
 // retrigger spends one unit of u's §11 budget on re-sending the update:
-// the plan's indications, or — for plan-less systems (LocalVerify, PPCU,
-// OptOracle) — whatever their own scheduling loop re-sends. Callers
-// check the budget and the ProbeTimeout spacing first.
+// the plan's indications, or — for plan-less systems (LocalVerify, the
+// RoundExecutor's) — whatever their own scheduling loop re-sends.
+// Callers check the budget and the ProbeTimeout spacing first.
 func (c *Controller) retrigger(u *UpdateStatus) {
 	u.Retriggers++
 	u.LastRetrigger = c.Eng.Now()
@@ -490,8 +490,9 @@ func (c *Controller) injectProbe(u *UpdateStatus) {
 }
 
 // TrackOnly registers completion tracking for (flow, version, newPath)
-// without sending anything — for baselines that send messages through
-// their own scheduling loop (Central rounds).
+// without sending anything — for systems that send messages through
+// their own scheduling loop (the RoundExecutor, LocalVerify, deployment
+// mode).
 func (c *Controller) TrackOnly(flow packet.FlowID, version uint32, oldPath, newPath, pendingNodes []topo.NodeID, rec *FlowRecord) *UpdateStatus {
 	return c.PushMessages(flow, version, oldPath, newPath, pendingNodes, nil, nil, rec)
 }
@@ -546,8 +547,8 @@ func (c *Controller) receive(from topo.NodeID, raw []byte) {
 }
 
 func (c *Controller) handleUFM(m *packet.UFM) {
-	if c.OnUFM != nil {
-		c.OnUFM(*m)
+	if c.rounds != nil {
+		c.rounds.ack(m)
 	}
 	u, ok := c.updates[updateKey{m.Flow, m.Version}]
 	switch m.Status {

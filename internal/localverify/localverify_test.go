@@ -51,10 +51,14 @@ func newYBed(t *testing.T) *yBed {
 	y.net.SetHandler(&Handler{Congestion: true})
 	ctl := controlplane.NewController(y.net, controlplane.UseCentroidControl(y.net))
 	y.lv = NewController(ctl)
-	ctl.OnUFM = func(u packet.UFM) {
-		if u.Status == packet.StatusUpdated {
+	rx := y.net.ControllerRx
+	y.net.ControllerRx = func(from topo.NodeID, raw []byte) {
+		var u packet.UFM
+		if len(raw) > 0 && packet.MsgType(raw[0]) == packet.TypeUFM &&
+			u.DecodeFromBytes(raw) == nil && u.Status == packet.StatusUpdated {
 			y.acks = append(y.acks, u)
 		}
+		rx(from, raw)
 	}
 	var err error
 	if y.f1, err = ctl.RegisterFlow(y.s1, y.t, []topo.NodeID{y.s1, y.x, y.a, y.t}, 6000); err != nil {

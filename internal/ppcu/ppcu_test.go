@@ -11,6 +11,7 @@ import (
 	"p4update/internal/packet"
 	"p4update/internal/sim"
 	"p4update/internal/topo"
+	"p4update/internal/trace"
 )
 
 // yBed is a contention fabric: flows from S1 and S2 to T cross X, whose
@@ -48,18 +49,20 @@ func newYBed(t *testing.T) *yBed {
 	y.eng = sim.New(1)
 	y.eng.MaxEvents = 1_000_000
 	y.net = dataplane.NewNetwork(y.eng, g)
-	y.net.SetHandler(&Handler{Congestion: true})
+	y.net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyPPCU, Congestion: true})
 	for _, sw := range y.net.Switches() {
 		sw.TwoPhase = true
 	}
 	ctl := controlplane.NewController(y.net, controlplane.UseCentroidControl(y.net))
 	y.co = NewCoordinator(ctl)
-	prev := ctl.OnUFM
-	ctl.OnUFM = func(u packet.UFM) {
-		prev(u)
-		if u.Status == packet.StatusUpdated {
+	rx := y.net.ControllerRx
+	y.net.ControllerRx = func(from topo.NodeID, raw []byte) {
+		var u packet.UFM
+		if len(raw) > 0 && packet.MsgType(raw[0]) == packet.TypeUFM &&
+			u.DecodeFromBytes(raw) == nil && u.Status == packet.StatusUpdated {
 			y.acks = append(y.acks, u)
 		}
+		rx(from, raw)
 	}
 	var err error
 	if y.f1, err = ctl.RegisterFlow(y.s1, y.t, []topo.NodeID{y.s1, y.x, y.a, y.t}, 6000); err != nil {

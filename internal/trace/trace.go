@@ -46,8 +46,8 @@ const (
 	KindWatchdog
 	// KindAlarm: the node raised a StatusAlarm UFM (Class = AlarmReason).
 	KindAlarm
-	// KindRound: the Central coordinator pushed a dependency round
-	// (A = batch size).
+	// KindRound: a controller-driven system's round executor sent a
+	// batch of instructions (A = batch size).
 	KindRound
 
 	numKinds
@@ -339,7 +339,8 @@ func (r *Recorder) Alarm(node int32, reason uint8, flow, ver uint32) {
 	r.Rec(node, KindAlarm, reason, flow, ver, 0, 0)
 }
 
-// Round records a Central coordinator dependency round of batch nodes.
+// Round records a round executor's batch of instructions to batch
+// nodes (Central, PPCU, the opt-oracle).
 func (r *Recorder) Round(flow, ver, batch uint32) {
 	r.Rec(NodeController, KindRound, 0, flow, ver, batch, 0)
 }

@@ -31,8 +31,8 @@ type UpdateSystem interface {
 }
 
 // MetricsReporter is an optional UpdateSystem extension: systems with
-// per-run extras (Central's dependency rounds, OptOracle's scheduled
-// rounds, ...) report them into the trial's generic Extra map after the
+// per-run extras (the rounds Central and OptOracle sent, PPCU's phase
+// flips, ...) report them into the trial's generic Extra map after the
 // run, keeping runner metrics schema-stable as systems are added.
 type MetricsReporter interface {
 	ReportMetrics(s *System, extra map[string]float64)

@@ -12,6 +12,7 @@ import (
 	"p4update/internal/packet"
 	"p4update/internal/ppcu"
 	"p4update/internal/topo"
+	"p4update/internal/trace"
 )
 
 var (
@@ -83,7 +84,7 @@ func (*centralSystem) Name() string        { return "central" }
 func (*centralSystem) DisplayName() string { return "Central" }
 
 func (*centralSystem) Build(s *System) {
-	s.Net.SetHandler(&central.Handler{})
+	s.Net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyCentral})
 	s.CO = central.NewCoordinator(s.Ctl, s.Cfg.CtrlProcDelay)
 	s.CO.Congestion = s.Cfg.Congestion
 	// The controller also serves path setup and monitoring traffic;
@@ -102,7 +103,7 @@ func (*centralSystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeID)
 }
 
 func (*centralSystem) ReportMetrics(s *System, extra map[string]float64) {
-	extra["ctl_rounds"] = float64(s.CO.TotalRounds)
+	extra["ctl_rounds"] = float64(s.CO.Rounds)
 }
 
 // localVerifySystem adapts the Foerster & Schmid-style decentralized
@@ -133,7 +134,7 @@ func (*ppcuSystem) Name() string        { return "ppcu" }
 func (*ppcuSystem) DisplayName() string { return "PPCU" }
 
 func (*ppcuSystem) Build(s *System) {
-	s.Net.SetHandler(&ppcu.Handler{Congestion: s.Cfg.Congestion})
+	s.Net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyPPCU, Congestion: s.Cfg.Congestion})
 	for _, sw := range s.Net.Switches() {
 		sw.TwoPhase = true
 	}
@@ -156,7 +157,7 @@ func (*optOracleSystem) Name() string        { return "opt-oracle" }
 func (*optOracleSystem) DisplayName() string { return "OptOracle" }
 
 func (*optOracleSystem) Build(s *System) {
-	s.Net.SetHandler(&optoracle.Handler{})
+	s.Net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyOracle})
 	s.OO = optoracle.NewCoordinator(s.Ctl)
 	if s.Cfg.Plans != nil {
 		s.OO.Plans = s.Cfg.Plans
@@ -168,5 +169,5 @@ func (*optOracleSystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeI
 }
 
 func (*optOracleSystem) ReportMetrics(s *System, extra map[string]float64) {
-	extra["opt_rounds"] = float64(s.OO.TotalRounds)
+	extra["opt_rounds"] = float64(s.OO.Rounds)
 }
