@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ledger bench microbench churn-smoke soak-smoke fuzz-smoke faults-smoke fig7-six daemons deploy-smoke identical check clean
+.PHONY: all build vet lint test race ledger bench microbench smoke fuzz-smoke daemons deploy-smoke identical check clean
 
 all: check
 
@@ -64,30 +64,20 @@ bench:
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/ ./internal/traffic/
 
-# Fixed-seed short streaming-churn run with the continuous invariant
-# auditor attached (zero audit violations asserted in-test), plus a
-# small CLI churn run exercising the -exp churn path end to end.
-churn-smoke:
-	$(GO) test -run 'TestChurnSmoke|TestChurnAuditSmoke' -v ./internal/experiments/
-	$(GO) run ./cmd/p4update -exp churn -topo fattree4 -arrival-rate 2000 -live-flows 1000 -churn-duration 2s -reroute-every 25ms
-
-# Fixed-seed soak gate: P4Update must sustain ≥99% availability with
-# zero stalls and zero invariant violations under the squall storm
-# while at least one baseline degrades (asserted in-test), plus a small
-# CLI soak run exercising the -exp soak path end to end.
-soak-smoke:
-	$(GO) test -run 'TestSoak' -v ./internal/experiments/
-	$(GO) run ./cmd/p4update -exp soak -topo b4 -soak-rate 150 -soak-duration 4s -seed 42
+# Every experiment's smoke run, as `p4update -exp list` prints them (the
+# same runs make identical compares): figures, scale, streaming churn, the
+# chaos sweep and the squall soak at seconds scale. The in-test gates
+# (churn audit, soak SLOs) run in `make test`.
+smoke:
+	$(GO) build -o bin/p4update ./cmd/p4update
+	bin/p4update -exp list | while read -r name args; do \
+		echo "== smoke: $$name"; bin/p4update $$args || exit 1; \
+	done
 
 # Short native-fuzzing pass over the wire decoder — the surface the
 # fault injector's corrupt path hammers in every chaotic trial.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/packet/
-
-# Quick chaos sweep: all three systems under 10% loss + reorder with
-# the invariant auditor sweeping every engine step.
-faults-smoke:
-	$(GO) run ./cmd/p4update -exp faults -runs 2 -loss 0,0.1 -reorder 0.1 -audit-every 1
 
 # Build the real-process deployment daemons into bin/.
 daemons:
@@ -101,22 +91,16 @@ daemons:
 deploy-smoke: daemons
 	$(GO) run ./cmd/p4update -exp deploy -deploy-bin bin
 
-# Six-system optimality-gap smoke: every registered system on B4 with
-# the commit-round tracker attached, scored against the offline oracle's
-# round bound (fixed seeds; bound violations print in the table).
-fig7-six:
-	$(GO) run ./cmd/p4update -exp fig7six -runs 3 -seed 1 -workers 4
-
 # Behaviour-preservation gate for refactors: `make identical BASE=<rev>`
 # exports BASE into a temporary directory, builds both sides, and diffs
-# the fig2/fig4/fig7/fig7six/scale/churn/soak/faults stdout (wall-clock
-# fields masked) and the four benchmark sim_digests. Non-zero exit on
-# any difference. Not part of check: it needs a BASE.
+# the stdout of every `p4update -exp list` run (wall-clock fields masked)
+# and the four benchmark sim_digests. Non-zero exit on any difference.
+# Not part of check: it needs a BASE.
 identical:
 	@test -n "$(BASE)" || { echo "usage: make identical BASE=<rev>"; exit 2; }
 	GO="$(GO)" scripts/identical.sh $(BASE)
 
-check: lint build test race churn-smoke soak-smoke deploy-smoke
+check: lint build test race smoke deploy-smoke
 
 clean:
 	$(GO) clean ./...

@@ -5,11 +5,10 @@ import (
 	"strings"
 	"time"
 
+	"p4update/internal/faults"
 	"p4update/internal/runner"
 	"p4update/internal/soak"
 	"p4update/internal/topo"
-	"p4update/internal/traffic"
-	"p4update/internal/wiring"
 )
 
 // ChurnOpts tunes the streaming churn experiment: a Poisson stream of
@@ -85,8 +84,8 @@ func (r *ChurnResult) String() string {
 	return b.String()
 }
 
-// soakOptions translates churn knobs into the shared harness options
-// (no storm timeline, no retrigger budget — pure churn).
+// soakOptions translates the workload knobs into the harness options;
+// the grid adds the storm timeline and the retrigger budget.
 func (o ChurnOpts) soakOptions() soak.Options {
 	return soak.Options{
 		ArrivalRate:  o.ArrivalRate,
@@ -99,91 +98,17 @@ func (o ChurnOpts) soakOptions() soak.Options {
 	}
 }
 
-// runChurnTrial executes one trial body on an already wired system. The
-// event loop lives in internal/soak — the fault-aware superset harness;
-// with no injector attached it schedules the identical event sequence
-// the original churn driver did, so churn output is unchanged.
-func runChurnTrial(sys *wiring.System, g *topo.Topology, seed int64, opt ChurnOpts) (runner.Metrics, error) {
-	start := time.Now()
-	so := opt.soakOptions()
-	w, err := soak.NewWorkload(g, seed, so)
-	if err != nil {
-		return runner.Metrics{}, err
-	}
-	h := soak.NewHarness(sys, g, w, so)
-	h.Start()
-	sys.Eng.RunUntil(opt.Duration + opt.Drain)
-
-	c := h.Counters()
-	samples := h.Samples()
-	m := runner.Metrics{Samples: samples}
-	m.Values = map[string]float64{
-		"arrivals":          float64(c.Arrivals),
-		"departures":        float64(c.Departures),
-		"retired":           float64(c.Retired),
-		"peak_live":         float64(c.PeakLive),
-		"end_live":          float64(h.LiveFlows()),
-		"flow_slots":        float64(sys.Net.NumFlowSlots()),
-		"waves":             float64(c.Waves),
-		"updates_triggered": float64(c.Triggered),
-		"updates_completed": float64(c.Completed),
-		"skipped_busy":      float64(c.SkippedBusy),
-		"skipped_same":      float64(c.SkippedSame),
-		"trigger_errors":    float64(c.TriggerErrs),
-		"batch_frames":      float64(sys.Ctl.BatchFrames),
-		"batched_uims":      float64(sys.Ctl.BatchedUIMs),
-	}
-	if len(samples) > 0 {
-		l := soak.SummarizeLatency(samples)
-		m.Values["update_p50_ms"] = l.P50Ms
-		m.Values["update_p99_ms"] = l.P99Ms
-		m.Values["update_mean_ms"] = l.MeanMs
-	}
-	// Host-side throughput: how many arrivals the simulation sustained
-	// per wall-clock second. Like WallClock/Allocs, determinism
-	// comparisons must ignore it.
-	if el := time.Since(start).Seconds(); el > 0 {
-		m.Values["wall_flows_per_sec"] = float64(c.Arrivals) / el
-	}
-	return m, nil
-}
-
 // RunChurn runs the streaming churn scenario on topology builder mk:
 // `runs` independent trials per system, each sustaining a Poisson
-// arrival/departure stream with continuous reroute waves. Every trial
-// owns a private unfrozen topology instance — reroutes perturb link
-// latencies in place and the path oracle repairs its cache
-// incrementally — so the grid builds one topology per trial
-// sequentially up front and shares nothing.
+// arrival/departure stream with continuous reroute waves. It is the
+// streaming grid with no storm: no fault plan, no auditor, no recovery
+// watchdogs, and the figure-scale event backstop.
 func RunChurn(mk func() *topo.Topology, label string, runs int, seed int64, co ChurnOpts, opt RunOptions) (*ChurnResult, error) {
 	if co.ArrivalRate <= 0 || co.Duration <= 0 || co.MeanLifetime <= 0 {
 		return nil, fmt.Errorf("experiments: churn needs positive rate/lifetime/duration")
 	}
-	res := &ChurnResult{Label: label, Opts: co}
-	bed := DefaultBedConfig()
 	// Churn defaults to P4Update only (the headline perf scenario) rather
 	// than the full registered comparison.
-	systems := opt.systems(KindP4Update)
-	trials := make([]runner.Trial, 0, len(systems)*runs)
-	for _, kind := range systems {
-		for run := 0; run < runs; run++ {
-			trialSeed := seed + int64(run)*7919
-			g := mk()
-			if co.LatencyJitter > 0 {
-				// One-time seeded jitter, applied before wiring so control
-				// latencies see the jittered weights; makes fat-tree
-				// shortest paths unique (exact incremental repair, see
-				// internal/topo/repair.go).
-				traffic.JitterLatencies(g, trialSeed, co.LatencyJitter)
-			}
-			cfg := bed.WiringConfig(kind, trialSeed)
-			trials = append(trials, runner.BedTrial(
-				fmt.Sprintf("churn/%s/run%d", label, run), kind.String(), g, cfg,
-				func(sys *wiring.System) (runner.Metrics, error) {
-					return runChurnTrial(sys, g, cfg.Seed, co)
-				}))
-		}
-	}
-	res.Trials = opt.Pool().Run(trials)
-	return res, nil
+	trials := streamGrid(mk, label, runs, seed, SoakOpts{Churn: co}, []*faults.StormProfile{nil}, opt.systems(KindP4Update), opt)
+	return &ChurnResult{Label: label, Opts: co, Trials: trials}, nil
 }

@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"p4update/internal/faults"
 	"p4update/internal/runner"
 	"p4update/internal/topo"
-	"p4update/internal/wiring"
 )
 
 // smokeChurnOpts is a fast configuration exercising every harness path:
@@ -71,22 +71,21 @@ func TestChurnSmoke(t *testing.T) {
 }
 
 // TestChurnAuditSmoke reruns the smoke scenario with the continuous
-// invariant auditor attached (which forces sequential execution) and
-// requires a clean audit: slot recycling must never leave the auditor
-// a stale flow view or a false version regression.
+// invariant auditor attached and requires a clean audit: slot recycling
+// must never leave the auditor a stale flow view or a false version
+// regression.
 func TestChurnAuditSmoke(t *testing.T) {
-	co := smokeChurnOpts()
-	g := topo.FatTree(4)
-	bed := DefaultBedConfig()
-	cfg := bed.WiringConfig(KindP4Update, 1)
-	cfg.AuditEvery = 200
-	trial := runner.BedTrial("churn/audit", KindP4Update.String(), g, cfg,
-		func(sys *wiring.System) (runner.Metrics, error) {
-			return runChurnTrial(sys, g, cfg.Seed, co)
-		})
-	res := (&runner.Pool{Workers: 1}).Run([]runner.Trial{trial})
+	so := SoakOpts{Churn: smokeChurnOpts(), AuditEvery: 200}
+	res := streamGrid(func() *topo.Topology { return topo.FatTree(4) }, "fattree4", 1, 1,
+		so, []*faults.StormProfile{nil}, []SystemKind{KindP4Update}, RunOptions{Workers: 1})
 	v := churnValues(t, res[0])
 	if v["updates_completed"] == 0 {
 		t.Fatal("audited churn run completed no updates")
+	}
+	if v["audit_sweeps"] == 0 {
+		t.Fatal("auditor never swept")
+	}
+	if v["violations_total"] != 0 {
+		t.Fatalf("%v invariant violations under pure churn", v["violations_total"])
 	}
 }

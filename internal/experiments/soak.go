@@ -143,10 +143,9 @@ func soakMetrics(rep *soak.Report) map[string]float64 {
 // workload is sustained while the profile's compiled storm fires
 // recurring fault episodes, the auditor sweeps every AuditEvery steps,
 // and a flight recorder keeps the trailing event window for post-mortem.
-// Every trial owns a private unfrozen topology (reroutes perturb link
-// latencies in place); every system of a (profile, run) cell faces the
-// byte-identical storm schedule. Trials are merged in index order, so
-// reports are byte-identical across worker counts.
+// Every system of a (profile, run) cell faces the byte-identical storm
+// schedule. Trials are merged in index order, so reports are
+// byte-identical across worker counts.
 func RunSoak(mk func() *topo.Topology, label string, runs int, seed int64, so SoakOpts, opt RunOptions) (*SoakResult, error) {
 	co := so.Churn
 	if co.ArrivalRate <= 0 || co.Duration <= 0 || co.MeanLifetime <= 0 {
@@ -158,90 +157,21 @@ func RunSoak(mk func() *topo.Topology, label string, runs int, seed int64, so So
 	if len(so.Profiles) == 0 {
 		so.Profiles = []string{"squall"}
 	}
-	profiles := make([]faults.StormProfile, 0, len(so.Profiles))
+	profiles := make([]*faults.StormProfile, 0, len(so.Profiles))
 	for _, name := range so.Profiles {
 		p, ok := faults.LookupStorm(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown storm profile %q (have %s)",
 				name, strings.Join(faults.StormNames(), ", "))
 		}
-		profiles = append(profiles, p)
+		profiles = append(profiles, &p)
 	}
 
-	res := &SoakResult{Label: label, Opts: so}
-	bed := DefaultBedConfig()
 	// The paper's three-way comparison by default: the storm regime is
 	// where the decentralized baselines differ most.
-	systems := opt.systems(KindP4Update, KindEZSegway, KindCentral)
-	trials := make([]runner.Trial, 0, len(systems)*len(profiles)*runs)
-	for _, kind := range systems {
-		for _, profile := range profiles {
-			for run := 0; run < runs; run++ {
-				trialSeed := seed + int64(run)*7919
-				g := mk()
-				if co.LatencyJitter > 0 {
-					traffic.JitterLatencies(g, trialSeed, co.LatencyJitter)
-				}
-				// The storm seed depends only on (profile, run): every
-				// system of a cell faces the identical episode schedule.
-				plan, episodes := faults.BuildStorm(g, trialSeed, co.Duration, profile)
-
-				wcfg := bed.WiringConfig(kind, trialSeed)
-				wcfg.Faults = plan
-				wcfg.AuditEvery = so.AuditEvery
-				wcfg.WatchdogTimeout = so.Watchdog
-				wcfg.ProbeTimeout = so.Watchdog
-				wcfg.MaxRetriggers = so.MaxRetriggers
-				// Appendix C: repeated reroute waves make back-to-back
-				// dual-layer updates on one flow routine, and the base
-				// algorithm's gateway rule parks the second one until "a
-				// later configuration" — which never comes, because the
-				// wave scan skips flows with an update in flight. The
-				// chained-DL extension is the paper's answer for exactly
-				// this always-on regime.
-				wcfg.ChainedDL = true
-				// Long soaks run far past the figure-scale event budget.
-				wcfg.MaxEvents = 200_000_000
-				wcfg.Trace = opt.Trace
-				if wcfg.Trace == nil {
-					// Always keep a flight-recorder ring for post-mortem:
-					// on an audit violation the CLI dumps the trailing
-					// window.
-					wcfg.Trace = &trace.Options{}
-				}
-
-				sopt := co.soakOptions()
-				sopt.Episodes = episodes
-				sopt.MaxRetriggers = so.MaxRetriggers
-				trials = append(trials, runner.BedTrial(
-					fmt.Sprintf("soak/%s/%s/%s/run%d", label, string(kind), profile.Name, run),
-					kind.String(), g, wcfg,
-					func(sys *wiring.System) (runner.Metrics, error) {
-						w, err := soak.NewWorkload(g, trialSeed, sopt)
-						if err != nil {
-							return runner.Metrics{}, err
-						}
-						h := soak.NewHarness(sys, g, w, sopt)
-						h.Start()
-						sys.Eng.RunUntil(co.Duration + co.Drain)
-
-						rep := h.Finish(string(kind), profile.Name, trialSeed)
-						raw, err := rep.Marshal()
-						if err != nil {
-							return runner.Metrics{}, err
-						}
-						return runner.Metrics{
-							Samples: h.Samples(),
-							Values:  soakMetrics(rep),
-							Report:  raw,
-						}, nil
-					}))
-			}
-		}
-	}
-	res.Trials = opt.Pool().Run(trials)
-	res.Reports = make([]*soak.Report, len(res.Trials))
-	for i, t := range res.Trials {
+	trials := streamGrid(mk, label, runs, seed, so, profiles, opt.systems(KindP4Update, KindEZSegway, KindCentral), opt)
+	res := &SoakResult{Label: label, Opts: so, Trials: trials, Reports: make([]*soak.Report, len(trials))}
+	for i, t := range trials {
 		if t.Failed || len(t.Report) == 0 {
 			continue
 		}
@@ -252,4 +182,111 @@ func RunSoak(mk func() *topo.Topology, label string, runs int, seed int64, so So
 		res.Reports[i] = rep
 	}
 	return res, nil
+}
+
+// streamGrid is the one trial grid behind RunChurn and RunSoak: for
+// every system, storm profile and run, a trial sustains the streaming
+// workload of so.Churn and closes with the harness's operator report.
+// Every trial owns a private unfrozen topology — reroutes perturb link
+// latencies in place and the path oracle repairs its cache
+// incrementally — so the grid builds one topology per trial
+// sequentially up front and shares nothing. A nil profile is churn: a
+// trial with no storm. The audit, watchdog and retrigger settings of so
+// apply either way (churn passes zeros).
+func streamGrid(mk func() *topo.Topology, label string, runs int, seed int64, so SoakOpts, profiles []*faults.StormProfile, systems []SystemKind, opt RunOptions) []runner.Result {
+	co := so.Churn
+	bed := DefaultBedConfig()
+	trials := make([]runner.Trial, 0, len(systems)*len(profiles)*runs)
+	for _, kind := range systems {
+		for _, profile := range profiles {
+			for run := 0; run < runs; run++ {
+				trialSeed := seed + int64(run)*7919
+				g := mk()
+				if co.LatencyJitter > 0 {
+					// One-time seeded jitter, applied before wiring so control
+					// latencies see the jittered weights; makes fat-tree
+					// shortest paths unique (exact incremental repair, see
+					// internal/topo/repair.go).
+					traffic.JitterLatencies(g, trialSeed, co.LatencyJitter)
+				}
+				wcfg := bed.WiringConfig(kind, trialSeed)
+				wcfg.AuditEvery = so.AuditEvery
+				wcfg.WatchdogTimeout = so.Watchdog
+				wcfg.ProbeTimeout = so.Watchdog
+				wcfg.MaxRetriggers = so.MaxRetriggers
+				wcfg.Trace = opt.Trace
+				sopt := co.soakOptions()
+				sopt.MaxRetriggers = so.MaxRetriggers
+				trialLabel, storm := fmt.Sprintf("churn/%s/run%d", label, run), "none"
+
+				if profile != nil {
+					// The storm seed depends only on (profile, run): every
+					// system of a cell faces the identical episode schedule.
+					wcfg.Faults, sopt.Episodes = faults.BuildStorm(g, trialSeed, co.Duration, *profile)
+					// Appendix C: repeated reroute waves make back-to-back
+					// dual-layer updates on one flow routine, and the base
+					// algorithm's gateway rule parks the second one until "a
+					// later configuration" — which never comes, because the
+					// wave scan skips flows with an update in flight. The
+					// chained-DL extension is the paper's answer for exactly
+					// this always-on regime.
+					wcfg.ChainedDL = true
+					// Long soaks run far past the figure-scale event budget.
+					wcfg.MaxEvents = 200_000_000
+					if wcfg.Trace == nil {
+						// Always keep a flight-recorder ring for post-mortem:
+						// on an audit violation the CLI dumps the trailing
+						// window.
+						wcfg.Trace = &trace.Options{}
+					}
+					trialLabel = fmt.Sprintf("soak/%s/%s/%s/run%d", label, string(kind), profile.Name, run)
+					storm = profile.Name
+				}
+
+				trials = append(trials, runner.BedTrial(trialLabel, kind.String(), g, wcfg,
+					func(sys *wiring.System) (runner.Metrics, error) {
+						return streamTrial(sys, g, sopt, string(kind), storm, trialSeed)
+					}))
+			}
+		}
+	}
+	return opt.Pool().Run(trials)
+}
+
+// streamTrial is the grid's trial body on an already wired system: it
+// sustains the workload through its admission window and drain, then
+// builds the operator report. The metric map is the report's headline
+// numbers plus the churn counters the report does not carry.
+func streamTrial(sys *wiring.System, g *topo.Topology, sopt soak.Options, system, storm string, seed int64) (runner.Metrics, error) {
+	start := time.Now()
+	w, err := soak.NewWorkload(g, seed, sopt)
+	if err != nil {
+		return runner.Metrics{}, err
+	}
+	h := soak.NewHarness(sys, g, w, sopt)
+	h.Start()
+	sys.Eng.RunUntil(sopt.Duration + sopt.Drain)
+	wall := time.Since(start).Seconds()
+
+	rep := h.Finish(system, storm, seed)
+	raw, err := rep.Marshal()
+	if err != nil {
+		return runner.Metrics{}, err
+	}
+	c := h.Counters()
+	v := soakMetrics(rep)
+	v["flow_slots"] = float64(sys.Net.NumFlowSlots())
+	v["skipped_busy"] = float64(c.SkippedBusy)
+	v["skipped_same"] = float64(c.SkippedSame)
+	v["trigger_errors"] = float64(c.TriggerErrs)
+	v["batch_frames"] = float64(sys.Ctl.BatchFrames)
+	v["batched_uims"] = float64(sys.Ctl.BatchedUIMs)
+	v["update_mean_ms"] = rep.Latency.MeanMs
+	// Host-side throughput: how many arrivals the simulation sustained
+	// per wall-clock second. Like WallClock/Allocs, determinism
+	// comparisons must ignore it.
+	if wall > 0 {
+		v["wall_flows_per_sec"] = float64(c.Arrivals) / wall
+	}
+	return runner.Metrics{Samples: h.Samples(), Values: v, Report: raw}, nil
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # identical.sh BASE — is this tree's behaviour byte-identical to revision
-# BASE's? Builds both CLIs and both benchmarks, diffs the stdout of the
-# figure, scale, churn, soak and fault experiments at smoke sizes with the
-# wall-clock fields masked, then compares the four workloads' sim_digest.
+# BASE's? Builds both CLIs and both benchmarks, diffs the stdout of every
+# smoke run this tree's `p4update -exp list` prints, with the wall-clock
+# fields masked, then compares the four workloads' sim_digest.
 # BASE is exported with `git archive` into a temporary directory (under
 # $TMPDIR), so nothing is left behind in the repository and no network is
 # needed. Exit status 1 on any difference.
@@ -44,14 +44,9 @@ experiment() { # experiment NAME ARGS...: one CLI run a side, masked
 	compare "$name"
 }
 
-experiment fig2 -exp fig2
-experiment fig4 -exp fig4
-experiment fig7 -exp fig7 -runs 5
-experiment fig7six -exp fig7six -runs 2
-experiment scale -exp scale -runs 1
-experiment churn -exp churn -topo fattree4 -arrival-rate 2000 -live-flows 1000 -churn-duration 2s -reroute-every 25ms
-experiment soak -exp soak -topo b4 -soak-rate 150 -soak-duration 4s
-experiment faults -exp faults -runs 1 -loss 0,0.1 -reorder 0.1
+while read -r name args; do
+	experiment "$name" $args # word-split: args is the run's argument list
+done < <("$tmp/p4u.head" -exp list)
 
 for w in burst-k8 churn-k16 paper-grid soak-b4-squall; do
 	for side in base head; do
