@@ -57,12 +57,13 @@ bench:
 # (internal/sim), the switch state (internal/dataplane: install/retire
 # at fat-tree K=16 scale, (switch, flow) lookups), the path oracle's
 # per-reroute tree repair and Yen's k-shortest paths (internal/topo),
-# the churn harness's link→flow index (internal/soak) and the Fig. 7
-# single-flow scenario search (internal/traffic). A quick A/B for a
-# queue, state-layout, oracle, path or harness-index change, without
-# the 24 s ledger run.
+# the churn harness's link→flow index (internal/soak), the Fig. 7
+# single-flow scenario search (internal/traffic) and the Fig. 7 trial
+# grid itself, per-trial wiring and beds included (internal/experiments,
+# BenchmarkFig7Grid). A quick A/B for a queue, state-layout, oracle,
+# path, harness-index or trial-bed change, without the 24 s ledger run.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/ ./internal/traffic/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/ ./internal/traffic/ ./internal/experiments/
 
 # Every experiment's smoke run, as `p4update -exp list` prints them (the
 # same runs make identical compares): figures, scale, streaming churn, the

@@ -343,6 +343,12 @@ func main() {
 	if p.soakDur <= 0 {
 		badFlag("-soak-duration %v must be a positive virtual-time window", p.soakDur)
 	}
+	if *workers < 0 {
+		badFlag("-workers %d must be a non-negative worker count (0 = GOMAXPROCS)", *workers)
+	}
+	if *traceCap < 0 {
+		badFlag("-trace-cap %d must be a non-negative ring capacity (0 = default 16384)", *traceCap)
+	}
 
 	p.opt = experiments.RunOptions{Workers: *workers, Systems: systems}
 	if *tracePath != "" {

@@ -73,8 +73,9 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
-	// Counts below one and unknown experiments are usage errors: exit 2
-	// with a message, never a panic or an empty table.
+	// Counts below one, negative worker counts and ring capacities, and
+	// unknown experiments are usage errors: exit 2 with a message, never a
+	// panic, an empty table or a silent fallback to the default.
 	t.Run("usage errors", func(t *testing.T) {
 		for _, args := range [][]string{
 			{"-exp", "fig7", "-runs", "-1"},
@@ -82,6 +83,8 @@ func TestCLI(t *testing.T) {
 			{"-exp", "fig8", "-updates", "0"},
 			{"-exp", "fig7", "-runs", "0"},
 			{"-exp", "fig8", "-updates", "-5"},
+			{"-exp", "fig7", "-workers", "-3"},
+			{"-exp", "fig7", "-trace-cap", "-5"},
 			{"-exp", "nope"},
 		} {
 			out, code := run(t, bin, args...)

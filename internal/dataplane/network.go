@@ -172,6 +172,15 @@ func (t *flowTable) release(f packet.FlowID, i int32) {
 	t.free = append(t.free, i)
 }
 
+// reset empties the table, keeping its capacity (scratch is rebuilt
+// on every use anyway).
+func (t *flowTable) reset() {
+	clear(t.idx)
+	t.slots = t.slots[:0]
+	t.holders = t.holders[:0]
+	t.free = t.free[:0]
+}
+
 func (t *flowTable) peek(f packet.FlowID) (int32, bool) {
 	i, ok := t.idx[f]
 	return i, ok
@@ -347,16 +356,37 @@ func (n *Network) commitStaged(x any) {
 // NewNetwork builds a switch per topology node. Control latency defaults
 // to zero until configured.
 func NewNetwork(eng *sim.Engine, t *topo.Topology) *Network {
-	n := &Network{Eng: eng, Topo: t}
+	n := &Network{Topo: t}
 	n.flows = &flowTable{idx: make(map[packet.FlowID]int32)}
 	n.deliverFn = n.deliver
 	n.resubmitFn = n.resubmit
 	n.commitFn = n.commitStaged
-	n.switches = make([]*Switch, t.NumNodes())
-	for _, id := range t.Nodes() {
-		n.switches[id] = newSwitch(id, n)
-	}
+	n.switches = newSwitches(n)
+	n.Reset(eng)
 	return n
+}
+
+// Reset returns the network to the state NewNetwork(eng, n.Topo) builds
+// while keeping its storage, so consecutive trials on one topology
+// reuse one fabric. Kept: the switches with their FlowState slab blocks
+// (reused in block order, so block sizes and state references come out
+// as in a fresh build), the flow table's capacity, the delivery, park
+// and commit slabs and the message pool. Everything else is zeroed: the
+// hooks, seams and observers, the flow table, the outage revision, and
+// on every switch its recycled state blocks, reservations, handler,
+// configuration, waiters, crash state and Stats. Work the fabric had in
+// flight lived in the old run's event queue and is abandoned with it,
+// so eng must be new or Reset too.
+func (n *Network) Reset(eng *sim.Engine) {
+	n.Eng = eng
+	n.ControlLatency, n.ControllerRx = nil, nil
+	n.Faults, n.Proc = nil, nil
+	n.OnApply, n.OnDeliver = nil, nil
+	n.flows.reset()
+	n.outageRev = 0
+	for _, sw := range n.switches {
+		sw.reset()
+	}
 }
 
 // flowSlot interns f, returning its dense fabric-wide index.

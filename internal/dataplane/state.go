@@ -205,6 +205,16 @@ func freshFlowState() FlowState {
 	}
 }
 
+// renew resets st to the fresh-node state, keeping the capacity of its
+// reservation slice for the block's next tenant. It assigns the fresh
+// state and the slice separately: one literal carrying st.PendingRes
+// would be built on the stack and copied in, not written in place.
+func (st *FlowState) renew() {
+	pend := st.PendingRes[:0]
+	*st = freshFlowState()
+	st.PendingRes = pend
+}
+
 // Stats counts observable switch events; the experiment harnesses and the
 // failure-injection tests read them.
 type Stats struct {

@@ -102,17 +102,61 @@ type Switch struct {
 	Stats Stats
 }
 
-// newSwitch wires a switch into its network.
-func newSwitch(id topo.NodeID, net *Network) *Switch {
-	deg := net.Topo.Degree(id)
-	return &Switch{
-		ID:          id,
-		net:         net,
-		degree:      deg,
-		reserved:    make([]uint64, deg),
-		capWaiters:  make([]parkQueue, deg+1),
-		highWaiting: make([][]packet.FlowID, deg+1),
+// newSwitches builds net's switch set, indexed by NodeID, in one go:
+// the switches share one array, and their per-port slices are carved
+// (with capped capacity) out of one backing array each.
+func newSwitches(net *Network) []*Switch {
+	nodes := net.Topo.Nodes()
+	ports := 0
+	for _, id := range nodes {
+		ports += net.Topo.Degree(id)
 	}
+	all := make([]Switch, len(nodes))
+	out := make([]*Switch, net.Topo.NumNodes())
+	reserved := make([]uint64, ports)
+	capWaiters := make([]parkQueue, ports+len(nodes))
+	highWaiting := make([][]packet.FlowID, ports+len(nodes))
+	for i, id := range nodes {
+		deg := net.Topo.Degree(id)
+		sw := &all[i]
+		sw.ID, sw.net, sw.degree = id, net, deg
+		sw.reserved, reserved = reserved[:deg:deg], reserved[deg:]
+		sw.capWaiters, capWaiters = capWaiters[:deg+1:deg+1], capWaiters[deg+1:]
+		sw.highWaiting, highWaiting = highWaiting[:deg+1:deg+1], highWaiting[deg+1:]
+		out[id] = sw
+	}
+	return out
+}
+
+// reset returns the switch to its freshly built state (see
+// Network.Reset): its slab blocks are emptied for reuse in block order,
+// their states renewed, and every other field but its identity and port
+// layout is zeroed.
+func (sw *Switch) reset() {
+	if len(sw.stateChunks) > 0 {
+		for k := 1; k < len(sw.stateChunks); k++ {
+			blk := sw.stateChunks[k]
+			for i := range blk {
+				blk[i].renew()
+			}
+			sw.stateChunks[k] = blk[:0]
+		}
+		sw.stateChunks = sw.stateChunks[:1]
+	}
+	sw.freeStates = sw.freeStates[:0]
+	clear(sw.reserved)
+	sw.handler = nil
+	sw.InstallDelay = nil
+	sw.FRMEnabled = false
+	sw.TwoPhase = false
+	sw.DataTap = nil
+	clear(sw.capWaiters)
+	for s := range sw.highWaiting {
+		sw.highWaiting[s] = sw.highWaiting[s][:0]
+	}
+	sw.down = false
+	sw.epoch = 0
+	sw.Stats = Stats{}
 }
 
 // portSlot maps an egress port to its dense slot: real ports map to
@@ -175,11 +219,17 @@ func (sw *Switch) allocState() stateRef {
 		if k < 4 {
 			size = 4 << k
 		}
-		sw.stateChunks = append(sw.stateChunks, make([]FlowState, 0, size))
+		if n := len(sw.stateChunks); n < cap(sw.stateChunks) && cap(sw.stateChunks[:n+1][n]) == size {
+			// A block emptied by reset: reuse it where it stood.
+			sw.stateChunks = sw.stateChunks[:n+1]
+		} else {
+			sw.stateChunks = append(sw.stateChunks, make([]FlowState, 0, size))
+		}
 		k++
 	}
 	c := &sw.stateChunks[k]
-	*c = append(*c, freshFlowState())
+	*c = (*c)[:len(*c)+1]
+	(*c)[len(*c)-1].renew()
 	return stateRef(k<<stateChunkBits | (len(*c) - 1))
 }
 
@@ -303,9 +353,7 @@ func (sw *Switch) retireFlow(i int32, f packet.FlowID, r stateRef) {
 		}
 	}
 	sw.net.flows.bump(i)
-	pend := st.PendingRes[:0]
-	*st = freshFlowState()
-	st.PendingRes = pend
+	st.renew()
 	sw.freeStates = append(sw.freeStates, r)
 }
 

@@ -1,12 +1,16 @@
 // Package runner executes evaluation trials in parallel.
 //
 // The paper's evaluation grid — topology × system × seed — consists of
-// fully independent trials: every trial owns its simulation engine, its
-// random streams, and its topology instance, so trials shard across a
-// worker pool without any shared state. The pool guarantees
-// deterministic merging: results are returned ordered by trial index,
-// never by completion order, so a parallel run's merged output is
-// byte-identical to a sequential run over the same trial list.
+// independent trials: a trial's outputs depend on its own configuration
+// and seed only, so trials shard across a worker pool. What they share
+// is read-only: the grid's frozen topology with its path oracle, and
+// the plan cache. Each worker keeps the simulation engine and fabric of
+// its last BedTrial and resets them for its next one on the same
+// topology (wiring.Recycle), so that storage belongs to one worker at a
+// time. The pool guarantees deterministic merging: results are returned
+// ordered by trial index, never by completion order, so a parallel
+// run's merged output is byte-identical to a sequential run over the
+// same trial list.
 //
 // A trial that panics or exceeds the per-trial timeout is recorded as a
 // failed Result instead of killing the run.
@@ -86,6 +90,10 @@ type Trial struct {
 	// Run executes the trial and returns its measurements. The pool
 	// fills Metrics.WallClock itself.
 	Run func() (Metrics, error) `json:"-"`
+	// onBed, set by BedTrial, is Run on a worker's bed: it builds the
+	// trial's system from prev (nil = a fresh build) through
+	// wiring.Recycle and returns the system for the worker's next trial.
+	onBed func(prev *wiring.System) (Metrics, *wiring.System, error)
 }
 
 // BedTrial builds a Trial that wires a full system from the shared
@@ -98,35 +106,48 @@ type Trial struct {
 // makes it refuse mutation, so its one path oracle is never flushed and
 // serves every trial's concurrent queries; per-trial setup neither
 // rebuilds the topology nor re-warms a private path cache.
+//
+// Run through a Pool, the trial is built on the worker's bed: the
+// engine and network of the worker's previous BedTrial on g are reset
+// rather than allocated anew. The system is the bed's for the body's
+// duration only, so nothing the body returns may point into it.
 func BedTrial(label, system string, g *topo.Topology, cfg wiring.Config,
 	body func(*wiring.System) (Metrics, error)) Trial {
+	onBed := func(prev *wiring.System) (Metrics, *wiring.System, error) {
+		sys := wiring.Recycle(prev, g, cfg)
+		m, err := body(sys)
+		if extra := sys.ExtraMetrics(); len(extra) > 0 {
+			if m.Extra == nil {
+				m.Extra = extra
+			} else {
+				for k, v := range extra {
+					if _, taken := m.Extra[k]; !taken {
+						m.Extra[k] = v
+					}
+				}
+			}
+		}
+		m.VirtualTime = sys.Eng.Now()
+		m.Events = sys.Eng.Steps()
+		m.EventsScheduled = sys.Eng.Scheduled()
+		if sys.Trace != nil {
+			m.Trace = sys.Trace.Summarize()
+			m.TraceRec = sys.Trace
+			// The recorder outlives the trial; its clock is the engine's,
+			// which the worker's next trial resets.
+			sys.Trace.Clock = nil
+		}
+		return m, sys, err
+	}
 	return Trial{
 		Label:  label,
 		System: system,
 		Seed:   cfg.Seed,
 		Run: func() (Metrics, error) {
-			sys := wiring.New(g, cfg)
-			m, err := body(sys)
-			if extra := sys.ExtraMetrics(); len(extra) > 0 {
-				if m.Extra == nil {
-					m.Extra = extra
-				} else {
-					for k, v := range extra {
-						if _, taken := m.Extra[k]; !taken {
-							m.Extra[k] = v
-						}
-					}
-				}
-			}
-			m.VirtualTime = sys.Eng.Now()
-			m.Events = sys.Eng.Steps()
-			m.EventsScheduled = sys.Eng.Scheduled()
-			if sys.Trace != nil {
-				m.Trace = sys.Trace.Summarize()
-				m.TraceRec = sys.Trace
-			}
+			m, _, err := onBed(nil)
 			return m, err
 		},
+		onBed: onBed,
 	}
 }
 
@@ -205,19 +226,27 @@ func (p *Pool) Run(trials []Trial) []Result {
 // goroutine to the supervising worker.
 type outcome struct {
 	m   Metrics
+	bed *wiring.System
 	err error
 }
 
-// scratch is per-worker reusable trial-supervision state: the outcome
-// channel and the timeout timer survive across trials, so supervising a
-// trial allocates nothing beyond the execution goroutine itself.
+// scratch is per-worker reusable trial state: the outcome channel and
+// the timeout timer survive across trials, so supervising a trial
+// allocates nothing beyond the execution goroutine itself, and bed is
+// the system of the worker's last BedTrial, which its next one recycles.
 type scratch struct {
 	done  chan outcome
 	timer *time.Timer
+	bed   *wiring.System
+	// allocs is readAllocs' sample buffer.
+	allocs [2]metrics.Sample
 }
 
 func newScratch() *scratch {
-	return &scratch{done: make(chan outcome, 1)}
+	sc := &scratch{done: make(chan outcome, 1)}
+	sc.allocs[0].Name = "/gc/heap/allocs:objects"
+	sc.allocs[1].Name = "/gc/heap/allocs:bytes"
+	return sc
 }
 
 // runOne executes a single trial with panic recovery and the pool's
@@ -225,10 +254,10 @@ func newScratch() *scratch {
 func (p *Pool) runOne(index int, t Trial, sc *scratch) Result {
 	res := Result{Index: index, Label: t.Label, System: t.System, Seed: t.Seed}
 	start := time.Now()
-	allocs0, bytes0 := readAllocs()
+	allocs0, bytes0 := sc.readAllocs()
 	m, err := p.execute(t, sc)
 	m.WallClock = time.Since(start)
-	allocs1, bytes1 := readAllocs()
+	allocs1, bytes1 := sc.readAllocs()
 	m.Allocs = allocs1 - allocs0
 	m.AllocBytes = bytes1 - bytes0
 	res.Metrics = m
@@ -239,18 +268,21 @@ func (p *Pool) runOne(index int, t Trial, sc *scratch) Result {
 	return res
 }
 
+// execute runs t on the worker's bed and keeps the bed t leaves behind;
+// a trial that fails, panics or times out leaves none.
 func (p *Pool) execute(t Trial, sc *scratch) (Metrics, error) {
-	if t.Run == nil {
+	if t.Run == nil && t.onBed == nil {
 		return Metrics{}, fmt.Errorf("runner: trial %q has no Run function", t.Label)
 	}
+	bed := sc.bed
+	sc.bed = nil
 	if p == nil || p.Timeout <= 0 {
-		return recoverRun(t)
+		o := recoverRun(t, bed)
+		sc.bed = o.bed
+		return o.m, o.err
 	}
 	done := sc.done
-	go func() {
-		m, err := recoverRun(t)
-		done <- outcome{m, err}
-	}()
+	go func() { done <- recoverRun(t, bed) }()
 	if sc.timer == nil {
 		sc.timer = time.NewTimer(p.Timeout)
 	} else {
@@ -266,36 +298,45 @@ func (p *Pool) execute(t Trial, sc *scratch) (Metrics, error) {
 			default:
 			}
 		}
+		sc.bed = o.bed
 		return o.m, o.err
 	case <-sc.timer.C:
 		// The abandoned goroutine still owns sc.done and will write its
-		// late outcome there; hand the worker a fresh scratch so a stale
-		// result can never be attributed to a later trial.
+		// late outcome there, and it still owns the bed it runs on; hand
+		// the worker a fresh channel and no bed, so neither a stale result
+		// nor a live bed can reach a later trial.
 		sc.done = make(chan outcome, 1)
 		sc.timer = nil
 		return Metrics{}, fmt.Errorf("runner: trial %q timed out after %v", t.Label, p.Timeout)
 	}
 }
 
-// recoverRun converts a trial panic into an error.
-func recoverRun(t Trial) (m Metrics, err error) {
+// recoverRun runs t on bed (BedTrials) or alone, converting a panic into
+// an error. The outcome carries the bed for the worker's next trial: the
+// one t built or left alone, none when t failed.
+func recoverRun(t Trial, bed *wiring.System) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("runner: trial %q panicked: %v", t.Label, r)
+			o = outcome{err: fmt.Errorf("runner: trial %q panicked: %v", t.Label, r)}
+		}
+		if o.err != nil {
+			o.bed = nil
 		}
 	}()
-	return t.Run()
+	if t.onBed != nil {
+		o.m, o.bed, o.err = t.onBed(bed)
+	} else {
+		o.m, o.err = t.Run()
+		o.bed = bed
+	}
+	return o
 }
 
 // readAllocs samples the runtime's cumulative heap-allocation counters
 // (object count and bytes) without a stop-the-world pause.
-func readAllocs() (objects, bytes uint64) {
-	s := [2]metrics.Sample{
-		{Name: "/gc/heap/allocs:objects"},
-		{Name: "/gc/heap/allocs:bytes"},
-	}
-	metrics.Read(s[:])
-	return s[0].Value.Uint64(), s[1].Value.Uint64()
+func (sc *scratch) readAllocs() (objects, bytes uint64) {
+	metrics.Read(sc.allocs[:])
+	return sc.allocs[0].Value.Uint64(), sc.allocs[1].Value.Uint64()
 }
 
 // Failed counts the trials that crashed or timed out.

@@ -148,7 +148,8 @@ func (t Timer) Stop() {
 
 // Engine is a single-threaded discrete-event simulator.
 //
-// The zero value is not usable; construct with New.
+// The zero value is not usable; construct with New, or Reset an engine
+// to reuse its storage for a new run.
 type Engine struct {
 	now  time.Duration
 	heap []entry
@@ -159,12 +160,14 @@ type Engine struct {
 	slots    []eventSlot
 	free     []int32
 	seq      uint64
-	// rng is seeded from seed on the first Rand call: trials that never
-	// draw skip seeding math/rand's 607-word state.
-	rng    *rand.Rand
-	seed   int64
-	nsteps uint64
-	nsched uint64
+	// rng is seeded from seed on the first Rand call after New or Reset
+	// (rngStale): trials that never draw skip seeding math/rand's
+	// 607-word state, and a reset engine re-seeds its rng in place.
+	rng      *rand.Rand
+	rngStale bool
+	seed     int64
+	nsteps   uint64
+	nsched   uint64
 	// live counts queued events that are neither cancelled nor executed,
 	// so Pending is O(1) instead of a heap scan.
 	live int
@@ -190,7 +193,36 @@ type Engine struct {
 
 // New returns an engine whose random streams are derived from seed.
 func New(seed int64) *Engine {
-	return &Engine{seed: seed}
+	e := &Engine{}
+	e.Reset(seed)
+	return e
+}
+
+// Reset returns the engine to the state New(seed) builds while keeping
+// its storage, so a harness running many short simulations allocates
+// the queue once. Every queued event is dropped and every slot's
+// generation bumped, so a Timer from before the reset is a no-op; the
+// slot arena, the heap and the lane heap keep their capacity, and the
+// freed slots are handed out in the order a new engine appends them.
+// The random source is re-seeded in place on the next Rand call, which
+// yields the stream of rand.New(rand.NewSource(seed)). MaxEvents,
+// Strict, AfterStep and Trace are cleared.
+func (e *Engine) Reset(seed int64) {
+	e.free = e.free[:0]
+	for i := len(e.slots) - 1; i >= 0; i-- {
+		s := &e.slots[i]
+		s.fn, s.afn, s.arg = nil, nil, nil
+		s.gen++
+		e.free = append(e.free, int32(i))
+	}
+	e.now = 0
+	e.heap = e.heap[:0]
+	e.laneHeap = e.laneHeap[:0]
+	e.lanes = [numLanes]lane{}
+	e.seq, e.nsteps, e.nsched, e.live = 0, 0, 0, 0
+	e.seed, e.rngStale = seed, true
+	e.MaxEvents, e.Strict = 0, false
+	e.AfterStep, e.Trace = nil, nil
 }
 
 // Now returns the current virtual time.
@@ -198,8 +230,13 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Rand exposes the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand {
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.seed))
+	if e.rngStale {
+		if e.rng == nil {
+			e.rng = rand.New(rand.NewSource(e.seed))
+		} else {
+			e.rng.Seed(e.seed)
+		}
+		e.rngStale = false
 	}
 	return e.rng
 }

@@ -314,3 +314,69 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 		t.Errorf("heap crossed the lane gate %d times, want both ways", total.gateCrossings)
 	}
 }
+
+// dirtyEngine leaves e mid-run: events queued in the heap and in lanes,
+// timers outstanding, the hooks and the backstop set, random draws
+// taken. It returns the outstanding timers.
+func dirtyEngine(t *testing.T, e *Engine, seed int64) []Timer {
+	rng := rand.New(rand.NewSource(seed))
+	var timers []Timer
+	for i := 0; i < 3*laneGate; i++ {
+		d := time.Duration(rng.Intn(4)) * 100 * time.Microsecond
+		if i%3 == 0 {
+			d = time.Duration(rng.Int63n(int64(time.Millisecond)))
+		}
+		timers = append(timers, e.Schedule(d, func() {}))
+	}
+	e.MaxEvents = laneGate
+	e.Strict = true
+	e.Rand().Int63()
+	e.Run()
+	if e.Pending() == 0 || len(e.laneHeap) == 0 {
+		t.Fatalf("dirty engine has %d events queued, %d lanes in use; the test covers nothing",
+			e.Pending(), len(e.laneHeap))
+	}
+	e.AfterStep = func() { t.Fatal("AfterStep survived Reset") }
+	return timers
+}
+
+// TestResetMatchesNew resets an engine left mid-run and requires it to
+// behave as New does: the same order-script log, the same random
+// stream, and Stop on a timer from before the reset cancelling nothing.
+func TestResetMatchesNew(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		e := New(seed + 100)
+		dirtyEngine(t, e, seed)
+		e.Reset(seed)
+		if at, queued := e.NextAt(); queued || e.Now() != 0 || e.Pending() != 0 || e.Steps() != 0 || e.Scheduled() != 0 {
+			t.Fatalf("seed %d: reset engine: next=%v,%v now=%v pending=%d steps=%d scheduled=%d",
+				seed, at, queued, e.Now(), e.Pending(), e.Steps(), e.Scheduled())
+		}
+		got := orderScript(&engineUnderTest{e: e}, seed)
+		want := orderScript(&engineUnderTest{e: New(seed)}, seed)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: a reset engine's order log differs from a new engine's", seed)
+		}
+
+		stale := dirtyEngine(t, e, seed)
+		e.Reset(seed)
+		fresh := New(seed)
+		for i := 0; i < 100; i++ {
+			if got, want := e.Rand().Int63(), fresh.Rand().Int63(); got != want {
+				t.Fatalf("seed %d: draw %d after Reset = %d, New gives %d", seed, i, got, want)
+			}
+		}
+		// Timers from before the reset name slots the new run reuses.
+		ran := 0
+		for range stale {
+			e.Schedule(time.Millisecond, func() { ran++ })
+		}
+		for _, tm := range stale {
+			tm.Stop()
+		}
+		e.Run()
+		if ran != len(stale) {
+			t.Fatalf("seed %d: %d of %d events ran; a stale Timer cancelled a new event", seed, ran, len(stale))
+		}
+	}
+}

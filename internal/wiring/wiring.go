@@ -149,6 +149,9 @@ type System struct {
 	Rounds *RoundTracker
 
 	name string
+	// ctlRng is the FatTreeControl latency sampler's source, kept so a
+	// recycled system re-seeds it instead of allocating one.
+	ctlRng *rand.Rand
 }
 
 // SystemName returns the resolved registry name the system was
@@ -157,15 +160,33 @@ func (s *System) SystemName() string { return s.name }
 
 // New builds switches for every node of g, wires the fabric and a
 // controller, and installs the configured update protocol.
-func New(g *topo.Topology, cfg Config) *System {
-	eng := sim.New(cfg.Seed)
+func New(g *topo.Topology, cfg Config) *System { return Recycle(nil, g, cfg) }
+
+// Recycle builds what New(g, cfg) builds. When prev is a system on the
+// same topology and neither system splits its fabric across processes
+// (Config.Transport), the new system takes over prev's engine and
+// network and resets them (sim.Engine.Reset, dataplane.Network.Reset)
+// instead of allocating its own, so prev must not be used afterwards.
+// Everything else — controller, coordinators, handlers, injector,
+// auditor, recorder — is built afresh either way.
+func Recycle(prev *System, g *topo.Topology, cfg Config) *System {
+	var eng *sim.Engine
+	var net *dataplane.Network
+	var ctlRng *rand.Rand
+	if prev != nil && prev.Topo == g && prev.Cfg.Transport == nil && cfg.Transport == nil {
+		eng, net, ctlRng = prev.Eng, prev.Net, prev.ctlRng
+		eng.Reset(cfg.Seed)
+		net.Reset(eng)
+	} else {
+		eng = sim.New(cfg.Seed)
+		net = dataplane.NewNetwork(eng, g)
+	}
 	eng.MaxEvents = cfg.MaxEvents
 	if cfg.Trace != nil {
 		rec := trace.New(*cfg.Trace)
 		rec.Clock = eng.Now
 		eng.Trace = rec
 	}
-	net := dataplane.NewNetwork(eng, g)
 	net.Proc = cfg.Transport
 
 	var node topo.NodeID
@@ -175,11 +196,15 @@ func New(g *topo.Topology, cfg Config) *System {
 		controlplane.UseSampledControl(net, cfg.SampledControl)
 	case cfg.FatTreeControl:
 		node = g.Centroid()
-		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
+		if ctlRng == nil {
+			ctlRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
+		} else {
+			ctlRng.Seed(cfg.Seed ^ 0x5eed)
+		}
 		controlplane.UseSampledControl(net, func() time.Duration {
 			// Huang et al. measured switch control-path latencies of a
 			// few milliseconds; clamp the normal sample to stay positive.
-			d := time.Duration((4 + 2*rng.NormFloat64()) * float64(time.Millisecond))
+			d := time.Duration((4 + 2*ctlRng.NormFloat64()) * float64(time.Millisecond))
 			if d < 500*time.Microsecond {
 				d = 500 * time.Microsecond
 			}
@@ -203,7 +228,7 @@ func New(g *topo.Topology, cfg Config) *System {
 	if name == "" {
 		name = "p4update"
 	}
-	s := &System{Cfg: cfg, Topo: g, Eng: eng, Net: net, Ctl: ctl, Trace: eng.Trace, name: name}
+	s := &System{Cfg: cfg, Topo: g, Eng: eng, Net: net, Ctl: ctl, Trace: eng.Trace, name: name, ctlRng: ctlRng}
 	if drv, ok := Lookup(name); ok {
 		s.Driver = drv
 		drv.Build(s)
