@@ -156,6 +156,10 @@ type Controller struct {
 	// carried (experiment reporting).
 	BatchFrames uint64
 	BatchedUIMs uint64
+	// watchdogFn is fireUpdateWatchdog, bound on the first arming: the
+	// completion watchdog is scheduled with the *UpdateStatus it checks,
+	// so arming it costs no closure.
+	watchdogFn func(any)
 }
 
 type updateKey struct {
@@ -419,42 +423,50 @@ func (c *Controller) armUpdateWatchdog(u *UpdateStatus) {
 	if c.ProbeTimeout <= 0 {
 		return
 	}
-	c.Eng.Schedule(c.ProbeTimeout, func() {
-		if u.Done() {
-			return
-		}
-		if _, tracked := c.updates[updateKey{u.Flow, u.Version}]; !tracked {
-			return // flow retired or update forgotten; stop the watchdog
-		}
-		if u.AllApplied > 0 {
-			// Every node committed but the probe confirmation never came
-			// back: the probe (a data-plane frame) was lost. Re-inject
-			// it without charging the §11 budget (see ProbeRetries).
-			u.ProbeRetries++
-			c.Eng.Trace.Watchdog(trace.NodeController,
-				uint32(u.Flow), u.Version, uint32(u.ProbeRetries))
-			c.injectProbe(u)
-			c.armUpdateWatchdog(u)
-			return
-		}
-		if u.Retriggers >= c.MaxRetriggers {
-			// Budget spent: no more plan resends. Keep the watchdog
-			// alive — straggler commits (from parked notifications or
-			// earlier resends) can still empty the pending set, after
-			// which budget-free confirmation probing resumes above.
-			c.armUpdateWatchdog(u)
-			return
-		}
-		if u.Retriggers > 0 && c.Eng.Now()-u.LastRetrigger < c.ProbeTimeout {
-			// A stall report consumed this period's budget; wait out the
-			// spacing before checking again.
-			c.armUpdateWatchdog(u)
-			return
-		}
-		// Nodes are still missing and no stall report reached us.
-		c.retrigger(u)
+	if c.watchdogFn == nil {
+		c.watchdogFn = c.fireUpdateWatchdog
+	}
+	c.Eng.ScheduleArg(c.ProbeTimeout, c.watchdogFn, u)
+}
+
+// fireUpdateWatchdog runs one completion check armed by
+// armUpdateWatchdog.
+func (c *Controller) fireUpdateWatchdog(x any) {
+	u := x.(*UpdateStatus)
+	if u.Done() {
+		return
+	}
+	if _, tracked := c.updates[updateKey{u.Flow, u.Version}]; !tracked {
+		return // flow retired or update forgotten; stop the watchdog
+	}
+	if u.AllApplied > 0 {
+		// Every node committed but the probe confirmation never came
+		// back: the probe (a data-plane frame) was lost. Re-inject
+		// it without charging the §11 budget (see ProbeRetries).
+		u.ProbeRetries++
+		c.Eng.Trace.Watchdog(trace.NodeController,
+			uint32(u.Flow), u.Version, uint32(u.ProbeRetries))
+		c.injectProbe(u)
 		c.armUpdateWatchdog(u)
-	})
+		return
+	}
+	if u.Retriggers >= c.MaxRetriggers {
+		// Budget spent: no more plan resends. Keep the watchdog
+		// alive — straggler commits (from parked notifications or
+		// earlier resends) can still empty the pending set, after
+		// which budget-free confirmation probing resumes above.
+		c.armUpdateWatchdog(u)
+		return
+	}
+	if u.Retriggers > 0 && c.Eng.Now()-u.LastRetrigger < c.ProbeTimeout {
+		// A stall report consumed this period's budget; wait out the
+		// spacing before checking again.
+		c.armUpdateWatchdog(u)
+		return
+	}
+	// Nodes are still missing and no stall report reached us.
+	c.retrigger(u)
+	c.armUpdateWatchdog(u)
 }
 
 // retrigger spends one unit of u's §11 budget on re-sending the update:

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -163,5 +164,34 @@ func TestUpdatesListing(t *testing.T) {
 	}
 	if _, ok := ctl.Status(f, 9); ok {
 		t.Error("phantom status")
+	}
+}
+
+// TestUpdateWatchdogCycleAllocatesNothing: every firing of the
+// completion watchdog on an update that never completes spends one
+// retrigger and re-arms, and allocates nothing.
+func TestUpdateWatchdogCycleAllocatesNothing(t *testing.T) {
+	eng, _, ctl := bed(t)
+	ctl.ProbeTimeout = 10 * time.Millisecond
+	ctl.MaxRetriggers = math.MaxInt
+	path := []topo.NodeID{0, 4, 2, 7}
+	f, err := ctl.RegisterFlow(0, 7, path, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := ctl.TrackOnly(f, 2, path, path, nil, nil) // nothing sent: nothing commits
+	cycle := func() {
+		if !eng.Step() {
+			t.Fatal("the watchdog did not re-arm")
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("an arm-and-fire cycle of the completion watchdog allocates %.2f times, want 0", allocs)
+	}
+	if want := 8 + 1001; u.Retriggers != want {
+		t.Errorf("%d retriggers, want one per firing (%d)", u.Retriggers, want)
 	}
 }

@@ -83,6 +83,17 @@ type RoundExecutor struct {
 	blocked   []*Run
 	busyUntil time.Duration
 	uim       packet.UIM
+	// acks recycles the records of acknowledgements queued behind the
+	// service time, and ackFn is serviced, bound on the first one, so a
+	// queued acknowledgement costs no closure.
+	acks  []*queuedAck
+	ackFn func(any)
+}
+
+// queuedAck is one acknowledgement waiting for the controller's server.
+type queuedAck struct {
+	run  *Run
+	node topo.NodeID
 }
 
 // NewRoundExecutor registers an executor for p with ctl.
@@ -208,7 +219,28 @@ func (x *RoundExecutor) ack(m *packet.UFM) {
 		x.acked(r, node)
 		return
 	}
-	x.Ctl.Eng.ScheduleAt(x.serve(), func() { x.acked(r, node) })
+	if x.ackFn == nil {
+		x.ackFn = x.serviced
+	}
+	var a *queuedAck
+	if n := len(x.acks); n > 0 {
+		a = x.acks[n-1]
+		x.acks = x.acks[:n-1]
+	} else {
+		a = new(queuedAck)
+	}
+	*a = queuedAck{run: r, node: node}
+	x.Ctl.Eng.ScheduleAtArg(x.serve(), x.ackFn, a)
+}
+
+// serviced confirms an acknowledgement once the controller's server has
+// processed it, and recycles its record.
+func (x *RoundExecutor) serviced(v any) {
+	a := v.(*queuedAck)
+	r, node := a.run, a.node
+	*a = queuedAck{}
+	x.acks = append(x.acks, a)
+	x.acked(r, node)
 }
 
 // acked confirms node's commit: the run finishes or steps, and every

@@ -33,6 +33,19 @@ type Protocol struct {
 	// resets whenever the indication is retransmitted, so every
 	// controller retrigger buys a fresh round of local monitoring.
 	MaxStallReports int
+
+	// watchdogs recycles the records of armed stall checks, and fireFn
+	// is fireWatchdog bound once: a watchdog is scheduled through
+	// ScheduleArg, so arming one costs no closure.
+	watchdogs []*watchdog
+	fireFn    func(any)
+}
+
+// watchdog is one armed stall check: the awaited version of flow at sw.
+type watchdog struct {
+	sw      *dataplane.Switch
+	flow    packet.FlowID
+	version uint32
 }
 
 // defaultMaxStallReports is the per-version stall-report budget.
@@ -127,30 +140,49 @@ func (p *Protocol) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 // budget (FlowState.StallReports, reset on every indication arrival)
 // keeps an abandoned update from reporting forever.
 func (p *Protocol) armWatchdog(sw *dataplane.Switch, flow packet.FlowID, version uint32) {
-	sw.Network().Eng.Schedule(p.WatchdogTimeout, func() {
-		cur, ok := sw.PeekState(flow)
-		if !ok {
-			return
-		}
-		if cur.UIM == nil || cur.UIM.Version != version ||
-			(cur.HasRule && cur.NewVersion >= version) || cur.Applying {
-			return // applied, superseded, or mid-install
-		}
-		limit := p.MaxStallReports
-		if limit <= 0 {
-			limit = defaultMaxStallReports
-		}
-		if int(cur.StallReports) >= limit {
-			return // budget spent; controller-side recovery takes over
-		}
-		cur.StallReports++
-		sw.Tracer().Watchdog(int32(sw.ID), uint32(flow), version,
-			uint32(cur.StallReports))
-		sw.SendUFM(packet.UFM{
-			Flow: flow, Version: version, Status: packet.StatusStalled,
-		})
-		p.armWatchdog(sw, flow, version)
+	if p.fireFn == nil {
+		p.fireFn = p.fireWatchdog
+	}
+	var w *watchdog
+	if n := len(p.watchdogs); n > 0 {
+		w = p.watchdogs[n-1]
+		p.watchdogs = p.watchdogs[:n-1]
+	} else {
+		w = new(watchdog)
+	}
+	*w = watchdog{sw: sw, flow: flow, version: version}
+	sw.Network().Eng.ScheduleArg(p.WatchdogTimeout, p.fireFn, w)
+}
+
+// fireWatchdog runs one armed stall check and recycles its record.
+func (p *Protocol) fireWatchdog(x any) {
+	w := x.(*watchdog)
+	sw, flow, version := w.sw, w.flow, w.version
+	*w = watchdog{}
+	p.watchdogs = append(p.watchdogs, w)
+
+	cur, ok := sw.PeekState(flow)
+	if !ok {
+		return
+	}
+	if cur.UIM == nil || cur.UIM.Version != version ||
+		(cur.HasRule && cur.NewVersion >= version) || cur.Applying {
+		return // applied, superseded, or mid-install
+	}
+	limit := p.MaxStallReports
+	if limit <= 0 {
+		limit = defaultMaxStallReports
+	}
+	if int(cur.StallReports) >= limit {
+		return // budget spent; controller-side recovery takes over
+	}
+	cur.StallReports++
+	sw.Tracer().Watchdog(int32(sw.ID), uint32(flow), version,
+		uint32(cur.StallReports))
+	sw.SendUFM(packet.UFM{
+		Flow: flow, Version: version, Status: packet.StatusStalled,
 	})
+	p.armWatchdog(sw, flow, version)
 }
 
 // HandleUNM processes an Update Notification Message per Alg. 1/Alg. 2.

@@ -146,3 +146,34 @@ func TestWatchdogQuietOnSuccess(t *testing.T) {
 		t.Errorf("healthy update re-triggered %d times", u.Retriggers)
 	}
 }
+
+// TestWatchdogCycleAllocatesNothing: a retransmitted indication arms the
+// §11 stall watchdog, which then fires, reports and re-arms until the
+// per-version budget is spent. Once the watchdog record pool is warm,
+// that whole cycle — eight reports, their re-arms and the final check —
+// allocates nothing.
+func TestWatchdogCycleAllocatesNothing(t *testing.T) {
+	g := topo.Synthetic()
+	p := &core.Protocol{WatchdogTimeout: 10 * time.Millisecond}
+	tb := newTestbed(g, 26, p)
+	oldP, newP := topo.SyntheticPaths()
+	f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
+	node := newP[1]
+	sw := tb.net.Switch(node)
+	uim := &packet.UIM{
+		Flow: f, Version: 2, NewDistance: uint16(len(newP) - 2),
+		EgressPort: uint16(g.PortTo(node, newP[2])), ChildPort: packet.NoPort,
+		FlowSizeK: 1000, UpdateType: packet.UpdateSingle,
+	}
+	cycle := func() {
+		p.HandleUIM(sw, uim)
+		tb.eng.Run()
+	}
+	cycle()
+	if st, _ := sw.PeekState(f); st.StallReports != 8 {
+		t.Fatalf("%d stall reports for the held indication, want the default budget of 8", st.StallReports)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("an arm-and-fire cycle of the stall watchdog allocates %.2f times, want 0", allocs)
+	}
+}

@@ -286,6 +286,20 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) Timer {
 	return e.push(at, fn, nil, nil)
 }
 
+// ScheduleAtArg runs fn(arg) at absolute virtual instant at, with
+// ScheduleAt's clamping and Strict rules: the absolute-time form of
+// ScheduleArg, so a timer on a known instant needs no closure either.
+func (e *Engine) ScheduleAtArg(at time.Duration, fn func(any), arg any) Timer {
+	if fn == nil {
+		panic("sim: ScheduleAtArg with nil fn")
+	}
+	if at < e.now {
+		e.mustNotRegress(at)
+		at = e.now
+	}
+	return e.push(at, nil, fn, arg)
+}
+
 // mustNotRegress flags an attempt to schedule into the past. Under
 // Strict it panics; otherwise the caller clamps to now, preserving the
 // engine's historical lenient behaviour.
@@ -440,32 +454,35 @@ func (e *Engine) Step() bool {
 // Run executes events until the queue drains or MaxEvents is hit.
 // It returns the virtual time at which the simulation quiesced.
 func (e *Engine) Run() time.Duration {
-	for e.Step() {
-		if e.MaxEvents > 0 && e.nsteps >= e.MaxEvents {
-			break
-		}
+	for !e.capped() && e.Step() {
 	}
 	return e.now
 }
 
 // RunUntil executes events with timestamps <= deadline. Events scheduled
-// later stay queued; the clock is advanced to deadline if it quiesced early.
+// later stay queued; the clock is advanced to deadline if it quiesced
+// early. When MaxEvents stops it with events due by deadline still
+// queued, the clock stays at the last executed event, so the queue
+// never holds an event in the past.
 func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	for {
 		head, _, ok := e.peekLive()
 		if !ok || head.at > deadline {
 			break
 		}
-		e.Step()
-		if e.MaxEvents > 0 && e.nsteps >= e.MaxEvents {
-			break
+		if e.capped() {
+			return e.now
 		}
+		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
 }
+
+// capped reports whether the MaxEvents backstop has been reached.
+func (e *Engine) capped() bool { return e.MaxEvents > 0 && e.nsteps >= e.MaxEvents }
 
 // NextAt reports the timestamp of the next live queued event, if any.
 // It lets a real-time host (cmd/controllerd, cmd/switchd) sleep exactly

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -310,6 +311,56 @@ func TestScheduleArg(t *testing.T) {
 	e.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("got %v, want [1 2 3]", got)
+	}
+}
+
+func TestScheduleAtArg(t *testing.T) {
+	e := New(1)
+	var got []time.Duration
+	fn := func(a any) { got = append(got, a.(time.Duration), e.Now()) }
+	e.Schedule(10*time.Millisecond, func() {
+		e.ScheduleAtArg(5*time.Millisecond, fn, time.Duration(1))  // in the past: clamps
+		e.ScheduleAtArg(12*time.Millisecond, fn, time.Duration(2)) // absolute, not now+12ms
+	})
+	e.Run()
+	want := []time.Duration{1, 10 * time.Millisecond, 2, 12 * time.Millisecond}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	e.Strict = true
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Strict ScheduleAtArg into the past did not panic")
+		}
+	}()
+	e.ScheduleAtArg(time.Millisecond, fn, nil)
+}
+
+// TestMaxEventsStopLeavesClockAtLastEvent: when the MaxEvents backstop
+// stops RunUntil with events due before its deadline still queued, the
+// clock stays at the last executed event; an engine at its cap runs
+// nothing more; and lifting the cap resumes exactly where the run
+// stopped. Advancing the clock to the deadline made the next Run panic
+// "time ran backwards" on the first queued event.
+func TestMaxEventsStopLeavesClockAtLastEvent(t *testing.T) {
+	e := New(1)
+	e.MaxEvents = 64
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		e.Schedule(time.Microsecond, tick)
+	}
+	e.Schedule(0, tick)
+	if now := e.RunUntil(250 * time.Microsecond); now != 63*time.Microsecond || n != 64 {
+		t.Fatalf("RunUntil under the cap: now %v after %d events, want 63µs after 64", now, n)
+	}
+	if now := e.Run(); now != 63*time.Microsecond || n != 64 {
+		t.Fatalf("Run at the cap: now %v after %d events, want 63µs after 64", now, n)
+	}
+	e.MaxEvents = 0
+	if now := e.RunUntil(250 * time.Microsecond); now != 250*time.Microsecond || n != 251 {
+		t.Fatalf("RunUntil without the cap: now %v after %d events, want 250µs after 251", now, n)
 	}
 }
 

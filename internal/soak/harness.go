@@ -116,6 +116,18 @@ type Harness struct {
 	slo *SLO
 
 	scratch []*soakFlow // wave worklist sorted by FlowID, reused
+
+	// Timers are bound methods scheduled with an argument the harness
+	// already owns, so none costs a closure: departures and retires
+	// carry the flow's *soakFlow (and still look the flow up by ID), and
+	// the one pending arrival and the one pending reroute wait in
+	// nextArrival and nextReroute.
+	nextArrival traffic.ChurnArrival
+	nextReroute traffic.ChurnReroute
+	arrivalFn   func()
+	rerouteFn   func()
+	departFn    func(any)
+	retireFn    func(any)
 }
 
 // NewWorkload builds the seeded churn workload for one trial under opt.
@@ -152,6 +164,10 @@ func NewHarness(sys *wiring.System, g *topo.Topology, w *traffic.ChurnWorkload, 
 		inflight:  make(map[packet.FlowID]*controlplane.UpdateStatus),
 		slo:       newSLO(opt.Episodes, opt.MaxRetriggers),
 	}
+	h.arrivalFn = h.arrive
+	h.rerouteFn = h.reroute
+	h.departFn = h.depart
+	h.retireFn = h.retireLater
 	prev := sys.Ctl.OnComplete
 	sys.Ctl.OnComplete = func(u *controlplane.UpdateStatus) {
 		if prev != nil {
@@ -209,7 +225,7 @@ func (h *Harness) retire(f packet.FlowID) {
 		if grace <= 0 {
 			grace = time.Millisecond
 		}
-		h.sys.Eng.Schedule(grace, func() { h.retire(f) })
+		h.sys.Eng.ScheduleArg(grace, h.retireFn, cf)
 		return
 	}
 	h.linkFlows.remove(cf)
@@ -234,9 +250,16 @@ func (h *Harness) onArrival(a traffic.ChurnArrival) {
 	if len(h.live) > h.c.PeakLive {
 		h.c.PeakLive = len(h.live)
 	}
-	h.sys.Eng.ScheduleAt(a.At+a.Lifetime, func() { h.onDeparture(f) })
+	h.sys.Eng.ScheduleAtArg(a.At+a.Lifetime, h.departFn, cf)
 	h.scheduleNextArrival()
 }
+
+// retireLater runs a retire scheduled with the flow's record; like every
+// flow timer it acts on whichever flow holds the ID now.
+func (h *Harness) retireLater(x any) { h.retire(x.(*soakFlow).id) }
+
+// depart runs a departure scheduled with the flow's record.
+func (h *Harness) depart(x any) { h.onDeparture(x.(*soakFlow).id) }
 
 // onDeparture retires the flow immediately when it is quiescent, or
 // defers teardown to update completion when a reroute is in flight.
@@ -351,7 +374,7 @@ func (h *Harness) onUpdateComplete(u *controlplane.UpdateStatus) {
 	}
 	cf.updating = false
 	if cf.departed {
-		h.sys.Eng.Schedule(h.opt.RetireGrace, func() { h.retire(u.Flow) })
+		h.sys.Eng.ScheduleArg(h.opt.RetireGrace, h.retireFn, cf)
 	}
 }
 
@@ -363,16 +386,24 @@ func (h *Harness) scheduleNextArrival() {
 	if !ok {
 		return
 	}
-	h.sys.Eng.ScheduleAt(a.At, func() { h.onArrival(a) })
+	h.nextArrival = a
+	h.sys.Eng.ScheduleAt(a.At, h.arrivalFn)
 }
+
+// arrive runs the pending arrival; onArrival schedules the next one.
+func (h *Harness) arrive() { h.onArrival(h.nextArrival) }
 
 func (h *Harness) scheduleNextReroute() {
 	r, ok := h.w.NextReroute()
 	if !ok {
 		return
 	}
-	h.sys.Eng.ScheduleAt(r.At, func() { h.onReroute(r) })
+	h.nextReroute = r
+	h.sys.Eng.ScheduleAt(r.At, h.rerouteFn)
 }
+
+// reroute runs the pending reroute; onReroute schedules the next one.
+func (h *Harness) reroute() { h.onReroute(h.nextReroute) }
 
 func samePath(a, b []topo.NodeID) bool {
 	if len(a) != len(b) {

@@ -2,9 +2,11 @@ package wiring
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"p4update/internal/faults"
 	"p4update/internal/packet"
 	"p4update/internal/plancache"
 	"p4update/internal/topo"
@@ -146,10 +148,66 @@ var updatePathAllocs = map[string]float64{
 	"p4update-sl":  4,
 	"p4update-dl":  4,
 	"ez-segway":    11,
-	"central":      33,
+	"central":      17,
 	"local-verify": 12,
-	"ppcu":         21,
-	"opt-oracle":   18,
+	"ppcu":         19,
+	"opt-oracle":   14,
+}
+
+// recoveryTally is what the §11 recovery path did over one run of
+// reroutes: stall reports the controller received, and the retriggers
+// and re-probes its completion watchdog and the reports spent.
+type recoveryTally struct {
+	stalls, retriggers, probeRetries int
+}
+
+// rerouteAllocs wires the named system on the ladder under cfg and
+// flips a flow between the two rails 200 times, each reroute run to
+// quiescence. It returns the allocations per reroute of a second run,
+// the first having filled the plan cache for every version it asks
+// for, and that run's recovery tally.
+func rerouteAllocs(t *testing.T, name string, cfg Config) (float64, recoveryTally) {
+	t.Helper()
+	g, rails := ladder()
+	src, dst := rails[0][0], rails[0][len(rails[0])-1]
+	cfg.Seed, cfg.System, cfg.MaxEvents, cfg.ChainedDL = 1, name, 5_000_000, true
+	cfg.Plans = plancache.New(g)
+	const updates = 200
+	run := func() (float64, recoveryTally) {
+		sys := New(g, cfg)
+		const f = packet.FlowID(77)
+		if err := sys.Ctl.RegisterFlowID(f, src, dst, rails[0], 1); err != nil {
+			t.Fatal(err)
+		}
+		var tally recoveryTally
+		rx := sys.Net.ControllerRx
+		sys.Net.ControllerRx = func(from topo.NodeID, raw []byte) {
+			var m packet.UFM
+			if len(raw) > 0 && packet.MsgType(raw[0]) == packet.TypeUFM &&
+				m.DecodeFromBytes(raw) == nil && m.Status == packet.StatusStalled {
+				tally.stalls++
+			}
+			rx(from, raw)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 1; i <= updates; i++ {
+			u, err := sys.Trigger(f, rails[i%2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Eng.Run()
+			if !u.Done() {
+				t.Fatalf("update %d did not complete", i)
+			}
+			tally.retriggers += u.Retriggers
+			tally.probeRetries += u.ProbeRetries
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs-m0.Mallocs) / updates, tally
+	}
+	run()
+	return run()
 }
 
 // TestUpdatePathAllocations pins every system's update-path allocation
@@ -163,38 +221,70 @@ var updatePathAllocs = map[string]float64{
 // took an allocation. The baselines pay for their coordinators' per-run
 // maps on top.
 func TestUpdatePathAllocations(t *testing.T) {
-	g, rails := ladder()
-	src, dst := rails[0][0], rails[0][len(rails[0])-1]
 	for _, name := range AllNames() {
 		t.Run(name, func(t *testing.T) {
-			plans := plancache.New(g)
-			const updates = 200
-			perUpdate := func() float64 {
-				sys := New(g, Config{Seed: 1, System: name, MaxEvents: 5_000_000, Plans: plans, ChainedDL: true})
-				const f = packet.FlowID(77)
-				if err := sys.Ctl.RegisterFlowID(f, src, dst, rails[0], 1); err != nil {
-					t.Fatal(err)
-				}
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				for i := 1; i <= updates; i++ {
-					u, err := sys.Trigger(f, rails[i%2])
-					if err != nil {
-						t.Fatal(err)
-					}
-					sys.Eng.Run()
-					if !u.Done() {
-						t.Fatalf("update %d did not complete", i)
-					}
-				}
-				runtime.ReadMemStats(&m1)
-				return float64(m1.Mallocs-m0.Mallocs) / updates
-			}
-			perUpdate() // fills the plan cache for every version the second run asks for
-			got := perUpdate()
+			got, _ := rerouteAllocs(t, name, Config{})
 			t.Logf("%s: %.2f allocations per reroute", name, got)
 			if max := updatePathAllocs[name]; got > max {
 				t.Errorf("a %s reroute allocates %.2f times, want at most %v", name, got, max)
+			}
+		})
+	}
+}
+
+// recoveryPathAllocs is each system's allocation budget for one reroute
+// of TestRecoveryPathAllocations, read like updatePathAllocs: the race
+// detector's reading, rounded up.
+var recoveryPathAllocs = map[string]float64{
+	"p4update":     4,
+	"p4update-sl":  4,
+	"p4update-dl":  4,
+	"ez-segway":    11,
+	"central":      17,
+	"local-verify": 12,
+	"ppcu":         19,
+	"opt-oracle":   14,
+}
+
+// lossFatal names the systems without a §11 resend: a lost instruction
+// or acknowledgement wedges their update for good (Central's status
+// carries no Resend, ez-Segway's coordinator none at all), so
+// TestRecoveryPathAllocations arms their recovery timers on a loss-free
+// channel, where the watchdogs fire and find the update done.
+var lossFatal = map[string]bool{"central": true, "ez-segway": true}
+
+// TestRecoveryPathAllocations is TestUpdatePathAllocations with §11
+// recovery armed: switch stall watchdogs, the controller's completion
+// watchdog and its retrigger budget, on a control channel that loses a
+// tenth of its frames each way. Watchdogs fire, re-arm and retrigger
+// every few reroutes; the 20 ms ProbeTimeout sits just under a ladder
+// update's ~20.3 ms, so the completion watchdog also re-probes. Every
+// timer they arm is a bound method with a pooled or already-owned
+// argument, so a P4Update reroute allocates 2.47 times here against 2.30
+// without recovery (the fault injector's and the longer runs' share),
+// and 18.7 with a closure per stall-watchdog arming.
+func TestRecoveryPathAllocations(t *testing.T) {
+	for _, name := range AllNames() {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{
+				WatchdogTimeout: 5 * time.Millisecond,
+				ProbeTimeout:    20 * time.Millisecond,
+				MaxRetriggers:   1000,
+			}
+			if !lossFatal[name] {
+				cfg.Faults = &faults.Plan{Up: faults.Rates{Drop: 0.1}, Down: faults.Rates{Drop: 0.1}}
+			}
+			got, tally := rerouteAllocs(t, name, cfg)
+			t.Logf("%s: %.2f allocations per reroute; %d stall reports, %d retriggers, %d re-probes",
+				name, got, tally.stalls, tally.retriggers, tally.probeRetries)
+			if cfg.Faults != nil && tally.retriggers == 0 {
+				t.Errorf("no retrigger in 200 lossy reroutes: the controller's recovery never ran")
+			}
+			if strings.HasPrefix(name, "p4update") && tally.stalls == 0 {
+				t.Errorf("no stall report in 200 lossy reroutes: the switch watchdogs never reported")
+			}
+			if max := recoveryPathAllocs[name]; got > max {
+				t.Errorf("a %s reroute with recovery armed allocates %.2f times, want at most %v", name, got, max)
 			}
 		})
 	}
