@@ -56,7 +56,8 @@ bench:
 # Package micro-benchmarks with allocation counts: the event engine
 # (internal/sim), the switch state (internal/dataplane: install/retire
 # at fat-tree K=16 scale, (switch, flow) lookups), the path oracle's
-# per-reroute tree repair and Yen's k-shortest paths (internal/topo),
+# per-reroute tree repair, cold centroid search (BenchmarkCentroid) and
+# Yen's k-shortest paths (internal/topo),
 # the churn harness's link→flow index (internal/soak), the Fig. 7
 # single-flow scenario search (internal/traffic) and the Fig. 7 trial
 # grid itself, per-trial wiring and beds included (internal/experiments,

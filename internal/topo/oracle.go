@@ -47,6 +47,11 @@ type dijkstraScratch struct {
 	blockedNode []bool
 	blockedNext []bool
 
+	// eccLo[n] is Centroid's lower bound on n's eccentricity, and
+	// eccKnown[n] marks a node whose eccentricity it has read off a tree.
+	eccLo    []float64
+	eccKnown []bool
+
 	yen yenScratch
 }
 
@@ -57,6 +62,8 @@ func newDijkstraScratch(n int) *dijkstraScratch {
 		pos:         make([]int32, n),
 		blockedNode: make([]bool, n),
 		blockedNext: make([]bool, n),
+		eccLo:       make([]float64, n),
+		eccKnown:    make([]bool, n),
 	}
 }
 
@@ -96,8 +103,10 @@ type PathOracle struct {
 
 	// sweeps counts the full single-source Dijkstra runs that filled a
 	// cached tree; tests assert that it grows with distinct sources, not
-	// with queries. Centroid's scratch sweeps are not counted.
-	sweeps uint64
+	// with queries. Centroid's scratch sweeps are counted apart, in
+	// centroidSweeps, which tests hold below one per node.
+	sweeps         uint64
+	centroidSweeps uint64
 
 	sc   *dijkstraScratch
 	mark []uint8 // repairIncrease's subtree classification
@@ -176,44 +185,94 @@ func (tr spTree) pathTo(root []NodeID, dst NodeID) ([]NodeID, float64) {
 	return path, tr.d[dst]
 }
 
+// centroidMargin is the relative slack Centroid leaves before it rules
+// a node out on its eccentricity bound. A bound and an eccentricity are
+// float path sums and differences that can each round by at most about
+// N·2⁻⁵² of the radius, far below this margin, so a node whose
+// eccentricity might tie the best one is always swept and compared
+// exactly.
+const centroidMargin = 1e-9
+
 // Centroid returns the node minimizing the worst-case latency-weighted
-// distance to all other nodes, memoized per topology generation. Each
-// node's eccentricity is read off its cached tree when one exists and
-// otherwise off a sweep on the scratch, so Centroid leaves the tree
-// cache as it found it: latency repair (repair.go) then only has the
-// trees path queries asked for to keep up.
+// distance to all other nodes, the lowest-index one on a tie, memoized
+// per topology generation.
+//
+// It finds that node with the eccentricity-bounds search of Takes and
+// Kosters ("Computing the eccentricity distribution of large graphs",
+// Algorithms 2013) rather than one sweep per node. A tree from u gives
+// u's eccentricity and, for every node v, the lower bound
+// ecc(v) ≥ max(d(u,v), ecc(u) − d(u,v)). Cached ByLatency trees are
+// read first, as they cost nothing; then the node with the smallest
+// bound is swept next, until every node not yet swept has a bound
+// beyond the best eccentricity by more than centroidMargin. The sweeps
+// run on the scratch, so Centroid leaves the tree cache as it found
+// it: latency repair (repair.go) then only has the trees path queries
+// asked for to keep up.
 func (o *PathOracle) Centroid() NodeID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.refresh()
-	if o.haveCentroid {
-		return o.centroid
+	if !o.haveCentroid {
+		o.centroid = o.centroidLocked()
+		o.haveCentroid = true
 	}
-	best := NodeID(0)
-	bestWorst := math.Inf(1)
+	return o.centroid
+}
+
+// centroidLocked runs Centroid's bounds search. Callers hold o.mu.
+func (o *PathOracle) centroidLocked() NodeID {
 	sc := o.sc
-	for n := range o.t.nodes {
-		src := NodeID(n)
-		tr, ok := o.tree[distKey{src, ByLatency}]
-		if !ok {
-			tr = spTree{d: sc.d, prev: sc.prev}
-			sc.start(tr, src)
-			o.relaxFromHeap(tr.d, tr.prev, ByLatency)
-		}
-		worst := 0.0
-		for _, d := range tr.d {
-			if d > worst {
-				worst = d
+	clear(sc.eccLo)
+	clear(sc.eccKnown)
+	best, bestEcc := NodeID(0), math.Inf(1)
+	// fold reads u's eccentricity off its distances d and raises every
+	// bound by it. It reports false once u reaches not every node: then
+	// the graph is disconnected, every eccentricity is +Inf, and node 0
+	// is the lowest-index one of them (ecc(u) − d(u,v) would be NaN).
+	fold := func(u NodeID, d []float64) bool {
+		ecc := 0.0
+		for _, x := range d {
+			if x > ecc {
+				ecc = x
 			}
 		}
-		if worst < bestWorst {
-			bestWorst = worst
-			best = src
+		if math.IsInf(ecc, 1) {
+			return false
+		}
+		sc.eccKnown[u] = true
+		for v, x := range d {
+			if b := math.Max(x, ecc-x); b > sc.eccLo[v] {
+				sc.eccLo[v] = b
+			}
+		}
+		if ecc < bestEcc || (ecc == bestEcc && u < best) {
+			best, bestEcc = u, ecc
+		}
+		return true
+	}
+	for k, tr := range o.tree {
+		if k.w == ByLatency && !fold(k.src, tr.d) {
+			return 0
 		}
 	}
-	o.centroid = best
-	o.haveCentroid = true
-	return best
+	tr := spTree{d: sc.d, prev: sc.prev}
+	for {
+		next := NodeID(-1)
+		for v, known := range sc.eccKnown {
+			if !known && (next < 0 || sc.eccLo[v] < sc.eccLo[next]) {
+				next = NodeID(v)
+			}
+		}
+		if next < 0 || sc.eccLo[next] > bestEcc*(1+centroidMargin) {
+			return best
+		}
+		o.centroidSweeps++
+		sc.start(tr, next)
+		o.relaxFromHeap(tr.d, tr.prev, ByLatency)
+		if !fold(next, tr.d) {
+			return 0
+		}
+	}
 }
 
 // sweep runs a full single-source Dijkstra into a fresh spTree. Callers

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -32,3 +33,25 @@ func BenchmarkRerouteRepair(b *testing.B) {
 		b.Fatalf("%d cached trees, want the %d queried edge switches", trees, len(edges))
 	}
 }
+
+// BenchmarkCentroid is a cold Centroid on a jittered fat-tree, the
+// controller placement every churn trial pays once: each op drops the
+// memoized result, and with no cached trees the bounds search sweeps
+// the scratch alone (sweeps/op reports how many of the NumNodes).
+func BenchmarkCentroid(b *testing.B) {
+	for _, k := range []int{16, 32} {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			g := jitteredFatTree(k, 1)
+			o := g.Oracle()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.haveCentroid = false
+				benchNode = g.Centroid()
+			}
+			b.ReportMetric(float64(o.centroidSweeps)/float64(b.N), "sweeps/op")
+		})
+	}
+}
+
+var benchNode NodeID

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -256,6 +257,127 @@ func TestCentroidCachesNothing(t *testing.T) {
 		}
 		if len(o.tree) != 4 || o.sweeps != 4 {
 			t.Fatalf("seed %d: %d trees, %d sweeps after 4 queried sources and Centroid, want 4 each", seed, len(o.tree), o.sweeps)
+		}
+	}
+}
+
+// tieTree builds a seeded random tree whose links weigh 1, 2 or 3 ms:
+// two centres of equal eccentricity often lie apart, so the search can
+// reach the higher-index one first, and the lower-index one's bound can
+// equal the best eccentricity exactly.
+func tieTree(n int, seed int64) *Topology {
+	rng := rand.New(rand.NewSource(seed))
+	g := New("tie-tree")
+	for i := 0; i < n; i++ {
+		g.AddNode("", 0, 0)
+	}
+	for i := 1; i < n; i++ {
+		g.AddLink(NodeID(rng.Intn(i)), NodeID(i), time.Duration(1+rng.Intn(3))*time.Millisecond, 100)
+	}
+	return g
+}
+
+// TestCentroidMatchesAllTrees holds the bounds search to the all-trees
+// reference on every shape it can meet: jittered fat-trees, where
+// eccentricities are close but distinct; unjittered ones, where every
+// eccentricity ties and the lowest index must win; the WAN topologies
+// plain and jittered; disconnected graphs, where every eccentricity is
+// +Inf and the reference returns node 0; one node; cached trees,
+// repaired after a SetLinkLatency or tied with every other node, which
+// the search folds in first; and small random graphs and trees full of
+// exact ties. It also counts the scratch sweeps: never more than one per
+// node, one on a disconnected graph, and at most 100 of the 320 on
+// jittered K=16.
+func TestCentroidMatchesAllTrees(t *testing.T) {
+	type tc struct {
+		name      string
+		mk        func() *Topology
+		prep      func(*Topology) // cache trees before the tested Centroid
+		maxSweeps int             // 0: one per node
+	}
+	jittered := func(mk func() *Topology) func() *Topology {
+		return func() *Topology {
+			g := mk()
+			jitterLatencies(g, rand.New(rand.NewSource(7)))
+			return g
+		}
+	}
+	var cases []tc
+	for _, k := range []int{4, 8, 16} {
+		for seed := int64(1); seed <= 5; seed++ {
+			k, seed := k, seed
+			c := tc{name: fmt.Sprintf("fattree-k%d-jitter%d", k, seed), mk: func() *Topology { return jitteredFatTree(k, seed) }}
+			if k == 16 {
+				c.maxSweeps = 100
+			}
+			cases = append(cases, c)
+		}
+	}
+	for _, k := range []int{4, 8} {
+		k := k
+		cases = append(cases, tc{name: fmt.Sprintf("fattree-k%d", k), mk: func() *Topology { return FatTree(k) }})
+	}
+	for _, mk := range []func() *Topology{B4, Internet2, AttMpls, Chinanet, Synthetic} {
+		name := mk().Name
+		cases = append(cases, tc{name: name, mk: mk}, tc{name: name + "-jitter", mk: jittered(mk)})
+	}
+	cases = append(cases,
+		tc{name: "two-components", mk: func() *Topology {
+			g := oracleLine(2)
+			g.AddNode("", 0, 0)
+			g.AddNode("", 0, 0)
+			g.AddLink(2, 3, 2*time.Millisecond, 100)
+			return g
+		}, maxSweeps: 1},
+		tc{name: "isolated-node", mk: func() *Topology {
+			g := oracleLine(5)
+			g.AddNode("", 0, 0)
+			return g
+		}, maxSweeps: 1},
+		tc{name: "one-node", mk: func() *Topology { return oracleLine(1) }},
+		tc{name: "cached-after-SetLinkLatency", mk: func() *Topology {
+			g := jitteredFatTree(8, 2)
+			g.SetLinkLatency(0, 3*g.Link(0).Latency)
+			return g
+		}, prep: func(g *Topology) {
+			g.Centroid()
+			g.SetLinkLatency(1, g.Link(1).Latency/2)
+			edges := EdgeSwitches(g)
+			for _, s := range edges[:4] {
+				g.ShortestPath(s, edges[len(edges)-1], ByLatency)
+			}
+			g.SetLinkLatency(2, 2*g.Link(2).Latency)
+		}},
+		tc{name: "fattree-k4-cached-tie", mk: func() *Topology { return FatTree(4) }, prep: func(g *Topology) {
+			g.Distances(NodeID(g.NumNodes()-1), ByLatency)
+		}},
+	)
+	for seed := int64(0); seed < 40; seed++ {
+		seed := seed
+		cases = append(cases, tc{name: fmt.Sprintf("ties-%d", seed), mk: func() *Topology {
+			return tieGraph(6+int(seed%13), 8+int(3*seed%29), int(seed%3), seed)
+		}}, tc{name: fmt.Sprintf("tree-%d", seed), mk: func() *Topology {
+			return tieTree(6+int(seed%7), seed)
+		}})
+	}
+	for _, c := range cases {
+		g := c.mk()
+		if c.prep != nil {
+			c.prep(g)
+		}
+		ref := cloneWithLatencies(c.mk, g)
+		o := g.Oracle()
+		before := o.centroidSweeps
+		got, want := g.Centroid(), allTreesCentroid(ref)
+		if got != want {
+			t.Errorf("%s: Centroid = %d, all-trees reference %d", c.name, got, want)
+		}
+		limit := c.maxSweeps
+		if limit == 0 {
+			limit = g.NumNodes()
+		}
+		if n := o.centroidSweeps - before; n > uint64(limit) {
+			t.Errorf("%s: Centroid ran %d sweeps on %d nodes, want at most %d", c.name, n, g.NumNodes(), limit)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -202,11 +204,16 @@ func (t *Topology) Centroid() NodeID {
 
 // ControlLatencies returns the control-channel latency from the controller
 // node to every switch: the latency-weighted shortest-path distance, in
-// a fresh slice the caller owns.
+// a fresh slice the caller owns. It panics, naming the first such
+// switch, when a switch cannot reach the controller: it has no control
+// channel to give a latency.
 func (t *Topology) ControlLatencies(controller NodeID) []time.Duration {
 	dist := t.Distances(controller, ByLatency)
 	out := make([]time.Duration, len(dist))
 	for i, d := range dist {
+		if math.IsInf(d, 1) {
+			panic(fmt.Sprintf("topo: switch %d %q unreachable from controller %d on %q", i, t.nodes[i].Name, controller, t.Name))
+		}
 		out[i] = time.Duration(d * float64(time.Second))
 	}
 	return out

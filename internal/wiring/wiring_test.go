@@ -37,6 +37,42 @@ func TestNewWiresStrategySpecificControllers(t *testing.T) {
 	}
 }
 
+// TestUnreachableSwitchPanics: on a topology in two components, some
+// switch has no control channel to the controller, and both wirings
+// that derive control latency from propagation — the centroid default
+// and a pinned Controller — refuse it by name instead of handing that
+// switch a negative latency.
+func TestUnreachableSwitchPanics(t *testing.T) {
+	twoComponents := func() *topo.Topology {
+		g := topo.New("two-components")
+		for _, name := range []string{"a", "b", "c", "d"} {
+			g.AddNode(name, 0, 0)
+		}
+		g.AddLink(0, 1, time.Millisecond, 100)
+		g.AddLink(2, 3, time.Millisecond, 100)
+		return g
+	}
+	pinned := topo.NodeID(3)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"centroid", Config{Seed: 1}, `switch 2 "c" unreachable from controller 0`},
+		{"pinned", Config{Seed: 1, Controller: &pinned}, `switch 0 "a" unreachable from controller 3`},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one naming %s", c.name, msg, c.want)
+				}
+			}()
+			New(twoComponents(), c.cfg)
+		}()
+	}
+}
+
 // TestTriggerCompletesUnderEveryStrategy drives one full update through
 // the dispatch path of every registered system.
 func TestTriggerCompletesUnderEveryStrategy(t *testing.T) {
