@@ -37,7 +37,7 @@ test:
 # third adds the churn and soak harness tests, which drive the pool end
 # to end.
 race:
-	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/topo/... ./internal/plancache/... ./internal/faults/... ./internal/audit/... ./internal/trace/... ./internal/wiring/... ./internal/central/... ./internal/ezsegway/... ./internal/localverify/... ./internal/ppcu/... ./internal/optoracle/... ./internal/dataplane/... ./internal/controlplane/... ./internal/traffic/... ./internal/packet/... ./internal/soak/... ./internal/transport/... ./internal/replaydiff/... ./internal/deploy/...
+	$(GO) test -race ./internal/runner/... ./internal/sim/... ./internal/topo/... ./internal/plancache/... ./internal/faults/... ./internal/audit/... ./internal/trace/... ./internal/wiring/... ./internal/central/... ./internal/ezsegway/... ./internal/ppcu/... ./internal/optoracle/... ./internal/dataplane/... ./internal/controlplane/... ./internal/traffic/... ./internal/packet/... ./internal/soak/... ./internal/transport/... ./internal/replaydiff/... ./internal/deploy/...
 	$(GO) test -race -count=10 -run 'TestOracleConcurrentCentroid' ./internal/topo/
 	$(GO) test -race -run 'Churn|Soak' ./internal/experiments/
 

@@ -263,7 +263,7 @@ func (w *writer) act() {
 
 // TestIncrementalSweepMatchesFullSweep hooks the auditor and the
 // reference to one engine and holds every sweep's deltas and the final
-// reports equal: six systems × three fault cells × two sweep periods ×
+// reports equal: five systems × three fault cells × two sweep periods ×
 // three seeds on B4, two thirds of the trials with the writer above
 // acting after every fourth step.
 func TestIncrementalSweepMatchesFullSweep(t *testing.T) {

@@ -470,8 +470,8 @@ func (c *Controller) fireUpdateWatchdog(x any) {
 }
 
 // retrigger spends one unit of u's §11 budget on re-sending the update:
-// the plan's indications, or — for plan-less systems (LocalVerify, the
-// RoundExecutor's) — whatever their own scheduling loop re-sends.
+// the plan's indications, or — for the plan-less RoundExecutor
+// systems — whatever their own scheduling loop re-sends.
 // Callers check the budget and the ProbeTimeout spacing first.
 func (c *Controller) retrigger(u *UpdateStatus) {
 	u.Retriggers++
@@ -503,8 +503,7 @@ func (c *Controller) injectProbe(u *UpdateStatus) {
 
 // TrackOnly registers completion tracking for (flow, version, newPath)
 // without sending anything — for systems that send messages through
-// their own scheduling loop (the RoundExecutor, LocalVerify, deployment
-// mode).
+// their own scheduling loop (the RoundExecutor, deployment mode).
 func (c *Controller) TrackOnly(flow packet.FlowID, version uint32, oldPath, newPath, pendingNodes []topo.NodeID, rec *FlowRecord) *UpdateStatus {
 	return c.PushMessages(flow, version, oldPath, newPath, pendingNodes, nil, nil, rec)
 }

@@ -10,10 +10,9 @@ import (
 // Planner is the unified planning seam shared by every update system: a
 // memoizer for pure plan-preparation functions. Plan preparation —
 // P4Update segment decomposition, ez-Segway message plans and
-// dependency graphs, LocalVerify instruction waves, OptOracle round
-// schedules — is a pure function of (topology, flow, paths, version,
-// ...), so a cache keyed on those arguments returns byte-identical
-// plans. Each system owns a small XxxCached wrapper that builds its key
+// dependency graphs, OptOracle round schedules — is a pure function of
+// (topology, flow, paths, version, ...), so a cache keyed on those
+// arguments returns byte-identical plans. Each system owns a small XxxCached wrapper that builds its key
 // (a KeyBuf with a distinguishing prefix byte), asks Cached first and
 // builds the compute closure for Memo only on a miss, so a hit
 // allocates nothing; internal/plancache provides the shared

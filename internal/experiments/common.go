@@ -26,12 +26,11 @@ type SystemKind string
 // The registered systems: the paper's three-way comparison plus the
 // systems added behind the registry.
 const (
-	KindP4Update    SystemKind = "p4update"
-	KindEZSegway    SystemKind = "ez-segway"
-	KindCentral     SystemKind = "central"
-	KindLocalVerify SystemKind = "local-verify"
-	KindPPCU        SystemKind = "ppcu"
-	KindOptOracle   SystemKind = "opt-oracle"
+	KindP4Update  SystemKind = "p4update"
+	KindEZSegway  SystemKind = "ez-segway"
+	KindCentral   SystemKind = "central"
+	KindPPCU      SystemKind = "ppcu"
+	KindOptOracle SystemKind = "opt-oracle"
 )
 
 // String implements fmt.Stringer: the registry display name, or the raw
@@ -55,6 +54,17 @@ func AllSystems() []SystemKind {
 		out[i] = SystemKind(n)
 	}
 	return out
+}
+
+// nameWidth sizes a table's name column to the longest of its rows'
+// names, never below def: the width the table's default rows print at,
+// so default output keeps its layout and a longer name (a variant such
+// as P4Update/SL) widens the column instead of shifting its row.
+func nameWidth[R any](def int, rows []R, name func(R) string) int {
+	for _, r := range rows {
+		def = max(def, len(name(r)))
+	}
+	return def
 }
 
 // RunOptions controls how an experiment's trial grid executes. The zero

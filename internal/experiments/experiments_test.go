@@ -182,7 +182,6 @@ func TestSystemKindString(t *testing.T) {
 		{KindP4Update, "P4Update"},
 		{KindEZSegway, "ez-Segway"},
 		{KindCentral, "Central"},
-		{KindLocalVerify, "LocalVerify"},
 		{KindPPCU, "PPCU"},
 		{KindOptOracle, "OptOracle"},
 		{SystemKind(""), "unknown"},
@@ -214,4 +213,43 @@ func TestFig7ParallelMatchesSequential(t *testing.T) {
 	if seq.CDFSeries() != par.CDFSeries() {
 		t.Error("parallel CDF series differs from sequential")
 	}
+}
+
+// TestLongSystemNameKeepsColumns: a name longer than the table's default
+// column (P4Update/SL, 11 characters against the faults table's 10)
+// widens the column instead of pushing its row's later columns right.
+func TestLongSystemNameKeepsColumns(t *testing.T) {
+	res, err := FaultSweep([]float64{0}, []float64{0}, 0, 1, 1, 1,
+		RunOptions{Workers: 1, Systems: []SystemKind{"p4update-sl", KindP4Update}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(res.String(), "\n")
+	header, sl := lines[1], lines[2]
+	if !strings.HasPrefix(sl, "P4Update/SL ") {
+		t.Fatalf("first row is %q, want the P4Update/SL row", sl)
+	}
+	// Column ends of the right-aligned columns shared by header and row:
+	// loss, reorder, mean-time, retriggers, loops, blkhole, overcap.
+	want, got := fieldEnds(header), fieldEnds(sl)
+	if len(want) != len(got) {
+		t.Fatalf("header has %d columns, row %d:\n%s\n%s", len(want), len(got), header, sl)
+	}
+	for _, col := range []int{1, 2, 5, 6, 7, 8, 9} {
+		if got[col] != want[col] {
+			t.Errorf("column %d ends at %d in the row, %d in the header:\n%s\n%s",
+				col, got[col], want[col], header, sl)
+		}
+	}
+}
+
+// fieldEnds returns the offset just past each whitespace-separated field.
+func fieldEnds(line string) []int {
+	var ends []int
+	for i := 0; i < len(line); i++ {
+		if line[i] != ' ' && (i+1 == len(line) || line[i+1] == ' ') {
+			ends = append(ends, i+1)
+		}
+	}
+	return ends
 }

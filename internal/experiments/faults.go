@@ -77,8 +77,9 @@ type FaultsResult struct {
 func (r *FaultsResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Faults: %s ==\n", r.Label)
-	fmt.Fprintf(&b, "%-10s %5s %7s %9s %11s %10s %10s %5s %7s %7s\n",
-		"system", "loss", "reorder", "runs-done", "flows-done",
+	w := nameWidth(10, r.Rows, func(row FaultRow) string { return row.System.String() })
+	fmt.Fprintf(&b, "%-*s %5s %7s %9s %11s %10s %10s %5s %7s %7s\n",
+		w, "system", "loss", "reorder", "runs-done", "flows-done",
 		"mean-time", "retriggers", "loops", "blkhole", "overcap")
 	for i := range r.Rows {
 		row := &r.Rows[i]
@@ -86,8 +87,8 @@ func (r *FaultsResult) String() string {
 		if row.MeanDone > 0 {
 			mean = row.MeanDone.Round(time.Millisecond).String()
 		}
-		fmt.Fprintf(&b, "%-10s %5.2f %7.2f %5d/%-3d %7d/%-3d %10s %10d %5d %7d %7d\n",
-			row.System, row.Cell.Loss, row.Cell.Reorder,
+		fmt.Fprintf(&b, "%-*s %5.2f %7.2f %5d/%-3d %7d/%-3d %10s %10d %5d %7d %7d\n",
+			w, row.System, row.Cell.Loss, row.Cell.Reorder,
 			row.Completed, row.Runs, row.FlowsDone, row.Flows,
 			mean, row.Retriggers, row.Loops, row.Blackholes, row.OverCapacity)
 	}

@@ -39,8 +39,9 @@ func (r *Fig7Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Fig. 7: %s ==\n", r.Label)
 	var p4u, ez time.Duration
+	w := nameWidth(10, r.Series, func(s Series) string { return s.System.String() })
 	for _, s := range r.Series {
-		fmt.Fprintf(&b, "%-10s %s", s.System, s.CDF.Summary())
+		fmt.Fprintf(&b, "%-*s %s", w, s.System, s.CDF.Summary())
 		if s.Failed > 0 {
 			fmt.Fprintf(&b, "  FAILED=%d", s.Failed)
 		}

@@ -5,17 +5,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"p4update/internal/topo"
 	"p4update/internal/trace"
+	"p4update/internal/wiring"
 )
 
 // The golden-trace tests pin the flight recorder's event log for two
 // canonical trials byte for byte: the Fig-2 inconsistent-update scenario
-// under P4Update and the Fig-7 B4 single-flow trial. Any change to the
-// protocol's message order, verification decisions, or the trace format
-// itself shows up as a golden diff.
+// under P4Update and the Fig-7 B4 single-flow trial under every
+// registered system and variant. Any change to the protocol's message
+// order, verification decisions, or the trace format itself shows up as
+// a golden diff.
 //
 // To regenerate the golden files after an intentional change:
 //
@@ -78,47 +81,84 @@ func TestGoldenTraceFig2(t *testing.T) {
 	checkGolden(t, "golden_fig2_p4update.jsonl", jsonl(t, rec))
 }
 
-func TestGoldenTraceFig7B4(t *testing.T) {
-	res, err := Fig7SingleFlowOpts(topo.B4, "B4", 1, 1,
-		RunOptions{Workers: 1, Trace: &trace.Options{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trial 0 is P4Update run00 (system-major, run-minor grid order).
-	tr := res.Trials[0]
-	if tr.System != KindP4Update.String() {
-		t.Fatalf("trial 0 is %s, want P4Update", tr.System)
-	}
-	checkGolden(t, "golden_fig7_b4_p4update.jsonl", jsonl(t, tr.TraceRec))
+// fig7B4Golden names the golden file pinning kind's B4 single-flow
+// trial: the registry name without its dashes.
+func fig7B4Golden(kind SystemKind) string {
+	return "golden_fig7_b4_" + strings.ReplaceAll(string(kind), "-", "") + ".jsonl"
 }
 
-// TestGoldenTraceFig7B4NewSystems pins the event logs of the two
-// published baselines and the three registry-added systems on the same
-// B4 single-flow trial the P4Update golden covers: their instruction
-// waves, verification verdicts, phase flips and round boundaries are
-// locked byte for byte.
-func TestGoldenTraceFig7B4NewSystems(t *testing.T) {
-	kinds := []SystemKind{KindEZSegway, KindCentral, KindLocalVerify, KindPPCU, KindOptOracle}
+// p4updateFamily is P4Update and its forced-layer variants: every
+// registered name outside the primary list. The forced single-layer
+// variant is the one golden that pins Alg. 1 on B4 — the §7.5 policy
+// picks the dual layer for P4Update's own trial.
+func p4updateFamily() []SystemKind {
+	family := []SystemKind{KindP4Update}
+	for _, name := range wiring.AllNames()[len(wiring.Names()):] {
+		family = append(family, SystemKind(name))
+	}
+	return family
+}
+
+// baselines is every registered primary other than P4Update.
+func baselines() []SystemKind {
+	var out []SystemKind
+	for _, kind := range AllSystems() {
+		if kind != KindP4Update {
+			out = append(out, kind)
+		}
+	}
+	return out
+}
+
+// checkFig7B4Goldens runs the Fig-7 B4 single-flow trial (run 0) under
+// each of kinds and compares every trace against its golden.
+func checkFig7B4Goldens(t *testing.T, kinds []SystemKind) {
+	t.Helper()
 	res, err := Fig7SingleFlowOpts(topo.B4, "B4", 1, 1,
 		RunOptions{Workers: 1, Trace: &trace.Options{}, Systems: kinds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := []string{
-		"golden_fig7_b4_ezsegway.jsonl",
-		"golden_fig7_b4_central.jsonl",
-		"golden_fig7_b4_localverify.jsonl",
-		"golden_fig7_b4_ppcu.jsonl",
-		"golden_fig7_b4_optoracle.jsonl",
-	}
-	if len(res.Trials) != len(files) {
-		t.Fatalf("%d trials, want %d", len(res.Trials), len(files))
+	if len(res.Trials) != len(kinds) {
+		t.Fatalf("%d trials, want %d", len(res.Trials), len(kinds))
 	}
 	for i, tr := range res.Trials {
 		if tr.System != kinds[i].String() {
 			t.Fatalf("trial %d is %s, want %s", i, tr.System, kinds[i])
 		}
-		checkGolden(t, files[i], jsonl(t, tr.TraceRec))
+		checkGolden(t, fig7B4Golden(kinds[i]), jsonl(t, tr.TraceRec))
+	}
+}
+
+// TestGoldenTraceFig7B4 pins P4Update's event log on the B4 single-flow
+// trial, under the §7.5 policy and under each forced layer.
+func TestGoldenTraceFig7B4(t *testing.T) {
+	checkFig7B4Goldens(t, p4updateFamily())
+}
+
+// TestGoldenTraceFig7B4NewSystems pins the event logs of every other
+// registered system on the same trial: their instruction waves,
+// verification verdicts, phase flips and round boundaries are locked
+// byte for byte.
+func TestGoldenTraceFig7B4NewSystems(t *testing.T) {
+	checkFig7B4Goldens(t, baselines())
+}
+
+// TestNoOrphanGoldens fails on a golden file no golden test reads, so a
+// system dropped from the registry cannot leave its golden behind.
+func TestNoOrphanGoldens(t *testing.T) {
+	read := map[string]bool{"golden_fig2_p4update.jsonl": true}
+	for _, kind := range append(p4updateFamily(), baselines()...) {
+		read[fig7B4Golden(kind)] = true
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "golden_*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !read[filepath.Base(f)] {
+			t.Errorf("%s: no golden test reads it", f)
+		}
 	}
 }
 

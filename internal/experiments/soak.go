@@ -72,17 +72,18 @@ type SoakResult struct {
 func (r *SoakResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Soak: %s ==\n", r.Label)
-	fmt.Fprintf(&b, "%-29s %-10s %8s %19s %13s %7s %7s %6s %7s %6s %7s %5s\n",
-		"trial", "storm", "avail%", "p50/p99/p999(ms)", "done/trig",
+	w := nameWidth(29, r.Trials, func(t runner.Result) string { return t.Label })
+	fmt.Fprintf(&b, "%-*s %-10s %8s %19s %13s %7s %7s %6s %7s %6s %7s %5s\n",
+		w, "trial", "storm", "avail%", "p50/p99/p999(ms)", "done/trig",
 		"confirm", "orphan", "stall", "retrig", "burn%", "recov", "viol")
 	for i, t := range r.Trials {
 		if t.Failed {
-			fmt.Fprintf(&b, "%-29s FAILED: %s\n", t.Label, t.Err)
+			fmt.Fprintf(&b, "%-*s FAILED: %s\n", w, t.Label, t.Err)
 			continue
 		}
 		rep := r.Reports[i]
 		if rep == nil {
-			fmt.Fprintf(&b, "%-29s (no report)\n", t.Label)
+			fmt.Fprintf(&b, "%-*s (no report)\n", w, t.Label)
 			continue
 		}
 		recovered, episodes := 0, 0
@@ -90,8 +91,8 @@ func (r *SoakResult) String() string {
 			recovered += cl.Recovered
 			episodes += cl.Episodes
 		}
-		fmt.Fprintf(&b, "%-29s %-10s %8.3f %6.2f/%5.2f/%5.2f %6d/%-6d %7d %7d %6d %7d %6.2f %3d/%-3d %5d\n",
-			t.Label, rep.Profile, rep.AvailabilityPct,
+		fmt.Fprintf(&b, "%-*s %-10s %8.3f %6.2f/%5.2f/%5.2f %6d/%-6d %7d %7d %6d %7d %6.2f %3d/%-3d %5d\n",
+			w, t.Label, rep.Profile, rep.AvailabilityPct,
 			rep.Latency.P50Ms, rep.Latency.P99Ms, rep.Latency.P999Ms,
 			rep.UpdatesCompleted, rep.UpdatesTriggered,
 			rep.Confirming, rep.CrashOrphaned, rep.Stalled,

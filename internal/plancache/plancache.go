@@ -1,11 +1,10 @@
 // Package plancache memoizes control-plane preparation across the
 // trials of one figure. Plan preparation — P4Update segment
 // decomposition + UIM batches, ez-Segway message plans and congestion
-// dependency graphs, LocalVerify instruction waves, OptOracle round
-// schedules — is a pure function of (topology, flow, paths, version,
-// size, ...), so when every trial of a grid shares one frozen topology
-// the plans can be computed once and handed — immutable — to each trial
-// instead of being rebuilt per trial.
+// dependency graphs, OptOracle round schedules — is a pure function of
+// (topology, flow, paths, version, size, ...), so when every trial of a
+// grid shares one frozen topology the plans can be computed once and
+// handed — immutable — to each trial instead of being rebuilt per trial.
 //
 // Cache implements the unified controlplane.Planner seam: each system's
 // XxxCached wrapper builds a collision-free key (controlplane.KeyBuf

@@ -1,10 +1,11 @@
 package runner_test
 
 // Determinism and fault-tolerance coverage for the systems added behind
-// the update-system registry (local-verify, ppcu, opt-oracle). The
-// pre-existing grids cover them too (the default system list now spans
-// the whole registry), but these tests pin the new systems' guarantees
-// in isolation so a regression names them directly.
+// the update-system registry (ppcu, opt-oracle) and for the forced
+// single-layer P4Update variant, which no default grid runs. The
+// pre-existing grids cover the primaries too (the default system list
+// spans the whole registry), but these tests pin each system's
+// guarantees in isolation so a regression names it directly.
 
 import (
 	"reflect"
@@ -16,13 +17,13 @@ import (
 )
 
 var newSystems = []experiments.SystemKind{
-	experiments.KindLocalVerify,
+	"p4update-sl",
 	experiments.KindPPCU,
 	experiments.KindOptOracle,
 }
 
 // TestNewSystemsDeterministicAcrossWorkerCounts shards the single-flow
-// grid restricted to the three new systems across 1, 2, 4 and 8 workers
+// grid restricted to these three systems across 1, 2, 4 and 8 workers
 // and requires identical merged results — including each trial's Extra
 // metrics, which therefore must only carry deterministic values.
 func TestNewSystemsDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -50,9 +51,9 @@ func TestNewSystemsDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestNewSystemsCompleteUnderFaults runs the chaos cell the §11
 // evaluation calls heavy — 20% frame loss, 20% reordering, one switch
 // crash/restart cycle — with the invariant auditor sweeping every step,
-// and requires every flow update of every new system to complete: their
-// recovery paths (instruction re-sends, round re-sends, phase re-flips)
-// must survive arbitrary loss like P4Update's do.
+// and requires every flow update of each of these systems to complete:
+// their recovery paths (§11 watchdogs, round re-sends, phase re-flips)
+// must survive arbitrary loss.
 func TestNewSystemsCompleteUnderFaults(t *testing.T) {
 	res, err := experiments.FaultSweep([]float64{0.2}, []float64{0.2}, 1, 1, 2, 1,
 		experiments.RunOptions{Systems: newSystems})

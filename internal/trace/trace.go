@@ -133,9 +133,6 @@ const (
 	CodeApplyEZ
 	// CodeApplyCentral: the Central baseline applied a round instruction.
 	CodeApplyCentral
-	// CodeApplyLV: the LocalVerify baseline verified its downstream
-	// confirmation and applied.
-	CodeApplyLV
 	// CodeApplyPPCU: the PPCU baseline applied a per-packet-consistency
 	// phase rule.
 	CodeApplyPPCU
@@ -183,8 +180,6 @@ func (c Code) String() string {
 		return "apply-ez"
 	case CodeApplyCentral:
 		return "apply-central"
-	case CodeApplyLV:
-		return "apply-lv"
 	case CodeApplyPPCU:
 		return "apply-ppcu"
 	case CodeApplyOracle:
@@ -228,7 +223,7 @@ type Event struct {
 const DefaultCap = 1 << 14
 
 // maxClass bounds the per-class counter table; every Class value in use
-// (message types ≤ 18, reason codes ≤ 17, alarm reasons ≤ 3) fits.
+// (message types ≤ 18, reason codes ≤ 19, alarm reasons ≤ 3) fits.
 const maxClass = 32
 
 // Options configures a recorder.

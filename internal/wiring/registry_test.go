@@ -30,7 +30,7 @@ func buildNamed(t *testing.T, name string, topt *trace.Options) (*System, packet
 // TestRegistryNames pins the registration order (the figures' series
 // order) and the primary/variant split.
 func TestRegistryNames(t *testing.T) {
-	wantPrimary := []string{"p4update", "ez-segway", "central", "local-verify", "ppcu", "opt-oracle"}
+	wantPrimary := []string{"p4update", "ez-segway", "central", "ppcu", "opt-oracle"}
 	got := Names()
 	if len(got) != len(wantPrimary) {
 		t.Fatalf("Names() = %v, want %v", got, wantPrimary)
@@ -144,14 +144,13 @@ func ladder() (*topo.Topology, [2][]topo.NodeID) {
 // of TestUpdatePathAllocations: its reading under the race detector,
 // which adds one allocation a reroute to the plain build's, rounded up.
 var updatePathAllocs = map[string]float64{
-	"p4update":     4,
-	"p4update-sl":  4,
-	"p4update-dl":  4,
-	"ez-segway":    11,
-	"central":      17,
-	"local-verify": 12,
-	"ppcu":         19,
-	"opt-oracle":   14,
+	"p4update":    4,
+	"p4update-sl": 4,
+	"p4update-dl": 4,
+	"ez-segway":   11,
+	"central":     17,
+	"ppcu":        19,
+	"opt-oracle":  14,
 }
 
 // recoveryTally is what the §11 recovery path did over one run of
@@ -236,14 +235,13 @@ func TestUpdatePathAllocations(t *testing.T) {
 // of TestRecoveryPathAllocations, read like updatePathAllocs: the race
 // detector's reading, rounded up.
 var recoveryPathAllocs = map[string]float64{
-	"p4update":     4,
-	"p4update-sl":  4,
-	"p4update-dl":  4,
-	"ez-segway":    11,
-	"central":      17,
-	"local-verify": 12,
-	"ppcu":         19,
-	"opt-oracle":   14,
+	"p4update":    4,
+	"p4update-sl": 4,
+	"p4update-dl": 4,
+	"ez-segway":   11,
+	"central":     17,
+	"ppcu":        19,
+	"opt-oracle":  14,
 }
 
 // lossFatal names the systems without a §11 resend: a lost instruction
@@ -298,7 +296,7 @@ func TestCrashBeforeCommitLosesTheInstall(t *testing.T) {
 	g, rails := ladder()
 	src, dst := rails[0][0], rails[0][len(rails[0])-1]
 	port := g.PortTo(src, rails[1][1])
-	for _, name := range []string{"central", "ppcu", "local-verify", "opt-oracle", "ez-segway"} {
+	for _, name := range []string{"central", "ppcu", "opt-oracle", "ez-segway"} {
 		t.Run(name, func(t *testing.T) {
 			sys := New(g, Config{Seed: 1, System: name, BaseInstallDelay: 10 * time.Millisecond})
 			const f = packet.FlowID(77)

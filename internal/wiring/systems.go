@@ -7,7 +7,6 @@ import (
 	"p4update/internal/controlplane"
 	"p4update/internal/core"
 	"p4update/internal/ezsegway"
-	"p4update/internal/localverify"
 	"p4update/internal/optoracle"
 	"p4update/internal/packet"
 	"p4update/internal/ppcu"
@@ -29,7 +28,6 @@ func init() {
 	RegisterVariant(&p4updateSystem{name: "p4update-dl", display: "P4Update/DL", force: &forceDual})
 	Register(&ezSegwaySystem{})
 	Register(&centralSystem{})
-	Register(&localVerifySystem{})
 	Register(&ppcuSystem{})
 	Register(&optOracleSystem{})
 }
@@ -104,25 +102,6 @@ func (*centralSystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeID)
 
 func (*centralSystem) ReportMetrics(s *System, extra map[string]float64) {
 	extra["ctl_rounds"] = float64(s.CO.Rounds)
-}
-
-// localVerifySystem adapts the Foerster & Schmid-style decentralized
-// local-verification scheduler.
-type localVerifySystem struct{}
-
-func (*localVerifySystem) Name() string        { return "local-verify" }
-func (*localVerifySystem) DisplayName() string { return "LocalVerify" }
-
-func (*localVerifySystem) Build(s *System) {
-	s.Net.SetHandler(&localverify.Handler{Congestion: s.Cfg.Congestion})
-	s.LV = localverify.NewController(s.Ctl)
-	if s.Cfg.Plans != nil {
-		s.LV.Plans = s.Cfg.Plans
-	}
-}
-
-func (*localVerifySystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
-	return s.LV.TriggerUpdate(f, newPath)
 }
 
 // ppcuSystem adapts the two-phase per-packet-consistency baseline. It

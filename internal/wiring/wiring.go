@@ -20,7 +20,6 @@ import (
 	"p4update/internal/dataplane"
 	"p4update/internal/ezsegway"
 	"p4update/internal/faults"
-	"p4update/internal/localverify"
 	"p4update/internal/optoracle"
 	"p4update/internal/packet"
 	"p4update/internal/plancache"
@@ -37,8 +36,8 @@ type Config struct {
 	// Seed fixes the simulation's random streams.
 	Seed int64
 	// System selects the update system by registered name ("p4update",
-	// "ez-segway", "central", "local-verify", "ppcu", "opt-oracle", or a
-	// registered variant; AllNames lists them). Empty means "p4update".
+	// "ez-segway", "central", "ppcu", "opt-oracle", or a registered
+	// variant; AllNames lists them). Empty means "p4update".
 	System string
 	// Congestion enables link-capacity enforcement and each system's
 	// scheduler (P4Update §7.4, ez-Segway's static dependency graph).
@@ -132,11 +131,9 @@ type System struct {
 	// the configured name resolves to nothing; Trigger then errors).
 	Driver UpdateSystem
 	// Per-system coordinators, filled by the driver's Build: EZ under
-	// ez-segway, CO under central, LV under local-verify, PP under ppcu,
-	// OO under opt-oracle.
+	// ez-segway, CO under central, PP under ppcu, OO under opt-oracle.
 	EZ *ezsegway.Controller
 	CO *central.Coordinator
-	LV *localverify.Controller
 	PP *ppcu.Coordinator
 	OO *optoracle.Coordinator
 	// Inj is the attached fault injector (nil without Config.Faults);

@@ -14,7 +14,7 @@ import (
 func TestNewWiresStrategySpecificControllers(t *testing.T) {
 	coordinators := func(s *System) map[string]bool {
 		return map[string]bool{
-			"ez-segway": s.EZ != nil, "central": s.CO != nil, "local-verify": s.LV != nil,
+			"ez-segway": s.EZ != nil, "central": s.CO != nil,
 			"ppcu": s.PP != nil, "opt-oracle": s.OO != nil,
 		}
 	}

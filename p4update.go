@@ -9,7 +9,7 @@
 // scheduler), the evaluation baselines, and the harnesses regenerating
 // the paper's figures. WithSystem picks the update system by registered
 // name: "p4update" (default; §7.5 single/dual-layer policy), "p4update-sl",
-// "p4update-dl", "ez-segway", "central", "local-verify", "ppcu", "opt-oracle".
+// "p4update-dl", "ez-segway", "central", "ppcu", "opt-oracle".
 //
 // Quick start:
 //
