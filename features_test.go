@@ -37,6 +37,36 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	}
 }
 
+// TestFacadeRecoversLostProbe: with failure recovery on, a lost
+// confirmation probe is re-injected and the update completes.
+func TestFacadeRecoversLostProbe(t *testing.T) {
+	g := p4update.Synthetic()
+	net := p4update.NewNetwork(g,
+		p4update.WithSeed(9),
+		p4update.WithFailureRecovery(400*time.Millisecond, 3),
+	)
+	oldP, newP := p4update.SyntheticPaths()
+	// Drop the first data frame — the probe — on the new path's first hop.
+	inj := faults.Attach(net.Fabric(), faults.Plan{Rules: []faults.Rule{
+		faults.DropMatching(newP[0], newP[1], packet.TypeData, 1),
+	}})
+	f, _ := net.AddFlow(0, 7, oldP, 1.0)
+	u, err := net.UpdateFlow(f, newP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Run()
+	if inj.RuleHits(0) != 1 {
+		t.Fatal("drop not exercised")
+	}
+	if !u.Done() {
+		t.Fatal("lost probe never re-injected")
+	}
+	if u.ProbeRetries != 1 || u.Retriggers != 0 {
+		t.Errorf("%d probe retries and %d retriggers, want 1 and 0", u.ProbeRetries, u.Retriggers)
+	}
+}
+
 func TestFacadeTwoPhaseCommit(t *testing.T) {
 	g := p4update.Synthetic()
 	net := p4update.NewNetwork(g,

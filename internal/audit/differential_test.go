@@ -310,11 +310,8 @@ func differentialTrial(t *testing.T, g *topo.Topology, name, system string, loss
 			Node: topo.NodeID((int(seed)*7 + 3*i + 1) % g.NumNodes()), At: at, Restore: at + 150*time.Millisecond,
 		})
 	}
-	// MaxEvents: without the writer, central and ez-segway under loss
-	// never quiesce (the controller watchdog re-arms forever); 60k steps
-	// of an idle fabric are comparison enough.
 	sys := wiring.New(g, wiring.Config{
-		Seed: seed, System: system, MaxEvents: 60_000,
+		Seed: seed, System: system,
 		BaseInstallDelay: time.Millisecond,
 		CtrlProcDelay:    500 * time.Microsecond, CtrlQueueMean: 40 * time.Millisecond,
 		WatchdogTimeout: 250 * time.Millisecond, ProbeTimeout: 250 * time.Millisecond,

@@ -41,8 +41,6 @@ type UpdateStatus struct {
 	// confirmation that the whole new path is established (zero until
 	// then); the paper measures update time as Completed - Sent.
 	Completed time.Duration
-	// IngressReported is when the ingress's StatusUpdated UFM arrived.
-	IngressReported time.Duration
 	// Alarms collects verification alarms raised for this version.
 	Alarms []packet.UFM
 	// Retriggers counts §11 failure-recovery re-transmissions.
@@ -55,14 +53,6 @@ type UpdateStatus struct {
 	// commits cleanly but keeps losing its probe through a long fault
 	// window exhausts the budget and never confirms, leaking its flow.
 	ProbeRetries int
-	// LastRetrigger is when the controller last consumed retrigger
-	// budget for this update. Recovery fires at most once per
-	// ProbeTimeout: without the spacing, one watchdog round of
-	// StatusStalled reports from every switch on the path drains the
-	// whole budget (each resend also resets the switches' stall-report
-	// budgets, feeding the burst), leaving nothing for the probe
-	// re-injections that finish a long recovery.
-	LastRetrigger time.Duration
 	// Queued marks an update accepted but deferred behind an ongoing
 	// update of the same flow (ez-Segway serializes per flow, §4.2).
 	// Version and Sent stay zero until the update launches; the same
@@ -75,6 +65,16 @@ type UpdateStatus struct {
 	// MaxRetriggers.
 	Resend func()
 
+	// lastRetrigger is when the controller last consumed retrigger
+	// budget for this update. Recovery fires at most once per
+	// ProbeTimeout: without the spacing, one watchdog round of
+	// StatusStalled reports from every switch on the path drains the
+	// whole budget (each resend also resets the switches' stall-report
+	// budgets, feeding the burst), leaving nothing for the probe
+	// re-injections that finish a long recovery.
+	lastRetrigger time.Duration
+	// watching is set while a completion watchdog is armed for u.
+	watching bool
 	// pending holds the nodes whose version-tagged commit is still
 	// outstanding, in no particular order: a path's worth of nodes, so
 	// a linear scan beats a map and costs one allocation, not two.
@@ -122,10 +122,11 @@ type Controller struct {
 	// every pushed update: if the update has not completed when the
 	// timer fires, the controller re-injects the confirmation probe
 	// (once every node applied — a lost probe otherwise stalls
-	// completion forever) or re-sends the plan's indications (while
-	// nodes are still missing — covering the case where every
-	// switch-side stall report was itself lost). Each firing counts
-	// against MaxRetriggers, so recovery stays bounded.
+	// completion forever) or re-sends the update (while nodes are still
+	// missing — covering the case where every switch-side stall report
+	// was itself lost). Each re-send counts against MaxRetriggers, and
+	// the watchdog stops once it has nothing left to do, so recovery
+	// stays bounded and the engine quiesces.
 	ProbeTimeout time.Duration
 	// Plans, when set, memoizes plan preparation across trials that
 	// share a frozen topology (see internal/plancache and the Planner
@@ -415,10 +416,7 @@ func (c *Controller) ForgetUpdate(f packet.FlowID, version uint32) {
 }
 
 // armUpdateWatchdog schedules one end-to-end completion check for u
-// (see ProbeTimeout). It re-arms itself until the update completes or
-// the controller stops tracking it. Plan resends are bounded by the
-// §11 retrigger budget; confirmation probes after AllApplied are not
-// (see UpdateStatus.ProbeRetries).
+// (see ProbeTimeout).
 func (c *Controller) armUpdateWatchdog(u *UpdateStatus) {
 	if c.ProbeTimeout <= 0 {
 		return
@@ -426,66 +424,65 @@ func (c *Controller) armUpdateWatchdog(u *UpdateStatus) {
 	if c.watchdogFn == nil {
 		c.watchdogFn = c.fireUpdateWatchdog
 	}
+	u.watching = true
 	c.Eng.ScheduleArg(c.ProbeTimeout, c.watchdogFn, u)
 }
 
 // fireUpdateWatchdog runs one completion check armed by
-// armUpdateWatchdog.
+// armUpdateWatchdog and re-arms only while it has an action left:
+// re-probing a fully applied update (free of budget, see ProbeRetries)
+// or re-sending a recoverable one. Otherwise it stops; a straggler
+// commit that later empties the pending set re-arms it (onApply).
 func (c *Controller) fireUpdateWatchdog(x any) {
 	u := x.(*UpdateStatus)
-	if u.Done() {
-		return
+	u.watching = false
+	if _, tracked := c.updates[updateKey{u.Flow, u.Version}]; u.Done() || !tracked {
+		return // confirmed, or flow retired or update forgotten
 	}
-	if _, tracked := c.updates[updateKey{u.Flow, u.Version}]; !tracked {
-		return // flow retired or update forgotten; stop the watchdog
-	}
-	if u.AllApplied > 0 {
+	switch {
+	case u.AllApplied > 0:
 		// Every node committed but the probe confirmation never came
-		// back: the probe (a data-plane frame) was lost. Re-inject
-		// it without charging the §11 budget (see ProbeRetries).
+		// back: the probe (a data-plane frame) was lost.
 		u.ProbeRetries++
 		c.Eng.Trace.Watchdog(trace.NodeController,
 			uint32(u.Flow), u.Version, uint32(u.ProbeRetries))
 		c.injectProbe(u)
-		c.armUpdateWatchdog(u)
+	case c.recoverable(u):
+		// Nodes are still missing and no stall report reached us.
+		c.retrigger(u)
+	default:
 		return
 	}
-	if u.Retriggers >= c.MaxRetriggers {
-		// Budget spent: no more plan resends. Keep the watchdog
-		// alive — straggler commits (from parked notifications or
-		// earlier resends) can still empty the pending set, after
-		// which budget-free confirmation probing resumes above.
-		c.armUpdateWatchdog(u)
-		return
-	}
-	if u.Retriggers > 0 && c.Eng.Now()-u.LastRetrigger < c.ProbeTimeout {
-		// A stall report consumed this period's budget; wait out the
-		// spacing before checking again.
-		c.armUpdateWatchdog(u)
-		return
-	}
-	// Nodes are still missing and no stall report reached us.
-	c.retrigger(u)
 	c.armUpdateWatchdog(u)
 }
 
-// retrigger spends one unit of u's §11 budget on re-sending the update:
-// the plan's indications, or — for the plan-less RoundExecutor
-// systems — whatever their own scheduling loop re-sends.
-// Callers check the budget and the ProbeTimeout spacing first.
+// recoverable reports whether u has §11 budget left and a way to
+// re-send: a plan's indications, or the driving system's Resend.
+func (c *Controller) recoverable(u *UpdateStatus) bool {
+	return u.Retriggers < c.MaxRetriggers && (u.Plan != nil || u.Resend != nil)
+}
+
+// retrigger is the one §11 recovery gate: when u is recoverable and
+// outside the ProbeTimeout spacing of its last retrigger, it spends one
+// unit of budget on re-sending the update — the plan's indications, or
+// whatever the plan-less RoundExecutor systems' Resend re-sends.
+// Otherwise it does nothing and charges nothing.
 func (c *Controller) retrigger(u *UpdateStatus) {
+	if !c.recoverable(u) ||
+		(c.ProbeTimeout > 0 && u.Retriggers > 0 && c.Eng.Now()-u.lastRetrigger < c.ProbeTimeout) {
+		return
+	}
 	u.Retriggers++
-	u.LastRetrigger = c.Eng.Now()
+	u.lastRetrigger = c.Eng.Now()
 	c.Eng.Trace.Watchdog(trace.NodeController,
 		uint32(u.Flow), u.Version, uint32(u.Retriggers))
-	switch {
-	case u.Plan != nil:
+	if u.Plan != nil {
 		for i, uim := range u.Plan.UIMs {
 			c.Net.SendToSwitch(u.Plan.Targets[i], uim, 0)
 		}
-	case u.Resend != nil:
-		u.Resend()
+		return
 	}
+	u.Resend()
 }
 
 // injectProbe launches the §9.1 confirmation traversal from the
@@ -527,6 +524,11 @@ func (c *Controller) onApply(node topo.NodeID, f packet.FlowID, version uint32) 
 	}
 	u.AllApplied = c.Eng.Now()
 	c.injectProbe(u)
+	if !u.watching {
+		// The watchdog stopped with nothing to re-send; it re-probes
+		// should this probe be lost.
+		c.armUpdateWatchdog(u)
+	}
 }
 
 // receive is the controller's message sink. Feedback, the bulk of what
@@ -563,10 +565,6 @@ func (c *Controller) handleUFM(m *packet.UFM) {
 	}
 	u, ok := c.updates[updateKey{m.Flow, m.Version}]
 	switch m.Status {
-	case packet.StatusUpdated:
-		if ok && u.IngressReported == 0 {
-			u.IngressReported = c.Eng.Now()
-		}
 	case packet.StatusProbeOK:
 		if ok && u.Completed == 0 {
 			u.Completed = c.Eng.Now()
@@ -586,8 +584,7 @@ func (c *Controller) handleUFM(m *packet.UFM) {
 		// §11 failure recovery: a switch holds the indication but the
 		// notification chain never arrived — re-send the plan's UIMs so
 		// the coordination restarts from the egress.
-		if ok && !u.Done() && (u.Plan != nil || u.Resend != nil) && u.Retriggers < c.MaxRetriggers &&
-			!(c.ProbeTimeout > 0 && u.Retriggers > 0 && c.Eng.Now()-u.LastRetrigger < c.ProbeTimeout) {
+		if ok && !u.Done() {
 			c.retrigger(u)
 		}
 	}

@@ -169,7 +169,7 @@ func TestUpdatesListing(t *testing.T) {
 
 // TestUpdateWatchdogCycleAllocatesNothing: every firing of the
 // completion watchdog on an update that never completes spends one
-// retrigger and re-arms, and allocates nothing.
+// retrigger on its (no-op) Resend and re-arms, and allocates nothing.
 func TestUpdateWatchdogCycleAllocatesNothing(t *testing.T) {
 	eng, _, ctl := bed(t)
 	ctl.ProbeTimeout = 10 * time.Millisecond
@@ -180,6 +180,7 @@ func TestUpdateWatchdogCycleAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := ctl.TrackOnly(f, 2, path, path, nil, nil) // nothing sent: nothing commits
+	u.Resend = func() {}
 	cycle := func() {
 		if !eng.Step() {
 			t.Fatal("the watchdog did not re-arm")
@@ -193,5 +194,118 @@ func TestUpdateWatchdogCycleAllocatesNothing(t *testing.T) {
 	}
 	if want := 8 + 1001; u.Retriggers != want {
 		t.Errorf("%d retriggers, want one per firing (%d)", u.Retriggers, want)
+	}
+}
+
+// scriptedFaults drops every controller-to-switch frame while ctlDown is
+// set, and the first dropData data frames on the link from→to.
+type scriptedFaults struct {
+	ctlDown  bool
+	from, to topo.NodeID
+	dropData int
+}
+
+func (s *scriptedFaults) Inspect(class dataplane.FaultClass, from, to topo.NodeID, raw []byte) ([]byte, dataplane.FaultAction) {
+	switch {
+	case class == dataplane.FaultControlDown && s.ctlDown:
+		return raw, dataplane.FaultAction{Drop: true}
+	case class == dataplane.FaultData && from == s.from && to == s.to && s.dropData > 0 &&
+		packet.MsgType(raw[0]) == packet.TypeData:
+		s.dropData--
+		return raw, dataplane.FaultAction{Drop: true}
+	}
+	return raw, dataplane.FaultAction{}
+}
+
+// TestWatchdogStopsWithNothingToResend: an update with neither a plan
+// nor a Resend is not recoverable. Neither the watchdog nor a stall
+// report charges it budget, the watchdog stops after one look, and the
+// engine quiesces.
+func TestWatchdogStopsWithNothingToResend(t *testing.T) {
+	eng, net, ctl := bed(t)
+	ctl.ProbeTimeout = 10 * time.Millisecond
+	ctl.MaxRetriggers = 5
+	path := []topo.NodeID{0, 4, 2, 7}
+	f, err := ctl.RegisterFlow(0, 7, path, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := ctl.TrackOnly(f, 2, path, path, nil, nil)
+	net.Switch(4).SendUFM(packet.UFM{Flow: f, Version: 2, Status: packet.StatusStalled})
+	eng.Run()
+	if eng.CutShort() {
+		t.Fatal("the engine never quiesced")
+	}
+	if u.Retriggers != 0 {
+		t.Errorf("%d retriggers charged for an update with nothing to re-send", u.Retriggers)
+	}
+	if eng.Steps() != 2 {
+		t.Errorf("%d events, want 2 (the stall report and one watchdog firing)", eng.Steps())
+	}
+}
+
+// TestWatchdogStopsWhenBudgetSpent: a recoverable update that never
+// completes is re-sent exactly MaxRetriggers times, once per
+// ProbeTimeout, and the watchdog then stops so the engine quiesces.
+func TestWatchdogStopsWhenBudgetSpent(t *testing.T) {
+	eng, _, ctl := bed(t)
+	ctl.ProbeTimeout = 10 * time.Millisecond
+	ctl.MaxRetriggers = 3
+	path := []topo.NodeID{0, 4, 2, 7}
+	f, err := ctl.RegisterFlow(0, 7, path, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := ctl.TrackOnly(f, 2, path, path, nil, nil)
+	resends := 0
+	u.Resend = func() { resends++ }
+	end := eng.Run()
+	if eng.CutShort() {
+		t.Fatal("the engine never quiesced")
+	}
+	if u.Retriggers != 3 || resends != 3 {
+		t.Errorf("%d retriggers, %d resends, want 3 each", u.Retriggers, resends)
+	}
+	if end != 40*time.Millisecond {
+		t.Errorf("quiesced at %v, want 40ms (three re-sends, one last look)", end)
+	}
+}
+
+// TestStragglerCommitRearmsWatchdog: once the watchdog has stopped, a
+// straggler commit that empties the pending set re-arms it, so a lost
+// confirmation probe is still re-injected and the update completes.
+func TestStragglerCommitRearmsWatchdog(t *testing.T) {
+	eng, net, ctl := bed(t)
+	ctl.ProbeTimeout = time.Second // longer than a probe's round trip
+	ctl.MaxRetriggers = 0          // the plan is never re-sent: the watchdog stops
+	f, err := ctl.RegisterFlow(0, 7, []topo.NodeID{0, 4, 2, 7}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &scriptedFaults{ctlDown: true, from: 0, to: 1, dropData: 1}
+	net.Faults = fs
+	u, err := ctl.TriggerUpdate(f, []topo.NodeID{0, 1, 2, 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Run(); eng.CutShort() || u.AllApplied != 0 || eng.Steps() != 1 {
+		t.Fatalf("lost plan: cut short %v, applied at %v after %d events; want one watchdog firing",
+			eng.CutShort(), u.AllApplied, eng.Steps())
+	}
+	// The straggler: the plan's indications arrive after all.
+	fs.ctlDown = false
+	for i, m := range u.Plan.UIMs {
+		net.SendToSwitch(u.Plan.Targets[i], m, 0)
+	}
+	eng.Run()
+	if eng.CutShort() {
+		t.Fatal("the engine never quiesced")
+	}
+	if fs.dropData != 0 {
+		t.Fatal("the first probe was not dropped")
+	}
+	if !u.Done() || u.ProbeRetries != 1 || u.Retriggers != 0 {
+		t.Errorf("done %v after %d probe retries and %d retriggers, want done after 1 and 0",
+			u.Done(), u.ProbeRetries, u.Retriggers)
 	}
 }

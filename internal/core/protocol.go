@@ -26,13 +26,8 @@ type Protocol struct {
 	// StatusStalled so the controller can re-trigger (§11 "Failures in
 	// the Update Process"). The watchdog re-arms after firing — a single
 	// report can itself be lost on a lossy control channel — bounded by
-	// MaxStallReports per awaited version.
+	// maxStallReports per awaited version.
 	WatchdogTimeout time.Duration
-	// MaxStallReports bounds how many StatusStalled reports a node sends
-	// for one awaited version (0 means the default of 8). The budget
-	// resets whenever the indication is retransmitted, so every
-	// controller retrigger buys a fresh round of local monitoring.
-	MaxStallReports int
 
 	// watchdogs recycles the records of armed stall checks, and fireFn
 	// is fireWatchdog bound once: a watchdog is scheduled through
@@ -48,8 +43,11 @@ type watchdog struct {
 	version uint32
 }
 
-// defaultMaxStallReports is the per-version stall-report budget.
-const defaultMaxStallReports = 8
+// maxStallReports bounds how many StatusStalled reports a node sends
+// for one awaited version. The budget resets whenever the indication is
+// retransmitted, so every controller retrigger buys a fresh round of
+// local monitoring.
+const maxStallReports = 8
 
 var _ dataplane.Handler = (*Protocol)(nil)
 
@@ -169,11 +167,7 @@ func (p *Protocol) fireWatchdog(x any) {
 		(cur.HasRule && cur.NewVersion >= version) || cur.Applying {
 		return // applied, superseded, or mid-install
 	}
-	limit := p.MaxStallReports
-	if limit <= 0 {
-		limit = defaultMaxStallReports
-	}
-	if int(cur.StallReports) >= limit {
+	if cur.StallReports >= maxStallReports {
 		return // budget spent; controller-side recovery takes over
 	}
 	cur.StallReports++

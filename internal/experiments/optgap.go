@@ -53,9 +53,10 @@ func (r *OptGapResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Optimality gap: %s ==\n", r.Label)
 	w := nameWidth(11, r.Series, func(s OptGapSeries) string { return s.System.String() })
-	fmt.Fprintf(&b, "%-*s %-44s %8s %8s %8s\n", w, "system", "update time", "rounds", "opt", "gap")
+	tw := nameWidth(44, r.Series, func(s OptGapSeries) string { return s.CDF.Summary() })
+	fmt.Fprintf(&b, "%-*s %-*s %8s %8s %8s\n", w, "system", tw, "update time", "rounds", "opt", "gap")
 	for _, s := range r.Series {
-		fmt.Fprintf(&b, "%-*s %-44s %8.2f %8.2f %7.2fx", w, s.System, s.CDF.Summary(), s.Rounds, s.Bound, s.Gap)
+		fmt.Fprintf(&b, "%-*s %-*s %8.2f %8.2f %7.2fx", w, s.System, tw, s.CDF.Summary(), s.Rounds, s.Bound, s.Gap)
 		if s.Failed > 0 {
 			fmt.Fprintf(&b, "  FAILED=%d", s.Failed)
 		}

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"p4update/internal/metrics"
 	"p4update/internal/optoracle"
 	"p4update/internal/runner"
 	"p4update/internal/topo"
@@ -122,5 +125,32 @@ func TestOracleScheduleMatchesExecutor(t *testing.T) {
 	}
 	if got := int(b.System.OO.Rounds); got != want {
 		t.Errorf("oracle executed %d rounds, schedule has %d", got, want)
+	}
+}
+
+// TestOptGapLongSummaryKeepsColumns: an update-time summary longer than
+// the column's 44 characters widens the column instead of pushing its
+// row's rounds, opt and gap right of the header's.
+func TestOptGapLongSummaryKeepsColumns(t *testing.T) {
+	long := metrics.NewCDF([]time.Duration{1234 * time.Second, 5678 * time.Second})
+	short := metrics.NewCDF([]time.Duration{time.Millisecond})
+	if len(long.Summary()) <= 44 {
+		t.Fatalf("summary %q is not longer than the default column", long.Summary())
+	}
+	res := &OptGapResult{Label: "wide", Series: []OptGapSeries{
+		{System: KindP4Update, CDF: short, Rounds: 3, Bound: 3, Gap: 1},
+		{System: KindCentral, CDF: long, Rounds: 12.5, Bound: 3, Gap: 4.17},
+	}}
+	lines := strings.Split(res.String(), "\n")
+	want := fieldEnds(lines[1])
+	for _, row := range lines[2:4] {
+		got := fieldEnds(row)
+		// rounds, opt and gap are the last three columns of both.
+		for k := 1; k <= 3; k++ {
+			if got[len(got)-k] != want[len(want)-k] {
+				t.Errorf("row and header columns part:\n%s\n%s", lines[1], row)
+				break
+			}
+		}
 	}
 }

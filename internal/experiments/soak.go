@@ -73,8 +73,15 @@ func (r *SoakResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Soak: %s ==\n", r.Label)
 	w := nameWidth(29, r.Trials, func(t runner.Result) string { return t.Label })
-	fmt.Fprintf(&b, "%-*s %-10s %8s %19s %13s %7s %7s %6s %7s %6s %7s %5s\n",
-		w, "trial", "storm", "avail%", "p50/p99/p999(ms)", "done/trig",
+	lat := make([]string, len(r.Trials))
+	for i, t := range r.Trials {
+		if rep := r.Reports[i]; rep != nil && !t.Failed {
+			lat[i] = fmt.Sprintf("%6.2f/%5.2f/%5.2f", rep.Latency.P50Ms, rep.Latency.P99Ms, rep.Latency.P999Ms)
+		}
+	}
+	lw := nameWidth(19, lat, func(s string) string { return s })
+	fmt.Fprintf(&b, "%-*s %-10s %8s %*s %13s %7s %7s %6s %7s %6s %7s %5s\n",
+		w, "trial", "storm", "avail%", lw, "p50/p99/p999(ms)", "done/trig",
 		"confirm", "orphan", "stall", "retrig", "burn%", "recov", "viol")
 	for i, t := range r.Trials {
 		if t.Failed {
@@ -91,9 +98,8 @@ func (r *SoakResult) String() string {
 			recovered += cl.Recovered
 			episodes += cl.Episodes
 		}
-		fmt.Fprintf(&b, "%-*s %-10s %8.3f %6.2f/%5.2f/%5.2f %6d/%-6d %7d %7d %6d %7d %6.2f %3d/%-3d %5d\n",
-			w, t.Label, rep.Profile, rep.AvailabilityPct,
-			rep.Latency.P50Ms, rep.Latency.P99Ms, rep.Latency.P999Ms,
+		fmt.Fprintf(&b, "%-*s %-10s %8.3f %*s %6d/%-6d %7d %7d %6d %7d %6.2f %3d/%-3d %5d\n",
+			w, t.Label, rep.Profile, rep.AvailabilityPct, lw, lat[i],
 			rep.UpdatesCompleted, rep.UpdatesTriggered,
 			rep.Confirming, rep.CrashOrphaned, rep.Stalled,
 			rep.Retriggers, rep.BudgetBurnPct,

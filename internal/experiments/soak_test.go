@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
+	"p4update/internal/runner"
+	"p4update/internal/soak"
 	"p4update/internal/topo"
 )
 
@@ -105,6 +108,37 @@ func TestSoakReportsDeterministicAcrossWorkers(t *testing.T) {
 		for i := range reports {
 			if !bytes.Equal(base[i], reports[i]) {
 				t.Fatalf("workers=%d: report %d differs from workers=1", workers, i)
+			}
+		}
+	}
+}
+
+// TestSoakLongLatencyKeepsColumns: a p50/p99/p999 cell wider than its
+// 19-character column widens the column instead of pushing its row's
+// later columns right of the header's; at the default width, rows and
+// header line up too.
+func TestSoakLongLatencyKeepsColumns(t *testing.T) {
+	rep := func(p50, p99, p999 float64) *soak.Report {
+		return &soak.Report{Profile: "squall", AvailabilityPct: 99.5,
+			Latency: soak.LatencySLO{P50Ms: p50, P99Ms: p99, P999Ms: p999}}
+	}
+	for _, reports := range [][]*soak.Report{
+		{rep(12.5, 80.25, 95.5), rep(7.5, 40, 60)},
+		{rep(12.5, 80.25, 95.5), rep(1926.05, 12345.67, 99999.99)},
+	} {
+		res := &SoakResult{Label: "wide", Reports: reports,
+			Trials: []runner.Result{{Label: "short"}, {Label: "long"}}}
+		lines := strings.Split(res.String(), "\n")
+		want := fieldEnds(lines[1])
+		for _, row := range lines[2:4] {
+			got := fieldEnds(row)
+			// avail%, the latency cell, confirm, orphan, stall, retrig,
+			// burn% and viol are right-aligned in both.
+			for _, col := range []int{2, 3, 5, 6, 7, 8, 9, 11} {
+				if got[col] != want[col] {
+					t.Errorf("column %d ends at %d in the row, %d in the header:\n%s\n%s",
+						col, got[col], want[col], lines[1], row)
+				}
 			}
 		}
 	}

@@ -34,6 +34,12 @@ func (l *bedLog) body(f func(*wiring.System) (Metrics, error)) func(*wiring.Syst
 // launch registers and triggers flows, runs the engine, and returns the
 // update times of the updates that completed.
 func launch(sys *wiring.System, flows []traffic.FlowSpec) ([]time.Duration, error) {
+	return launchThen(sys, flows, func() { sys.Eng.Run() })
+}
+
+// launchThen is launch with run in place of running the engine to
+// quiescence.
+func launchThen(sys *wiring.System, flows []traffic.FlowSpec, run func()) ([]time.Duration, error) {
 	var samples []time.Duration
 	for _, f := range flows {
 		if err := sys.Ctl.RegisterFlowID(f.ID(), f.Src, f.Dst, f.Old, f.SizeK); err != nil {
@@ -50,7 +56,7 @@ func launch(sys *wiring.System, flows []traffic.FlowSpec) ([]time.Duration, erro
 			launched = append(launched, func() (time.Duration, bool) { return u.Completed - u.Sent, u.Done() })
 		}
 	}
-	sys.Eng.Run()
+	run()
 	for _, done := range launched {
 		if d, ok := done(); ok {
 			samples = append(samples, d)
@@ -62,9 +68,10 @@ func launch(sys *wiring.System, flows []traffic.FlowSpec) ([]time.Duration, erro
 // dirtyTrials are trials that leave a bed in every state the grids
 // leave one in — all systems and variants, congestion, two-phase
 // forwarding, sampled control latencies, install-delay samplers, faults
-// with crash cycles under the auditor, a run cut short by MaxEvents with
-// work parked and events queued — plus a body that reaches into the
-// fabric and sets every per-switch knob, and bodies that panic or fail.
+// with crash cycles under the auditor, a run cut short with work parked
+// and events queued — plus a body that reaches into the fabric and sets
+// every per-switch knob, and bodies that panic, fail, or run into the
+// MaxEvents backstop.
 func dirtyTrials(g *topo.Topology, flows []traffic.FlowSpec, log *bedLog) []Trial {
 	var trials []Trial
 	add := func(label string, cfg wiring.Config, body func(*wiring.System) (Metrics, error)) {
@@ -96,6 +103,7 @@ func dirtyTrials(g *topo.Topology, flows []traffic.FlowSpec, log *bedLog) []Tria
 		}
 		return Metrics{}, errors.New("dirty trial fails")
 	})
+	add("backstop", wiring.Config{Seed: 5, MaxEvents: 60}, run)
 	n := g.NumNodes()
 	add("faults", wiring.Config{
 		Seed: 3, Congestion: true, AuditEvery: 1, BaseInstallDelay: time.Millisecond,
@@ -109,13 +117,20 @@ func dirtyTrials(g *topo.Topology, flows []traffic.FlowSpec, log *bedLog) []Tria
 		},
 	}, run)
 	add("cut-short", wiring.Config{
-		Seed: 4, System: "ez-segway", Congestion: true, MaxEvents: 60,
+		Seed: 4, System: "ez-segway", Congestion: true,
 		Faults: &faults.Plan{
 			Data:    faults.Rates{Drop: 0.2},
 			Crashes: []faults.Crash{{Node: 2, At: time.Microsecond, Restore: time.Hour}},
 		},
 	}, func(sys *wiring.System) (Metrics, error) {
-		if _, err := launch(sys, flows); err != nil {
+		// The body stops the run itself after 60 events: a trial the
+		// MaxEvents backstop stops fails, and a failed trial's bed is
+		// dropped, not recycled.
+		cut := func() {
+			for i := 0; i < 60 && sys.Eng.Step(); i++ {
+			}
+		}
+		if _, err := launchThen(sys, flows, cut); err != nil {
 			return Metrics{}, err
 		}
 		if sys.Eng.Pending() == 0 {
@@ -209,9 +224,12 @@ func TestRecycledBedMatchesFreshBed(t *testing.T) {
 	recycled := results[len(results)-1]
 
 	for i, r := range results[:len(results)-1] {
-		wantFail := r.Label == "panics" || r.Label == "fails"
+		wantFail := r.Label == "panics" || r.Label == "fails" || r.Label == "backstop"
 		if r.Failed != wantFail {
 			t.Fatalf("dirty trial %s: failed=%v (%s)", r.Label, r.Failed, r.Err)
+		}
+		if r.Label == "backstop" && r.Err != "backstop: MaxEvents 60 reached" {
+			t.Errorf("backstop trial's error = %q", r.Err)
 		}
 		// A failed trial's bed is dropped, any other one is reused.
 		if reused := log.engs[i+1] == log.engs[i]; reused == wantFail {

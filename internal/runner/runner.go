@@ -100,7 +100,9 @@ type Trial struct {
 // construction path — g is the (typically frozen, figure-shared)
 // topology, cfg carries the system kind, seed and bed configuration —
 // and hands it to body. VirtualTime and Events are captured from the
-// engine after body returns.
+// engine after body returns. A trial whose engine the MaxEvents
+// backstop stopped (sim.Engine.CutShort) fails: a trial ends by
+// quiescing, and a backstop that fires marks a runaway.
 //
 // All trials of a grid share g read-only: freezing it (topo.Freeze)
 // makes it refuse mutation, so its one path oracle is never flushed and
@@ -116,6 +118,9 @@ func BedTrial(label, system string, g *topo.Topology, cfg wiring.Config,
 	onBed := func(prev *wiring.System) (Metrics, *wiring.System, error) {
 		sys := wiring.Recycle(prev, g, cfg)
 		m, err := body(sys)
+		if err == nil && sys.Eng.CutShort() {
+			err = fmt.Errorf("backstop: MaxEvents %d reached", sys.Eng.MaxEvents)
+		}
 		if extra := sys.ExtraMetrics(); len(extra) > 0 {
 			if m.Extra == nil {
 				m.Extra = extra
@@ -160,8 +165,9 @@ type Result struct {
 	System string `json:"system"`
 	Seed   int64  `json:"seed"`
 	Metrics
-	// Failed marks a trial that panicked, timed out, or returned an
-	// error; Err carries the message.
+	// Failed marks a trial that panicked, timed out, returned an error
+	// or was stopped by its engine's MaxEvents backstop; Err carries the
+	// message.
 	Failed bool   `json:"failed,omitempty"`
 	Err    string `json:"err,omitempty"`
 }

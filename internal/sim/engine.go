@@ -171,6 +171,8 @@ type Engine struct {
 	// live counts queued events that are neither cancelled nor executed,
 	// so Pending is O(1) instead of a heap scan.
 	live int
+	// cut records that the last Run or RunUntil stopped on MaxEvents.
+	cut bool
 	// MaxEvents bounds a run as a runaway-loop backstop (0 = unlimited).
 	MaxEvents uint64
 	// Strict makes scheduling into the past a panic instead of silently
@@ -220,6 +222,7 @@ func (e *Engine) Reset(seed int64) {
 	e.laneHeap = e.laneHeap[:0]
 	e.lanes = [numLanes]lane{}
 	e.seq, e.nsteps, e.nsched, e.live = 0, 0, 0, 0
+	e.cut = false
 	e.seed, e.rngStale = seed, true
 	e.MaxEvents, e.Strict = 0, false
 	e.AfterStep, e.Trace = nil, nil
@@ -456,6 +459,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() time.Duration {
 	for !e.capped() && e.Step() {
 	}
+	e.cut = e.live > 0
 	return e.now
 }
 
@@ -471,10 +475,12 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 			break
 		}
 		if e.capped() {
+			e.cut = true
 			return e.now
 		}
 		e.Step()
 	}
+	e.cut = false
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -483,6 +489,11 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 
 // capped reports whether the MaxEvents backstop has been reached.
 func (e *Engine) capped() bool { return e.MaxEvents > 0 && e.nsteps >= e.MaxEvents }
+
+// CutShort reports whether the last Run or RunUntil stopped on the
+// MaxEvents backstop with events still due, rather than by quiescing or
+// reaching its deadline. A backstop that fires is a runaway run.
+func (e *Engine) CutShort() bool { return e.cut }
 
 // NextAt reports the timestamp of the next live queued event, if any.
 // It lets a real-time host (cmd/controllerd, cmd/switchd) sleep exactly

@@ -113,6 +113,37 @@ func TestMaxEventsBackstop(t *testing.T) {
 	if n != 50 {
 		t.Fatalf("executed %d events, want 50", n)
 	}
+	if !e.CutShort() {
+		t.Fatal("a run stopped by the backstop does not report it")
+	}
+}
+
+// TestCutShort: CutShort is true only after a Run or RunUntil that the
+// MaxEvents backstop stopped with events still due — not after one that
+// drained the queue on exactly the cap, nor after one that reached its
+// deadline with later events queued, nor after Reset.
+func TestCutShort(t *testing.T) {
+	e := New(1)
+	e.MaxEvents = 2
+	e.Schedule(time.Millisecond, func() {})
+	e.Schedule(2*time.Millisecond, func() {})
+	e.Run()
+	if e.CutShort() {
+		t.Error("a run that drained on exactly the cap reports cut short")
+	}
+	e.MaxEvents = 3
+	e.Schedule(time.Millisecond, func() {})
+	e.Schedule(time.Second, func() {})
+	if e.RunUntil(10 * time.Millisecond); e.CutShort() {
+		t.Error("a RunUntil that reached its deadline reports cut short")
+	}
+	if e.RunUntil(2 * time.Second); !e.CutShort() {
+		t.Error("a RunUntil stopped with an event due does not report cut short")
+	}
+	e.Reset(1)
+	if e.CutShort() {
+		t.Error("Reset keeps the cut-short mark")
+	}
 }
 
 func TestDeterminism(t *testing.T) {

@@ -48,7 +48,6 @@ func (p *p4updateSystem) Build(s *System) {
 		Congestion:      s.Cfg.Congestion,
 		AllowChainedDL:  s.Cfg.ChainedDL,
 		WatchdogTimeout: s.Cfg.WatchdogTimeout,
-		MaxStallReports: s.Cfg.MaxStallReports,
 	})
 }
 

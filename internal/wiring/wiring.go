@@ -96,8 +96,6 @@ type Config struct {
 	// watchdog (probe re-injection / indication re-send; see
 	// controlplane.Controller.ProbeTimeout). Zero disables it.
 	ProbeTimeout time.Duration
-	// MaxStallReports bounds per-node §11 stall reporting (0 = default).
-	MaxStallReports int
 	// TrackRounds attaches a RoundTracker measuring per-update commit
 	// rounds (for the optimality-gap evaluation). Off by default — the
 	// tracker wraps the apply observer, which costs a map lookup per
@@ -236,7 +234,6 @@ func Recycle(prev *System, g *topo.Topology, cfg Config) *System {
 			Congestion:      cfg.Congestion,
 			AllowChainedDL:  cfg.ChainedDL,
 			WatchdogTimeout: cfg.WatchdogTimeout,
-			MaxStallReports: cfg.MaxStallReports,
 		})
 	}
 	if cfg.TrackRounds {

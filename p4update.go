@@ -152,10 +152,13 @@ func WithTwoPhaseCommit() Option { return func(c *config) { c.TwoPhase = true } 
 
 // WithFailureRecovery enables §11 failure recovery: switches watchdog
 // each held indication for `timeout`; stalled updates are re-triggered by
-// the controller up to maxRetriggers times.
+// the controller up to maxRetriggers times. The controller checks each
+// update after the same `timeout` too: it re-sends an update whose stall
+// reports were all lost, and re-injects a lost confirmation probe.
 func WithFailureRecovery(timeout time.Duration, maxRetriggers int) Option {
 	return func(c *config) {
 		c.WatchdogTimeout = timeout
+		c.ProbeTimeout = timeout
 		c.MaxRetriggers = maxRetriggers
 	}
 }
