@@ -61,10 +61,13 @@ bench:
 # the churn harness's link→flow index (internal/soak), the Fig. 7
 # single-flow scenario search (internal/traffic) and the Fig. 7 trial
 # grid itself, per-trial wiring and beds included (internal/experiments,
-# BenchmarkFig7Grid). A quick A/B for a queue, state-layout, oracle,
-# path, harness-index or trial-bed change, without the 24 s ledger run.
+# BenchmarkFig7Grid), and the two planners Fig. 8 compares on the same B4
+# path pairs (internal/controlplane, internal/ezsegway:
+# BenchmarkPreparePlan). A quick A/B for a queue, state-layout, oracle,
+# path, harness-index, trial-bed or planner change, without the 24 s
+# ledger run.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/ ./internal/traffic/ ./internal/experiments/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/ ./internal/traffic/ ./internal/experiments/ ./internal/controlplane/ ./internal/ezsegway/
 
 # Every experiment's smoke run, as `p4update -exp list` prints them (the
 # same runs make identical compares): figures, scale, streaming churn, the

@@ -252,8 +252,8 @@ func (c *Controller) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID, force
 func (c *Controller) Push(plan *Plan, rec *FlowRecord) (*UpdateStatus, error) {
 	u := c.track(nil, plan.Flow, plan.Version, plan.OldPath, plan.NewPath, nil)
 	u.Plan = plan
-	for i, m := range plan.UIMs {
-		c.send(plan.Targets[i], m)
+	for i := range plan.UIMs {
+		c.send(plan.Targets[i], &plan.UIMs[i])
 	}
 	c.launched(u, rec)
 	return u, nil
@@ -477,8 +477,8 @@ func (c *Controller) retrigger(u *UpdateStatus) {
 	c.Eng.Trace.Watchdog(trace.NodeController,
 		uint32(u.Flow), u.Version, uint32(u.Retriggers))
 	if u.Plan != nil {
-		for i, uim := range u.Plan.UIMs {
-			c.Net.SendToSwitch(u.Plan.Targets[i], uim, 0)
+		for i := range u.Plan.UIMs {
+			c.Net.SendToSwitch(u.Plan.Targets[i], &u.Plan.UIMs[i], 0)
 		}
 		return
 	}

@@ -294,8 +294,8 @@ func TestStragglerCommitRearmsWatchdog(t *testing.T) {
 	}
 	// The straggler: the plan's indications arrive after all.
 	fs.ctlDown = false
-	for i, m := range u.Plan.UIMs {
-		net.SendToSwitch(u.Plan.Targets[i], m, 0)
+	for i := range u.Plan.UIMs {
+		net.SendToSwitch(u.Plan.Targets[i], &u.Plan.UIMs[i], 0)
 	}
 	eng.Run()
 	if eng.CutShort() {

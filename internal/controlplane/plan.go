@@ -35,9 +35,20 @@ type Segmentation struct {
 	// new-path order. The flow ingress and egress are always gateways.
 	Gateways []topo.NodeID
 	Segments []Segment
-	// OldDistance maps every old-path node to its hop distance to the
-	// egress along the old path (the "segment IDs" of §3.2).
-	OldDistance map[topo.NodeID]uint16
+}
+
+// oldIndex returns n's index on path, -1 when n is off it; the last
+// index, should path repeat n. A gateway's old distance (its "segment
+// ID" of §3.2, the hop count to the egress along the old path) is
+// len(path)-1 minus this index. Paths are short, so a scan beats
+// building an index.
+func oldIndex(path []topo.NodeID, n topo.NodeID) int {
+	for i := len(path) - 1; i >= 0; i-- {
+		if path[i] == n {
+			return i
+		}
+	}
+	return -1
 }
 
 // SegmentPaths computes the dual-layer segmentation of an update from
@@ -50,30 +61,28 @@ func SegmentPaths(oldPath, newPath []topo.NodeID) (Segmentation, error) {
 	if oldPath[0] != newPath[0] || oldPath[len(oldPath)-1] != newPath[len(newPath)-1] {
 		return s, fmt.Errorf("controlplane: old and new path must share ingress and egress")
 	}
-	s.OldDistance = make(map[topo.NodeID]uint16, len(oldPath))
-	k := len(oldPath) - 1
-	for i, n := range oldPath {
-		s.OldDistance[n] = uint16(k - i)
-	}
+	s.Gateways = make([]topo.NodeID, 0, len(newPath))
+	s.Segments = make([]Segment, 0, len(newPath))
 	// One walk of the new path: every node also on the old path is a
-	// gateway and closes the segment the previous gateway opened.
-	prev := -1
+	// gateway and closes the segment the previous gateway opened. The
+	// segment is forward when its old distance decreases, i.e. its
+	// egress gateway sits later on the old path than its ingress.
+	prev, prevOld := -1, -1
 	for i, n := range newPath {
-		dist, onOld := s.OldDistance[n]
-		if !onOld {
+		j := oldIndex(oldPath, n)
+		if j < 0 {
 			continue
 		}
 		s.Gateways = append(s.Gateways, n)
 		if prev >= 0 {
-			in := newPath[prev]
 			s.Segments = append(s.Segments, Segment{
 				Nodes:     newPath[prev : i+1],
-				IngressGW: in,
+				IngressGW: newPath[prev],
 				EgressGW:  n,
-				Forward:   dist < s.OldDistance[in],
+				Forward:   j > prevOld,
 			})
 		}
-		prev = i
+		prev, prevOld = i, j
 	}
 	return s, nil
 }
@@ -105,20 +114,10 @@ func BackwardSegments(oldPos []int32, newPath []topo.NodeID) (segments, interior
 // actually changes: nodes not on the old path, plus nodes whose next hop
 // differs between the paths.
 func NodesNeedingUpdate(oldPath, newPath []topo.NodeID) int {
-	oldNext := make(map[topo.NodeID]topo.NodeID, len(oldPath))
-	onOld := make(map[topo.NodeID]bool, len(oldPath))
-	for i, n := range oldPath {
-		onOld[n] = true
-		if i+1 < len(oldPath) {
-			oldNext[n] = oldPath[i+1]
-		}
-	}
 	count := 0
-	for i, n := range newPath {
-		if i+1 >= len(newPath) {
-			break // the egress keeps local delivery
-		}
-		if !onOld[n] || oldNext[n] != newPath[i+1] {
+	for i := 0; i+1 < len(newPath); i++ { // the egress keeps local delivery
+		j := oldIndex(oldPath, newPath[i])
+		if j < 0 || j+1 >= len(oldPath) || oldPath[j+1] != newPath[i+1] {
 			count++
 		}
 	}
@@ -151,8 +150,9 @@ type Plan struct {
 	OldPath []topo.NodeID
 	NewPath []topo.NodeID
 	Seg     Segmentation
-	// UIMs holds the per-node indications in new-path order.
-	UIMs []*packet.UIM
+	// UIMs holds the per-node indications in new-path order; a sender
+	// passes &UIMs[i].
+	UIMs []packet.UIM
 	// Targets holds the node each UIM is destined for, aligned with UIMs.
 	Targets []topo.NodeID
 }
@@ -189,12 +189,11 @@ func PreparePlan(t *topo.Topology, flow packet.FlowID, oldPath, newPath []topo.N
 		OldPath: oldPath, NewPath: newPath, Seg: seg,
 	}
 	k := len(newPath) - 1
-	uims := make([]packet.UIM, len(newPath)) // one contiguous allocation
-	p.UIMs = make([]*packet.UIM, len(newPath))
+	p.UIMs = make([]packet.UIM, len(newPath))
 	p.Targets = newPath
 	gi := 0 // next gateway to match (gateways come in new-path order)
 	for i, n := range newPath {
-		uim := &uims[i]
+		uim := &p.UIMs[i]
 		uim.Flow = flow
 		uim.Version = version
 		uim.NewDistance = uint16(k - i)
@@ -221,9 +220,8 @@ func PreparePlan(t *topo.Topology, flow packet.FlowID, oldPath, newPath []topo.N
 		if gi < len(seg.Gateways) && seg.Gateways[gi] == n {
 			gi++
 			uim.Role |= packet.RoleGateway
-			uim.OldDistance = seg.OldDistance[n]
+			uim.OldDistance = uint16(len(oldPath) - 1 - oldIndex(oldPath, n))
 		}
-		p.UIMs[i] = uim
 	}
 	return p, nil
 }

@@ -22,12 +22,6 @@ func TestSegmentPathsFig1(t *testing.T) {
 			t.Fatalf("gateways = %v, want %v", seg.Gateways, wantGW)
 		}
 	}
-	// Old distances are the "segment IDs" of §3.2: v7=0, v2=1, v4=2, v0=3.
-	for n, want := range map[topo.NodeID]uint16{7: 0, 2: 1, 4: 2, 0: 3} {
-		if seg.OldDistance[n] != want {
-			t.Errorf("OldDistance[%d] = %d, want %d", n, seg.OldDistance[n], want)
-		}
-	}
 	if len(seg.Segments) != 3 {
 		t.Fatalf("segments = %+v", seg.Segments)
 	}
@@ -142,6 +136,8 @@ func TestPreparePlanLabels(t *testing.T) {
 	if !plan.UIMs[0].Role.Has(packet.RoleIngress) || !plan.UIMs[k].Role.Has(packet.RoleEgress) {
 		t.Error("ingress/egress roles missing")
 	}
+	// Gateway UIMs carry the old distances, the "segment IDs" of §3.2:
+	// v0=3, v2=1, v4=2, v7=0.
 	gwWantOld := map[topo.NodeID]uint16{0: 3, 2: 1, 4: 2, 7: 0}
 	for i, uim := range plan.UIMs {
 		n := plan.Targets[i]

@@ -134,8 +134,8 @@ func TestOutOfOrderVersionsFastForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.eng.Schedule(300*time.Millisecond, func() {
-		for i, uim := range plan2.UIMs {
-			tb.net.SendToSwitch(plan2.Targets[i], uim, 0)
+		for i := range plan2.UIMs {
+			tb.net.SendToSwitch(plan2.Targets[i], &plan2.UIMs[i], 0)
 		}
 	})
 	var outdatedAlarms int

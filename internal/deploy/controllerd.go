@@ -408,7 +408,7 @@ func (d *ControllerDaemon) onSynced() {
 	case !d.state.Update.Completed && d.u != nil && !d.u.Done():
 		for i, tgt := range d.plan.Targets {
 			if d.u.Pending(tgt) {
-				d.sys.Net.SendToSwitch(tgt, d.plan.UIMs[i], 0)
+				d.sys.Net.SendToSwitch(tgt, &d.plan.UIMs[i], 0)
 			}
 		}
 	case d.state.Update.Completed:

@@ -115,8 +115,8 @@ func Fig2Opts(kind SystemKind, seed int64, tr *trace.Options) (*Fig2Result, *tra
 		if err != nil {
 			return nil, nil, err
 		}
-		sendC = func() { sendAll(b.Net, planC.Targets, planC.UIMs) }
-		sendB = func() { sendAll(b.Net, planB.Targets, planB.UIMs) }
+		sendC = func() { sendPlan(b.Net, planC) }
+		sendB = func() { sendPlan(b.Net, planB) }
 	default:
 		return nil, nil, fmt.Errorf("fig2 compares P4Update and ez-Segway only")
 	}
@@ -157,8 +157,15 @@ func Fig2Opts(kind SystemKind, seed int64, tr *trace.Options) (*Fig2Result, *tra
 
 // sendAll pushes one prepared configuration's messages to their target
 // switches.
-func sendAll[M packet.Message](net *dataplane.Network, targets []topo.NodeID, msgs []M) {
+func sendAll(net *dataplane.Network, targets []topo.NodeID, msgs []packet.Message) {
 	for i, m := range msgs {
 		net.SendToSwitch(targets[i], m, 0)
+	}
+}
+
+// sendPlan pushes a P4Update plan's indications to their target switches.
+func sendPlan(net *dataplane.Network, p *controlplane.Plan) {
+	for i := range p.UIMs {
+		net.SendToSwitch(p.Targets[i], &p.UIMs[i], 0)
 	}
 }

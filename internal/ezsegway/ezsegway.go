@@ -9,7 +9,9 @@
 package ezsegway
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -65,60 +67,60 @@ func PreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []top
 	if err != nil {
 		return nil, fmt.Errorf("ezsegway: %w", err)
 	}
-	oldNext := make(map[topo.NodeID]topo.NodeID, len(oldPath))
-	for i := 0; i+1 < len(oldPath); i++ {
-		oldNext[oldPath[i]] = oldPath[i+1]
-	}
-	newNext := make(map[topo.NodeID]topo.NodeID, len(newPath))
-	newIdx := make(map[topo.NodeID]int, len(newPath))
-	for i, n := range newPath {
-		newIdx[n] = i
-		if i+1 < len(newPath) {
-			newNext[n] = newPath[i+1]
-		}
-	}
-	changes := func(n topo.NodeID) bool {
-		nn, onNew := newNext[n]
-		if !onNew {
+	// changes reports whether new-path node i gets a new rule: it has a
+	// next hop on the new path, and none or another one on the old.
+	changes := func(i int) bool {
+		if i+1 >= len(newPath) {
 			return false
 		}
-		on, onOld := oldNext[n]
-		return !onOld || on != nn
+		on, onOld := nextHop(oldPath, newPath[i])
+		return !onOld || on != newPath[i+1]
 	}
 
 	p := &Plan{Flow: flow, Version: version, NewPath: newPath, Segments: seg.Segments}
-	instr := make(map[topo.NodeID]*packet.EZI)
-	get := func(n topo.NodeID) *packet.EZI {
-		m, ok := instr[n]
-		if !ok {
-			m = &packet.EZI{
-				Flow: flow, Version: version, FlowSizeK: sizeK,
-				EgressPort: packet.NoPort, ChildPort: packet.NoPort,
-				Priority: priority, DepFlow: depFlow,
+	// At most one instruction per new-path node; the capacity keeps the
+	// pointers get hands out valid until the sort below.
+	instr := make([]instruction, 0, len(newPath))
+	get := func(i int) *packet.EZI {
+		n := newPath[i]
+		for j := range instr {
+			if instr[j].node == n {
+				return &instr[j].m
 			}
-			if i := newIdx[n]; i+1 < len(newPath) {
-				m.EgressPort = uint16(t.PortTo(n, newPath[i+1]))
-			}
-			if i := newIdx[n]; i > 0 {
-				m.ChildPort = uint16(t.PortTo(n, newPath[i-1]))
-			}
-			if newIdx[n] == 0 {
-				m.Flags |= packet.EZIngress
-			}
-			if newIdx[n] == len(newPath)-1 {
-				m.Flags |= packet.EZEgress
-			}
-			instr[n] = m
 		}
-		return m
+		m := packet.EZI{
+			Flow: flow, Version: version, FlowSizeK: sizeK,
+			EgressPort: packet.NoPort, ChildPort: packet.NoPort,
+			Priority: priority, DepFlow: depFlow,
+		}
+		if i+1 < len(newPath) {
+			m.EgressPort = uint16(t.PortTo(n, newPath[i+1]))
+		}
+		if i > 0 {
+			m.ChildPort = uint16(t.PortTo(n, newPath[i-1]))
+		}
+		if i == 0 {
+			m.Flags |= packet.EZIngress
+		}
+		if i == len(newPath)-1 {
+			m.Flags |= packet.EZEgress
+		}
+		instr = append(instr, instruction{node: n, m: m})
+		return &instr[len(instr)-1].m
 	}
 
+	var order []topo.NodeID // backs every ExecOrder entry
+	last := 0
 	for _, s := range seg.Segments {
+		// The segments tile the new path: this one spans new-path
+		// indexes first..last, last being its egress gateway.
+		first := last
+		last += len(s.Nodes) - 1
 		// A segment needs work when any of its rule-setting nodes
 		// (everything but the segment egress gateway) changes.
 		needed := false
-		for _, n := range s.Nodes[:len(s.Nodes)-1] {
-			if changes(n) {
+		for i := first; i < last; i++ {
+			if changes(i) {
 				needed = true
 				break
 			}
@@ -126,18 +128,21 @@ func PreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []top
 		if !needed {
 			continue
 		}
-		for i, n := range s.Nodes[:len(s.Nodes)-1] {
-			in := get(n)
-			if i > 0 {
+		for i := first; i < last; i++ {
+			in := get(i)
+			if i > first {
 				in.Flags |= packet.EZRelay // segment interior
 			}
-			if changes(n) {
-				p.Changed = append(p.Changed, n)
+			if changes(i) {
+				if p.Changed == nil {
+					p.Changed = make([]topo.NodeID, 0, len(newPath))
+				}
+				p.Changed = append(p.Changed, newPath[i])
 			}
 		}
-		eg := get(s.EgressGW)
+		eg := get(last)
 		switch {
-		case s.Forward || !changes(s.EgressGW):
+		case s.Forward || !changes(last):
 			// not_in_loop segments start immediately; a gateway whose
 			// own rule never changes has no downstream dependency.
 			eg.Flags |= packet.EZInitNow
@@ -146,11 +151,15 @@ func PreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []top
 		}
 		// Encode the intra-segment update order into the segment egress
 		// (egress-to-ingress), as the original system does.
-		order := make([]topo.NodeID, 0, len(s.Nodes))
-		for i := len(s.Nodes) - 2; i >= 0; i-- {
-			order = append(order, s.Nodes[i])
+		if order == nil {
+			order = make([]topo.NodeID, 0, len(newPath))
+			p.ExecOrder = make([][]topo.NodeID, 0, len(seg.Segments))
 		}
-		p.ExecOrder = append(p.ExecOrder, order)
+		from := len(order)
+		for i := last - 1; i >= first; i-- {
+			order = append(order, newPath[i])
+		}
+		p.ExecOrder = append(p.ExecOrder, order[from:len(order):len(order)])
 	}
 	// Resolve inter-segment dependencies: each in_loop segment waits for
 	// its downstream neighbor chain.
@@ -160,19 +169,37 @@ func PreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []top
 			p.Deps[i] = i - 1
 		}
 	}
-	// Emit instructions in node-ID order: the send order must not depend
-	// on map iteration, or same-instant message ties break differently
-	// across runs of the same seed.
-	targets := make([]topo.NodeID, 0, len(instr))
-	for n := range instr {
-		targets = append(targets, n)
+	// Emit instructions in node-ID order: same-instant message ties
+	// break by send order, so the order is part of the plan.
+	if len(instr) == 0 {
+		return p, nil
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	for _, n := range targets {
-		p.Targets = append(p.Targets, n)
-		p.Msgs = append(p.Msgs, instr[n])
+	slices.SortFunc(instr, func(a, b instruction) int { return cmp.Compare(a.node, b.node) })
+	p.Targets = make([]topo.NodeID, len(instr))
+	p.Msgs = make([]packet.Message, len(instr))
+	for j := range instr {
+		p.Targets[j] = instr[j].node
+		p.Msgs[j] = &instr[j].m
 	}
 	return p, nil
+}
+
+// instruction is one switch's ez-Segway instruction while a plan is
+// prepared.
+type instruction struct {
+	node topo.NodeID
+	m    packet.EZI
+}
+
+// nextHop returns n's successor on path, from n's last position with
+// one, and whether there is one.
+func nextHop(path []topo.NodeID, n topo.NodeID) (topo.NodeID, bool) {
+	for i := len(path) - 2; i >= 0; i-- {
+		if path[i] == n {
+			return path[i+1], true
+		}
+	}
+	return 0, false
 }
 
 // flowEZState is the per-flow, per-switch baseline state.

@@ -322,9 +322,11 @@ func (h *Harness) deferWave(link topo.LinkID) bool {
 }
 
 // waveScan triggers one update per affected flow whose shortest path
-// changed, batching the wave's UIMs per destination switch. Affected
-// flows are visited in FlowID order so the trigger sequence is
-// deterministic.
+// changed, batching the wave's UIMs per destination switch. A flow's
+// path runs from its source to its destination, so checking it against
+// the cached tree tells an unchanged flow without building its new
+// path. Affected flows are visited in FlowID order so the trigger
+// sequence is deterministic.
 func (h *Harness) waveScan(link topo.LinkID) {
 	h.scratch = h.linkFlows.worklist(h.scratch, link)
 
@@ -335,11 +337,11 @@ func (h *Harness) waveScan(link topo.LinkID) {
 			h.c.SkippedBusy++
 			continue
 		}
-		sp := h.g.ShortestPath(cf.src, cf.dst, topo.ByLatency)
-		if samePath(sp, cf.path) {
+		if h.g.IsShortestPath(cf.path, topo.ByLatency) {
 			h.c.SkippedSame++
 			continue
 		}
+		sp := h.g.ShortestPath(cf.src, cf.dst, topo.ByLatency)
 		u, err := h.sys.Trigger(f, sp)
 		if err != nil {
 			h.c.TriggerErrs++
@@ -404,18 +406,6 @@ func (h *Harness) scheduleNextReroute() {
 
 // reroute runs the pending reroute; onReroute schedules the next one.
 func (h *Harness) reroute() { h.onReroute(h.nextReroute) }
-
-func samePath(a, b []topo.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // crashOrphaned reports whether an update still in flight at trial end
 // was doomed by a switch outage rather than stalled by the protocol: a

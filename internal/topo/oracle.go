@@ -152,6 +152,20 @@ func (o *PathOracle) ShortestPath(src, dst NodeID, w Weight) []NodeID {
 	return p
 }
 
+// IsShortestPath reports whether path is the path ShortestPath returns
+// between its endpoints under w: it walks the cached tree of path[0]
+// back from the last node against path, building nothing. An empty
+// path names no endpoints and is not a shortest path.
+func (o *PathOracle) IsShortestPath(path []NodeID, w Weight) bool {
+	if len(path) == 0 {
+		return false
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.refresh()
+	return o.treeLocked(path[0], w).matches(path)
+}
+
 // treeLocked returns the shortest-path tree from src under w, running
 // the sweep on first use. Callers hold o.mu.
 func (o *PathOracle) treeLocked(src NodeID, w Weight) spTree {
@@ -183,6 +197,19 @@ func (tr spTree) pathTo(root []NodeID, dst NodeID) ([]NodeID, float64) {
 		path[i] = v
 	}
 	return path, tr.d[dst]
+}
+
+// matches reports whether pathTo(nil, path's last node) would equal path.
+// An unreachable last node has no parent, so a path to it ends the walk
+// with path[0] unmatched.
+func (tr spTree) matches(path []NodeID) bool {
+	i := len(path) - 1
+	for v := path[i]; v != -1; v, i = tr.prev[v], i-1 {
+		if i < 0 || path[i] != v {
+			return false
+		}
+	}
+	return i < 0
 }
 
 // centroidMargin is the relative slack Centroid leaves before it rules

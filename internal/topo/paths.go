@@ -33,6 +33,13 @@ func (t *Topology) ShortestPath(src, dst NodeID, w Weight) []NodeID {
 	return t.Oracle().ShortestPath(src, dst, w)
 }
 
+// IsShortestPath reports whether path equals ShortestPath(path[0],
+// path[len(path)-1], w), without building that path: false for an
+// empty path.
+func (t *Topology) IsShortestPath(path []NodeID, w Weight) bool {
+	return t.Oracle().IsShortestPath(path, w)
+}
+
 // Distances returns minimum weights from src to every node (math.Inf(1)
 // for unreachable nodes). The result is memoized in the topology's
 // PathOracle and shared between callers: treat it as read-only.
