@@ -10,13 +10,16 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint gates on vet plus canonical formatting: any file gofmt would
-# rewrite fails the build with its name printed.
+# lint gates on vet, canonical formatting (any file gofmt would rewrite
+# fails the build with its name printed) and the rent test for code:
+# every identifier in non-test code has a non-test reader or an
+# allow-list entry naming the one that keeps it (DESIGN.md).
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+	$(GO) test -count=1 -run TestEveryIdentifierHasAReader .
 
 test:
 	$(GO) test ./...
@@ -28,8 +31,8 @@ test:
 # under the race detector — as do faults and audit, whose per-trial
 # injectors and auditors execute inside concurrently running trials,
 # and trace, whose per-trial recorders must stay disjoint across
-# workers. The wiring registry and all five baselines run under the
-# detector too: their handlers and coordinators execute inside
+# workers. The wiring registry and all four baselines (ez-Segway,
+# Central, PPCU, OptOracle) run under the detector too: their handlers and coordinators execute inside
 # concurrently running trials, and those with plan caches share them
 # across workers. The second line repeats the test that races Centroid's
 # scratch sweeps against cache-miss path queries on one frozen topology,

@@ -69,32 +69,18 @@ func (k Kind) String() string {
 	}
 }
 
-// Violation is one recorded invariant breach.
-type Violation struct {
-	Kind Kind
-	// Step and Time locate the breach in the trial's event sequence.
-	Step   uint64
-	Time   time.Duration
-	Flow   packet.FlowID
-	Node   topo.NodeID
-	Detail string
-}
-
 // Config tunes the auditor.
 type Config struct {
 	// Every is the sweep period in engine steps (<=0 means every step).
 	Every int
-	// MaxExamples bounds the retained example violations (0 means 8).
-	MaxExamples int
 	// NoCapacity disables the link-capacity invariant — required for
 	// setups that never enforce capacity (Congestion off), where links
 	// are legitimately overbooked.
 	NoCapacity bool
 }
 
-// Report summarizes a trial's audit: total violation counts per kind,
-// the number of distinct flows (or links) involved, and a bounded set
-// of example violations.
+// Report summarizes a trial's audit: its sweeps and the total
+// violation counts per kind.
 type Report struct {
 	Sweeps uint64
 
@@ -102,13 +88,6 @@ type Report struct {
 	Loops              uint64
 	OverCapacity       uint64
 	VersionRegressions uint64
-
-	BlackholeFlows int
-	LoopFlows      int
-	OverCapLinks   int
-	RegressFlows   int
-
-	Examples []Violation
 }
 
 // Total returns the summed violation count across kinds.
@@ -128,14 +107,6 @@ type charge struct {
 	sizeK uint32
 }
 
-// finding is one remembered flow violation: what report needs to
-// record it again on a later sweep.
-type finding struct {
-	kind   Kind
-	node   topo.NodeID
-	detail string
-}
-
 // slotVerdict is what the last audit of one flow slot established, and
 // the revisions it was established at. The zero value is a slot never
 // audited.
@@ -153,12 +124,12 @@ type slotVerdict struct {
 	audited   bool
 	rev       uint32
 	outageRev uint32
-	// regress holds the monotonicity violations, which depend on the
-	// registers alone; traced is the trace's violation (a trace ends at
-	// its first) and charges the load it put on links, which depend on
-	// the registers and on which switches are up.
-	regress  []finding
-	traced   finding
+	// regress counts the monotonicity violations, which depend on the
+	// registers alone; traced is the trace's violation when traceBad (a
+	// trace ends at its first) and charges the load it put on links,
+	// which depend on the registers and on which switches are up.
+	regress  int
+	traced   Kind
 	traceBad bool
 	charges  []charge
 }
@@ -171,8 +142,7 @@ type nodeVersion struct {
 
 // Auditor holds the sweep state for one attached fabric. All scratch is
 // reused across sweeps, so steady-state sweeping allocates only when a
-// violation is first found or a flow's trace outgrows its slot's charge
-// list.
+// flow's trace outgrows its slot's charge list or its version history.
 type Auditor struct {
 	cfg Config
 	net *dataplane.Network
@@ -181,10 +151,7 @@ type Auditor struct {
 	step   uint64
 	sweeps uint64
 
-	counts   [numKinds]uint64
-	flowSets [numKinds]map[packet.FlowID]struct{}
-	linkSet  map[portRef]struct{}
-	examples []Violation
+	counts [numKinds]uint64
 
 	// visited marks trace membership by generation, so loop detection
 	// needs no per-flow clearing.
@@ -206,7 +173,6 @@ type Auditor struct {
 // SweepStats describes one completed sweep: the virtual instant it ran
 // and the violations newly recorded during it (deltas, not totals).
 type SweepStats struct {
-	Sweep              uint64
 	Time               time.Duration
 	Blackholes         uint64
 	Loops              uint64
@@ -224,9 +190,6 @@ func (s *SweepStats) Total() uint64 {
 func Attach(net *dataplane.Network, ctl *controlplane.Controller, cfg Config) *Auditor {
 	if cfg.Every <= 0 {
 		cfg.Every = 1
-	}
-	if cfg.MaxExamples <= 0 {
-		cfg.MaxExamples = 8
 	}
 	n := net.Topo.NumNodes()
 	a := &Auditor{
@@ -261,11 +224,6 @@ func (a *Auditor) Report() Report {
 		Loops:              a.counts[Loop],
 		OverCapacity:       a.counts[OverCapacity],
 		VersionRegressions: a.counts[VersionRegress],
-		BlackholeFlows:     len(a.flowSets[Blackhole]),
-		LoopFlows:          len(a.flowSets[Loop]),
-		OverCapLinks:       len(a.linkSet),
-		RegressFlows:       len(a.flowSets[VersionRegress]),
-		Examples:           a.examples,
 	}
 }
 
@@ -316,11 +274,9 @@ func (a *Auditor) Sweep() {
 			s.traced, s.traceBad = a.traceFlow(idx, rec, s)
 			s.audited, s.rev, s.outageRev = true, rev, outage
 		}
-		for i := range s.regress {
-			a.report(f, &s.regress[i])
-		}
+		a.counts[VersionRegress] += uint64(s.regress)
 		if s.traceBad {
-			a.report(f, &s.traced)
+			a.counts[s.traced]++
 		}
 	}
 	if !a.cfg.NoCapacity {
@@ -328,7 +284,6 @@ func (a *Auditor) Sweep() {
 	}
 	if a.OnSweep != nil {
 		a.OnSweep(SweepStats{
-			Sweep:              a.sweeps,
 			Time:               a.net.Eng.Now(),
 			Blackholes:         a.counts[Blackhole] - before[Blackhole],
 			Loops:              a.counts[Loop] - before[Loop],
@@ -356,31 +311,31 @@ func (a *Auditor) uncharge(s *slotVerdict) {
 
 // traceFlow follows the flow's active forwarding state from its ingress,
 // charging traced load to each crossed link (and to s, so it can be taken
-// off again) and returning the loop or blackhole the trace ends in, if
-// any. The walk forwards exactly like the data plane: on two-phase
-// switches (§11 / PPCU) it carries the version tag a packet injected now
-// would be stamped with at the ingress, and follows the retained previous
-// rule wherever the tag predates the switch's current configuration —
-// mid-update two-phase state is consistent for tagged packets and must
-// not be reported as a blackhole. A trace that meets a crashed switch is
+// off again) and returning the kind of violation the trace ends in (a
+// loop or a blackhole), if any. The walk forwards exactly like the data
+// plane: on two-phase switches (§11 / PPCU) it carries the version tag a
+// packet injected now would be stamped with at the ingress, and follows
+// the retained previous rule wherever the tag predates the switch's
+// current configuration — mid-update two-phase state is consistent for
+// tagged packets and must not be reported as a blackhole. A trace that meets a crashed switch is
 // abandoned without a report: a physical outage is not a protocol fault.
-func (a *Auditor) traceFlow(idx int, rec *controlplane.FlowRecord, s *slotVerdict) (finding, bool) {
+func (a *Auditor) traceFlow(idx int, rec *controlplane.FlowRecord, s *slotVerdict) (Kind, bool) {
 	a.visGen++
 	cur := rec.Src
 	var tag uint32
 	maxHops := a.net.Topo.NumNodes() + 1
 	for hop := 0; hop <= maxHops; hop++ {
 		if a.visited[cur] == a.visGen {
-			return finding{Loop, cur, "forwarding loop revisits node"}, true
+			return Loop, true
 		}
 		a.visited[cur] = a.visGen
 		sw := a.net.Switch(cur)
 		if sw.Down() {
-			return finding{}, false
+			return 0, false
 		}
 		st := sw.FlowStateAt(idx)
 		if st == nil || !st.HasRule {
-			return finding{Blackhole, cur, "no forwarding rule"}, true
+			return Blackhole, true
 		}
 		out := st.EgressPort
 		if sw.TwoPhase {
@@ -392,14 +347,12 @@ func (a *Auditor) traceFlow(idx int, rec *controlplane.FlowRecord, s *slotVerdic
 			}
 		}
 		if out == dataplane.PortLocal {
-			if cur != rec.Dst {
-				return finding{Blackhole, cur, "local delivery at non-destination"}, true
-			}
-			return finding{}, false
+			// Local delivery anywhere but the destination is a blackhole.
+			return Blackhole, cur != rec.Dst
 		}
 		next, ok := a.net.Topo.NeighborAt(cur, out)
 		if !ok {
-			return finding{Blackhole, cur, "egress port has no link"}, true
+			return Blackhole, true // the egress port has no link
 		}
 		if out >= 0 && int(out) < len(a.load[cur]) {
 			a.load[cur][out] += uint64(st.FlowSizeK)
@@ -407,7 +360,7 @@ func (a *Auditor) traceFlow(idx int, rec *controlplane.FlowRecord, s *slotVerdic
 		}
 		cur = next
 	}
-	return finding{Loop, cur, "trace exceeded hop bound"}, true
+	return Loop, true // the trace exceeded the hop bound
 }
 
 // checkCapacity compares the traced load on every loaded link, in
@@ -418,34 +371,20 @@ func (a *Auditor) checkCapacity() {
 			if kbps == 0 {
 				continue
 			}
-			pr := portRef{topo.NodeID(node), topo.PortID(port)}
-			c := a.net.Switch(pr.node).CapacityK(pr.port)
-			if c == 0 || kbps <= c {
-				continue
-			}
-			a.counts[OverCapacity]++
-			if a.linkSet == nil {
-				a.linkSet = make(map[portRef]struct{})
-			}
-			a.linkSet[pr] = struct{}{}
-			if len(a.examples) < a.cfg.MaxExamples {
-				a.examples = append(a.examples, Violation{
-					Kind: OverCapacity, Step: a.step, Time: a.net.Eng.Now(),
-					Node: pr.node,
-					Detail: fmt.Sprintf("port %d carries %d kbps, capacity %d kbps",
-						pr.port, kbps, c),
-				})
+			c := a.net.Switch(topo.NodeID(node)).CapacityK(topo.PortID(port))
+			if c != 0 && kbps > c {
+				a.counts[OverCapacity]++
 			}
 		}
 	}
 }
 
 // checkVersions asserts the flow's applied version never decreases on
-// any node, remembering the regressions in s. It visits the slot's
+// any node, counting the regressions in s. It visits the slot's
 // holders, which come in ascending node order like s.lastVer, so the
 // two merge in one pass.
 func (a *Auditor) checkVersions(idx int, s *slotVerdict) {
-	s.regress = s.regress[:0]
+	s.regress = 0
 	i, j, m := int32(idx), 0, a.net.NumFlowHolders(int32(idx))
 	if s.lastVer == nil {
 		// Room for a reroute's worth of new holders: the slice is kept
@@ -464,25 +403,9 @@ func (a *Auditor) checkVersions(idx int, s *slotVerdict) {
 			s.lastVer = slices.Insert(s.lastVer, j, nodeVersion{node: node})
 		}
 		if lv := &s.lastVer[j]; st.NewVersion < lv.ver {
-			s.regress = append(s.regress, finding{VersionRegress, node, fmt.Sprintf(
-				"applied version %d after %d", st.NewVersion, lv.ver)})
+			s.regress++
 		} else {
 			lv.ver = st.NewVersion
 		}
-	}
-}
-
-// report records one flow violation for the current sweep.
-func (a *Auditor) report(f packet.FlowID, v *finding) {
-	a.counts[v.kind]++
-	if a.flowSets[v.kind] == nil {
-		a.flowSets[v.kind] = make(map[packet.FlowID]struct{})
-	}
-	a.flowSets[v.kind][f] = struct{}{}
-	if len(a.examples) < a.cfg.MaxExamples {
-		a.examples = append(a.examples, Violation{
-			Kind: v.kind, Step: a.step, Time: a.net.Eng.Now(),
-			Flow: f, Node: v.node, Detail: v.detail,
-		})
 	}
 }

@@ -27,10 +27,6 @@ type fullSweep struct {
 
 	step, sweeps uint64
 	counts       [4]uint64
-	flowSets     [4]map[packet.FlowID]struct{}
-	linkSet      map[[2]int32]struct{}
-	examples     []audit.Violation
-	maxExamples  int
 
 	visited  []uint32
 	visGen   uint32
@@ -40,17 +36,13 @@ type fullSweep struct {
 	slotFlow []packet.FlowID
 }
 
-func newFullSweep(net *dataplane.Network, ctl *controlplane.Controller, every, maxExamples int) *fullSweep {
+func newFullSweep(net *dataplane.Network, ctl *controlplane.Controller, every int) *fullSweep {
 	n := net.Topo.NumNodes()
 	r := &fullSweep{
-		net: net, ctl: ctl, every: uint64(every), maxExamples: maxExamples,
+		net: net, ctl: ctl, every: uint64(every),
 		visited: make([]uint32, n),
 		load:    make([][]uint64, n),
 		lastVer: make([][]uint32, n),
-		linkSet: make(map[[2]int32]struct{}),
-	}
-	for k := range r.flowSets {
-		r.flowSets[k] = make(map[packet.FlowID]struct{})
 	}
 	for _, id := range net.Topo.Nodes() {
 		r.load[id] = make([]uint64, net.Topo.Degree(id))
@@ -96,33 +88,26 @@ func (r *fullSweep) sweep() {
 		if !ok {
 			continue
 		}
-		r.checkVersions(idx, f)
-		r.traceFlow(idx, f, rec)
+		r.checkVersions(idx)
+		r.traceFlow(idx, rec)
 	}
 	for _, pr := range r.touched {
 		node, port := topo.NodeID(pr[0]), topo.PortID(pr[1])
 		c := r.net.Switch(node).CapacityK(port)
 		if c > 0 && r.load[node][port] > c {
 			r.counts[audit.OverCapacity]++
-			r.linkSet[pr] = struct{}{}
-			if len(r.examples) < r.maxExamples {
-				r.examples = append(r.examples, audit.Violation{
-					Kind: audit.OverCapacity, Step: r.step, Time: r.net.Eng.Now(), Node: node,
-					Detail: fmt.Sprintf("port %d carries %d kbps, capacity %d kbps", port, r.load[node][port], c),
-				})
-			}
 		}
 	}
 }
 
-func (r *fullSweep) traceFlow(idx int, f packet.FlowID, rec *controlplane.FlowRecord) {
+func (r *fullSweep) traceFlow(idx int, rec *controlplane.FlowRecord) {
 	r.visGen++
 	cur := rec.Src
 	var tag uint32
 	maxHops := r.net.Topo.NumNodes() + 1
 	for hop := 0; hop <= maxHops; hop++ {
 		if r.visited[cur] == r.visGen {
-			r.report(audit.Loop, f, cur, "forwarding loop revisits node")
+			r.counts[audit.Loop]++
 			return
 		}
 		r.visited[cur] = r.visGen
@@ -132,7 +117,7 @@ func (r *fullSweep) traceFlow(idx int, f packet.FlowID, rec *controlplane.FlowRe
 		}
 		st := sw.FlowStateAt(idx)
 		if st == nil || !st.HasRule {
-			r.report(audit.Blackhole, f, cur, "no forwarding rule")
+			r.counts[audit.Blackhole]++
 			return
 		}
 		out := st.EgressPort
@@ -146,13 +131,13 @@ func (r *fullSweep) traceFlow(idx int, f packet.FlowID, rec *controlplane.FlowRe
 		}
 		if out == dataplane.PortLocal {
 			if cur != rec.Dst {
-				r.report(audit.Blackhole, f, cur, "local delivery at non-destination")
+				r.counts[audit.Blackhole]++
 			}
 			return
 		}
 		next, ok := r.net.Topo.NeighborAt(cur, out)
 		if !ok {
-			r.report(audit.Blackhole, f, cur, "egress port has no link")
+			r.counts[audit.Blackhole]++
 			return
 		}
 		if out >= 0 && int(out) < len(r.load[cur]) {
@@ -163,10 +148,10 @@ func (r *fullSweep) traceFlow(idx int, f packet.FlowID, rec *controlplane.FlowRe
 		}
 		cur = next
 	}
-	r.report(audit.Loop, f, cur, "trace exceeded hop bound")
+	r.counts[audit.Loop]++
 }
 
-func (r *fullSweep) checkVersions(idx int, f packet.FlowID) {
+func (r *fullSweep) checkVersions(idx int) {
 	for _, sw := range r.net.Switches() {
 		st := sw.FlowStateAt(idx)
 		if st == nil || !st.HasRule {
@@ -178,36 +163,11 @@ func (r *fullSweep) checkVersions(idx int, f packet.FlowID) {
 			r.lastVer[sw.ID] = lv
 		}
 		if st.NewVersion < lv[idx] {
-			r.report(audit.VersionRegress, f, sw.ID,
-				fmt.Sprintf("applied version %d after %d", st.NewVersion, lv[idx]))
+			r.counts[audit.VersionRegress]++
 		} else {
 			lv[idx] = st.NewVersion
 		}
 	}
-}
-
-func (r *fullSweep) report(k audit.Kind, f packet.FlowID, node topo.NodeID, detail string) {
-	r.counts[k]++
-	r.flowSets[k][f] = struct{}{}
-	if len(r.examples) < r.maxExamples {
-		r.examples = append(r.examples, audit.Violation{
-			Kind: k, Step: r.step, Time: r.net.Eng.Now(), Flow: f, Node: node, Detail: detail,
-		})
-	}
-}
-
-// flowExamples filters out the over-capacity examples: the reference
-// visits links in first-charged order, the auditor in ascending (node,
-// port) order, so only their number is comparable.
-func flowExamples(ex []audit.Violation) (flow []audit.Violation, overCap int) {
-	for _, v := range ex {
-		if v.Kind == audit.OverCapacity {
-			overCap++
-		} else {
-			flow = append(flow, v)
-		}
-	}
-	return flow, overCap
 }
 
 // writer mutates the fabric behind the protocol's back through the same
@@ -327,9 +287,8 @@ func differentialTrial(t *testing.T, g *topo.Topology, name, system string, loss
 		}
 	}
 
-	const maxExamples = 64
-	a := audit.Attach(sys.Net, sys.Ctl, audit.Config{Every: every, MaxExamples: maxExamples})
-	ref := newFullSweep(sys.Net, sys.Ctl, every, maxExamples)
+	a := audit.Attach(sys.Net, sys.Ctl, audit.Config{Every: every})
+	ref := newFullSweep(sys.Net, sys.Ctl, every)
 	var got audit.SweepStats
 	a.OnSweep = func(s audit.SweepStats) { got = s }
 	w := &writer{rng: rand.New(rand.NewSource(seed ^ 0x77)), net: sys.Net, ctl: sys.Ctl, flows: flows}
@@ -342,7 +301,7 @@ func differentialTrial(t *testing.T, g *topo.Topology, name, system string, loss
 		auditStep()
 		if ref.afterStep() {
 			want := audit.SweepStats{
-				Sweep: ref.sweeps, Time: sys.Eng.Now(),
+				Time:               sys.Eng.Now(),
 				Blackholes:         ref.counts[audit.Blackhole] - before[audit.Blackhole],
 				Loops:              ref.counts[audit.Loop] - before[audit.Loop],
 				OverCapacity:       ref.counts[audit.OverCapacity] - before[audit.OverCapacity],
@@ -365,21 +324,13 @@ func differentialTrial(t *testing.T, g *topo.Topology, name, system string, loss
 	sys.Eng.Run()
 
 	rep := a.Report()
-	flowEx, capEx := flowExamples(rep.Examples)
-	refFlowEx, refCapEx := flowExamples(ref.examples)
 	want := audit.Report{
 		Sweeps:     ref.sweeps,
 		Blackholes: ref.counts[audit.Blackhole], Loops: ref.counts[audit.Loop],
 		OverCapacity: ref.counts[audit.OverCapacity], VersionRegressions: ref.counts[audit.VersionRegress],
-		BlackholeFlows: len(ref.flowSets[audit.Blackhole]), LoopFlows: len(ref.flowSets[audit.Loop]),
-		OverCapLinks: len(ref.linkSet), RegressFlows: len(ref.flowSets[audit.VersionRegress]),
 	}
-	rep.Examples = nil
-	if fmt.Sprint(rep) != fmt.Sprint(want) {
+	if rep != want {
 		t.Errorf("%s: report %+v, reference %+v", name, rep, want)
-	}
-	if fmt.Sprint(flowEx) != fmt.Sprint(refFlowEx) || capEx != refCapEx {
-		t.Errorf("%s: examples differ:\n got %v (+%d over-capacity)\nwant %v (+%d)", name, flowEx, capEx, refFlowEx, refCapEx)
 	}
 	return ref.sweeps, ref.counts
 }

@@ -23,8 +23,8 @@ func newBed(g *topo.Topology, seed int64, congestion bool) *bed {
 	eng.MaxEvents = 2_000_000
 	net := dataplane.NewNetwork(eng, g)
 	net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyCentral})
-	node := controlplane.UseCentroidControl(net)
-	ctl := controlplane.NewController(net, node)
+	controlplane.UseCentroidControl(net)
+	ctl := controlplane.NewController(net)
 	co := NewCoordinator(ctl, 500*time.Microsecond)
 	co.Congestion = congestion
 	return &bed{eng: eng, net: net, ctl: ctl, co: co}

@@ -14,7 +14,6 @@ import (
 
 // FlowRecord is one Flow-DB entry.
 type FlowRecord struct {
-	ID       packet.FlowID
 	Src, Dst topo.NodeID
 	Path     []topo.NodeID
 	Version  uint32
@@ -94,10 +93,6 @@ type Controller struct {
 	Net  *dataplane.Network
 	Topo *topo.Topology
 
-	// Node is the switch co-located with the controller (for WAN
-	// topologies the centroid, per §9.1).
-	Node topo.NodeID
-
 	flows   map[packet.FlowID]*FlowRecord
 	trees   map[packet.FlowID]*TreeRecord
 	updates map[updateKey]*UpdateStatus
@@ -170,12 +165,11 @@ type updateKey struct {
 
 // NewController attaches a controller to the network and registers the
 // controller-bound receive path and the apply observer.
-func NewController(net *dataplane.Network, node topo.NodeID) *Controller {
+func NewController(net *dataplane.Network) *Controller {
 	c := &Controller{
 		Eng:     net.Eng,
 		Net:     net,
 		Topo:    net.Topo,
-		Node:    node,
 		flows:   make(map[packet.FlowID]*FlowRecord),
 		updates: make(map[updateKey]*UpdateStatus),
 	}
@@ -210,7 +204,7 @@ func (c *Controller) RegisterFlowID(f packet.FlowID, src, dst topo.NodeID, path 
 	if path[0] != src || path[len(path)-1] != dst {
 		return fmt.Errorf("controlplane: path endpoints do not match flow")
 	}
-	c.flows[f] = &FlowRecord{ID: f, Src: src, Dst: dst, Path: path, Version: 1, SizeK: sizeK}
+	c.flows[f] = &FlowRecord{Src: src, Dst: dst, Path: path, Version: 1, SizeK: sizeK}
 	c.Net.InstallPath(f, path, 1, sizeK)
 	return nil
 }
@@ -219,15 +213,6 @@ func (c *Controller) RegisterFlowID(f packet.FlowID, src, dst topo.NodeID, path 
 func (c *Controller) Status(f packet.FlowID, version uint32) (*UpdateStatus, bool) {
 	u, ok := c.updates[updateKey{f, version}]
 	return u, ok
-}
-
-// Updates returns all tracked updates.
-func (c *Controller) Updates() []*UpdateStatus {
-	out := make([]*UpdateStatus, 0, len(c.updates))
-	for _, u := range c.updates {
-		out = append(out, u)
-	}
-	return out
 }
 
 // TriggerUpdate prepares and pushes a route update of flow f to newPath.
@@ -605,11 +590,9 @@ func (c *Controller) cleanupStaleRules(u *UpdateStatus) {
 // UseCentroidControl places the controller at the topology centroid and
 // derives per-switch control latencies from shortest-path propagation
 // (§9.1, WAN topologies).
-func UseCentroidControl(net *dataplane.Network) topo.NodeID {
-	node := net.Topo.Centroid()
-	lat := net.Topo.ControlLatencies(node)
+func UseCentroidControl(net *dataplane.Network) {
+	lat := net.Topo.ControlLatencies(net.Topo.Centroid())
 	net.ControlLatency = func(n topo.NodeID) time.Duration { return lat[n] }
-	return node
 }
 
 // UseSampledControl assigns each switch a control latency drawn once from

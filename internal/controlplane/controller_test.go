@@ -36,8 +36,8 @@ func bed(t *testing.T) (*sim.Engine, *dataplane.Network, *Controller) {
 	eng.MaxEvents = 500_000
 	net := dataplane.NewNetwork(eng, g)
 	net.SetHandler(echoHandler{})
-	node := UseCentroidControl(net)
-	return eng, net, NewController(net, node)
+	UseCentroidControl(net)
+	return eng, net, NewController(net)
 }
 
 func TestRegisterFlowValidation(t *testing.T) {
@@ -139,8 +139,8 @@ func TestControlLatencyModels(t *testing.T) {
 	g := topo.Synthetic()
 	eng := sim.New(1)
 	net := dataplane.NewNetwork(eng, g)
-	node := UseCentroidControl(net)
-	if net.ControlLatency(node) != 0 {
+	UseCentroidControl(net)
+	if net.ControlLatency(g.Centroid()) != 0 {
 		t.Error("controller-co-located switch should have zero latency")
 	}
 	UseSampledControl(net, func() time.Duration { return 7 * time.Millisecond })
@@ -156,8 +156,8 @@ func TestUpdatesListing(t *testing.T) {
 	f, _ := ctl.RegisterFlow(0, 7, []topo.NodeID{0, 4, 2, 7}, 100)
 	ctl.TriggerUpdate(f, []topo.NodeID{0, 1, 2, 7}, nil)
 	eng.Run()
-	if got := len(ctl.Updates()); got != 1 {
-		t.Errorf("Updates() = %d entries, want 1", got)
+	if got := len(ctl.updates); got != 1 {
+		t.Errorf("%d tracked updates, want 1", got)
 	}
 	if _, ok := ctl.Status(f, 2); !ok {
 		t.Error("Status lookup failed")

@@ -18,12 +18,9 @@ import (
 // Segment is one dual-layer path segment: a maximal slice of the new path
 // between two consecutive gateway nodes (§3.2).
 type Segment struct {
-	// Nodes is the new-path slice from the ingress gateway to the egress
-	// gateway, inclusive.
+	// Nodes is the new-path slice from the ingress gateway (the one
+	// closer to the flow ingress) to the egress gateway, inclusive.
 	Nodes []topo.NodeID
-	// IngressGW is the gateway closer to the flow ingress, EgressGW the
-	// one closer to the flow egress (w.r.t. the new path).
-	IngressGW, EgressGW topo.NodeID
 	// Forward reports whether the segment decreases the old-path
 	// distance (updateable immediately); backward segments must wait.
 	Forward bool
@@ -76,10 +73,8 @@ func SegmentPaths(oldPath, newPath []topo.NodeID) (Segmentation, error) {
 		s.Gateways = append(s.Gateways, n)
 		if prev >= 0 {
 			s.Segments = append(s.Segments, Segment{
-				Nodes:     newPath[prev : i+1],
-				IngressGW: newPath[prev],
-				EgressGW:  n,
-				Forward:   j > prevOld,
+				Nodes:   newPath[prev : i+1],
+				Forward: j > prevOld,
 			})
 		}
 		prev, prevOld = i, j

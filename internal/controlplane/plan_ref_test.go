@@ -52,10 +52,8 @@ func refSegmentPaths(oldPath, newPath []topo.NodeID) (refSegmentation, error) {
 		if prev >= 0 {
 			in := newPath[prev]
 			s.Segments = append(s.Segments, Segment{
-				Nodes:     newPath[prev : i+1],
-				IngressGW: in,
-				EgressGW:  n,
-				Forward:   dist < s.OldDistance[in],
+				Nodes:   newPath[prev : i+1],
+				Forward: dist < s.OldDistance[in],
 			})
 		}
 		prev = i
@@ -188,7 +186,7 @@ func sameSegmentation(got Segmentation, want refSegmentation) error {
 	}
 	for i, g := range got.Segments {
 		w := want.Segments[i]
-		if !slices.Equal(g.Nodes, w.Nodes) || g.IngressGW != w.IngressGW || g.EgressGW != w.EgressGW || g.Forward != w.Forward {
+		if !slices.Equal(g.Nodes, w.Nodes) || g.Forward != w.Forward {
 			return fmt.Errorf("segment %d = %+v, want %+v", i, g, w)
 		}
 	}

@@ -29,7 +29,7 @@ func TestSegmentPathsFig1(t *testing.T) {
 	if !seg.Segments[0].Forward || seg.Segments[1].Forward || !seg.Segments[2].Forward {
 		t.Errorf("classification: %+v", seg.Segments)
 	}
-	if seg.Segments[1].IngressGW != 2 || seg.Segments[1].EgressGW != 4 {
+	if nodes := seg.Segments[1].Nodes; nodes[0] != 2 || nodes[len(nodes)-1] != 4 {
 		t.Errorf("backward segment gateways: %+v", seg.Segments[1])
 	}
 }

@@ -72,7 +72,7 @@ func TestResendRepeatsOnlyTheUnackedNode(t *testing.T) {
 					t.Errorf("node %d got %d instructions, want %d", n, got, want)
 				}
 			}
-			if got := sys.Trace.CountByKindClass(trace.KindRound, 0); got != uint64(tc.rounds) {
+			if got := sys.Trace.Summarize().ByClass["round"]; got != uint64(tc.rounds) {
 				t.Errorf("%d rounds sent, want %d", got, tc.rounds)
 			}
 		})

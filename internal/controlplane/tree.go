@@ -73,10 +73,6 @@ func ShortestPathTree(t *topo.Topology, root topo.NodeID) Tree {
 // child) pair — each indication programs one clone-session port; the
 // verification labels are identical on all of a node's indications.
 type TreePlan struct {
-	Flow    packet.FlowID
-	Root    topo.NodeID
-	Version uint32
-	Tree    Tree
 	Nodes   []topo.NodeID // every node of the tree, root first
 	Targets []topo.NodeID
 	UIMs    []*packet.UIM
@@ -97,7 +93,7 @@ func PrepareTreePlan(t *topo.Topology, flow packet.FlowID, root topo.NodeID,
 	for _, cs := range children {
 		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 	}
-	p := &TreePlan{Flow: flow, Root: root, Version: version, Tree: tree}
+	p := &TreePlan{}
 	nodes := make([]topo.NodeID, 0, len(depth))
 	for n := range depth {
 		nodes = append(nodes, n)
@@ -147,9 +143,7 @@ func PrepareTreePlan(t *topo.Topology, flow packet.FlowID, root topo.NodeID,
 
 // TreeRecord tracks a destination-routed "flow" in the Flow DB.
 type TreeRecord struct {
-	ID      packet.FlowID
 	Root    topo.NodeID
-	Tree    Tree
 	Version uint32
 	SizeK   uint32
 }
@@ -170,7 +164,7 @@ func (c *Controller) RegisterTree(root topo.NodeID, tree Tree, sizeK uint32) (pa
 		return 0, err
 	}
 	f := packet.HashFlow(0xffff, uint16(root)) // destination-keyed flow ID
-	c.treeDB()[f] = &TreeRecord{ID: f, Root: root, Tree: tree, Version: 1, SizeK: sizeK}
+	c.treeDB()[f] = &TreeRecord{Root: root, Version: 1, SizeK: sizeK}
 	for n, d := range depth {
 		sw := c.Net.Switch(n)
 		if n == root {
@@ -180,12 +174,6 @@ func (c *Controller) RegisterTree(root topo.NodeID, tree Tree, sizeK uint32) (pa
 		sw.InstallInitialRule(f, c.Topo.PortTo(n, tree[n]), 1, d, sizeK)
 	}
 	return f, nil
-}
-
-// TreeOf returns the tree record for f.
-func (c *Controller) TreeOf(f packet.FlowID) (*TreeRecord, bool) {
-	r, ok := c.treeDB()[f]
-	return r, ok
 }
 
 // TriggerTreeUpdate migrates destination routing for f onto newTree using
@@ -220,7 +208,6 @@ func (c *Controller) TriggerTreeUpdate(f packet.FlowID, newTree Tree) (*UpdateSt
 		msgs[i] = m
 	}
 	u := c.PushMessages(f, version, nil, probePath, plan.Nodes, plan.Targets, msgs, nil)
-	rec.Tree = newTree
 	rec.Version = version
 	return u, nil
 }

@@ -47,7 +47,7 @@ func attachRules(tb *testbed, rules ...faults.Rule) *faults.Injector {
 // duplicateAllData delivers every data-plane frame twice.
 func duplicateAllData() faults.Rule {
 	r := faults.DuplicateMatching(faults.AnyNode, faults.AnyNode, packet.TypeInvalid, 0)
-	r.Classes = faults.ClassData
+	r.Classes = 1 << dataplane.FaultData
 	return r
 }
 
@@ -168,7 +168,7 @@ func TestDroppedUIMStallsConsistently(t *testing.T) {
 	oldP, newP := topo.SyntheticPaths()
 	f, _ := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
 	lostUIM := faults.DropMatching(dataplane.NodeController, 3, packet.TypeUIM, 0)
-	lostUIM.Classes = faults.ClassDown // v3 never receives its UIM
+	lostUIM.Classes = 1 << dataplane.FaultControlDown // v3 never receives its UIM
 	attachRules(tb, lostUIM)
 	u, err := tb.ctl.TriggerUpdate(f, newP, forceType(packet.UpdateSingle))
 	if err != nil {

@@ -230,7 +230,7 @@ func TestDecisionCoverage(t *testing.T) {
 			}
 			tb, rec := traced(proto)
 			sc.run(proto, tb.net.Switch(2))
-			if got := rec.CountByKindClass(trace.KindVerdict, uint8(sc.want)); got == 0 {
+			if got := rec.Summarize().ByClass["verdict:"+sc.want.String()]; got == 0 {
 				t.Errorf("scenario %q did not emit verdict %s",
 					sc.name, trace.ClassLabel(trace.KindVerdict, uint8(sc.want)))
 			}
@@ -242,7 +242,7 @@ func TestDecisionCoverage(t *testing.T) {
 	for _, code := range trace.CoreCodes() {
 		var n uint64
 		for _, rec := range recs {
-			n += rec.CountByKindClass(trace.KindVerdict, uint8(code))
+			n += rec.Summarize().ByClass["verdict:"+code.String()]
 		}
 		if n == 0 {
 			t.Errorf("decision code %q has no covering scenario",

@@ -25,8 +25,8 @@ func newTestbed(t *topo.Topology, seed int64, proto *core.Protocol) *testbed {
 	eng.MaxEvents = 5_000_000
 	net := dataplane.NewNetwork(eng, t)
 	net.SetHandler(proto)
-	node := controlplane.UseCentroidControl(net)
-	ctl := controlplane.NewController(net, node)
+	controlplane.UseCentroidControl(net)
+	ctl := controlplane.NewController(net)
 	return &testbed{eng: eng, topo: t, net: net, ctl: ctl}
 }
 

@@ -22,7 +22,8 @@ func altTree(g *topo.Topology, root topo.NodeID, base controlplane.Tree) control
 		if n == root {
 			continue
 		}
-		for _, nb := range g.Neighbors(n) {
+		for p := 0; p < g.Degree(n); p++ {
+			nb, _ := g.NeighborAt(n, topo.PortID(p))
 			if nb == alt[n] {
 				continue
 			}

@@ -122,9 +122,6 @@ type flowTable struct {
 	slots   []slotEntry
 	holders []holderSet
 	free    []int32 // recycled slots, LIFO
-	// scratch is the reusable backing array of FlowIDs(): the compacted
-	// live view, rebuilt per call.
-	scratch []packet.FlowID
 }
 
 // slotEntry is one entry of the dense slot space.
@@ -172,8 +169,7 @@ func (t *flowTable) release(f packet.FlowID, i int32) {
 	t.free = append(t.free, i)
 }
 
-// reset empties the table, keeping its capacity (scratch is rebuilt
-// on every use anyway).
+// reset empties the table, keeping its capacity.
 func (t *flowTable) reset() {
 	clear(t.idx)
 	t.slots = t.slots[:0]
@@ -398,11 +394,6 @@ func (n *Network) peekFlowSlot(f packet.FlowID) (int32, bool) { return n.flows.p
 // Pool returns the network's message/buffer pool.
 func (n *Network) Pool() *packet.Pool { return &n.pool }
 
-// Tracer returns the trial's flight recorder (nil = tracing off). All
-// recorder methods are nil-receiver-safe, so call sites may chain
-// without a guard; hot paths load it once and branch.
-func (n *Network) Tracer() *trace.Recorder { return n.Eng.Trace }
-
 // MsgMeta extracts the (flow, version) pair a protocol message carries,
 // for the flight recorder. Messages without a version report zero.
 func MsgMeta(m packet.Message) (flow uint32, ver uint32) {
@@ -441,22 +432,6 @@ func (n *Network) recordSend(tr *trace.Recorder, from, to topo.NodeID, m packet.
 		f, v := MsgMeta(m)
 		tr.Send(int32(from), uint8(t), int32(to), f, v)
 	}
-}
-
-// FlowIDs returns every *live* flow interned by the fabric, in
-// deterministic slot order (first-touch order until slots recycle).
-// The slice is owned by the network and rebuilt on every call: callers
-// (the invariant auditor) must treat it as read-only and must not
-// retain it across calls.
-func (n *Network) FlowIDs() []packet.FlowID {
-	t := n.flows
-	t.scratch = t.scratch[:0]
-	for _, s := range t.slots {
-		if s.live {
-			t.scratch = append(t.scratch, s.id)
-		}
-	}
-	return t.scratch
 }
 
 // NumFlowSlots returns the size of the dense flow-slot space (live
@@ -549,10 +524,7 @@ func (n *Network) deliver(x any) {
 	dv := x.(*delivery)
 	if dv.to == NodeController {
 		n.ControllerRx(dv.from, dv.frame())
-	} else if sw := n.switches[dv.to]; sw.down {
-		// Frames addressed to a crashed switch vanish at its port.
-		sw.Stats.CrashDrops++
-	} else {
+	} else if sw := n.switches[dv.to]; !sw.down { // a crashed switch's frames vanish at its port
 		sw.Receive(dv.frame(), dv.inPort)
 	}
 	n.release(dv)

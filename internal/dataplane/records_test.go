@@ -32,7 +32,7 @@ func (r *recorder) Resubmit(sw *Switch, m packet.Message, inPort topo.PortID) {
 
 func (r *recorder) CommitStaged(sw *Switch, c *StagedCommit) {
 	r.commits = append(r.commits, c.UIM)
-	r.commitAt = append(r.commitAt, sw.Now())
+	r.commitAt = append(r.commitAt, sw.Network().Eng.Now())
 }
 
 // TestParkedMessageIsACopy: a message parked on an indication is a copy —

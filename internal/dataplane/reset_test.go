@@ -50,7 +50,6 @@ func dirtyNetwork(net *Network, g *topo.Topology) {
 	net.OnDeliver = func(topo.NodeID, *packet.Data) {}
 	net.Switch(0).InjectData(&packet.Data{Flow: 2, TTL: 8})
 	net.Switch(0).InjectData(&packet.Data{Flow: 999, TTL: 8})
-	net.FlowIDs()
 	net.Switch(1).Apply(true, net.Switch(1).StageCommit())
 	net.Eng.MaxEvents = 3
 	net.Eng.Run()
@@ -134,12 +133,12 @@ func freshDiff(path string, got, want reflect.Value, skip map[string]bool) []str
 
 // resetKeeps names the fields Network.Reset keeps instead of zeroing:
 // the engine and topology it is given or built for, the back pointer,
-// the pools and slabs, FlowIDs' scratch (rebuilt per call), and the
-// FlowState slab blocks (checked for emptiness on their own).
+// the pools and slabs, and the FlowState slab blocks (checked for
+// emptiness on their own).
 var resetKeeps = map[string]bool{
 	"Network.Eng": true, "Network.Topo": true, "Network.pool": true,
 	"Network.deliveries": true, "Network.parks": true, "Network.commits": true,
-	"flowTable.scratch": true, "Switch.net": true, "Switch.stateChunks": true,
+	"Switch.net": true, "Switch.stateChunks": true,
 }
 
 // TestNetworkResetMatchesFresh dirties a fabric, resets it, and requires

@@ -229,7 +229,4 @@ type Stats struct {
 	Resubmissions  uint64 // parked messages woken and handed to the handler's Resubmit
 	RulesApplied   uint64 // committed forwarding-rule changes
 	RulesCleaned   uint64 // stale rules removed by cleanup messages
-	Crashes        uint64 // Crash() transitions
-	Restores       uint64 // Restore() transitions
-	CrashDrops     uint64 // frames dropped at a down switch
 }

@@ -262,9 +262,6 @@ func (sw *Switch) recordRecv(tr *trace.Recorder, m packet.Message, inPort topo.P
 	tr.Recv(int32(sw.ID), uint8(m.Type()), peer, f, v)
 }
 
-// Now returns the current virtual time.
-func (sw *Switch) Now() time.Duration { return sw.net.Eng.Now() }
-
 // State returns the flow's register slice, allocating fresh-node state on
 // first touch. The returned pointer stays stable for the flow's lifetime
 // (staged commits hold it).
@@ -502,7 +499,6 @@ func (sw *Switch) handleCleanup(m *packet.CLN) {
 // A crashed switch drops host traffic at the port.
 func (sw *Switch) InjectData(d *packet.Data) {
 	if sw.down {
-		sw.Stats.CrashDrops++
 		return
 	}
 	sw.handleData(d, topo.InvalidPort)
@@ -780,7 +776,6 @@ func (sw *Switch) Crash() {
 	sw.down = true
 	sw.epoch++
 	sw.net.outageRev++
-	sw.Stats.Crashes++
 	sw.net.Eng.Trace.Crash(int32(sw.ID), sw.epoch)
 	// Clear waiter lists before releasing staged reservations so the
 	// releases' wakeCapacityWaiters find nothing to reschedule.
@@ -820,7 +815,6 @@ func (sw *Switch) Restore() {
 	}
 	sw.down = false
 	sw.net.outageRev++
-	sw.Stats.Restores++
 	sw.net.Eng.Trace.Restore(int32(sw.ID), sw.epoch)
 }
 

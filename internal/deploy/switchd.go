@@ -123,9 +123,6 @@ func NewSwitch(cfg SwitchConfig) (*SwitchDaemon, error) {
 	return d, nil
 }
 
-// Node returns the owned switch ID.
-func (d *SwitchDaemon) Node() topo.NodeID { return d.cfg.Node }
-
 // Epoch returns this incarnation's transport epoch.
 func (d *SwitchDaemon) Epoch() uint32 { return d.epoch }
 

@@ -59,7 +59,6 @@ func DefaultChurnOpts() ChurnOpts {
 // ChurnResult is the merged outcome of a churn grid.
 type ChurnResult struct {
 	Label  string
-	Opts   ChurnOpts
 	Trials []runner.Result
 }
 
@@ -110,5 +109,5 @@ func RunChurn(mk func() *topo.Topology, label string, runs int, seed int64, co C
 	// Churn defaults to P4Update only (the headline perf scenario) rather
 	// than the full registered comparison.
 	trials := streamGrid(mk, label, runs, seed, SoakOpts{Churn: co}, []*faults.StormProfile{nil}, opt.systems(KindP4Update), opt)
-	return &ChurnResult{Label: label, Opts: co, Trials: trials}, nil
+	return &ChurnResult{Label: label, Trials: trials}, nil
 }

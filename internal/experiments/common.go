@@ -23,14 +23,13 @@ import (
 // name; any registered name is a valid kind.
 type SystemKind string
 
-// The registered systems: the paper's three-way comparison plus the
-// systems added behind the registry.
+// The paper's three-way comparison. The systems added behind the
+// registry (PPCU, OptOracle, the P4Update variants) are named by their
+// registry strings.
 const (
-	KindP4Update  SystemKind = "p4update"
-	KindEZSegway  SystemKind = "ez-segway"
-	KindCentral   SystemKind = "central"
-	KindPPCU      SystemKind = "ppcu"
-	KindOptOracle SystemKind = "opt-oracle"
+	KindP4Update SystemKind = "p4update"
+	KindEZSegway SystemKind = "ez-segway"
+	KindCentral  SystemKind = "central"
 )
 
 // String implements fmt.Stringer: the registry display name, or the raw

@@ -182,8 +182,8 @@ func TestSystemKindString(t *testing.T) {
 		{KindP4Update, "P4Update"},
 		{KindEZSegway, "ez-Segway"},
 		{KindCentral, "Central"},
-		{KindPPCU, "PPCU"},
-		{KindOptOracle, "OptOracle"},
+		{"ppcu", "PPCU"},
+		{"opt-oracle", "OptOracle"},
 		{SystemKind(""), "unknown"},
 		{SystemKind("no-such-system"), "no-such-system"},
 	}
@@ -230,12 +230,13 @@ func TestLongSystemNameKeepsColumns(t *testing.T) {
 		t.Fatalf("first row is %q, want the P4Update/SL row", sl)
 	}
 	// Column ends of the right-aligned columns shared by header and row:
-	// loss, reorder, mean-time, retriggers, loops, blkhole, overcap.
+	// loss, reorder, failed, mean-time, retriggers, loops, blkhole,
+	// overcap, regress.
 	want, got := fieldEnds(header), fieldEnds(sl)
 	if len(want) != len(got) {
 		t.Fatalf("header has %d columns, row %d:\n%s\n%s", len(want), len(got), header, sl)
 	}
-	for _, col := range []int{1, 2, 5, 6, 7, 8, 9} {
+	for _, col := range []int{1, 2, 4, 6, 7, 8, 9, 10, 11} {
 		if got[col] != want[col] {
 			t.Errorf("column %d ends at %d in the row, %d in the header:\n%s\n%s",
 				col, got[col], want[col], header, sl)
@@ -252,4 +253,29 @@ func fieldEnds(line string) []int {
 		}
 	}
 	return ends
+}
+
+// TestFaultsTableShowsFailedAndRegressions: a failed run drops its flows
+// from flows-done and a version regression is a broken invariant, so
+// the faults table prints both.
+func TestFaultsTableShowsFailedAndRegressions(t *testing.T) {
+	r := &FaultsResult{Label: "t", Rows: []FaultRow{{
+		System: KindP4Update, Runs: 2, Completed: 1, Failed: 1,
+		Flows: 4, FlowsDone: 2, VersionRegressions: 1,
+	}}}
+	lines := strings.Split(strings.TrimSpace(r.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("table:\n%s", r)
+	}
+	cols := map[string]string{}
+	head, row := strings.Fields(lines[1]), strings.Fields(lines[2])
+	if len(head) != len(row) {
+		t.Fatalf("%d headers for %d values:\n%s", len(head), len(row), r)
+	}
+	for i, h := range head {
+		cols[h] = row[i]
+	}
+	if cols["failed"] != "1" || cols["regress"] != "1" {
+		t.Errorf("failed=%q regress=%q, want 1 and 1:\n%s", cols["failed"], cols["regress"], r)
+	}
 }

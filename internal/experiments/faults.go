@@ -53,12 +53,6 @@ type FaultRow struct {
 	Loops              uint64
 	OverCapacity       uint64
 	VersionRegressions uint64
-	Sweeps             uint64
-}
-
-// Violations is the row's summed violation count.
-func (r *FaultRow) Violations() uint64 {
-	return r.Blackholes + r.Loops + r.OverCapacity + r.VersionRegressions
 }
 
 // FaultsResult is the chaos sweep: completion and audit outcomes for
@@ -73,24 +67,27 @@ type FaultsResult struct {
 
 // String renders the sweep as one row per (system, cell): the paper's
 // §11 claim in table form — P4Update keeps completing with zero
-// violations while faults climb, the baselines stall or go dark.
+// violations while faults climb, the baselines stall or go dark. A
+// failed run's flows are missing from flows-done, so failed is printed
+// beside it; regress counts version-monotonicity violations.
 func (r *FaultsResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Faults: %s ==\n", r.Label)
 	w := nameWidth(10, r.Rows, func(row FaultRow) string { return row.System.String() })
-	fmt.Fprintf(&b, "%-*s %5s %7s %9s %11s %10s %10s %5s %7s %7s\n",
-		w, "system", "loss", "reorder", "runs-done", "flows-done",
-		"mean-time", "retriggers", "loops", "blkhole", "overcap")
+	fmt.Fprintf(&b, "%-*s %5s %7s %9s %6s %11s %10s %10s %5s %7s %7s %7s\n",
+		w, "system", "loss", "reorder", "runs-done", "failed", "flows-done",
+		"mean-time", "retriggers", "loops", "blkhole", "overcap", "regress")
 	for i := range r.Rows {
 		row := &r.Rows[i]
 		mean := "-"
 		if row.MeanDone > 0 {
 			mean = row.MeanDone.Round(time.Millisecond).String()
 		}
-		fmt.Fprintf(&b, "%-*s %5.2f %7.2f %5d/%-3d %7d/%-3d %10s %10d %5d %7d %7d\n",
+		fmt.Fprintf(&b, "%-*s %5.2f %7.2f %5d/%-3d %6d %7d/%-3d %10s %10d %5d %7d %7d %7d\n",
 			w, row.System, row.Cell.Loss, row.Cell.Reorder,
-			row.Completed, row.Runs, row.FlowsDone, row.Flows,
-			mean, row.Retriggers, row.Loops, row.Blackholes, row.OverCapacity)
+			row.Completed, row.Runs, row.Failed, row.FlowsDone, row.Flows,
+			mean, row.Retriggers, row.Loops, row.Blackholes, row.OverCapacity,
+			row.VersionRegressions)
 	}
 	return b.String()
 }
@@ -185,7 +182,6 @@ func FaultSweep(lossRates, reorderRates []float64, crashes, auditEvery, runs int
 				row.Loops += uint64(v["audit_loops"])
 				row.OverCapacity += uint64(v["audit_over_capacity"])
 				row.VersionRegressions += uint64(v["audit_version_regressions"])
-				row.Sweeps += uint64(v["audit_sweeps"])
 				if len(r.Samples) > 0 {
 					row.Completed++
 					doneSum += r.Samples[0]

@@ -14,19 +14,14 @@ import (
 	"p4update/internal/wiring"
 )
 
-// PacketObs is one observed packet reception.
-type PacketObs struct {
-	At  time.Duration
-	Seq uint32
-}
-
 // Fig2Result reproduces the paper's Fig. 2 for one system: packet traces
 // at v1 and at the egress v4 while configuration (c) deploys before the
 // delayed configuration (b).
 type Fig2Result struct {
 	System SystemKind
-	V1     []PacketObs
-	V4     []PacketObs
+	// V1 and V4 are the sequence numbers received at v1 and at v4, in
+	// arrival order.
+	V1, V4 []uint32
 	// Window is the gray area of the figure: from deploying (c) until
 	// the missing (b) messages are sent.
 	WindowStart, WindowEnd time.Duration
@@ -45,10 +40,10 @@ func (r *Fig2Result) String() string {
 	return b.String()
 }
 
-func uniqueSeqs(obs []PacketObs) map[uint32]int {
+func uniqueSeqs(seqs []uint32) map[uint32]int {
 	m := map[uint32]int{}
-	for _, o := range obs {
-		m[o.Seq]++
+	for _, s := range seqs {
+		m[s]++
 	}
 	return m
 }
@@ -82,11 +77,11 @@ func Fig2Opts(kind SystemKind, seed int64, tr *trace.Options) (*Fig2Result, *tra
 	}
 	// Observation taps.
 	b.Net.Switch(1).DataTap = func(sw *dataplane.Switch, d *packet.Data, _ topo.PortID) {
-		res.V1 = append(res.V1, PacketObs{At: sw.Now(), Seq: d.Seq})
+		res.V1 = append(res.V1, d.Seq)
 	}
 	b.Net.OnDeliver = func(node topo.NodeID, d *packet.Data) {
 		if node == 4 {
-			res.V4 = append(res.V4, PacketObs{At: b.Eng.Now(), Seq: d.Seq})
+			res.V4 = append(res.V4, d.Seq)
 		}
 	}
 

@@ -106,11 +106,11 @@ func TestOptGapIsFig7WithRounds(t *testing.T) {
 func TestOracleScheduleMatchesExecutor(t *testing.T) {
 	g := topo.Synthetic()
 	oldP, newP := topo.SyntheticPaths()
-	want := optoracle.Rounds(oldP, newP)
+	want := len(optoracle.Schedule(oldP, newP))
 	if want <= 0 {
 		t.Fatalf("oracle bound %d for the Fig-1 path change, want > 0", want)
 	}
-	b := NewBed(KindOptOracle, g, 1, DefaultBedConfig())
+	b := NewBed("opt-oracle", g, 1, DefaultBedConfig())
 	spec := traffic.FlowSpec{Src: oldP[0], Dst: oldP[len(oldP)-1], Old: oldP, New: newP, SizeK: 1000}
 	if err := b.Register([]traffic.FlowSpec{spec}); err != nil {
 		t.Fatal(err)

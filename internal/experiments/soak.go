@@ -59,7 +59,6 @@ func DefaultSoakOpts() SoakOpts {
 // SoakResult is the merged outcome of a soak grid.
 type SoakResult struct {
 	Label  string
-	Opts   SoakOpts
 	Trials []runner.Result
 	// Reports are the per-trial operator reports, index-aligned with
 	// Trials (nil for failed trials).
@@ -177,7 +176,7 @@ func RunSoak(mk func() *topo.Topology, label string, runs int, seed int64, so So
 	// The paper's three-way comparison by default: the storm regime is
 	// where the decentralized baselines differ most.
 	trials := streamGrid(mk, label, runs, seed, so, profiles, opt.systems(KindP4Update, KindEZSegway, KindCentral), opt)
-	res := &SoakResult{Label: label, Opts: so, Trials: trials, Reports: make([]*soak.Report, len(trials))}
+	res := &SoakResult{Label: label, Trials: trials, Reports: make([]*soak.Report, len(trials))}
 	for i, t := range trials {
 		if t.Failed || len(t.Report) == 0 {
 			continue

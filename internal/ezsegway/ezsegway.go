@@ -24,17 +24,12 @@ import (
 
 // Plan is a prepared ez-Segway update.
 type Plan struct {
-	Flow    packet.FlowID
-	Version uint32
-	NewPath []topo.NodeID
 	// Changed lists the nodes whose forwarding rule changes (the
 	// completion set).
 	Changed []topo.NodeID
 	// Targets/Msgs are the per-switch instructions.
 	Targets []topo.NodeID
 	Msgs    []packet.Message
-	// Segments is the in_loop/not_in_loop decomposition (diagnostics).
-	Segments []controlplane.Segment
 	// ExecOrder holds, per needed segment, the update order encoded into
 	// the segment's egress gateway (the original system ships this
 	// vector with the instruction).
@@ -77,7 +72,7 @@ func PreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []top
 		return !onOld || on != newPath[i+1]
 	}
 
-	p := &Plan{Flow: flow, Version: version, NewPath: newPath, Segments: seg.Segments}
+	p := &Plan{}
 	// At most one instruction per new-path node; the capacity keeps the
 	// pointers get hands out valid until the sort below.
 	instr := make([]instruction, 0, len(newPath))
@@ -406,9 +401,6 @@ type Controller struct {
 	// activeUpdates mirrors the in-flight moves for dependency-graph
 	// recomputation.
 	activeUpdates map[packet.FlowID]FlowUpdate
-	// PrepTime accumulates pure control-plane preparation time across
-	// triggered updates (measured with the wall clock, as in Fig. 8).
-	PrepTime time.Duration
 	// Plans, when set, memoizes plan and dependency-graph preparation
 	// across trials that share a frozen topology (internal/plancache via
 	// the unified controlplane.Planner seam). Cached plans are shared and
@@ -533,7 +525,6 @@ func (c *Controller) launch(f packet.FlowID, newPath []topo.NodeID, pre *control
 	}
 	version := rec.Version + 1
 	oldPath := rec.Path
-	start := time.Now()
 	var prio uint8
 	var dep packet.FlowID
 	if c.Congestion {
@@ -552,7 +543,6 @@ func (c *Controller) launch(f packet.FlowID, newPath []topo.NodeID, pre *control
 		dep = edges[f]
 	}
 	plan, err := PrepareCached(c.Plans, c.Ctl.Topo, f, oldPath, newPath, version, rec.SizeK, prio, dep)
-	c.PrepTime += time.Since(start)
 	if err != nil {
 		return nil, err
 	}

@@ -53,11 +53,6 @@ type Rates struct {
 	Jitter time.Duration
 }
 
-// enabled reports whether any fault kind of the class is active.
-func (r Rates) enabled() bool {
-	return r.Drop > 0 || r.Duplicate > 0 || r.Corrupt > 0 || r.Reorder > 0 || r.Jitter > 0
-}
-
 // RuleAction is the deterministic effect of a matched Rule.
 type RuleAction uint8
 
@@ -66,13 +61,6 @@ const (
 	ActDrop RuleAction = iota
 	ActDuplicate
 	ActCorrupt
-)
-
-// Class bits for Rule.Classes.
-const (
-	ClassData uint8 = 1 << dataplane.FaultData
-	ClassUp   uint8 = 1 << dataplane.FaultControlUp
-	ClassDown uint8 = 1 << dataplane.FaultControlDown
 )
 
 // Rule is a targeted, randomness-free fault: it fires on the first
@@ -85,7 +73,8 @@ type Rule struct {
 	From, To topo.NodeID
 	// Type filters on the wire message type (TypeInvalid = any).
 	Type packet.MsgType
-	// Classes is a bitmask of Class* values (0 = all classes).
+	// Classes is a bitmask with bit 1<<c set for each dataplane.FaultClass
+	// c the rule applies to (0 = all classes).
 	Classes uint8
 	Action  RuleAction
 	Count   int
@@ -155,13 +144,6 @@ type Plan struct {
 	Bursts     []Burst
 }
 
-// Active reports whether the plan can affect a trial at all.
-func (p *Plan) Active() bool {
-	return p.Data.enabled() || p.Up.enabled() || p.Down.enabled() ||
-		len(p.Rules) > 0 || len(p.Crashes) > 0 || len(p.Partitions) > 0 ||
-		len(p.Bursts) > 0
-}
-
 // Stats counts injector decisions, split by origin.
 type Stats struct {
 	Inspected      uint64 // frames offered to the injector
@@ -169,19 +151,10 @@ type Stats struct {
 	Duplicated     uint64 // rate-based duplicates
 	Corrupted      uint64 // rate-based corruptions
 	Reordered      uint64 // rate-based reorder holds
-	Jittered       uint64 // frames with jitter applied
 	PartitionDrops uint64 // drops inside partition windows
-	RuleDrops      uint64
-	RuleDups       uint64
-	RuleCorrupts   uint64
+	RuleDrops      uint64 // drops by a Rule (RuleHits counts every rule's frames)
 	Crashes        uint64 // executed crash events
 	Restores       uint64 // executed restore events
-}
-
-// Faulted reports the total number of frames the injector affected.
-func (s *Stats) Faulted() uint64 {
-	return s.Dropped + s.Duplicated + s.Corrupted + s.Reordered +
-		s.PartitionDrops + s.RuleDrops + s.RuleDups + s.RuleCorrupts
 }
 
 // fault kinds index the per-class stream array.
@@ -316,9 +289,6 @@ func Attach(net *dataplane.Network, plan Plan) *Injector {
 
 // RuleHits reports how many frames rule i has fired on.
 func (inj *Injector) RuleHits(i int) int { return inj.ruleHits[i] }
-
-// Plan returns the attached plan.
-func (inj *Injector) Plan() *Plan { return &inj.plan }
 
 // classRates returns the plan's rates for a fault class.
 func (inj *Injector) classRates(class dataplane.FaultClass) *Rates {
@@ -488,10 +458,8 @@ func (inj *Injector) Inspect(class dataplane.FaultClass, from, to topo.NodeID, r
 			act.Drop = true
 			return raw, act
 		case ActDuplicate:
-			inj.Stats.RuleDups++
 			act.Duplicate = true
 		case ActCorrupt:
-			inj.Stats.RuleCorrupts++
 			raw = raw[:len(raw)/2]
 		}
 		break // first matching rule wins
@@ -529,7 +497,6 @@ func (inj *Injector) Inspect(class dataplane.FaultClass, from, to topo.NodeID, r
 		act.Delay += time.Duration(1 + streams[kindReorder].Int63n(int64(rates.ReorderBy)))
 	}
 	if rates.Jitter > 0 {
-		inj.Stats.Jittered++
 		act.Delay += time.Duration(streams[kindJitter].Int63n(int64(rates.Jitter) + 1))
 	}
 	return raw, act

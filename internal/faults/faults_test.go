@@ -35,9 +35,6 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 	f := packet.FlowID(7)
 	installLine(net, f)
 	inj := Attach(net, Plan{Seed: 1})
-	if (&Plan{}).Active() {
-		t.Error("zero plan reports Active")
-	}
 	var delivered int
 	net.OnDeliver = func(topo.NodeID, *packet.Data) { delivered++ }
 	for i := 0; i < 10; i++ {
@@ -47,8 +44,8 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 	if delivered != 10 {
 		t.Fatalf("delivered %d of 10 with zero plan", delivered)
 	}
-	if got := inj.Stats.Faulted(); got != 0 {
-		t.Fatalf("zero plan faulted %d frames", got)
+	if got := inj.Stats; got != (Stats{Inspected: got.Inspected}) {
+		t.Fatalf("zero plan faulted frames: %+v", got)
 	}
 	if inj.Stats.Inspected == 0 {
 		t.Fatal("injector saw no frames")
@@ -204,12 +201,6 @@ func TestCrashRestoreLifecycle(t *testing.T) {
 		t.Fatalf("delivered %d, want 2 (mid-outage packet lost)", delivered)
 	}
 	sw1 := net.Switch(1)
-	if sw1.Stats.Crashes != 1 || sw1.Stats.Restores != 1 {
-		t.Fatalf("crash/restore stats = %d/%d, want 1/1", sw1.Stats.Crashes, sw1.Stats.Restores)
-	}
-	if sw1.Stats.CrashDrops != 1 {
-		t.Fatalf("CrashDrops = %d, want 1", sw1.Stats.CrashDrops)
-	}
 	if inj.Stats.Crashes != 1 || inj.Stats.Restores != 1 {
 		t.Fatalf("injector crash/restore stats = %d/%d", inj.Stats.Crashes, inj.Stats.Restores)
 	}

@@ -45,15 +45,6 @@ func (c *CDF) Quantile(q float64) time.Duration {
 	return c.sorted[idx]
 }
 
-// At returns the empirical fraction of samples <= x.
-func (c *CDF) At(x time.Duration) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Mean returns the sample mean.
 func (c *CDF) Mean() time.Duration {
 	if len(c.sorted) == 0 {
@@ -65,9 +56,6 @@ func (c *CDF) Mean() time.Duration {
 	}
 	return sum / time.Duration(len(c.sorted))
 }
-
-// Min and Max return the extremes.
-func (c *CDF) Min() time.Duration { return c.Quantile(0) }
 
 // Max returns the largest sample.
 func (c *CDF) Max() time.Duration { return c.Quantile(1) }

@@ -50,14 +50,10 @@ func Schedule(oldPath, newPath []topo.NodeID) [][]topo.NodeID {
 	}
 }
 
-// Rounds returns the oracle's lower bound on update rounds for the path
-// pair (0 when nothing changes).
-func Rounds(oldPath, newPath []topo.NodeID) int {
-	return len(Schedule(oldPath, newPath))
-}
-
-// RoundsCached memoizes Rounds through p under an 'o'-prefixed key (the
-// schedule is flow-independent); a nil planner computes directly.
+// RoundsCached returns the oracle's lower bound on update rounds for the
+// path pair (0 when nothing changes): the length of its Schedule,
+// memoized through p under an 'o'-prefixed key (the schedule is
+// flow-independent); a nil planner computes directly.
 func RoundsCached(p controlplane.Planner, t *topo.Topology, oldPath, newPath []topo.NodeID) int {
 	return len(ScheduleCached(p, t, oldPath, newPath))
 }

@@ -23,7 +23,7 @@ func TestScheduleFig1(t *testing.T) {
 	if !slices.EqualFunc(got, want, slices.Equal) {
 		t.Fatalf("schedule %v, want %v", got, want)
 	}
-	if Rounds(oldP, newP) < 2 {
+	if len(Schedule(oldP, newP)) < 2 {
 		t.Errorf("Fig. 1 needs at least two rounds (v2 waits on v4)")
 	}
 }
@@ -113,7 +113,8 @@ func TestExecutorSendsScheduledRounds(t *testing.T) {
 	eng.Trace = trace.New(trace.Options{})
 	net := dataplane.NewNetwork(eng, topo.Synthetic())
 	net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyOracle})
-	ctl := controlplane.NewController(net, controlplane.UseCentroidControl(net))
+	controlplane.UseCentroidControl(net)
+	ctl := controlplane.NewController(net)
 	co := NewCoordinator(ctl)
 	oldP, newP := topo.SyntheticPaths()
 	f, err := ctl.RegisterFlow(oldP[0], oldP[len(oldP)-1], oldP, 1000)

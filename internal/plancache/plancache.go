@@ -57,9 +57,6 @@ func New(g *topo.Topology) *Cache {
 	}
 }
 
-// Topo returns the topology the cache is bound to.
-func (c *Cache) Topo() *topo.Topology { return c.g }
-
 // Stats returns the cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.RLock()

@@ -53,7 +53,8 @@ func newYBed(t *testing.T) *yBed {
 	for _, sw := range y.net.Switches() {
 		sw.TwoPhase = true
 	}
-	ctl := controlplane.NewController(y.net, controlplane.UseCentroidControl(y.net))
+	controlplane.UseCentroidControl(y.net)
+	ctl := controlplane.NewController(y.net)
 	y.co = NewCoordinator(ctl)
 	rx := y.net.ControllerRx
 	y.net.ControllerRx = func(from topo.NodeID, raw []byte) {
@@ -110,7 +111,7 @@ func (y *yBed) moveF1ThenF2(t *testing.T, between func()) (u1, u2 *controlplane.
 	// f1's new-version packets already do. That double occupancy is the
 	// two-phase scheme's own cost, not the wait's.
 	if r := y.aud.Report(); r.Blackholes+r.Loops+r.VersionRegressions != 0 {
-		t.Errorf("auditor found consistency violations: %+v", r.Examples)
+		t.Errorf("auditor found consistency violations: %+v", r)
 	}
 	return u1, u2
 }

@@ -94,24 +94,6 @@ func Merge(logs ...*Log) *Log {
 	return m
 }
 
-// Keys returns the log's keys ordered by (node, flow).
-func (l *Log) Keys() []Key {
-	keys := make([]Key, 0, len(l.seqs))
-	for k := range l.seqs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Node != keys[j].Node {
-			return keys[i].Node < keys[j].Node
-		}
-		return keys[i].Flow < keys[j].Flow
-	})
-	return keys
-}
-
-// Decisions returns the decision sequence for k (nil if absent).
-func (l *Log) Decisions(k Key) []Decision { return l.seqs[k] }
-
 // Len reports the total decision count.
 func (l *Log) Len() int {
 	n := 0

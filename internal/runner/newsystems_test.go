@@ -18,8 +18,8 @@ import (
 
 var newSystems = []experiments.SystemKind{
 	"p4update-sl",
-	experiments.KindPPCU,
-	experiments.KindOptOracle,
+	"ppcu",
+	"opt-oracle",
 }
 
 // TestNewSystemsDeterministicAcrossWorkerCounts shards the single-flow
@@ -73,7 +73,7 @@ func TestNewSystemsCompleteUnderFaults(t *testing.T) {
 			t.Errorf("%s: %d/%d flow updates completed under loss=%.2f reorder=%.2f",
 				row.System, row.FlowsDone, row.Flows, row.Cell.Loss, row.Cell.Reorder)
 		}
-		if v := row.Violations(); v != 0 {
+		if v := row.Blackholes + row.Loops + row.OverCapacity + row.VersionRegressions; v != 0 {
 			t.Errorf("%s: auditor observed %d invariant violations", row.System, v)
 		}
 	}

@@ -142,8 +142,7 @@ func dirtyTrials(g *topo.Topology, flows []traffic.FlowSpec, log *bedLog) []Tria
 		}
 		net.OnDeliver = func(node topo.NodeID, _ *packet.Data) { net.Switch(node).Stats.TTLDrops += 100 }
 		for _, sw := range net.Switches() {
-			for _, nb := range g.Neighbors(sw.ID) {
-				p := g.PortTo(sw.ID, nb)
+			for p := topo.PortID(0); int(p) < g.Degree(sw.ID); p++ {
 				sw.StageReservation(0xbad, p, 7, 9)
 				sw.ParkOnCapacity(p, &packet.UIM{Flow: 0xbad, Version: 9}, topo.InvalidPort)
 				sw.MarkHighWaiting(p, 0xbad)
@@ -192,8 +191,8 @@ func probeTrial(g *topo.Topology, flows []traffic.FlowSpec, log *bedLog) Trial {
 		var sws []port
 		for _, sw := range sys.Net.Switches() {
 			p := port{Stats: sw.Stats}
-			for _, nb := range g.Neighbors(sw.ID) {
-				p.Reserved = append(p.Reserved, sw.ReservedK(g.PortTo(sw.ID, nb)))
+			for i := 0; i < g.Degree(sw.ID); i++ {
+				p.Reserved = append(p.Reserved, sw.ReservedK(topo.PortID(i)))
 			}
 			sws = append(sws, p)
 		}

@@ -162,7 +162,7 @@ func NewHarness(sys *wiring.System, g *topo.Topology, w *traffic.ChurnWorkload, 
 		live:      make(map[packet.FlowID]*soakFlow),
 		linkFlows: newLinkIndex(g),
 		inflight:  make(map[packet.FlowID]*controlplane.UpdateStatus),
-		slo:       newSLO(opt.Episodes, opt.MaxRetriggers),
+		slo:       newSLO(opt.Episodes),
 	}
 	h.arrivalFn = h.arrive
 	h.rerouteFn = h.reroute

@@ -67,8 +67,10 @@ func TestChurnDrainsToEmptyFabric(t *testing.T) {
 			}
 		}
 	}
-	if len(sys.Net.FlowIDs()) != 0 {
-		t.Errorf("fabric still interns %d live flows", len(sys.Net.FlowIDs()))
+	for i := int32(0); i < int32(sys.Net.NumFlowSlots()); i++ {
+		if f, live := sys.Net.FlowAt(i); live {
+			t.Errorf("fabric still interns live flow %d in slot %d", f, i)
+		}
 	}
 	if slots := sys.Net.NumFlowSlots(); slots > c.PeakLive {
 		t.Errorf("%d flow slots for a peak live population of %d: slots are not recycled", slots, c.PeakLive)

@@ -16,8 +16,9 @@ func randomSimplePath(g *topo.Topology, rng *rand.Rand, want int) []topo.NodeID 
 	path := []topo.NodeID{topo.NodeID(rng.Intn(g.NumNodes()))}
 	for len(path) < want {
 		var next []topo.NodeID
-		for _, nb := range g.Neighbors(path[len(path)-1]) {
-			if !slices.Contains(path, nb) {
+		last := path[len(path)-1]
+		for p := 0; p < g.Degree(last); p++ {
+			if nb, _ := g.NeighborAt(last, topo.PortID(p)); !slices.Contains(path, nb) {
 				next = append(next, nb)
 			}
 		}

@@ -21,8 +21,7 @@ import (
 // The tracker is pure bookkeeping — it never touches the engine, so an
 // attached tracker leaves the event sequence untouched.
 type SLO struct {
-	episodes      []faults.Episode
-	maxRetriggers int
+	episodes []faults.Episode
 
 	sweeps, dirtySweeps  uint64
 	lastSweep            time.Duration
@@ -30,15 +29,14 @@ type SLO struct {
 
 	blackholes, loops, overCap, regress uint64
 
-	recovery           []time.Duration // per episode; -1 until recovered
-	epDone             []uint64        // updates charged per episode
-	epRetrig           []uint64
-	ambDone, ambRetrig uint64
-	totalRetrig        uint64
+	recovery    []time.Duration // per episode; -1 until recovered
+	epDone      []uint64        // updates charged per episode
+	epRetrig    []uint64
+	totalRetrig uint64
 }
 
-func newSLO(eps []faults.Episode, maxRetriggers int) *SLO {
-	s := &SLO{episodes: eps, maxRetriggers: maxRetriggers}
+func newSLO(eps []faults.Episode) *SLO {
+	s := &SLO{episodes: eps}
 	s.recovery = make([]time.Duration, len(eps))
 	for i := range s.recovery {
 		s.recovery[i] = -1
@@ -79,7 +77,8 @@ func (s *SLO) onSweep(st audit.SweepStats) {
 // Episodes are sorted by start, so the scan can stop at the first
 // episode starting after the window; the latest overlapping episode
 // wins the attribution (it is the one the operator was fighting when
-// the update finally landed).
+// the update finally landed). An update that overlaps no episode counts
+// in the total only.
 func (s *SLO) chargeUpdate(sent, until time.Duration, retriggers int) {
 	s.totalRetrig += uint64(retriggers)
 	idx := -1
@@ -95,9 +94,6 @@ func (s *SLO) chargeUpdate(sent, until time.Duration, retriggers int) {
 	if idx >= 0 {
 		s.epDone[idx]++
 		s.epRetrig[idx] += uint64(retriggers)
-	} else {
-		s.ambDone++
-		s.ambRetrig += uint64(retriggers)
 	}
 }
 

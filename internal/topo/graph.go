@@ -178,10 +178,6 @@ func (t *Topology) mustNotBeFrozen(op string) {
 	}
 }
 
-// Version counts topology mutations. The PathOracle compares it against
-// the version its cache was filled at to decide when to flush.
-func (t *Topology) Version() uint64 { return t.version }
-
 // Oracle returns the topology's memoizing path oracle, creating it on
 // first use. Creation is guarded by a sync.Once so concurrent readers
 // (parallel trial workers sharing a topology) are safe.
@@ -231,15 +227,6 @@ func (t *Topology) Links() []Link {
 // Degree returns the number of links attached to n.
 func (t *Topology) Degree(n NodeID) int { return len(t.adj[n]) }
 
-// Neighbors returns n's neighbors in port order.
-func (t *Topology) Neighbors(n NodeID) []NodeID {
-	out := make([]NodeID, len(t.adj[n]))
-	for i, ad := range t.adj[n] {
-		out[i] = ad.neighbor
-	}
-	return out
-}
-
 // PortTo returns the local port of n that faces neighbor, or InvalidPort.
 func (t *Topology) PortTo(n, neighbor NodeID) PortID {
 	for _, ad := range t.adj[n] {
@@ -274,49 +261,6 @@ func (t *Topology) LinkBetween(a, b NodeID) (Link, bool) {
 		}
 	}
 	return Link{}, false
-}
-
-// Latency returns the propagation latency between adjacent nodes a and b.
-// It panics if a and b are not adjacent.
-func (t *Topology) Latency(a, b NodeID) time.Duration {
-	l, ok := t.LinkBetween(a, b)
-	if !ok {
-		panic(fmt.Sprintf("topo: Latency(%d,%d): not adjacent", a, b))
-	}
-	return l.Latency
-}
-
-// Connected reports whether the graph is connected.
-func (t *Topology) Connected() bool {
-	if len(t.nodes) == 0 {
-		return true
-	}
-	seen := make([]bool, len(t.nodes))
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ad := range t.adj[n] {
-			if !seen[ad.neighbor] {
-				seen[ad.neighbor] = true
-				count++
-				stack = append(stack, ad.neighbor)
-			}
-		}
-	}
-	return count == len(t.nodes)
-}
-
-// PathLatency returns the summed link latency along path (a node sequence
-// of adjacent nodes).
-func (t *Topology) PathLatency(path []NodeID) time.Duration {
-	var d time.Duration
-	for i := 0; i+1 < len(path); i++ {
-		d += t.Latency(path[i], path[i+1])
-	}
-	return d
 }
 
 // ValidatePath reports an error unless path is a sequence of distinct,

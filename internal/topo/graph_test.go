@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -83,13 +84,13 @@ func TestSelfLoopPanics(t *testing.T) {
 
 func TestConnected(t *testing.T) {
 	g := line(4)
-	if !g.Connected() {
+	if !connected(g) {
 		t.Error("line should be connected")
 	}
 	g2 := New("t")
 	g2.AddNode("a", 0, 0)
 	g2.AddNode("b", 0, 0)
-	if g2.Connected() {
+	if connected(g2) {
 		t.Error("two isolated nodes should not be connected")
 	}
 }
@@ -158,7 +159,7 @@ func TestKShortestPaths(t *testing.T) {
 	}
 	// Costs must be non-decreasing.
 	for i := 1; i < len(paths); i++ {
-		if g.PathLatency(paths[i]) < g.PathLatency(paths[i-1]) {
+		if pathLatency(g, paths[i]) < pathLatency(g, paths[i-1]) {
 			t.Errorf("path %d cheaper than path %d", i, i-1)
 		}
 	}
@@ -248,7 +249,53 @@ func TestControlLatencies(t *testing.T) {
 
 func TestPathLatency(t *testing.T) {
 	g := line(4)
-	if got := g.PathLatency([]NodeID{0, 1, 2, 3}); got != 3*time.Millisecond {
+	if got := pathLatency(g, []NodeID{0, 1, 2, 3}); got != 3*time.Millisecond {
 		t.Errorf("PathLatency = %v, want 3ms", got)
 	}
+}
+
+// neighbors returns n's neighbors in port order.
+func neighbors(t *Topology, n NodeID) []NodeID {
+	out := make([]NodeID, len(t.adj[n]))
+	for i, ad := range t.adj[n] {
+		out[i] = ad.neighbor
+	}
+	return out
+}
+
+// connected reports whether the graph is connected.
+func connected(t *Topology) bool {
+	if len(t.nodes) == 0 {
+		return true
+	}
+	seen := make([]bool, len(t.nodes))
+	stack := []NodeID{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ad := range t.adj[n] {
+			if !seen[ad.neighbor] {
+				seen[ad.neighbor] = true
+				count++
+				stack = append(stack, ad.neighbor)
+			}
+		}
+	}
+	return count == len(t.nodes)
+}
+
+// pathLatency returns the summed link latency along path, whose nodes
+// must be pairwise adjacent.
+func pathLatency(t *Topology, path []NodeID) time.Duration {
+	var d time.Duration
+	for i := 0; i+1 < len(path); i++ {
+		l, ok := t.LinkBetween(path[i], path[i+1])
+		if !ok {
+			panic(fmt.Sprintf("pathLatency: %d and %d are not adjacent", path[i], path[i+1]))
+		}
+		d += l.Latency
+	}
+	return d
 }

@@ -32,7 +32,7 @@ func checkIsShortestPath(t *testing.T, g *Topology, w Weight) {
 				check(slices.Insert(slices.Clone(sp), i, sp[i]))
 			}
 			for i := 1; i < len(sp); i++ {
-				for _, nb := range g.Neighbors(sp[i-1]) {
+				for _, nb := range neighbors(g, sp[i-1]) {
 					if nb != sp[i] {
 						p := slices.Clone(sp)
 						p[i] = nb

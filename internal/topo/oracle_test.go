@@ -47,9 +47,9 @@ func TestOracleInvalidatedByMutation(t *testing.T) {
 	if len(p) != 5 {
 		t.Fatalf("path = %v, want 5 hops", p)
 	}
-	v := g.Version()
+	v := g.version
 	g.AddLink(0, 4, time.Millisecond, 100) // shortcut
-	if g.Version() == v {
+	if g.version == v {
 		t.Fatal("AddLink did not bump the topology version")
 	}
 	after := g.Distances(0, ByHops)

@@ -50,7 +50,7 @@ func bruteShortest(t *Topology, src, dst NodeID) float64 {
 			}
 			return
 		}
-		for _, nb := range t.Neighbors(cur) {
+		for _, nb := range neighbors(t, cur) {
 			if seen[nb] {
 				continue
 			}
@@ -76,7 +76,7 @@ func TestShortestPathMatchesBruteForce(t *testing.T) {
 				if p == nil {
 					t.Fatalf("seed %d: no path %d->%d in connected graph", seed, src, dst)
 				}
-				got := g.PathLatency(p).Seconds()
+				got := pathLatency(g, p).Seconds()
 				want := bruteShortest(g, src, dst)
 				if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 					t.Fatalf("seed %d: %d->%d dijkstra %.6f vs brute %.6f (path %v)",
@@ -115,14 +115,14 @@ func TestKShortestPathsProperties(t *testing.T) {
 			}
 			seen[key] = true
 			// Non-decreasing cost.
-			c := g.PathLatency(p).Seconds()
+			c := pathLatency(g, p).Seconds()
 			if c < prev-1e-9 {
 				t.Fatalf("seed %d: cost regressed: %v", seed, paths)
 			}
 			prev = c
 		}
 		// First path is the shortest path.
-		if g.PathLatency(paths[0]) != g.PathLatency(g.ShortestPath(src, dst, ByLatency)) {
+		if pathLatency(g, paths[0]) != pathLatency(g, g.ShortestPath(src, dst, ByLatency)) {
 			t.Fatalf("seed %d: first k-path not shortest", seed)
 		}
 	}

@@ -221,7 +221,7 @@ func TestRepairNeverResweeps(t *testing.T) {
 	if used == nil || unused == nil {
 		t.Fatalf("need a link on a cached tree and one on none: %v, %v", used, unused)
 	}
-	version, trees, sweeps := g.Version(), len(o.tree), o.sweeps
+	version, trees, sweeps := g.version, len(o.tree), o.sweeps
 	for _, c := range []struct {
 		name string
 		id   LinkID
@@ -235,8 +235,8 @@ func TestRepairNeverResweeps(t *testing.T) {
 		if len(o.tree) != trees || o.sweeps != sweeps {
 			t.Fatalf("%s: %d trees, %d sweeps; want %d, %d (repair, not re-sweep)", c.name, len(o.tree), o.sweeps, trees, sweeps)
 		}
-		if g.Version() != version {
-			t.Fatalf("%s: SetLinkLatency bumped the topology version: %d -> %d", c.name, version, g.Version())
+		if g.version != version {
+			t.Fatalf("%s: SetLinkLatency bumped the topology version: %d -> %d", c.name, version, g.version)
 		}
 		fresh := cloneWithLatencies(B4, g)
 		for _, n := range g.Nodes()[:3] {

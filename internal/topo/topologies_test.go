@@ -10,7 +10,7 @@ func TestSynthetic(t *testing.T) {
 	if g.NumNodes() != 8 || g.NumLinks() != 10 {
 		t.Fatalf("synthetic: %d nodes, %d links", g.NumNodes(), g.NumLinks())
 	}
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("synthetic not connected")
 	}
 	oldP, newP := SyntheticPaths()
@@ -43,7 +43,7 @@ func TestEvaluationTopologySizes(t *testing.T) {
 			t.Errorf("%s: %d nodes, %d edges; want %d, %d",
 				c.g.Name, c.g.NumNodes(), c.g.NumLinks(), c.nodes, c.edges)
 		}
-		if !c.g.Connected() {
+		if !connected(c.g) {
 			t.Errorf("%s not connected", c.g.Name)
 		}
 	}
@@ -77,7 +77,7 @@ func TestFatTree(t *testing.T) {
 	if g.NumLinks() != 32 {
 		t.Fatalf("fat-tree links = %d, want 32", g.NumLinks())
 	}
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("fat-tree not connected")
 	}
 	edges := EdgeSwitches(g)

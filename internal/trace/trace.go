@@ -375,12 +375,3 @@ func (r *Recorder) Events() []Event {
 	}
 	return out
 }
-
-// CountByKindClass returns how many events of (kind, class) were
-// recorded, counting dropped ones.
-func (r *Recorder) CountByKindClass(kind Kind, class uint8) uint64 {
-	if r == nil || kind >= numKinds || class >= maxClass {
-		return 0
-	}
-	return r.counts[kind][class]
-}

@@ -35,9 +35,6 @@ func TestNilRecorder(t *testing.T) {
 	if got := r.Events(); got != nil {
 		t.Errorf("nil Events() = %v, want nil", got)
 	}
-	if got := r.CountByKindClass(trace.KindSend, 3); got != 0 {
-		t.Errorf("nil CountByKindClass = %d, want 0", got)
-	}
 	if got := r.Summarize(); got != nil {
 		t.Errorf("nil Summarize() = %v, want nil", got)
 	}
@@ -113,8 +110,8 @@ func TestRingWrap(t *testing.T) {
 		}
 	}
 	// The incremental counters keep counting past the overflow.
-	if got := r.CountByKindClass(trace.KindSend, 3); got != 10 {
-		t.Errorf("CountByKindClass(send, UIM) = %d, want 10", got)
+	if got := r.Summarize().ByClass["send:UIM"]; got != 10 {
+		t.Errorf("send:UIM count = %d, want 10", got)
 	}
 }
 

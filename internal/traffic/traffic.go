@@ -41,12 +41,6 @@ func GravityWeights(t *topo.Topology, rng *rand.Rand) []float64 {
 	return w
 }
 
-// GravityDemand returns the gravity-model demand fraction between src and
-// dst: w_s * w_d / sum(w)^2, so that all pairwise demands sum to ~1.
-func GravityDemand(w []float64, src, dst topo.NodeID) float64 {
-	return gravityDemand(w, weightSum(w), src, dst)
-}
-
 func weightSum(w []float64) float64 {
 	var sum float64
 	for _, x := range w {
@@ -55,6 +49,9 @@ func weightSum(w []float64) float64 {
 	return sum
 }
 
+// gravityDemand returns the gravity-model demand fraction between src
+// and dst: w_s * w_d / sum^2, so that all pairwise demands sum to ~1
+// when sum is the weights' sum.
 func gravityDemand(w []float64, sum float64, src, dst topo.NodeID) float64 {
 	return w[src] * w[dst] / (sum * sum)
 }

@@ -17,7 +17,7 @@ func TestGravityDemandsSumToOne(t *testing.T) {
 	var sum float64
 	for _, s := range g.Nodes() {
 		for _, d := range g.Nodes() {
-			sum += GravityDemand(w, s, d)
+			sum += gravityDemand(w, weightSum(w), s, d)
 		}
 	}
 	if sum < 0.999 || sum > 1.001 {
@@ -35,7 +35,7 @@ func TestGravityDemandProperty(t *testing.T) {
 				return false
 			}
 		}
-		return GravityDemand(w, 0, 1) > 0
+		return gravityDemand(w, weightSum(w), 0, 1) > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

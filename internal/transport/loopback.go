@@ -29,15 +29,15 @@ type Fabric struct {
 	// the clock (purely bookkeeping: deliveries stay FIFO).
 	Latency time.Duration
 
-	// Stats mirrors the impairment counters.
+	// Dropped and Duplicated count the frames the rules dropped and
+	// duplicated.
 	Dropped    int
 	Duplicated int
-	Corrupted  int
 }
 
 type delivery struct {
-	from, to int32
-	raw      []byte
+	to  int32
+	raw []byte
 }
 
 // NewFabric builds an empty fabric.
@@ -83,17 +83,16 @@ func (p *port) WriteTo(peer int32, b []byte) error {
 		return nil
 	case faults.ActDuplicate:
 		f.Duplicated++
-		f.queue = append(f.queue, delivery{from: p.self, to: peer, raw: raw})
-		f.queue = append(f.queue, delivery{from: p.self, to: peer, raw: append([]byte(nil), raw...)})
+		f.queue = append(f.queue, delivery{to: peer, raw: raw})
+		f.queue = append(f.queue, delivery{to: peer, raw: append([]byte(nil), raw...)})
 		return nil
 	case faults.ActCorrupt:
-		f.Corrupted++
 		// Deterministic detectable corruption, like the simulator's
 		// injector: truncate to half length so the decode fails and
 		// the reliability layer must recover via retransmit.
 		raw = raw[:len(raw)/2]
 	}
-	f.queue = append(f.queue, delivery{from: p.self, to: peer, raw: raw})
+	f.queue = append(f.queue, delivery{to: peer, raw: raw})
 	return nil
 }
 

@@ -18,7 +18,6 @@ type UDP struct {
 	mu    sync.Mutex
 	peers map[int32]*net.UDPAddr
 
-	ep      *Endpoint
 	closed  chan struct{}
 	started bool
 	wg      sync.WaitGroup
@@ -47,9 +46,6 @@ func (u *UDP) SetPeer(id int32, addr string) error {
 	return nil
 }
 
-// LocalAddr returns the bound socket address.
-func (u *UDP) LocalAddr() net.Addr { return u.conn.LocalAddr() }
-
 // Now returns the monotonic clock passed to the endpoint.
 func (u *UDP) Now() time.Duration { return time.Since(u.start) }
 
@@ -73,7 +69,6 @@ func (u *UDP) Start(ep *Endpoint, tick time.Duration) {
 		return
 	}
 	u.started = true
-	u.ep = ep
 	if tick <= 0 {
 		tick = 25 * time.Millisecond
 	}

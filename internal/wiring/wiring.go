@@ -184,13 +184,10 @@ func Recycle(prev *System, g *topo.Topology, cfg Config) *System {
 	}
 	net.Proc = cfg.Transport
 
-	var node topo.NodeID
 	switch {
 	case cfg.SampledControl != nil:
-		node = g.Centroid()
 		controlplane.UseSampledControl(net, cfg.SampledControl)
 	case cfg.FatTreeControl:
-		node = g.Centroid()
 		if ctlRng == nil {
 			ctlRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
 		} else {
@@ -206,13 +203,12 @@ func Recycle(prev *System, g *topo.Topology, cfg Config) *System {
 			return d
 		})
 	case cfg.Controller != nil:
-		node = *cfg.Controller
-		lat := g.ControlLatencies(node)
+		lat := g.ControlLatencies(*cfg.Controller)
 		net.ControlLatency = func(n topo.NodeID) time.Duration { return lat[n] }
 	default:
-		node = controlplane.UseCentroidControl(net)
+		controlplane.UseCentroidControl(net)
 	}
-	ctl := controlplane.NewController(net, node)
+	ctl := controlplane.NewController(net)
 	ctl.MaxRetriggers = cfg.MaxRetriggers
 	ctl.ProbeTimeout = cfg.ProbeTimeout
 	if cfg.Plans != nil {
