@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"p4update"
+	"p4update/internal/dataplane"
 	"p4update/internal/faults"
 	"p4update/internal/packet"
 )
@@ -64,6 +65,54 @@ func TestFacadeRecoversLostProbe(t *testing.T) {
 	}
 	if u.ProbeRetries != 1 || u.Retriggers != 0 {
 		t.Errorf("%d probe retries and %d retriggers, want 1 and 0", u.ProbeRetries, u.Retriggers)
+	}
+}
+
+// TestFacadeTreeUpdateRecoversLostUIM: a destination-tree update whose
+// UIM to Seattle is lost is re-sent by §11 recovery, as a path update
+// is, and completes after one retrigger.
+func TestFacadeTreeUpdateRecoversLostUIM(t *testing.T) {
+	g := p4update.Internet2()
+	net := p4update.NewNetwork(g,
+		p4update.WithSeed(5),
+		p4update.WithInstallDelay(func() time.Duration { return 2 * time.Millisecond }),
+		p4update.WithFailureRecovery(250*time.Millisecond, 5),
+	)
+	node := func(name string) p4update.NodeID {
+		n, ok := g.NodeByName(name)
+		if !ok {
+			t.Fatalf("no node %s", name)
+		}
+		return n
+	}
+	root := node("Chicago")
+	base := p4update.ShortestPathTree(g, root)
+	f, err := net.AddDestinationTree(root, base, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The destination-routing example's change: three west-coast sites
+	// leave their shortest branches.
+	next := p4update.Tree{}
+	for n, p := range base {
+		next[n] = p
+	}
+	next[node("Seattle")] = node("SaltLake")
+	next[node("SaltLake")] = node("Denver")
+	next[node("Denver")] = node("KansasCity")
+	inj := faults.Attach(net.Fabric(), faults.Plan{Rules: []faults.Rule{
+		faults.DropMatching(dataplane.NodeController, node("Seattle"), packet.TypeUIM, 1),
+	}})
+	u, err := net.UpdateDestinationTree(f, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Run()
+	if inj.RuleHits(0) != 1 {
+		t.Fatal("drop not exercised")
+	}
+	if !u.Done() || u.Retriggers != 1 {
+		t.Errorf("done=%v after %d retriggers, want done after 1", u.Done(), u.Retriggers)
 	}
 }
 

@@ -35,10 +35,11 @@ type Coordinator struct {
 
 	// retryArmed guards the starvation-retry timer; retryIdle counts
 	// consecutive retries without an acknowledgement, seenAcks the
-	// executor's count at the last retry.
+	// executor's count at the last retry. retryFn is retry, bound once.
 	retryArmed bool
 	retryIdle  int
 	seenAcks   uint64
+	retryFn    func()
 }
 
 // NewCoordinator wires the centralized baseline over the shared tracker.
@@ -46,6 +47,8 @@ func NewCoordinator(ctl *controlplane.Controller, procDelay time.Duration) *Coor
 	c := &Coordinator{ProcDelay: procDelay}
 	c.RoundExecutor = controlplane.NewRoundExecutor(ctl, c)
 	c.Service = c.service
+	c.NoResend = true
+	c.retryFn = c.retry
 	return c
 }
 
@@ -57,16 +60,16 @@ func (c *Coordinator) service() time.Duration {
 	return c.ProcDelay + c.QueueDelay()
 }
 
-// TriggerUpdate starts a centralized update of flow f to newPath.
-// Central has no loss recovery: its status carries no Resend.
+// TriggerUpdate starts a centralized update of flow f to newPath, and
+// the starvation retry when a run started. Central has no loss recovery
+// (NoResend).
 func (c *Coordinator) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
+	active := c.Active()
 	u, err := c.RoundExecutor.TriggerUpdate(f, newPath)
-	if err != nil || u.Resend == nil {
-		return u, err // the executor sets Resend only on a run it started
+	if c.Active() > active {
+		c.scheduleRetry()
 	}
-	u.Resend = nil
-	c.scheduleRetry()
-	return u, nil
+	return u, err
 }
 
 // Plan completes the update once every node whose next hop changes is
@@ -96,19 +99,22 @@ func (c *Coordinator) scheduleRetry() {
 		return
 	}
 	c.retryArmed = true
-	c.Ctl.Eng.Schedule(50*time.Millisecond, func() {
-		c.retryArmed = false
-		if c.Acks != c.seenAcks {
-			c.seenAcks = c.Acks
-			c.retryIdle = 0
-		}
-		if c.Active() == 0 || c.retryIdle > 200 {
-			return
-		}
-		c.retryIdle++
-		c.Repoke()
-		c.scheduleRetry()
-	})
+	c.Ctl.Eng.Schedule(50*time.Millisecond, c.retryFn)
+}
+
+// retry runs one starvation retry armed by scheduleRetry.
+func (c *Coordinator) retry() {
+	c.retryArmed = false
+	if c.Acks != c.seenAcks {
+		c.seenAcks = c.Acks
+		c.retryIdle = 0
+	}
+	if c.Active() == 0 || c.retryIdle > 200 {
+		return
+	}
+	c.retryIdle++
+	c.Repoke()
+	c.scheduleRetry()
 }
 
 // capacityFilter keeps the batch members whose move fits the

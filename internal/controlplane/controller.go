@@ -57,13 +57,10 @@ type UpdateStatus struct {
 	// Version and Sent stay zero until the update launches; the same
 	// record is then filled in and tracked to completion.
 	Queued bool
-	// Resend, when set by the driving system, re-transmits the update's
-	// outstanding instructions. The §11 recovery watchdog fires it when
-	// nodes are still missing and no plan is attached (systems with a
-	// Plan keep the built-in UIM resend). Each firing counts against
-	// MaxRetriggers.
-	Resend func()
 
+	// resend and done are the launching system's hooks (Dispatch).
+	resend Sender
+	done   func(*UpdateStatus)
 	// lastRetrigger is when the controller last consumed retrigger
 	// budget for this update. Recovery fires at most once per
 	// ProbeTimeout: without the spacing, one watchdog round of
@@ -114,7 +111,7 @@ type Controller struct {
 	// update's indications are re-sent (0 disables recovery).
 	MaxRetriggers int
 	// ProbeTimeout, when nonzero, arms a controller-side watchdog on
-	// every pushed update: if the update has not completed when the
+	// every launched update: if the update has not completed when the
 	// timer fires, the controller re-injects the confirmation probe
 	// (once every node applied — a lost probe otherwise stalls
 	// completion forever) or re-sends the update (while nodes are still
@@ -131,7 +128,7 @@ type Controller struct {
 	Plans Planner
 
 	// UIM batching (BeginUIMBatch/FlushUIMBatch): while batching is on,
-	// UIMs pushed through PushMessagesInto are coalesced per target
+	// UIMs sent at Launch are coalesced per target
 	// switch and shipped as one UIMBatch frame per switch at flush. The
 	// batch scratch and the frame are reused across waves, so a
 	// steady-state reroute wave allocates nothing.
@@ -228,87 +225,72 @@ func (c *Controller) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID, force
 	if err != nil {
 		return nil, err
 	}
-	return c.Push(plan, rec)
-}
-
-// Push sends a prepared plan's UIMs and tracks completion. The Flow-DB
-// record is updated optimistically (the controller's view of the intended
-// state); completion is confirmed by UFMs and the probe traversal.
-func (c *Controller) Push(plan *Plan, rec *FlowRecord) (*UpdateStatus, error) {
-	u := c.track(nil, plan.Flow, plan.Version, plan.OldPath, plan.NewPath, nil)
-	u.Plan = plan
-	for i := range plan.UIMs {
-		c.send(plan.Targets[i], &plan.UIMs[i])
-	}
-	c.launched(u, rec)
+	u := &UpdateStatus{Flow: plan.Flow, Version: plan.Version, OldPath: plan.OldPath, NewPath: plan.NewPath, Plan: plan}
+	c.Launch(u, Dispatch{Send: plan, Resend: plan})
 	return u, nil
 }
 
-// PushMessages is the protocol-agnostic trigger behind Push: it sends one
-// prepared message per target switch and tracks completion of the update.
-// pendingNodes is the set whose version-tagged commits complete the
-// update (nil = every new-path node); completion is measured by the apply
-// observer plus the probe traversal (§9.1 semantics), identical for every
-// evaluated system.
-func (c *Controller) PushMessages(flow packet.FlowID, version uint32, oldPath, newPath, pendingNodes []topo.NodeID,
-	targets []topo.NodeID, msgs []packet.Message, rec *FlowRecord) *UpdateStatus {
-	return c.PushMessagesInto(nil, flow, version, oldPath, newPath, pendingNodes, targets, msgs, rec)
+// Sender transmits an update's instructions through the controller.
+type Sender interface {
+	Send(c *Controller, u *UpdateStatus)
 }
 
-// PushMessagesInto is PushMessages reusing a caller-held status record:
-// an update handed out in the Queued state is filled in and launched
-// through the same pointer, so callers observe the transition without
-// re-querying. A nil u allocates a fresh record.
-func (c *Controller) PushMessagesInto(u *UpdateStatus, flow packet.FlowID, version uint32,
-	oldPath, newPath, pendingNodes []topo.NodeID,
-	targets []topo.NodeID, msgs []packet.Message, rec *FlowRecord) *UpdateStatus {
-
-	u = c.track(u, flow, version, oldPath, newPath, pendingNodes)
-	for i, m := range msgs {
-		if uim, ok := m.(*packet.UIM); ok {
-			c.send(targets[i], uim)
-		} else {
-			c.Net.SendToSwitch(targets[i], m, 0)
-		}
-	}
-	c.launched(u, rec)
-	return u
+// Dispatch is what an update system hands Controller.Launch besides the
+// update's record.
+type Dispatch struct {
+	// Pending is the completion set: the nodes whose version-tagged
+	// commits finish the update (nil = every NewPath node).
+	Pending []topo.NodeID
+	// Send transmits the update's instructions at launch; nil sends
+	// nothing (the system sends on its own schedule).
+	Send Sender
+	// Resend re-transmits the instructions still outstanding on every
+	// §11 retrigger; nil launches the update without loss recovery.
+	Resend Sender
+	// Done, when set, hears the update's probe confirmation, before
+	// OnComplete does.
+	Done func(*UpdateStatus)
 }
 
-// track starts tracking one update (see PushMessagesInto): it fills u, a
-// fresh record when nil, and registers it under (flow, version).
-func (c *Controller) track(u *UpdateStatus, flow packet.FlowID, version uint32,
-	oldPath, newPath, pendingNodes []topo.NodeID) *UpdateStatus {
-	if pendingNodes == nil {
-		pendingNodes = newPath
+// Launch is the one way an update system starts an update. The caller
+// fills u's Flow, Version, OldPath and NewPath (and Plan, for a P4Update
+// path plan); u may be a record handed out in the Queued state, so
+// callers holding it observe the launch. Launch registers u under
+// (Flow, Version), sends d.Send's instructions, moves the flow's Flow-DB
+// record to the new configuration (the controller's view of the intended
+// state) and arms the completion watchdog. Completion is measured by the
+// apply observer plus the probe traversal (§9.1 semantics), identical
+// for every evaluated system.
+func (c *Controller) Launch(u *UpdateStatus, d Dispatch) {
+	pending := d.Pending
+	if pending == nil {
+		pending = u.NewPath
 	}
-	if u == nil {
-		u = &UpdateStatus{}
-	}
-	u.Flow = flow
-	u.Version = version
 	u.Sent = c.Eng.Now()
 	u.Queued = false
-	u.pending = slices.Grow(u.pending[:0], len(pendingNodes))
-	for _, n := range pendingNodes {
+	u.resend, u.done = d.Resend, d.Done
+	u.pending = slices.Grow(u.pending[:0], len(pending))
+	for _, n := range pending {
 		if !slices.Contains(u.pending, n) {
 			u.pending = append(u.pending, n)
 		}
 	}
-	u.OldPath = oldPath
-	u.NewPath = newPath
-	c.updates[updateKey{flow, version}] = u
-	return u
-}
-
-// launched finishes a push once its messages are on the wire: the Flow-DB
-// record moves to the new configuration and the completion watchdog arms.
-func (c *Controller) launched(u *UpdateStatus, rec *FlowRecord) {
-	if rec != nil {
+	c.updates[updateKey{u.Flow, u.Version}] = u
+	if d.Send != nil {
+		d.Send.Send(c, u)
+	}
+	if rec, ok := c.flows[u.Flow]; ok {
 		rec.Path = u.NewPath
 		rec.Version = u.Version
 	}
 	c.armUpdateWatchdog(u)
+}
+
+// Send transmits the plan's indications, at launch and on a retrigger.
+func (p *Plan) Send(c *Controller, _ *UpdateStatus) {
+	for i := range p.UIMs {
+		c.send(p.Targets[i], &p.UIMs[i])
+	}
 }
 
 // send transmits one indication, or adds it to the target's batch while
@@ -441,17 +423,15 @@ func (c *Controller) fireUpdateWatchdog(x any) {
 	c.armUpdateWatchdog(u)
 }
 
-// recoverable reports whether u has §11 budget left and a way to
-// re-send: a plan's indications, or the driving system's Resend.
+// recoverable reports whether u has §11 budget left and a resend.
 func (c *Controller) recoverable(u *UpdateStatus) bool {
-	return u.Retriggers < c.MaxRetriggers && (u.Plan != nil || u.Resend != nil)
+	return u.Retriggers < c.MaxRetriggers && u.resend != nil
 }
 
 // retrigger is the one §11 recovery gate: when u is recoverable and
 // outside the ProbeTimeout spacing of its last retrigger, it spends one
-// unit of budget on re-sending the update — the plan's indications, or
-// whatever the plan-less RoundExecutor systems' Resend re-sends.
-// Otherwise it does nothing and charges nothing.
+// unit of budget on the resend its system launched it with. Otherwise
+// it does nothing and charges nothing.
 func (c *Controller) retrigger(u *UpdateStatus) {
 	if !c.recoverable(u) ||
 		(c.ProbeTimeout > 0 && u.Retriggers > 0 && c.Eng.Now()-u.lastRetrigger < c.ProbeTimeout) {
@@ -461,13 +441,7 @@ func (c *Controller) retrigger(u *UpdateStatus) {
 	u.lastRetrigger = c.Eng.Now()
 	c.Eng.Trace.Watchdog(trace.NodeController,
 		uint32(u.Flow), u.Version, uint32(u.Retriggers))
-	if u.Plan != nil {
-		for i := range u.Plan.UIMs {
-			c.Net.SendToSwitch(u.Plan.Targets[i], &u.Plan.UIMs[i], 0)
-		}
-		return
-	}
-	u.Resend()
+	u.resend.Send(c, u)
 }
 
 // injectProbe launches the §9.1 confirmation traversal from the
@@ -481,13 +455,6 @@ func (c *Controller) injectProbe(u *UpdateStatus) {
 	*d = packet.Data{Flow: u.Flow, TTL: 64, Probe: true, ProbeVersion: u.Version}
 	c.Net.Switch(ingress).InjectData(d)
 	c.Net.Pool().PutData(d)
-}
-
-// TrackOnly registers completion tracking for (flow, version, newPath)
-// without sending anything — for systems that send messages through
-// their own scheduling loop (the RoundExecutor, deployment mode).
-func (c *Controller) TrackOnly(flow packet.FlowID, version uint32, oldPath, newPath, pendingNodes []topo.NodeID, rec *FlowRecord) *UpdateStatus {
-	return c.PushMessages(flow, version, oldPath, newPath, pendingNodes, nil, nil, rec)
 }
 
 // onApply observes rule commits; when the whole new path runs the target
@@ -554,6 +521,9 @@ func (c *Controller) handleUFM(m *packet.UFM) {
 		if ok && u.Completed == 0 {
 			u.Completed = c.Eng.Now()
 			c.cleanupStaleRules(u)
+			if u.done != nil {
+				u.done(u)
+			}
 			if c.OnComplete != nil {
 				c.OnComplete(u)
 			}
@@ -567,8 +537,8 @@ func (c *Controller) handleUFM(m *packet.UFM) {
 		}
 	case packet.StatusStalled:
 		// §11 failure recovery: a switch holds the indication but the
-		// notification chain never arrived — re-send the plan's UIMs so
-		// the coordination restarts from the egress.
+		// notification chain never arrived — re-send the update so the
+		// coordination restarts from the egress.
 		if ok && !u.Done() {
 			c.retrigger(u)
 		}

@@ -169,7 +169,7 @@ func TestUpdatesListing(t *testing.T) {
 
 // TestUpdateWatchdogCycleAllocatesNothing: every firing of the
 // completion watchdog on an update that never completes spends one
-// retrigger on its (no-op) Resend and re-arms, and allocates nothing.
+// retrigger on its (counting) resend and re-arms, and allocates nothing.
 func TestUpdateWatchdogCycleAllocatesNothing(t *testing.T) {
 	eng, _, ctl := bed(t)
 	ctl.ProbeTimeout = 10 * time.Millisecond
@@ -179,8 +179,9 @@ func TestUpdateWatchdogCycleAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := ctl.TrackOnly(f, 2, path, path, nil, nil) // nothing sent: nothing commits
-	u.Resend = func() {}
+	// Nothing is sent, so nothing commits.
+	u := &UpdateStatus{Flow: f, Version: 2, OldPath: path, NewPath: path}
+	ctl.Launch(u, Dispatch{Resend: new(countingSender)})
 	cycle := func() {
 		if !eng.Step() {
 			t.Fatal("the watchdog did not re-arm")
@@ -196,6 +197,11 @@ func TestUpdateWatchdogCycleAllocatesNothing(t *testing.T) {
 		t.Errorf("%d retriggers, want one per firing (%d)", u.Retriggers, want)
 	}
 }
+
+// countingSender counts the resends it is asked for and sends nothing.
+type countingSender int
+
+func (s *countingSender) Send(*Controller, *UpdateStatus) { *s++ }
 
 // scriptedFaults drops every controller-to-switch frame while ctlDown is
 // set, and the first dropData data frames on the link from→to.
@@ -217,8 +223,8 @@ func (s *scriptedFaults) Inspect(class dataplane.FaultClass, from, to topo.NodeI
 	return raw, dataplane.FaultAction{}
 }
 
-// TestWatchdogStopsWithNothingToResend: an update with neither a plan
-// nor a Resend is not recoverable. Neither the watchdog nor a stall
+// TestWatchdogStopsWithNothingToResend: an update launched without a
+// resend is not recoverable. Neither the watchdog nor a stall
 // report charges it budget, the watchdog stops after one look, and the
 // engine quiesces.
 func TestWatchdogStopsWithNothingToResend(t *testing.T) {
@@ -230,7 +236,8 @@ func TestWatchdogStopsWithNothingToResend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := ctl.TrackOnly(f, 2, path, path, nil, nil)
+	u := &UpdateStatus{Flow: f, Version: 2, OldPath: path, NewPath: path}
+	ctl.Launch(u, Dispatch{})
 	net.Switch(4).SendUFM(packet.UFM{Flow: f, Version: 2, Status: packet.StatusStalled})
 	eng.Run()
 	if eng.CutShort() {
@@ -256,15 +263,15 @@ func TestWatchdogStopsWhenBudgetSpent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := ctl.TrackOnly(f, 2, path, path, nil, nil)
-	resends := 0
-	u.Resend = func() { resends++ }
+	u := &UpdateStatus{Flow: f, Version: 2, OldPath: path, NewPath: path}
+	resends := new(countingSender)
+	ctl.Launch(u, Dispatch{Resend: resends})
 	end := eng.Run()
 	if eng.CutShort() {
 		t.Fatal("the engine never quiesced")
 	}
-	if u.Retriggers != 3 || resends != 3 {
-		t.Errorf("%d retriggers, %d resends, want 3 each", u.Retriggers, resends)
+	if u.Retriggers != 3 || *resends != 3 {
+		t.Errorf("%d retriggers, %d resends, want 3 each", u.Retriggers, *resends)
 	}
 	if end != 40*time.Millisecond {
 		t.Errorf("quiesced at %v, want 40ms (three re-sends, one last look)", end)

@@ -75,6 +75,10 @@ type RoundExecutor struct {
 	// Acks counts the acknowledgements that confirmed an outstanding
 	// instruction.
 	Acks uint64
+	// NoResend launches runs without §11 loss recovery, for a system
+	// that models none (Central): a lost instruction or acknowledgement
+	// then wedges the run.
+	NoResend bool
 
 	policy RoundPolicy
 	runs   map[updateKey]*Run
@@ -103,9 +107,10 @@ func NewRoundExecutor(ctl *Controller, p RoundPolicy) *RoundExecutor {
 	return x
 }
 
-// TriggerUpdate starts a round-based update of flow f to newPath. The
-// returned status's Resend re-sends the current round's unacknowledged
-// instructions; it stays nil when nothing needs to move.
+// TriggerUpdate starts a round-based update of flow f to newPath. Unless
+// NoResend is set, a retrigger re-sends the current round's
+// unacknowledged instructions (Send); an update with nothing to move has
+// no resend.
 func (x *RoundExecutor) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID) (*UpdateStatus, error) {
 	rec, ok := x.Ctl.flows[f]
 	if !ok {
@@ -116,19 +121,30 @@ func (x *RoundExecutor) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID) (*
 	}
 	r := &Run{Flow: f, Version: rec.Version + 1, OldPath: rec.Path, NewPath: newPath, SizeK: rec.SizeK}
 	r.complete, r.State = x.policy.Plan(rec.Path, newPath)
-	u := x.Ctl.TrackOnly(f, r.Version, rec.Path, newPath, r.complete, rec)
+	u := &UpdateStatus{Flow: f, Version: r.Version, OldPath: rec.Path, NewPath: newPath}
+	d := Dispatch{Pending: r.complete, Resend: x}
+	if x.NoResend || len(r.complete) == 0 {
+		d.Resend = nil // no loss recovery, or nothing to move
+	}
+	x.Ctl.Launch(u, d)
 	if len(r.complete) == 0 {
 		u.Completed = x.Ctl.Eng.Now()
 		return u, nil
 	}
 	x.runs[updateKey{f, r.Version}] = r
-	u.Resend = func() {
-		for _, n := range r.outstanding {
-			x.send(r, n)
-		}
-	}
 	x.step(r)
 	return u, nil
+}
+
+// Send re-sends the unacknowledged instructions of u's run.
+func (x *RoundExecutor) Send(_ *Controller, u *UpdateStatus) {
+	r := x.runs[updateKey{u.Flow, u.Version}]
+	if r == nil {
+		return
+	}
+	for _, n := range r.outstanding {
+		x.send(r, n)
+	}
 }
 
 // Active reports how many runs are in flight.

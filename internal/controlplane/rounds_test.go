@@ -79,10 +79,18 @@ func TestResendRepeatsOnlyTheUnackedNode(t *testing.T) {
 	}
 }
 
-// TestCentralHasNoResend: Central has no loss recovery, so the
-// completion watchdog finds nothing to re-send.
+// TestCentralHasNoResend: Central has no loss recovery (NoResend). With
+// the completion watchdog and a retrigger budget armed, one dropped
+// acknowledgement wedges its update: nothing is charged or re-sent, and
+// the engine still quiesces.
 func TestCentralHasNoResend(t *testing.T) {
-	sys := wiring.New(topo.Synthetic(), wiring.Config{System: "central"})
+	sys := wiring.New(topo.Synthetic(), wiring.Config{
+		Seed: 1, System: "central", MaxEvents: 1_000_000,
+		ProbeTimeout: 500 * time.Millisecond, MaxRetriggers: 3,
+		Faults: &faults.Plan{Rules: []faults.Rule{
+			faults.DropMatching(6, dataplane.NodeController, packet.TypeUFM, 1),
+		}},
+	})
 	oldP, newP := topo.SyntheticPaths()
 	f, err := sys.Ctl.RegisterFlow(oldP[0], oldP[len(oldP)-1], oldP, 1000)
 	if err != nil {
@@ -92,8 +100,15 @@ func TestCentralHasNoResend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Resend != nil {
-		t.Error("Central's update status carries a Resend")
+	sys.Eng.Run()
+	if sys.Eng.CutShort() {
+		t.Fatal("the engine never quiesced")
+	}
+	if sys.Inj.RuleHits(0) != 1 {
+		t.Fatal("the acknowledgement was not dropped")
+	}
+	if u.Done() || u.Retriggers != 0 {
+		t.Errorf("done=%v after %d retriggers, want a wedged update and none", u.Done(), u.Retriggers)
 	}
 }
 

@@ -203,11 +203,15 @@ func (c *Controller) TriggerTreeUpdate(f packet.FlowID, newTree Tree) (*UpdateSt
 	for n := deepest; n != rec.Root; n = newTree[n] {
 		probePath = append(probePath, newTree[n])
 	}
-	msgs := make([]packet.Message, len(plan.UIMs))
-	for i, m := range plan.UIMs {
-		msgs[i] = m
-	}
-	u := c.PushMessages(f, version, nil, probePath, plan.Nodes, plan.Targets, msgs, nil)
+	u := &UpdateStatus{Flow: f, Version: version, NewPath: probePath}
+	c.Launch(u, Dispatch{Pending: plan.Nodes, Send: plan, Resend: plan})
 	rec.Version = version
 	return u, nil
+}
+
+// Send transmits the tree's indications, at launch and on a retrigger.
+func (p *TreePlan) Send(c *Controller, _ *UpdateStatus) {
+	for i, m := range p.UIMs {
+		c.send(p.Targets[i], m)
+	}
 }

@@ -96,7 +96,7 @@ func TestCorruptedDistanceUIMRejected(t *testing.T) {
 			alarms++
 		}
 	}
-	u, _ := tb.ctl.Push(plan, rec)
+	u := launch(tb.ctl, plan)
 	stepAndCheck(t, tb, f, 0)
 
 	if alarms == 0 {
@@ -130,9 +130,7 @@ func TestOutOfOrderVersionsFastForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deploy v3 now; v2's messages trickle in 300 ms later.
-	if _, err := tb.ctl.Push(plan3, rec); err != nil {
-		t.Fatal(err)
-	}
+	launch(tb.ctl, plan3)
 	tb.eng.Schedule(300*time.Millisecond, func() {
 		for i := range plan2.UIMs {
 			tb.net.SendToSwitch(plan2.Targets[i], &plan2.UIMs[i], 0)
@@ -264,9 +262,7 @@ func TestSequentialUpdatesConvergeToHighestVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tb.ctl.Push(plan, rec); err != nil {
-			t.Fatal(err)
-		}
+		launch(tb.ctl, plan)
 		prev = p
 	}
 	stepAndCheck(t, tb, f, 0)

@@ -20,6 +20,15 @@ type testbed struct {
 	ctl  *controlplane.Controller
 }
 
+// launch sends a prepared plan through the controller's one launch call,
+// with the plan's own UIMs as its §11 resend, as TriggerUpdate does.
+func launch(ctl *controlplane.Controller, plan *controlplane.Plan) *controlplane.UpdateStatus {
+	u := &controlplane.UpdateStatus{Flow: plan.Flow, Version: plan.Version,
+		OldPath: plan.OldPath, NewPath: plan.NewPath, Plan: plan}
+	ctl.Launch(u, controlplane.Dispatch{Send: plan, Resend: plan})
+	return u
+}
+
 func newTestbed(t *topo.Topology, seed int64, proto *core.Protocol) *testbed {
 	eng := sim.New(seed)
 	eng.MaxEvents = 5_000_000

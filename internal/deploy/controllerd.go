@@ -75,9 +75,9 @@ type ControllerDaemon struct {
 	ep   *transport.Endpoint
 	view *wireView
 
-	// u/plan track the in-flight update (nil when idle or completed).
-	u    *controlplane.UpdateStatus
-	plan *controlplane.Plan
+	// u tracks the in-flight update and its plan (nil when idle or
+	// completed).
+	u *controlplane.UpdateStatus
 
 	// lastState accumulates the newest (flow, version) each switch has
 	// reported; the sync barrier reads it.
@@ -210,9 +210,9 @@ func (d *ControllerDaemon) bootstrapRestart() error {
 	if err != nil {
 		return err
 	}
-	u := ctl.TrackOnly(f, up.Version, oldPath, newPath, nil, rec)
-	u.Plan = plan
-	d.u, d.plan = u, plan
+	u := &controlplane.UpdateStatus{Flow: f, Version: up.Version, OldPath: oldPath, NewPath: newPath, Plan: plan}
+	ctl.Launch(u, controlplane.Dispatch{Resend: plan})
+	d.u = u
 	for _, n := range up.Acked {
 		d.sys.Net.OnApply(topo.NodeID(n), f, up.Version)
 	}
@@ -404,11 +404,12 @@ func (d *ControllerDaemon) onSynced() {
 		if err != nil {
 			return
 		}
-		d.u, d.plan = u, u.Plan
+		d.u = u
 	case !d.state.Update.Completed && d.u != nil && !d.u.Done():
-		for i, tgt := range d.plan.Targets {
+		plan := d.u.Plan
+		for i, tgt := range plan.Targets {
 			if d.u.Pending(tgt) {
-				d.sys.Net.SendToSwitch(tgt, &d.plan.UIMs[i], 0)
+				d.sys.Net.SendToSwitch(tgt, &plan.UIMs[i], 0)
 			}
 		}
 	case d.state.Update.Completed:

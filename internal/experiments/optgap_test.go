@@ -123,7 +123,7 @@ func TestOracleScheduleMatchesExecutor(t *testing.T) {
 	if !u.Done() {
 		t.Fatal("oracle execution did not complete")
 	}
-	if got := int(b.System.OO.Rounds); got != want {
+	if got := int(b.System.Updater.(*optoracle.Coordinator).Rounds); got != want {
 		t.Errorf("oracle executed %d rounds, schedule has %d", got, want)
 	}
 }

@@ -30,13 +30,14 @@ type Plan struct {
 	// Targets/Msgs are the per-switch instructions.
 	Targets []topo.NodeID
 	Msgs    []packet.Message
-	// ExecOrder holds, per needed segment, the update order encoded into
-	// the segment's egress gateway (the original system ships this
-	// vector with the instruction).
-	ExecOrder [][]topo.NodeID
-	// Deps maps each in_loop segment index to the downstream segment it
-	// waits for.
-	Deps map[int]int
+}
+
+// Send transmits the plan's instructions at launch. ez-Segway models no
+// loss recovery, so nothing re-sends them.
+func (p *Plan) Send(c *controlplane.Controller, _ *controlplane.UpdateStatus) {
+	for i, m := range p.Msgs {
+		c.Net.SendToSwitch(p.Targets[i], m, 0)
+	}
 }
 
 // PreparePlan computes the ez-Segway instruction set for one flow update.
@@ -104,7 +105,6 @@ func PreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []top
 		return &instr[len(instr)-1].m
 	}
 
-	var order []topo.NodeID // backs every ExecOrder entry
 	last := 0
 	for _, s := range seg.Segments {
 		// The segments tile the new path: this one spans new-path
@@ -143,25 +143,6 @@ func PreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []top
 			eg.Flags |= packet.EZInitNow
 		default:
 			eg.Flags |= packet.EZInitAfterApply
-		}
-		// Encode the intra-segment update order into the segment egress
-		// (egress-to-ingress), as the original system does.
-		if order == nil {
-			order = make([]topo.NodeID, 0, len(newPath))
-			p.ExecOrder = make([][]topo.NodeID, 0, len(seg.Segments))
-		}
-		from := len(order)
-		for i := last - 1; i >= first; i-- {
-			order = append(order, newPath[i])
-		}
-		p.ExecOrder = append(p.ExecOrder, order[from:len(order):len(order)])
-	}
-	// Resolve inter-segment dependencies: each in_loop segment waits for
-	// its downstream neighbor chain.
-	p.Deps = make(map[int]int)
-	for i, s := range seg.Segments {
-		if !s.Forward && i > 0 {
-			p.Deps[i] = i - 1
 		}
 	}
 	// Emit instructions in node-ID order: same-instant message ties
@@ -222,6 +203,17 @@ type Handler struct {
 	// (waiters are woken FIFO; ez-Segway's scheduling order comes from
 	// the CP-computed priorities, not from dynamic data-plane state).
 	Congestion bool
+
+	// waiveFn is waive, bound on the first dependency wait.
+	waiveFn func(any)
+}
+
+// depWaiver is one armed dependency waiver: the notification it
+// retries, and the switch and flow state it retries at.
+type depWaiver struct {
+	sw  *dataplane.Switch
+	es  *flowEZState
+	ezn packet.EZN
 }
 
 var _ dataplane.Handler = (*Handler)(nil)
@@ -287,7 +279,7 @@ func (h *Handler) initiate(sw *dataplane.Switch, m *packet.EZI, es *flowEZState)
 
 // handleEZN stages the instruction's rule once the segment's
 // notification for it arrives. m is recycled when the call returns:
-// parks copy it, and the dependency timer keeps its own copy.
+// parks copy it, and the dependency waiver keeps its own copy.
 func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 	st := sw.State(m.Flow)
 	es := ezState(st)
@@ -319,13 +311,10 @@ func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 				// Fallback: the static graph can contain cycles; waive
 				// the dependency after a timeout and retry on capacity
 				// alone.
-				ezn := *m
-				sw.Network().Eng.Schedule(500*time.Millisecond, func() {
-					if !es.applied {
-						es.depWaived = true
-						h.handleEZN(sw, &ezn)
-					}
-				})
+				if h.waiveFn == nil {
+					h.waiveFn = h.waive
+				}
+				sw.Network().Eng.ScheduleArg(500*time.Millisecond, h.waiveFn, &depWaiver{sw: sw, es: es, ezn: *m})
 				return
 			}
 		}
@@ -343,6 +332,16 @@ func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 	c := sw.StageCommit()
 	*c = dataplane.StagedCommit{Flow: m.Flow, State: st, Proto: instr}
 	sw.Apply(portChanged, c)
+}
+
+// waive retries a notification on capacity alone once its dependency
+// wait timed out, unless the rule applied meanwhile.
+func (h *Handler) waive(x any) {
+	w := x.(*depWaiver)
+	if !w.es.applied {
+		w.es.depWaived = true
+		h.handleEZN(w.sw, &w.ezn)
+	}
 }
 
 // CommitStaged commits the rule of the instruction staged by handleEZN,
@@ -407,6 +406,9 @@ type Controller struct {
 	// immutable; the handlers copy EZI/EZN state before mutating, so
 	// sharing is safe.
 	Plans controlplane.Planner
+	// completeFn is onComplete, bound once: every launch hands it to the
+	// controller as the update's Done hook.
+	completeFn func(*controlplane.UpdateStatus)
 }
 
 // PrepareCached memoizes PreparePlanDep through p under an 'e'-prefixed
@@ -489,13 +491,7 @@ func NewController(ctl *controlplane.Controller) *Controller {
 		active:        make(map[packet.FlowID]*controlplane.UpdateStatus),
 		activeUpdates: make(map[packet.FlowID]FlowUpdate),
 	}
-	prev := ctl.OnComplete
-	ctl.OnComplete = func(u *controlplane.UpdateStatus) {
-		if prev != nil {
-			prev(u)
-		}
-		c.onComplete(u)
-	}
+	c.completeFn = c.onComplete
 	return c
 }
 
@@ -546,7 +542,12 @@ func (c *Controller) launch(f packet.FlowID, newPath []topo.NodeID, pre *control
 	if err != nil {
 		return nil, err
 	}
-	u := c.Ctl.PushMessagesInto(pre, f, version, oldPath, newPath, plan.Changed, plan.Targets, plan.Msgs, rec)
+	u := pre
+	if u == nil {
+		u = &controlplane.UpdateStatus{}
+	}
+	u.Flow, u.Version, u.OldPath, u.NewPath = f, version, oldPath, newPath
+	c.Ctl.Launch(u, controlplane.Dispatch{Pending: plan.Changed, Send: plan, Done: c.completeFn})
 	if len(plan.Changed) == 0 {
 		// Nothing to move: the update is trivially complete.
 		u.Completed = c.Ctl.Eng.Now()
@@ -565,10 +566,8 @@ func (c *Controller) onComplete(u *controlplane.UpdateStatus) {
 	if q := c.queued[u.Flow]; len(q) > 0 {
 		next := q[0]
 		c.queued[u.Flow] = q[1:]
-		if _, err := c.launch(u.Flow, next.newPath, next.status); err != nil {
-			// Unlaunchable deferred update: drop it (the handed-out
-			// status stays Queued and never completes).
-			_ = err
-		}
+		// An unlaunchable deferred update is dropped: the handed-out
+		// status stays Queued and never completes.
+		c.launch(u.Flow, next.newPath, next.status)
 	}
 }

@@ -125,6 +125,45 @@ func TestEZSerializesUpdatesPerFlow(t *testing.T) {
 	}
 }
 
+// TestEZDeferredLaunchSurvivesCompletionObserver: the per-flow queue
+// hears completions through its own launches, not Controller.OnComplete,
+// so an observer installed before or after the ez-Segway controller
+// neither hides the first completion from the queue nor misses one.
+func TestEZDeferredLaunchSurvivesCompletionObserver(t *testing.T) {
+	for _, observerFirst := range []bool{true, false} {
+		g := topo.Synthetic()
+		eng := sim.New(2)
+		eng.MaxEvents = 2_000_000
+		net := dataplane.NewNetwork(eng, g)
+		net.SetHandler(&Handler{})
+		controlplane.UseCentroidControl(net)
+		ctl := controlplane.NewController(net)
+		var heard []uint32
+		observe := func(u *controlplane.UpdateStatus) { heard = append(heard, u.Version) }
+		if observerFirst {
+			ctl.OnComplete = observe
+		}
+		ez := NewController(ctl)
+		if !observerFirst {
+			ctl.OnComplete = observe
+		}
+		oldP, newP := topo.SyntheticPaths()
+		f, _ := ctl.RegisterFlow(0, 7, oldP, 1000)
+		if _, err := ez.TriggerUpdate(f, newP); err != nil {
+			t.Fatal(err)
+		}
+		u2, err := ez.TriggerUpdate(f, []topo.NodeID{0, 1, 2, 7})
+		if err != nil || !u2.Queued {
+			t.Fatalf("observer first %v: second update not deferred (err %v)", observerFirst, err)
+		}
+		eng.Run()
+		if !u2.Done() || len(heard) != 2 || heard[0] != 2 || heard[1] != 3 {
+			t.Errorf("observer first %v: deferred update done=%v, observer heard versions %v, want [2 3]",
+				observerFirst, u2.Done(), heard)
+		}
+	}
+}
+
 func TestEZLoopsOnMissingIntermediateUpdate(t *testing.T) {
 	// The Fig-2 scenario: configuration (c) deploys while (b) is lost in
 	// transit; without verification, ez-Segway creates the v1,v2,v3
@@ -158,7 +197,8 @@ func TestEZLoopsOnMissingIntermediateUpdate(t *testing.T) {
 		}
 	}
 	// Deploy (c) now; (b) arrives 500 ms later.
-	b.ctl.PushMessages(f, 3, pathB, pathC, planC.Changed, planC.Targets, planC.Msgs, rec)
+	b.ctl.Launch(&controlplane.UpdateStatus{Flow: f, Version: 3, OldPath: pathB, NewPath: pathC},
+		controlplane.Dispatch{Pending: planC.Changed, Send: planC})
 	b.eng.Schedule(500*time.Millisecond, func() {
 		for i := range planB.Msgs {
 			b.net.SendToSwitch(planB.Targets[i], planB.Msgs[i], 0)

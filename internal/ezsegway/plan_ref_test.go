@@ -2,7 +2,6 @@ package ezsegway
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"testing"
@@ -105,21 +104,6 @@ func refPreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []
 		default:
 			eg.Flags |= packet.EZInitAfterApply
 		}
-		// Encode the intra-segment update order into the segment egress
-		// (egress-to-ingress), as the original system does.
-		order := make([]topo.NodeID, 0, len(s.Nodes))
-		for i := len(s.Nodes) - 2; i >= 0; i-- {
-			order = append(order, s.Nodes[i])
-		}
-		p.ExecOrder = append(p.ExecOrder, order)
-	}
-	// Resolve inter-segment dependencies: each in_loop segment waits for
-	// its downstream neighbor chain.
-	p.Deps = make(map[int]int)
-	for i, s := range seg.Segments {
-		if !s.Forward && i > 0 {
-			p.Deps[i] = i - 1
-		}
 	}
 	// Emit instructions in node-ID order: the send order must not depend
 	// on map iteration, or same-instant message ties break differently
@@ -137,7 +121,7 @@ func refPreparePlanDep(t *topo.Topology, flow packet.FlowID, oldPath, newPath []
 }
 
 // samePlan reports the first field where got and want differ. Nil and
-// empty differ: a nil Changed tells PushMessages every new-path node is
+// empty differ: a nil Changed tells Launch every new-path node is
 // pending.
 func samePlan(got, want *Plan) error {
 	switch {
@@ -147,10 +131,6 @@ func samePlan(got, want *Plan) error {
 		return fmt.Errorf("targets %#v, want %#v", got.Targets, want.Targets)
 	case len(got.Msgs) != len(want.Msgs):
 		return fmt.Errorf("%d instructions, want %d", len(got.Msgs), len(want.Msgs))
-	case !maps.Equal(got.Deps, want.Deps) || (got.Deps == nil) != (want.Deps == nil):
-		return fmt.Errorf("deps %v, want %v", got.Deps, want.Deps)
-	case !slices.EqualFunc(got.ExecOrder, want.ExecOrder, slices.Equal) || (got.ExecOrder == nil) != (want.ExecOrder == nil):
-		return fmt.Errorf("exec order %v, want %v", got.ExecOrder, want.ExecOrder)
 	}
 	for i := range got.Msgs {
 		if g, w := *got.Msgs[i].(*packet.EZI), *want.Msgs[i].(*packet.EZI); g != w {
@@ -205,12 +185,11 @@ func TestPreparePlanMatchesMapBased(t *testing.T) {
 
 // TestPreparePlanAllocations pins what preparing the Fig. 1 update
 // allocates: the segmentation's two slices, the Plan, its instructions,
-// Changed, ExecOrder and the slice backing its entries, the Deps map
-// (two), Targets and Msgs.
+// Changed, Targets and Msgs.
 func TestPreparePlanAllocations(t *testing.T) {
 	g := topo.Synthetic()
 	oldP, newP := topo.SyntheticPaths()
-	if n := testing.AllocsPerRun(100, func() { PreparePlan(g, 1, oldP, newP, 2, 1000, 0) }); n > 11 {
-		t.Errorf("PreparePlan allocates %v times, want at most 11", n)
+	if n := testing.AllocsPerRun(100, func() { PreparePlan(g, 1, oldP, newP, 2, 1000, 0) }); n > 7 {
+		t.Errorf("PreparePlan allocates %v times, want at most 7", n)
 	}
 }

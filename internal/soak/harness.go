@@ -148,11 +148,10 @@ func NewWorkload(g *topo.Topology, seed int64, opt Options) (*traffic.ChurnWorkl
 	})
 }
 
-// NewHarness wires a harness onto an already built system. It chains
-// onto the controller's OnComplete hook (coordinators like ez-Segway
-// wrap it at build time) and, when an auditor is attached, hangs the
-// SLO tracker off its per-sweep deltas. Call Start, run the engine, then
-// Finish.
+// NewHarness wires a harness onto an already built system. It owns the
+// controller's OnComplete hook and, when an auditor is attached, hangs
+// the SLO tracker off its per-sweep deltas. Call Start, run the engine,
+// then Finish.
 func NewHarness(sys *wiring.System, g *topo.Topology, w *traffic.ChurnWorkload, opt Options) *Harness {
 	h := &Harness{
 		sys:       sys,
@@ -168,13 +167,7 @@ func NewHarness(sys *wiring.System, g *topo.Topology, w *traffic.ChurnWorkload, 
 	h.rerouteFn = h.reroute
 	h.departFn = h.depart
 	h.retireFn = h.retireLater
-	prev := sys.Ctl.OnComplete
-	sys.Ctl.OnComplete = func(u *controlplane.UpdateStatus) {
-		if prev != nil {
-			prev(u)
-		}
-		h.onUpdateComplete(u)
-	}
+	sys.Ctl.OnComplete = h.onUpdateComplete
 	if sys.Aud != nil {
 		sys.Aud.OnSweep = h.slo.onSweep
 	}

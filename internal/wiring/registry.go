@@ -21,13 +21,19 @@ type UpdateSystem interface {
 	// DisplayName is the human-readable label used in tables and plots.
 	DisplayName() string
 	// Build wires the system's data-plane handler and controller glue
-	// into a freshly constructed System: the engine, fabric, control
-	// placement and tracking controller exist; install delays, fault
-	// injection and auditors attach afterwards. Build must not run
-	// events or draw from the engine RNG.
-	Build(s *System)
-	// Trigger starts a consistent update of f to newPath.
-	Trigger(s *System, f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error)
+	// into a freshly constructed System and returns what starts its
+	// updates: the engine, fabric, control placement and tracking
+	// controller exist; install delays, fault injection and auditors
+	// attach afterwards. Build must not run events or draw from the
+	// engine RNG.
+	Build(s *System) Updater
+}
+
+// Updater starts one system's consistent updates. Every implementation
+// reaches the controller through controlplane.Controller.Launch.
+type Updater interface {
+	// TriggerUpdate starts an update of f to newPath.
+	TriggerUpdate(f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error)
 }
 
 // MetricsReporter is an optional UpdateSystem extension: systems with

@@ -2,6 +2,7 @@ package wiring
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -228,6 +229,58 @@ func TestUpdatePathAllocations(t *testing.T) {
 				t.Errorf("a %s reroute allocates %.2f times, want at most %v", name, got, max)
 			}
 		})
+	}
+}
+
+// triggerAllocs is what one Trigger call allocates in each system, in
+// the plain build (raceAllocs adds the race detector's one), with the
+// plan cache warm. P4Update's is its UpdateStatus and pending set; a
+// round system's Trigger no longer allocates a resend closure per run.
+var triggerAllocs = map[string]uint64{
+	"p4update":    2,
+	"p4update-sl": 2,
+	"p4update-dl": 2,
+	"ez-segway":   3,
+	"central":     10,
+	"ppcu":        13,
+	"opt-oracle":  8,
+}
+
+// TestTriggerAllocations pins triggerAllocs: the median, over 200
+// reroutes on the ladder, of the allocations inside Trigger alone (the
+// mean adds the update map's and the event queue's amortized growth).
+func TestTriggerAllocations(t *testing.T) {
+	g, rails := ladder()
+	src, dst := rails[0][0], rails[0][len(rails[0])-1]
+	for _, name := range AllNames() {
+		cfg := Config{Seed: 1, System: name, MaxEvents: 5_000_000, ChainedDL: true, Plans: plancache.New(g)}
+		run := func() uint64 {
+			sys := New(g, cfg)
+			const f = packet.FlowID(77)
+			if err := sys.Ctl.RegisterFlowID(f, src, dst, rails[0], 1); err != nil {
+				t.Fatal(err)
+			}
+			per := make([]uint64, 0, 200)
+			var m0, m1 runtime.MemStats
+			for i := 1; i <= cap(per); i++ {
+				runtime.ReadMemStats(&m0)
+				u, err := sys.Trigger(f, rails[i%2])
+				runtime.ReadMemStats(&m1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				per = append(per, m1.Mallocs-m0.Mallocs)
+				if sys.Eng.Run(); !u.Done() {
+					t.Fatalf("%s: update %d did not complete", name, i)
+				}
+			}
+			slices.Sort(per)
+			return per[len(per)/2]
+		}
+		run() // fill the plan cache
+		if got, want := run(), triggerAllocs[name]+raceAllocs; got > want {
+			t.Errorf("a %s Trigger allocates %d times, want at most %d", name, got, want)
+		}
 	}
 }
 

@@ -43,16 +43,22 @@ type p4updateSystem struct {
 func (p *p4updateSystem) Name() string        { return p.name }
 func (p *p4updateSystem) DisplayName() string { return p.display }
 
-func (p *p4updateSystem) Build(s *System) {
+func (p *p4updateSystem) Build(s *System) Updater {
 	s.Net.SetHandler(&core.Protocol{
 		Congestion:      s.Cfg.Congestion,
 		AllowChainedDL:  s.Cfg.ChainedDL,
 		WatchdogTimeout: s.Cfg.WatchdogTimeout,
 	})
+	return p4updater{s}
 }
 
-func (p *p4updateSystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
-	return s.Ctl.TriggerUpdate(f, newPath, p.force)
+// p4updater is P4Update's updater: the system's controller, with the
+// update layer its registry entry pins (nil = the §7.5 auto policy).
+// It holds one pointer, so building it costs no allocation.
+type p4updater struct{ s *System }
+
+func (p p4updater) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
+	return p.s.Ctl.TriggerUpdate(f, newPath, p.s.Driver.(*p4updateSystem).force)
 }
 
 // ezSegwaySystem adapts the decentralized ez-Segway baseline.
@@ -61,17 +67,14 @@ type ezSegwaySystem struct{}
 func (*ezSegwaySystem) Name() string        { return "ez-segway" }
 func (*ezSegwaySystem) DisplayName() string { return "ez-Segway" }
 
-func (*ezSegwaySystem) Build(s *System) {
+func (*ezSegwaySystem) Build(s *System) Updater {
 	s.Net.SetHandler(&ezsegway.Handler{Congestion: s.Cfg.Congestion})
-	s.EZ = ezsegway.NewController(s.Ctl)
-	s.EZ.Congestion = s.Cfg.Congestion
+	ez := ezsegway.NewController(s.Ctl)
+	ez.Congestion = s.Cfg.Congestion
 	if s.Cfg.Plans != nil {
-		s.EZ.Plans = s.Cfg.Plans
+		ez.Plans = s.Cfg.Plans
 	}
-}
-
-func (*ezSegwaySystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
-	return s.EZ.TriggerUpdate(f, newPath)
+	return ez
 }
 
 // centralSystem adapts the centralized dependency-graph baseline.
@@ -80,27 +83,24 @@ type centralSystem struct{}
 func (*centralSystem) Name() string        { return "central" }
 func (*centralSystem) DisplayName() string { return "Central" }
 
-func (*centralSystem) Build(s *System) {
+func (*centralSystem) Build(s *System) Updater {
 	s.Net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyCentral})
-	s.CO = central.NewCoordinator(s.Ctl, s.Cfg.CtrlProcDelay)
-	s.CO.Congestion = s.Cfg.Congestion
+	co := central.NewCoordinator(s.Ctl, s.Cfg.CtrlProcDelay)
+	co.Congestion = s.Cfg.Congestion
 	// The controller also serves path setup and monitoring traffic;
 	// every message queues behind it (§9.1, Jarschel et al.).
 	if s.Cfg.CtrlQueueMean > 0 {
 		rng := s.Eng.Rand()
 		mean := float64(s.Cfg.CtrlQueueMean)
-		s.CO.QueueDelay = func() time.Duration {
+		co.QueueDelay = func() time.Duration {
 			return time.Duration(rng.ExpFloat64() * mean)
 		}
 	}
-}
-
-func (*centralSystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
-	return s.CO.TriggerUpdate(f, newPath)
+	return co
 }
 
 func (*centralSystem) ReportMetrics(s *System, extra map[string]float64) {
-	extra["ctl_rounds"] = float64(s.CO.Rounds)
+	extra["ctl_rounds"] = float64(s.Updater.(*central.Coordinator).Rounds)
 }
 
 // ppcuSystem adapts the two-phase per-packet-consistency baseline. It
@@ -111,20 +111,16 @@ type ppcuSystem struct{}
 func (*ppcuSystem) Name() string        { return "ppcu" }
 func (*ppcuSystem) DisplayName() string { return "PPCU" }
 
-func (*ppcuSystem) Build(s *System) {
+func (*ppcuSystem) Build(s *System) Updater {
 	s.Net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyPPCU, Congestion: s.Cfg.Congestion})
 	for _, sw := range s.Net.Switches() {
 		sw.TwoPhase = true
 	}
-	s.PP = ppcu.NewCoordinator(s.Ctl)
-}
-
-func (*ppcuSystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
-	return s.PP.TriggerUpdate(f, newPath)
+	return ppcu.NewCoordinator(s.Ctl)
 }
 
 func (*ppcuSystem) ReportMetrics(s *System, extra map[string]float64) {
-	extra["phase_flips"] = float64(s.PP.Flips)
+	extra["phase_flips"] = float64(s.Updater.(*ppcu.Coordinator).Flips)
 }
 
 // optOracleSystem adapts the offline optimal scheduler's idealized
@@ -134,18 +130,15 @@ type optOracleSystem struct{}
 func (*optOracleSystem) Name() string        { return "opt-oracle" }
 func (*optOracleSystem) DisplayName() string { return "OptOracle" }
 
-func (*optOracleSystem) Build(s *System) {
+func (*optOracleSystem) Build(s *System) Updater {
 	s.Net.SetHandler(&controlplane.Agent{Apply: trace.CodeApplyOracle})
-	s.OO = optoracle.NewCoordinator(s.Ctl)
+	oo := optoracle.NewCoordinator(s.Ctl)
 	if s.Cfg.Plans != nil {
-		s.OO.Plans = s.Cfg.Plans
+		oo.Plans = s.Cfg.Plans
 	}
-}
-
-func (*optOracleSystem) Trigger(s *System, f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
-	return s.OO.TriggerUpdate(f, newPath)
+	return oo
 }
 
 func (*optOracleSystem) ReportMetrics(s *System, extra map[string]float64) {
-	extra["opt_rounds"] = float64(s.OO.Rounds)
+	extra["opt_rounds"] = float64(s.Updater.(*optoracle.Coordinator).Rounds)
 }

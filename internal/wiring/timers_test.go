@@ -11,8 +11,9 @@ import (
 )
 
 // timerPackages are the packages whose timers run per update: the
-// protocol, its control and data planes, and the churn/soak harness.
-var timerPackages = []string{"core", "controlplane", "dataplane", "soak"}
+// protocol, its control and data planes, the churn/soak harness, and
+// the baselines.
+var timerPackages = []string{"core", "controlplane", "dataplane", "soak", "central", "ezsegway", "ppcu", "optoracle"}
 
 // closureTimers allowlists the functions of timerPackages that may pass
 // a func literal to the engine, as "package.Function", with why the

@@ -4,8 +4,8 @@
 // Which data-plane handler runs and which controller drives updates is
 // resolved through the UpdateSystem registry (registry.go): systems
 // register themselves by name, construction looks the name up and calls
-// the entry's Build, and triggering dispatches through the same entry —
-// adding a system never touches this file.
+// the entry's Build, and triggering dispatches to the Updater it returns
+// — adding a system never touches this file.
 package wiring
 
 import (
@@ -14,16 +14,12 @@ import (
 	"time"
 
 	"p4update/internal/audit"
-	"p4update/internal/central"
 	"p4update/internal/controlplane"
 	"p4update/internal/core"
 	"p4update/internal/dataplane"
-	"p4update/internal/ezsegway"
 	"p4update/internal/faults"
-	"p4update/internal/optoracle"
 	"p4update/internal/packet"
 	"p4update/internal/plancache"
-	"p4update/internal/ppcu"
 	"p4update/internal/sim"
 	"p4update/internal/topo"
 	"p4update/internal/trace"
@@ -117,23 +113,21 @@ type Config struct {
 }
 
 // System is a fully wired system under one update system: engine, data
-// plane, tracking controller, and — depending on the system — the
-// coordinator driving it.
+// plane, tracking controller, and the driver that starts its updates.
 type System struct {
 	Cfg  Config
 	Topo *topo.Topology
 	Eng  *sim.Engine
 	Net  *dataplane.Network
 	Ctl  *controlplane.Controller
-	// Driver is the registry entry the system was built from (nil when
-	// the configured name resolves to nothing; Trigger then errors).
-	Driver UpdateSystem
-	// Per-system coordinators, filled by the driver's Build: EZ under
-	// ez-segway, CO under central, PP under ppcu, OO under opt-oracle.
-	EZ *ezsegway.Controller
-	CO *central.Coordinator
-	PP *ppcu.Coordinator
-	OO *optoracle.Coordinator
+	// Driver is the registry entry the system was built from, and
+	// Updater what its Build returned to start the system's updates:
+	// P4Update's controller with the variant's layer pinned, or a
+	// baseline's coordinator (*ezsegway.Controller, *central.Coordinator,
+	// *ppcu.Coordinator, *optoracle.Coordinator). Both are nil when the
+	// configured name resolves to nothing; Trigger then errors.
+	Driver  UpdateSystem
+	Updater Updater
 	// Inj is the attached fault injector (nil without Config.Faults);
 	// Aud the attached invariant auditor (nil without AuditEvery).
 	Inj *faults.Injector
@@ -222,7 +216,7 @@ func Recycle(prev *System, g *topo.Topology, cfg Config) *System {
 	s := &System{Cfg: cfg, Topo: g, Eng: eng, Net: net, Ctl: ctl, Trace: eng.Trace, name: name, ctlRng: ctlRng}
 	if drv, ok := Lookup(name); ok {
 		s.Driver = drv
-		drv.Build(s)
+		s.Updater = drv.Build(s)
 	} else {
 		// Unknown system: leave a functional data plane in place so the
 		// system is still inspectable; Trigger reports the error.
@@ -275,14 +269,14 @@ func Recycle(prev *System, g *topo.Topology, cfg Config) *System {
 // flow whose previous update is still in flight returns a status in the
 // Queued state (it launches when the ongoing update completes).
 func (s *System) Trigger(f packet.FlowID, newPath []topo.NodeID) (*controlplane.UpdateStatus, error) {
-	if s.Driver == nil {
+	if s.Updater == nil {
 		return nil, fmt.Errorf("wiring: unknown update system %q (available: %v)", s.name, AllNames())
 	}
-	return s.Driver.Trigger(s, f, newPath)
+	return s.Updater.TriggerUpdate(f, newPath)
 }
 
-// ExtraMetrics collects the driver's per-system metric extras (nil when
-// the driver reports none).
+// ExtraMetrics collects the per-system metric extras of the system's
+// registry entry (nil when it reports none).
 func (s *System) ExtraMetrics() map[string]float64 {
 	mr, ok := s.Driver.(MetricsReporter)
 	if !ok {

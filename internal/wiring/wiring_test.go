@@ -5,22 +5,27 @@ import (
 	"testing"
 	"time"
 
+	"p4update/internal/central"
+	"p4update/internal/ezsegway"
+	"p4update/internal/optoracle"
+	"p4update/internal/ppcu"
 	"p4update/internal/topo"
 )
 
 // TestNewWiresStrategySpecificControllers: every registered name builds a
 // complete system, and each system's coordinator — only its own — is
-// attached. The empty name is "p4update".
+// its updater. The empty name is "p4update".
 func TestNewWiresStrategySpecificControllers(t *testing.T) {
 	coordinators := func(s *System) map[string]bool {
-		return map[string]bool{
-			"ez-segway": s.EZ != nil, "central": s.CO != nil,
-			"ppcu": s.PP != nil, "opt-oracle": s.OO != nil,
-		}
+		_, ez := s.Updater.(*ezsegway.Controller)
+		_, co := s.Updater.(*central.Coordinator)
+		_, pp := s.Updater.(*ppcu.Coordinator)
+		_, oo := s.Updater.(*optoracle.Coordinator)
+		return map[string]bool{"ez-segway": ez, "central": co, "ppcu": pp, "opt-oracle": oo}
 	}
 	for _, name := range append(AllNames(), "") {
 		sys := New(topo.Synthetic(), Config{Seed: 1, System: name})
-		if sys.Eng == nil || sys.Net == nil || sys.Ctl == nil || sys.Driver == nil {
+		if sys.Eng == nil || sys.Net == nil || sys.Ctl == nil || sys.Driver == nil || sys.Updater == nil {
 			t.Fatalf("%q: incomplete system", name)
 		}
 		if name == "" {
