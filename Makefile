@@ -61,14 +61,16 @@ bench:
 # at fat-tree K=16 scale, (switch, flow) lookups), the path oracle's
 # per-reroute tree repair, cold centroid search (BenchmarkCentroid) and
 # Yen's k-shortest paths (internal/topo),
-# the churn harness's link→flow index (internal/soak), the Fig. 7
+# the churn harness's link→flow index and one flow's arrival → departure
+# → retire cycle at K=16 scale (internal/soak: BenchmarkLinkIndex,
+# BenchmarkArrivalRetire), the Fig. 7
 # single-flow scenario search (internal/traffic) and the Fig. 7 trial
 # grid itself, per-trial wiring and beds included (internal/experiments,
 # BenchmarkFig7Grid), and the two planners Fig. 8 compares on the same B4
 # path pairs (internal/controlplane, internal/ezsegway:
 # BenchmarkPreparePlan). A quick A/B for a queue, state-layout, oracle,
-# path, harness-index, trial-bed or planner change, without the 24 s
-# ledger run.
+# path, harness-index, flow-table, trial-bed or planner change, without
+# the 24 s ledger run.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim/ ./internal/dataplane/ ./internal/topo/ ./internal/soak/ ./internal/traffic/ ./internal/experiments/ ./internal/controlplane/ ./internal/ezsegway/
 

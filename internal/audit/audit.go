@@ -234,10 +234,13 @@ func (a *Auditor) Report() Report {
 // regression left in place counts once per sweep — but only a slot whose
 // forwarding revision moved since its last audit has its registers read
 // again, and only that or an outage change has it traced again. Flow
-// endpoints are read from the Flow DB when a slot is re-audited, so a
-// flow must leave the Flow DB and the fabric together (UnregisterFlow
-// with RetireFlow, as the harness does). Switch.TwoPhase and the
-// topology's links are taken as fixed once sweeping has started.
+// endpoints are read from the Flow DB when a slot is re-audited, by the
+// slot index the sweep walks: the Flow DB is indexed by the same
+// data-plane slots, and a record answers only for the flow it was
+// registered for. A flow must therefore leave the Flow DB and the
+// fabric together (UnregisterFlow, then RetireFlow, as the harness
+// does). Switch.TwoPhase and the topology's links are taken as fixed once
+// sweeping has started.
 func (a *Auditor) Sweep() {
 	before := a.counts
 	a.sweeps++
@@ -262,7 +265,7 @@ func (a *Auditor) Sweep() {
 		}
 		rev := a.net.FlowRev(int32(idx))
 		if !s.audited || s.rev != rev || s.outageRev != outage {
-			rec, ok := a.ctl.Flow(f)
+			rec, ok := a.ctl.FlowAt(int32(idx), f)
 			if !ok {
 				a.forget(s)
 				continue

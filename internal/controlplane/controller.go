@@ -12,12 +12,17 @@ import (
 	"p4update/internal/trace"
 )
 
-// FlowRecord is one Flow-DB entry.
+// FlowRecord is one Flow-DB entry. It carries its flow's ID, so the
+// entry of a recycled data-plane slot never answers for the slot's
+// previous tenant.
 type FlowRecord struct {
+	Flow     packet.FlowID
 	Src, Dst topo.NodeID
 	Path     []topo.NodeID
 	Version  uint32
 	SizeK    uint32
+	// live is set from RegisterFlowID to UnregisterFlow.
+	live bool
 }
 
 // UpdateStatus tracks one triggered update for the evaluation.
@@ -90,7 +95,11 @@ type Controller struct {
 	Net  *dataplane.Network
 	Topo *topo.Topology
 
-	flows   map[packet.FlowID]*FlowRecord
+	// flows is the Flow DB, indexed by the data-plane slot each flow is
+	// interned in (dataplane.Network.FlowSlot): storage is recycled with
+	// the slot, so it is sized by live flows, and a lookup by FlowID is
+	// the fabric's one interning lookup.
+	flows   []FlowRecord
 	trees   map[packet.FlowID]*TreeRecord
 	updates map[updateKey]*UpdateStatus
 
@@ -167,7 +176,6 @@ func NewController(net *dataplane.Network) *Controller {
 		Eng:     net.Eng,
 		Net:     net,
 		Topo:    net.Topo,
-		flows:   make(map[packet.FlowID]*FlowRecord),
 		updates: make(map[updateKey]*UpdateStatus),
 	}
 	net.ControllerRx = c.receive
@@ -175,10 +183,29 @@ func NewController(net *dataplane.Network) *Controller {
 	return c
 }
 
-// Flow returns the Flow-DB record for f.
+// Flow returns the Flow-DB record for f. The record sits in a table
+// indexed by f's data-plane slot: the pointer stays valid until f is
+// unregistered or the next RegisterFlow(ID) grows the table, so callers
+// re-read it after registering flows.
 func (c *Controller) Flow(f packet.FlowID) (*FlowRecord, bool) {
-	r, ok := c.flows[f]
-	return r, ok
+	i, ok := c.Net.FlowSlot(f)
+	if !ok {
+		return nil, false
+	}
+	return c.FlowAt(i, f)
+}
+
+// FlowAt returns the Flow-DB record in data-plane slot i if it is f's,
+// for callers that already walk the slot space (the invariant auditor).
+func (c *Controller) FlowAt(i int32, f packet.FlowID) (*FlowRecord, bool) {
+	if int(i) >= len(c.flows) {
+		return nil, false
+	}
+	r := &c.flows[i]
+	if !r.live || r.Flow != f {
+		return nil, false
+	}
+	return r, true
 }
 
 // RegisterFlow records a flow in the Flow DB and seeds its rules in the
@@ -201,8 +228,11 @@ func (c *Controller) RegisterFlowID(f packet.FlowID, src, dst topo.NodeID, path 
 	if path[0] != src || path[len(path)-1] != dst {
 		return fmt.Errorf("controlplane: path endpoints do not match flow")
 	}
-	c.flows[f] = &FlowRecord{Src: src, Dst: dst, Path: path, Version: 1, SizeK: sizeK}
-	c.Net.InstallPath(f, path, 1, sizeK)
+	i := int(c.Net.InstallPath(f, path, 1, sizeK))
+	if i >= len(c.flows) {
+		c.flows = append(c.flows, make([]FlowRecord, i+1-len(c.flows))...)
+	}
+	c.flows[i] = FlowRecord{Flow: f, Src: src, Dst: dst, Path: path, Version: 1, SizeK: sizeK, live: true}
 	return nil
 }
 
@@ -216,7 +246,7 @@ func (c *Controller) Status(f packet.FlowID, version uint32) (*UpdateStatus, boo
 // It returns the tracked status. force pins the update type (nil = §7.5
 // auto selection).
 func (c *Controller) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID, force *packet.UpdateType) (*UpdateStatus, error) {
-	rec, ok := c.flows[f]
+	rec, ok := c.Flow(f)
 	if !ok {
 		return nil, fmt.Errorf("controlplane: unknown flow %d", f)
 	}
@@ -279,7 +309,7 @@ func (c *Controller) Launch(u *UpdateStatus, d Dispatch) {
 	if d.Send != nil {
 		d.Send.Send(c, u)
 	}
-	if rec, ok := c.flows[u.Flow]; ok {
+	if rec, ok := c.Flow(u.Flow); ok {
 		rec.Path = u.NewPath
 		rec.Version = u.Version
 	}
@@ -361,18 +391,19 @@ func (c *Controller) FlushUIMBatch() {
 
 // UnregisterFlow removes a departed flow from the Flow DB and drops its
 // tracked update records, bounding controller memory by live — not
-// historical — flows. Data-plane teardown is separate
-// (dataplane.Network.RetireFlow); callers retire only quiescent flows.
+// historical — flows. Data-plane teardown is separate and comes after
+// it (dataplane.Network.RetireFlow, which frees the slot the record is
+// found by); callers retire only quiescent flows.
 func (c *Controller) UnregisterFlow(f packet.FlowID) {
-	rec, ok := c.flows[f]
+	rec, ok := c.Flow(f)
 	if !ok {
 		return
 	}
-	delete(c.flows, f)
 	delete(c.trees, f)
 	for v := uint32(2); v <= rec.Version+1; v++ {
 		delete(c.updates, updateKey{f, v})
 	}
+	*rec = FlowRecord{}
 }
 
 // ForgetUpdate drops the tracking record of one completed (flow,
@@ -505,7 +536,7 @@ func (c *Controller) receive(from topo.NodeID, raw []byte) {
 		tr.Recv(trace.NodeController, uint8(m.Type()), int32(from), flow, ver)
 	}
 	if m, ok := m.(*packet.FRM); ok {
-		if _, known := c.flows[m.Flow]; !known && c.OnNewFlow != nil {
+		if _, known := c.Flow(m.Flow); !known && c.OnNewFlow != nil {
 			c.OnNewFlow(m.Flow)
 		}
 	}

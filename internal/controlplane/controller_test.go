@@ -316,3 +316,53 @@ func TestStragglerCommitRearmsWatchdog(t *testing.T) {
 			u.Done(), u.ProbeRetries, u.Retriggers)
 	}
 }
+
+// TestFlowDBSlotReuse: the Flow DB is indexed by data-plane slot, and a
+// record answers only for the flow it was registered for. After flow A
+// leaves (with and without UnregisterFlow before its RetireFlow), a
+// flow B interned into A's recycled slot is never handed A's record.
+func TestFlowDBSlotReuse(t *testing.T) {
+	for _, unregister := range []bool{true, false} {
+		_, net, ctl := bed(t)
+		pathA, pathB := []topo.NodeID{0, 4, 2, 7}, []topo.NodeID{7, 2, 4, 0}
+		a, err := ctl.RegisterFlow(0, 7, pathA, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slotA, _ := net.FlowSlot(a)
+		if unregister {
+			ctl.UnregisterFlow(a)
+		}
+		net.RetireFlow(a)
+		if _, ok := ctl.Flow(a); ok {
+			t.Errorf("unregister=%v: retired flow A still in the Flow DB", unregister)
+		}
+
+		// B reaches A's slot through the fabric alone: no record is B's.
+		b := packet.HashFlow(7, 0)
+		if slot := net.InstallPath(b, pathB, 1, 100); slot != slotA {
+			t.Fatalf("B interned in slot %d, want A's recycled slot %d", slot, slotA)
+		}
+		if rec, ok := ctl.Flow(b); ok {
+			t.Errorf("unregister=%v: unregistered B found record %+v", unregister, *rec)
+		}
+		if rec, ok := ctl.FlowAt(slotA, b); ok {
+			t.Errorf("unregister=%v: FlowAt handed B the slot's record %+v", unregister, *rec)
+		}
+
+		// Registered, B gets its own record; A still has none.
+		if err := ctl.RegisterFlowID(b, 7, 0, pathB, 100); err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := ctl.Flow(b)
+		if !ok || rec.Flow != b || rec.Src != 7 || rec.Version != 1 {
+			t.Errorf("unregister=%v: B's record %+v, %v", unregister, rec, ok)
+		}
+		if _, ok := ctl.Flow(a); ok {
+			t.Errorf("unregister=%v: A found a record after B took its slot", unregister)
+		}
+		if _, ok := ctl.FlowAt(slotA, a); ok {
+			t.Errorf("unregister=%v: FlowAt answered for A in B's slot", unregister)
+		}
+	}
+}

@@ -112,7 +112,7 @@ func NewRoundExecutor(ctl *Controller, p RoundPolicy) *RoundExecutor {
 // unacknowledged instructions (Send); an update with nothing to move has
 // no resend.
 func (x *RoundExecutor) TriggerUpdate(f packet.FlowID, newPath []topo.NodeID) (*UpdateStatus, error) {
-	rec, ok := x.Ctl.flows[f]
+	rec, ok := x.Ctl.Flow(f)
 	if !ok {
 		return nil, fmt.Errorf("controlplane: unknown flow %d", f)
 	}

@@ -152,7 +152,7 @@ func TestHolderSetsMatchReference(t *testing.T) {
 			k := rng.Intn(len(live))
 			f := live[k]
 			live = slices.Delete(live, k, k+1)
-			if i, ok := net.peekFlowSlot(f); ok {
+			if i, ok := net.FlowSlot(f); ok {
 				maxHolders = max(maxHolders, int(net.flows.holders[i].n))
 			}
 			// Park one piece of work on every port of every holder; the

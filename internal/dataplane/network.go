@@ -388,8 +388,10 @@ func (n *Network) Reset(eng *sim.Engine) {
 // flowSlot interns f, returning its dense fabric-wide index.
 func (n *Network) flowSlot(f packet.FlowID) int32 { return n.flows.slot(f) }
 
-// peekFlowSlot returns f's dense index without interning it.
-func (n *Network) peekFlowSlot(f packet.FlowID) (int32, bool) { return n.flows.peek(f) }
+// FlowSlot returns the dense slot f is interned in, without interning
+// it, or false if the fabric holds no slot for f. A slot stays f's until
+// RetireFlow(f); FlowAt names its tenant.
+func (n *Network) FlowSlot(f packet.FlowID) (int32, bool) { return n.flows.peek(f) }
 
 // Pool returns the network's message/buffer pool.
 func (n *Network) Pool() *packet.Pool { return &n.pool }
@@ -482,7 +484,7 @@ func (n *Network) OutageRev() uint32 { return n.outageRev }
 // call it afterwards, or revision-keyed observers keep their old view
 // of the flow. A flow the fabric never interned is ignored.
 func (n *Network) FlowChanged(f packet.FlowID) {
-	if i, ok := n.flows.peek(f); ok {
+	if i, ok := n.FlowSlot(f); ok {
 		n.flows.bump(i)
 	}
 }
@@ -670,20 +672,23 @@ func (n *Network) emit(class FaultClass, from, to topo.NodeID, inPort topo.PortI
 }
 
 // InstallPath seeds forwarding rules for flow f along path with the given
-// version and size, labeling distances by hop count to the egress. It is
-// the experiment-setup counterpart of an initial SL deployment.
-func (n *Network) InstallPath(f packet.FlowID, path []topo.NodeID, version uint32, sizeK uint32) {
+// version and size, labeling distances by hop count to the egress, and
+// returns the dense slot f is interned in. It is the experiment-setup
+// counterpart of an initial SL deployment.
+func (n *Network) InstallPath(f packet.FlowID, path []topo.NodeID, version uint32, sizeK uint32) int32 {
 	if err := n.Topo.ValidatePath(path); err != nil {
 		panic(fmt.Sprintf("dataplane: InstallPath: %v", err))
 	}
+	slot := n.flowSlot(f)
 	k := len(path) - 1
 	for i, node := range path {
 		port := PortLocal
 		if i < k {
 			port = n.Topo.PortTo(node, path[i+1])
 		}
-		n.switches[node].InstallInitialRule(f, port, version, uint16(k-i), sizeK)
+		n.switches[node].installInitialRule(slot, port, version, uint16(k-i), sizeK)
 	}
+	return slot
 }
 
 // TracePath follows the current forwarding state of flow f from node

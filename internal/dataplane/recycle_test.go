@@ -30,7 +30,7 @@ func TestSlotRecyclingNeverAliasesLiveFlows(t *testing.T) {
 				continue
 			}
 			net.InstallPath(f, path, 1, 1)
-			i, ok := net.peekFlowSlot(f)
+			i, ok := net.FlowSlot(f)
 			if !ok {
 				t.Fatalf("step %d: flow %d not interned after install", step, f)
 			}
@@ -64,7 +64,7 @@ func TestSlotRecyclingNeverAliasesLiveFlows(t *testing.T) {
 	// slot holds at most one live flow, and dead slots report vacant.
 	seen := make(map[int32]packet.FlowID)
 	for f, i := range live {
-		got, ok := net.peekFlowSlot(f)
+		got, ok := net.FlowSlot(f)
 		if !ok || got != i {
 			t.Fatalf("flow %d moved from slot %d to (%d, %v)", f, i, got, ok)
 		}

@@ -275,18 +275,23 @@ func (sw *Switch) State(f packet.FlowID) *FlowState {
 // pays for one interner lookup, not two.
 func (sw *Switch) stateSlot(f packet.FlowID) (*FlowState, int32) {
 	i := sw.net.flowSlot(f)
+	return sw.stateIn(i), i
+}
+
+// stateIn is State for a flow already interned in dense slot i.
+func (sw *Switch) stateIn(i int32) *FlowState {
 	hs := &sw.net.flows.holders[i]
 	r, k := hs.find(sw.ID)
 	if r == 0 {
 		r = sw.allocState()
 		hs.insert(k, sw.ID, r)
 	}
-	return sw.stateAt(r), i
+	return sw.stateAt(r)
 }
 
 // PeekState returns the flow's register slice without allocating.
 func (sw *Switch) PeekState(f packet.FlowID) (*FlowState, bool) {
-	if i, ok := sw.net.peekFlowSlot(f); ok {
+	if i, ok := sw.net.FlowSlot(f); ok {
 		if r := sw.net.flows.holders[i].ref(sw.ID); r != 0 {
 			return sw.stateAt(r), true
 		}
@@ -471,7 +476,7 @@ func (sw *Switch) handleData(d *packet.Data, inPort topo.PortID) {
 // and not covered by a pending indication are removed; their capacity is
 // released.
 func (sw *Switch) handleCleanup(m *packet.CLN) {
-	i, ok := sw.net.peekFlowSlot(m.Flow)
+	i, ok := sw.net.FlowSlot(m.Flow)
 	if !ok {
 		return
 	}
@@ -925,7 +930,13 @@ func (sw *Switch) CommitState(f packet.FlowID, c Commit) bool {
 // to set up experiment start states). It reserves capacity and marks the
 // rule as version/distance labelled.
 func (sw *Switch) InstallInitialRule(f packet.FlowID, port topo.PortID, version uint32, distance uint16, sizeK uint32) {
-	st, slot := sw.stateSlot(f)
+	sw.installInitialRule(sw.net.flowSlot(f), port, version, distance, sizeK)
+}
+
+// installInitialRule is InstallInitialRule for a flow already interned
+// in dense slot slot.
+func (sw *Switch) installInitialRule(slot int32, port topo.PortID, version uint32, distance uint16, sizeK uint32) {
+	st := sw.stateIn(slot)
 	if st.HasRule {
 		sw.Release(st.EgressPort, st.FlowSizeK)
 	}

@@ -27,6 +27,7 @@ import (
 	"p4update/internal/controlplane"
 	"p4update/internal/faults"
 	"p4update/internal/packet"
+	"p4update/internal/sim"
 	"p4update/internal/topo"
 	"p4update/internal/traffic"
 	"p4update/internal/wiring"
@@ -83,19 +84,31 @@ type Counters struct {
 	PeakLive     int
 }
 
-// soakFlow is the harness's view of one live flow.
+// soakFlow is the harness's view of one live flow: the entry of the
+// flow table for the data-plane slot the flow is interned in.
 type soakFlow struct {
 	id       packet.FlowID
 	src, dst topo.NodeID
+	live     bool
 	updating bool
 	departed bool
 	path     []topo.NodeID
+	// u is the update in flight while updating, when the system
+	// returned one.
+	u *controlplane.UpdateStatus
+	// timer is the flow's pending departure or retire; a flow has at
+	// most one. Retirement stops it, so the slot's next tenant never
+	// hears its predecessor's timer.
+	timer sim.Timer
 
 	// hops is the flow's place in the link index, one slot per hop of
 	// path; it aliases inline unless path has more than inlineHops hops.
 	hops   []hopSlot
 	inline [inlineHops]hopSlot
 }
+
+// flowBlock is how many records one block of the flow table holds.
+const flowBlock = 256
 
 // Harness drives one trial: it owns the live-flow table and the
 // link→flows index, and schedules every arrival, departure, and reroute
@@ -107,10 +120,15 @@ type Harness struct {
 	w   *traffic.ChurnWorkload
 	opt Options
 
-	live      map[packet.FlowID]*soakFlow
+	// flows is the live-flow table, indexed by the data-plane slot each
+	// flow is interned in (dataplane.Network.FlowSlot), so a record is
+	// recycled with its slot and the table is sized by live flows. Its
+	// blocks are never regrown: the link index and the flow timers hold
+	// record pointers.
+	flows     []*[flowBlock]soakFlow
+	nlive     int
 	linkFlows linkIndex
 	samples   []time.Duration
-	inflight  map[packet.FlowID]*controlplane.UpdateStatus
 
 	c   Counters
 	slo *SLO
@@ -119,9 +137,8 @@ type Harness struct {
 
 	// Timers are bound methods scheduled with an argument the harness
 	// already owns, so none costs a closure: departures and retires
-	// carry the flow's *soakFlow (and still look the flow up by ID), and
-	// the one pending arrival and the one pending reroute wait in
-	// nextArrival and nextReroute.
+	// carry the flow's *soakFlow, and the one pending arrival and the one
+	// pending reroute wait in nextArrival and nextReroute.
 	nextArrival traffic.ChurnArrival
 	nextReroute traffic.ChurnReroute
 	arrivalFn   func()
@@ -158,9 +175,7 @@ func NewHarness(sys *wiring.System, g *topo.Topology, w *traffic.ChurnWorkload, 
 		g:         g,
 		w:         w,
 		opt:       opt,
-		live:      make(map[packet.FlowID]*soakFlow),
 		linkFlows: newLinkIndex(g),
-		inflight:  make(map[packet.FlowID]*controlplane.UpdateStatus),
 		slo:       newSLO(opt.Episodes),
 	}
 	h.arrivalFn = h.arrive
@@ -187,7 +202,31 @@ func (h *Harness) Counters() Counters { return h.c }
 func (h *Harness) Samples() []time.Duration { return h.samples }
 
 // LiveFlows returns the current live-flow population.
-func (h *Harness) LiveFlows() int { return len(h.live) }
+func (h *Harness) LiveFlows() int { return h.nlive }
+
+// record returns the flow-table entry for data-plane slot i, adding
+// blocks as the slot space grows.
+func (h *Harness) record(i int32) *soakFlow {
+	for int(i)/flowBlock >= len(h.flows) {
+		h.flows = append(h.flows, new([flowBlock]soakFlow))
+	}
+	return &h.flows[i/flowBlock][i%flowBlock]
+}
+
+// lookup returns f's record while the harness holds f live, else nil.
+// The fabric may hold a slot for a flow the harness has retired (a
+// stale frame can re-create its switch state); that slot's record is
+// not live.
+func (h *Harness) lookup(f packet.FlowID) *soakFlow {
+	i, ok := h.sys.Net.FlowSlot(f)
+	if !ok || int(i)/flowBlock >= len(h.flows) {
+		return nil
+	}
+	if cf := &h.flows[i/flowBlock][i%flowBlock]; cf.live && cf.id == f {
+		return cf
+	}
+	return nil
+}
 
 // pathDown reports whether any switch on path is currently crashed.
 func (h *Harness) pathDown(path []topo.NodeID) bool {
@@ -206,10 +245,11 @@ func (h *Harness) pathDown(path []topo.NodeID) bool {
 // the flow's path is down, its ASIC still holds the flow's committed
 // rules but is unreachable — a real operator cannot reclaim the slot
 // until the fabric heals — so teardown is re-deferred instead of
-// silently dropping the flow's state mid-outage.
-func (h *Harness) retire(f packet.FlowID) {
-	cf, ok := h.live[f]
-	if !ok {
+// silently dropping the flow's state mid-outage. The flow leaves the
+// Flow DB and the fabric together, and its record is vacated with the
+// slot.
+func (h *Harness) retire(cf *soakFlow) {
+	if !cf.live {
 		return
 	}
 	if h.sys.Inj != nil && h.pathDown(cf.path) {
@@ -218,13 +258,15 @@ func (h *Harness) retire(f packet.FlowID) {
 		if grace <= 0 {
 			grace = time.Millisecond
 		}
-		h.sys.Eng.ScheduleArg(grace, h.retireFn, cf)
+		cf.timer = h.sys.Eng.ScheduleArg(grace, h.retireFn, cf)
 		return
 	}
+	cf.timer.Stop()
 	h.linkFlows.remove(cf)
-	delete(h.live, f)
-	h.sys.Ctl.UnregisterFlow(f)
-	h.sys.Net.RetireFlow(f)
+	h.sys.Ctl.UnregisterFlow(cf.id)
+	h.sys.Net.RetireFlow(cf.id)
+	cf.live, cf.path = false, nil
+	h.nlive--
 	h.c.Retired++
 }
 
@@ -236,23 +278,25 @@ func (h *Harness) onArrival(a traffic.ChurnArrival) {
 	if err := h.sys.Ctl.RegisterFlowID(f, a.Src, a.Dst, path, 1); err != nil {
 		panic(fmt.Sprintf("soak: register: %v", err))
 	}
-	cf := &soakFlow{id: f, src: a.Src, dst: a.Dst, path: path}
-	h.live[f] = cf
+	i, _ := h.sys.Net.FlowSlot(f)
+	cf := h.record(i)
+	cf.id, cf.src, cf.dst, cf.path = f, a.Src, a.Dst, path
+	cf.live, cf.updating, cf.departed = true, false, false
 	h.linkFlows.add(h.g, cf)
 	h.c.Arrivals++
-	if len(h.live) > h.c.PeakLive {
-		h.c.PeakLive = len(h.live)
+	h.nlive++
+	if h.nlive > h.c.PeakLive {
+		h.c.PeakLive = h.nlive
 	}
-	h.sys.Eng.ScheduleAtArg(a.At+a.Lifetime, h.departFn, cf)
+	cf.timer = h.sys.Eng.ScheduleAtArg(a.At+a.Lifetime, h.departFn, cf)
 	h.scheduleNextArrival()
 }
 
-// retireLater runs a retire scheduled with the flow's record; like every
-// flow timer it acts on whichever flow holds the ID now.
-func (h *Harness) retireLater(x any) { h.retire(x.(*soakFlow).id) }
+// retireLater runs a retire scheduled with the flow's record.
+func (h *Harness) retireLater(x any) { h.retire(x.(*soakFlow)) }
 
 // depart runs a departure scheduled with the flow's record.
-func (h *Harness) depart(x any) { h.onDeparture(x.(*soakFlow).id) }
+func (h *Harness) depart(x any) { h.onDeparture(x.(*soakFlow)) }
 
 // onDeparture retires the flow immediately when it is quiescent, or
 // defers teardown to update completion when a reroute is in flight.
@@ -261,9 +305,8 @@ func (h *Harness) depart(x any) { h.onDeparture(x.(*soakFlow).id) }
 // heals, and marking it keeps reroute waves from triggering fresh
 // updates on a flow that is already gone (the teardown would then
 // unregister the flow mid-update and wedge it forever).
-func (h *Harness) onDeparture(f packet.FlowID) {
-	cf, ok := h.live[f]
-	if !ok {
+func (h *Harness) onDeparture(cf *soakFlow) {
+	if !cf.live {
 		return
 	}
 	h.c.Departures++
@@ -271,7 +314,7 @@ func (h *Harness) onDeparture(f packet.FlowID) {
 	if cf.updating {
 		return
 	}
-	h.retire(f)
+	h.retire(cf)
 }
 
 // onReroute applies the link perturbation and runs (or defers) the
@@ -345,9 +388,7 @@ func (h *Harness) waveScan(link topo.LinkID) {
 		cf.updating = true
 		h.linkFlows.add(h.g, cf)
 		h.c.Triggered++
-		if u != nil {
-			h.inflight[f] = u
-		}
+		cf.u = u
 	}
 	h.sys.Ctl.FlushUIMBatch()
 }
@@ -361,23 +402,23 @@ func (h *Harness) onUpdateComplete(u *controlplane.UpdateStatus) {
 	h.samples = append(h.samples, u.Completed-u.Sent)
 	h.slo.chargeUpdate(u.Sent, u.Completed, u.Retriggers)
 	h.c.ProbeRetries += uint64(u.ProbeRetries)
-	delete(h.inflight, u.Flow)
 	h.sys.Ctl.ForgetUpdate(u.Flow, u.Version)
-	cf, ok := h.live[u.Flow]
-	if !ok {
+	cf := h.lookup(u.Flow)
+	if cf == nil {
 		return
 	}
+	cf.u = nil
 	cf.updating = false
 	if cf.departed {
-		h.sys.Eng.ScheduleArg(h.opt.RetireGrace, h.retireFn, cf)
+		cf.timer = h.sys.Eng.ScheduleArg(h.opt.RetireGrace, h.retireFn, cf)
 	}
 }
 
+// scheduleNextArrival draws the next arrival. Its salt skips the IDs
+// the harness holds live, not those the fabric holds a slot for: a
+// retired flow's slot can outlive it (see lookup).
 func (h *Harness) scheduleNextArrival() {
-	a, ok := h.w.NextArrival(func(f packet.FlowID) bool {
-		_, taken := h.live[f]
-		return taken
-	})
+	a, ok := h.w.NextArrival(func(f packet.FlowID) bool { return h.lookup(f) != nil })
 	if !ok {
 		return
 	}

@@ -159,24 +159,31 @@ func SummarizeLatency(samples []time.Duration) LatencySLO {
 // retrigger burn is charged as if they ended now.
 func (h *Harness) Finish(system, profile string, seed int64) *Report {
 	now := h.sys.Eng.Now()
-	var confirming, orphaned, stalled uint64
-	for f, u := range h.inflight {
-		sent := u.Sent
-		if sent == 0 { // queued, never launched
-			sent = now
-		}
-		h.slo.chargeUpdate(sent, now, u.Retriggers)
-		h.c.ProbeRetries += uint64(u.ProbeRetries)
-		cf := h.live[f]
-		switch {
-		case u.AllApplied > 0:
-			// The path is established; only the §9.1 confirmation is
-			// outstanding against the ambient loss.
-			confirming++
-		case cf != nil && h.crashOrphaned(cf, sent, now):
-			orphaned++
-		default:
-			stalled++
+	var inflight, confirming, orphaned, stalled uint64
+	for _, b := range h.flows {
+		for k := range b {
+			cf := &b[k]
+			u := cf.u
+			if !cf.live || u == nil {
+				continue
+			}
+			inflight++
+			sent := u.Sent
+			if sent == 0 { // queued, never launched
+				sent = now
+			}
+			h.slo.chargeUpdate(sent, now, u.Retriggers)
+			h.c.ProbeRetries += uint64(u.ProbeRetries)
+			switch {
+			case u.AllApplied > 0:
+				// The path is established; only the §9.1 confirmation is
+				// outstanding against the ambient loss.
+				confirming++
+			case h.crashOrphaned(cf, sent, now):
+				orphaned++
+			default:
+				stalled++
+			}
 		}
 	}
 
@@ -190,7 +197,7 @@ func (h *Harness) Finish(system, profile string, seed int64) *Report {
 		Departures: h.c.Departures,
 		Retired:    h.c.Retired,
 		PeakLive:   h.c.PeakLive,
-		EndLive:    len(h.live),
+		EndLive:    h.nlive,
 
 		Waves:           h.c.Waves,
 		WavesDeferred:   h.c.WavesDeferred,
@@ -198,7 +205,7 @@ func (h *Harness) Finish(system, profile string, seed int64) *Report {
 
 		UpdatesTriggered: h.c.Triggered,
 		UpdatesCompleted: h.c.Completed,
-		InFlight:         uint64(len(h.inflight)),
+		InFlight:         inflight,
 		Confirming:       confirming,
 		CrashOrphaned:    orphaned,
 		Stalled:          stalled,

@@ -70,10 +70,13 @@ type ChurnWorkload struct {
 	arrivals *rand.Rand
 	reroutes *rand.Rand
 	nodes    []topo.NodeID
-	salts    map[[2]topo.NodeID]uint16
-	tArr     time.Duration
-	tRr      time.Duration
-	base     []time.Duration // post-jitter per-link base latencies
+	// salts is the next salt per ordered candidate pair, indexed by the
+	// two candidates' positions in nodes (src*len(nodes) + dst): 32 KB
+	// for the 128 edge switches of a fat-tree K=16.
+	salts []uint16
+	tArr  time.Duration
+	tRr   time.Duration
+	base  []time.Duration // post-jitter per-link base latencies
 }
 
 // NewChurnWorkload validates cfg and seeds the generator, applying the
@@ -96,13 +99,22 @@ func NewChurnWorkload(t *topo.Topology, seed int64, cfg ChurnConfig) (*ChurnWork
 	if len(nodes) < 2 {
 		return nil, fmt.Errorf("traffic: churn needs at least two candidate nodes")
 	}
+	// A candidate's position stands for the node (the salt table, the
+	// src != dst redraw), so each node may be listed once.
+	seen := make([]bool, t.NumNodes())
+	for _, n := range nodes {
+		if n < 0 || int(n) >= len(seen) || seen[n] {
+			return nil, fmt.Errorf("traffic: churn candidate %d is not a node or is listed twice", n)
+		}
+		seen[n] = true
+	}
 	w := &ChurnWorkload{
 		t:        t,
 		cfg:      cfg,
 		arrivals: rand.New(rand.NewSource(seed)),
 		reroutes: rand.New(rand.NewSource(seed ^ 0x5DEECE66D)),
 		nodes:    nodes,
-		salts:    make(map[[2]topo.NodeID]uint16),
+		salts:    make([]uint16, len(nodes)*len(nodes)),
 	}
 	if cfg.LatencyJitter > 0 {
 		JitterLatencies(t, seed, cfg.LatencyJitter)
@@ -146,17 +158,19 @@ func (w *ChurnWorkload) NextArrival(taken func(packet.FlowID) bool) (ChurnArriva
 	if w.tArr > w.cfg.Duration {
 		return ChurnArrival{}, false
 	}
-	src := w.nodes[w.arrivals.Intn(len(w.nodes))]
-	dst := w.nodes[w.arrivals.Intn(len(w.nodes))]
-	for dst == src {
-		dst = w.nodes[w.arrivals.Intn(len(w.nodes))]
+	n := len(w.nodes)
+	si := w.arrivals.Intn(n)
+	di := w.arrivals.Intn(n)
+	for di == si {
+		di = w.arrivals.Intn(n)
 	}
-	key := [2]topo.NodeID{src, dst}
-	salt := w.salts[key]
+	src, dst := w.nodes[si], w.nodes[di]
+	next := &w.salts[si*n+di]
+	salt := *next
 	for taken != nil && taken(packet.HashFlowSalt(uint16(src), uint16(dst), salt)) {
 		salt++
 	}
-	w.salts[key] = salt + 1
+	*next = salt + 1
 	life := time.Duration(w.arrivals.ExpFloat64() * float64(w.cfg.MeanLifetime))
 	if life <= 0 {
 		life = time.Nanosecond

@@ -41,6 +41,21 @@ func (node) Error() string { return "e" }
 
 func (node) unused() {}
 
+// base lends Name to the types that embed it.
+type base struct{}
+
+func (*base) Name() string { return "b" }
+
+// wrapper is a Namer only through the Name its embedded *base lends it.
+type wrapper struct{ *base }
+
+func Wrapped() Namer { return wrapper{&base{}} }
+
+// plain embeds a type that lends no interface method.
+type plain struct{ Stats }
+
+func Plain() any { return plain{} }
+
 // Label calls Name through the interface only.
 func Label(n Namer) string { return n.Name() }
 
@@ -74,7 +89,8 @@ func main() {
 	lib.Count(lib.New())
 	lib.BenchOnly()
 	lib.Knob = 2
-	_ = lib.Label(nil) + lib.Fail().Error()
+	_ = lib.Label(lib.Wrapped()) + lib.Fail().Error()
+	_ = lib.Plain()
 }
 `,
 }
@@ -118,12 +134,15 @@ func TestReaderCheckerOnFixture(t *testing.T) {
 		{"fix/lib.orphan", "a function only its own body calls", true},
 		{"fix/lib.Knob", "a package variable only assigned from another package", true},
 		{"fix/lib.node.unused", "a method no interface asks for", true},
+		{"fix/lib.plain.Stats", "an embedded field that lends no interface method", true},
 		{"fix/lib.Stats.Read", "a read field", false},
 		{"fix/lib.Stats.Tagged", "a json-tagged field", false},
 		{"fix/lib.key.flow", "a field of a map-key struct", false},
 		{"fix/lib.key.version", "a field of a map-key struct", false},
 		{"fix/lib.node.Name", "a method a module interface asks for", false},
 		{"fix/lib.node.Error", "a method error asks for", false},
+		{"fix/lib.wrapper.base", "an embedded field an interface's method is promoted through", false},
+		{"fix/lib.base.Name", "a method promoted to a module interface", false},
 		{"fix/lib.BenchOnly", "a function read from an unchecked package", false},
 	} {
 		if !defined[c.key] {
@@ -135,7 +154,7 @@ func TestReaderCheckerOnFixture(t *testing.T) {
 	if defined["fix/bench.helper"] {
 		t.Error("a definition in an unchecked package was checked")
 	}
-	want := []string{"fix/lib.Knob", "fix/lib.Stats.AppendOnly", "fix/lib.Stats.WriteOnly", "fix/lib.node.unused", "fix/lib.orphan"}
+	want := []string{"fix/lib.Knob", "fix/lib.Stats.AppendOnly", "fix/lib.Stats.WriteOnly", "fix/lib.node.unused", "fix/lib.orphan", "fix/lib.plain.Stats"}
 	if !slices.Equal(got, want) {
 		t.Errorf("reported %v, want %v", got, want)
 	}
@@ -150,6 +169,7 @@ func TestReaderAllowListCannotRot(t *testing.T) {
 		"fix/lib.Stats.AppendOnly": whyTestOnly + "TestX",
 		"fix/lib.node.unused":      whyTestOnly + "TestX",
 		"fix/lib.orphan":           whyTestOnly + "TestX",
+		"fix/lib.plain.Stats":      whyTestOnly + "TestX",
 	}
 	if p := rentProblems(unreads, defined, allow, ok); len(p) != 0 {
 		t.Fatalf("a complete allow-list fails: %v", p)
@@ -172,8 +192,8 @@ func TestReaderAllowListCannotRot(t *testing.T) {
 		t.Errorf("an unread definition without an entry: problems %v", p)
 	}
 	bad := func(key, reason string) error { return fmt.Errorf("bad reason") }
-	if p := rentProblems(unreads, defined, allow, bad); len(p) != 5 {
-		t.Errorf("an unlisted definition and four rejected reasons: problems %v", p)
+	if p := rentProblems(unreads, defined, allow, bad); len(p) != 6 {
+		t.Errorf("an unlisted definition and five rejected reasons: problems %v", p)
 	}
 }
 

@@ -64,8 +64,9 @@ func shortPath(path string) string {
 // composite-literal key, a function's or type's use inside its own
 // declaration, and a method receiver's type. A field with a json tag,
 // a field of a struct used as a map key (the map reads it on every
-// lookup), a method an interface asks for, and an embedded field a
-// promoted selector passes through are read.
+// lookup), a method an interface asks for, an embedded field that
+// method is promoted through, and an embedded field a promoted selector
+// passes through are read.
 func findUnread(fset *token.FileSet, pkgs []*rentPkg) ([]unread, map[string]bool) {
 	keys := map[types.Object]string{}
 	var order []types.Object
@@ -412,27 +413,41 @@ func interfacesOf(pkgs []*rentPkg) []*types.Interface {
 }
 
 // askedFor lists the methods of named (or *named) that an interface in
-// ifaces asks for.
+// ifaces asks for, and the embedded fields each such method that is
+// promoted reaches named through.
 func askedFor(named *types.Named, ifaces []*types.Interface) []types.Object {
-	if named.NumMethods() == 0 {
+	ptr := types.NewPointer(named)
+	mset := types.NewMethodSet(ptr)
+	if mset.Len() == 0 {
 		return nil
 	}
-	mine := map[string]*types.Func{}
-	for i := 0; i < named.NumMethods(); i++ {
-		mine[named.Method(i).Name()] = named.Method(i)
-	}
 	var out []types.Object
-	ptr := types.NewPointer(named)
 	for _, it := range ifaces {
-		if _, ok := mine[it.Method(0).Name()]; !ok {
+		if m0 := it.Method(0); mset.Lookup(m0.Pkg(), m0.Name()) == nil {
 			continue
 		}
 		if !types.Implements(named, it) && !types.Implements(ptr, it) {
 			continue
 		}
 		for i := 0; i < it.NumMethods(); i++ {
-			if m := mine[it.Method(i).Name()]; m != nil {
-				out = append(out, m)
+			m := it.Method(i)
+			obj, index, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+			if obj == nil {
+				continue
+			}
+			out = append(out, obj)
+			var t types.Type = named
+			for _, k := range index[:len(index)-1] {
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				f := st.Field(k)
+				out = append(out, f)
+				t = f.Type()
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
 			}
 		}
 	}
@@ -637,16 +652,13 @@ var readerAllowList = map[string]string{
 	"trace.CoreCodes":                  whyTestOnly + "TestDecisionCoverage",
 	"transport.Fabric.Dropped":         whyTestOnly + "TestRetransmitAfterDrop",
 	"transport.Fabric.Duplicated":      whyTestOnly + "TestDuplicateSuppression",
-	// The checker sees promoted selectors, not a method set an embedded
-	// field lends to satisfy an interface.
-	"ppcu.Coordinator.RoundExecutor": whyInterface + "wiring.Updater's TriggerUpdate is promoted through it",
-	"topo.PathOracle.sweeps":         whyRoadmap + "20: the topo layer's first work counter",
-	"topo.PathOracle.centroidSweeps": whyRoadmap + "20: the topo layer's first work counter",
-	"transport.Stats.Delivered":      whyRoadmap + "5: the daemons' /statusz",
-	"transport.Stats.Duplicates":     whyRoadmap + "5: the daemons' /statusz",
-	"transport.Stats.Reordered":      whyRoadmap + "5: the daemons' /statusz",
-	"transport.Stats.DecodeErr":      whyRoadmap + "5: the daemons' /statusz",
-	"transport.Stats.Oversized":      whyRoadmap + "5: the daemons' /statusz",
+	"topo.PathOracle.sweeps":           whyRoadmap + "20: the topo layer's first work counter",
+	"topo.PathOracle.centroidSweeps":   whyRoadmap + "20: the topo layer's first work counter",
+	"transport.Stats.Delivered":        whyRoadmap + "5: the daemons' /statusz",
+	"transport.Stats.Duplicates":       whyRoadmap + "5: the daemons' /statusz",
+	"transport.Stats.Reordered":        whyRoadmap + "5: the daemons' /statusz",
+	"transport.Stats.DecodeErr":        whyRoadmap + "5: the daemons' /statusz",
+	"transport.Stats.Oversized":        whyRoadmap + "5: the daemons' /statusz",
 }
 
 // moduleReasons checks a reason against the module: a test-only entry
