@@ -222,13 +222,15 @@ func (c *Controller) RegisterFlow(src, dst topo.NodeID, path []topo.NodeID, size
 // salted workloads carry several flows per (src, dst) pair, each with
 // its own wire ID (traffic.FlowSpec.ID).
 func (c *Controller) RegisterFlowID(f packet.FlowID, src, dst topo.NodeID, path []topo.NodeID, sizeK uint32) error {
-	if err := c.Topo.ValidatePath(path); err != nil {
-		return fmt.Errorf("controlplane: RegisterFlow: %w", err)
-	}
-	if path[0] != src || path[len(path)-1] != dst {
+	if len(path) > 0 && (path[0] != src || path[len(path)-1] != dst) {
 		return fmt.Errorf("controlplane: path endpoints do not match flow")
 	}
-	i := int(c.Net.InstallPath(f, path, 1, sizeK))
+	// InstallPath validates the path against the topology.
+	slot, err := c.Net.InstallPath(f, path, 1, sizeK)
+	if err != nil {
+		return fmt.Errorf("controlplane: RegisterFlow: %w", err)
+	}
+	i := int(slot)
 	if i >= len(c.flows) {
 		c.flows = append(c.flows, make([]FlowRecord, i+1-len(c.flows))...)
 	}
@@ -447,7 +449,7 @@ func (c *Controller) fireUpdateWatchdog(x any) {
 		c.injectProbe(u)
 	case c.recoverable(u):
 		// Nodes are still missing and no stall report reached us.
-		c.retrigger(u)
+		c.Retrigger(u)
 	default:
 		return
 	}
@@ -459,11 +461,13 @@ func (c *Controller) recoverable(u *UpdateStatus) bool {
 	return u.Retriggers < c.MaxRetriggers && u.resend != nil
 }
 
-// retrigger is the one §11 recovery gate: when u is recoverable and
+// Retrigger is the one §11 recovery gate: when u is recoverable and
 // outside the ProbeTimeout spacing of its last retrigger, it spends one
-// unit of budget on the resend its system launched it with. Otherwise
-// it does nothing and charges nothing.
-func (c *Controller) retrigger(u *UpdateStatus) {
+// unit of budget on the resend its system launched it with and traces a
+// controller Watchdog event. Otherwise it does nothing and charges
+// nothing. The completion watchdog and stall reports go through it, and
+// so does any other resend of an update's instructions.
+func (c *Controller) Retrigger(u *UpdateStatus) {
 	if !c.recoverable(u) ||
 		(c.ProbeTimeout > 0 && u.Retriggers > 0 && c.Eng.Now()-u.lastRetrigger < c.ProbeTimeout) {
 		return
@@ -571,7 +575,7 @@ func (c *Controller) handleUFM(m *packet.UFM) {
 		// notification chain never arrived — re-send the update so the
 		// coordination restarts from the egress.
 		if ok && !u.Done() {
-			c.retrigger(u)
+			c.Retrigger(u)
 		}
 	}
 }

@@ -41,15 +41,21 @@ func bed(t *testing.T) (*sim.Engine, *dataplane.Network, *Controller) {
 }
 
 func TestRegisterFlowValidation(t *testing.T) {
-	_, _, ctl := bed(t)
+	_, net, ctl := bed(t)
 	if _, err := ctl.RegisterFlow(0, 7, []topo.NodeID{0, 4, 2, 7}, 100); err != nil {
 		t.Fatalf("valid flow rejected: %v", err)
 	}
 	if _, err := ctl.RegisterFlow(0, 7, []topo.NodeID{1, 4, 2, 7}, 100); err == nil {
 		t.Error("path not starting at src accepted")
 	}
-	if _, err := ctl.RegisterFlow(0, 7, []topo.NodeID{0, 7}, 100); err == nil {
-		t.Error("invalid path accepted")
+	// A path the topology lacks is refused before anything is installed.
+	for _, path := range [][]topo.NodeID{{0, 7}, {0, 4, 0, 7}, nil} {
+		if err := ctl.RegisterFlowID(99, 0, 7, path, 100); err == nil {
+			t.Errorf("invalid path %v accepted", path)
+		}
+		if _, ok := net.FlowSlot(99); ok {
+			t.Errorf("invalid path %v left the flow interned", path)
+		}
 	}
 }
 
@@ -340,8 +346,8 @@ func TestFlowDBSlotReuse(t *testing.T) {
 
 		// B reaches A's slot through the fabric alone: no record is B's.
 		b := packet.HashFlow(7, 0)
-		if slot := net.InstallPath(b, pathB, 1, 100); slot != slotA {
-			t.Fatalf("B interned in slot %d, want A's recycled slot %d", slot, slotA)
+		if slot, err := net.InstallPath(b, pathB, 1, 100); err != nil || slot != slotA {
+			t.Fatalf("B interned in slot %d (%v), want A's recycled slot %d", slot, err, slotA)
 		}
 		if rec, ok := ctl.Flow(b); ok {
 			t.Errorf("unregister=%v: unregistered B found record %+v", unregister, *rec)

@@ -160,8 +160,8 @@ func (p *Protocol) fireWatchdog(x any) {
 	p.watchdogs = append(p.watchdogs, w)
 
 	cur, ok := sw.PeekState(flow)
-	if !ok {
-		return
+	if !ok || cur.UpdateContext == nil {
+		return // retired, and the FlowID re-registered without an update
 	}
 	if cur.UIM == nil || cur.UIM.Version != version ||
 		(cur.HasRule && cur.NewVersion >= version) || cur.Applying {

@@ -177,3 +177,37 @@ func TestWatchdogCycleAllocatesNothing(t *testing.T) {
 		t.Errorf("an arm-and-fire cycle of the stall watchdog allocates %.2f times, want 0", allocs)
 	}
 }
+
+// TestWatchdogForReRegisteredFlow: a stall watchdog armed for a flow
+// that then retires fires after the FlowID was registered again, so it
+// finds a state installed outside the protocol, with no update context.
+// It must leave that state alone: no report, no context attached.
+func TestWatchdogForReRegisteredFlow(t *testing.T) {
+	g := topo.Synthetic()
+	p := &core.Protocol{WatchdogTimeout: 10 * time.Millisecond}
+	tb := newTestbed(g, 27, p)
+	oldP, newP := topo.SyntheticPaths()
+	f, err := tb.ctl.RegisterFlow(0, 7, oldP, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := oldP[1]
+	sw := tb.net.Switch(node)
+	p.HandleUIM(sw, &packet.UIM{
+		Flow: f, Version: 2, NewDistance: uint16(len(newP) - 2),
+		EgressPort: uint16(g.PortTo(node, oldP[2])), ChildPort: packet.NoPort,
+		FlowSizeK: 1000, UpdateType: packet.UpdateSingle,
+	})
+	tb.ctl.UnregisterFlow(f)
+	tb.net.RetireFlow(f)
+	if err := tb.ctl.RegisterFlowID(f, 0, 7, oldP, 1000); err != nil {
+		t.Fatal(err)
+	}
+	tb.eng.Run()
+	if st, ok := sw.PeekState(f); !ok || st.UpdateContext != nil {
+		t.Fatalf("re-registered flow on node %d holds %+v; want registers only", node, st)
+	}
+	if n := tb.eng.Steps(); n != 1 {
+		t.Errorf("%d events ran, want the one watchdog firing that found nothing to report", n)
+	}
+}

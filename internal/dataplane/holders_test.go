@@ -159,7 +159,7 @@ func TestHolderSetsMatchReference(t *testing.T) {
 			// retirement's releases wake them in the order it visits.
 			var released []topo.NodeID
 			for node, st := range ref[f] {
-				if len(st.PendingRes) > 0 || st.HasRule && st.EgressPort >= 0 {
+				if st.UpdateContext != nil && len(st.PendingRes) > 0 || st.HasRule && st.EgressPort >= 0 {
 					released = append(released, node)
 				}
 				for p := 0; p < g.Degree(node); p++ {

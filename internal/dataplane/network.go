@@ -105,6 +105,9 @@ type Network struct {
 	// the fabric and records which switches hold state for each (see
 	// flowTable).
 	flows *flowTable
+	// contexts holds the update contexts of every switch's flows (see
+	// FlowState).
+	contexts contextPool
 	// outageRev counts switch Crash and Restore transitions: whatever was
 	// derived from which switches are up is stale once it moves.
 	outageRev uint32
@@ -284,8 +287,8 @@ type parked struct {
 }
 
 // parkQueue is a queue of parked work held as one pointer (it sits in
-// every FlowState): a list linked newest first, which wake reverses into
-// parking order.
+// every UpdateContext): a list linked newest first, which wake reverses
+// into parking order.
 type parkQueue struct{ newest *parked }
 
 // park adds a copy of m to q.
@@ -365,11 +368,12 @@ func NewNetwork(eng *sim.Engine, t *topo.Topology) *Network {
 // Reset returns the network to the state NewNetwork(eng, n.Topo) builds
 // while keeping its storage, so consecutive trials on one topology
 // reuse one fabric. Kept: the switches with their FlowState slab blocks
-// (reused in block order, so block sizes and state references come out
-// as in a fresh build), the flow table's capacity, the delivery, park
-// and commit slabs and the message pool. Everything else is zeroed: the
-// hooks, seams and observers, the flow table, the outage revision, and
-// on every switch its recycled state blocks, reservations, handler,
+// and the update-context pool's blocks (both reused in block order, so
+// block sizes and state references come out as in a fresh build), the
+// flow table's capacity, the delivery, park and commit slabs and the
+// message pool. Everything else is zeroed: the hooks, seams and
+// observers, the flow table, the outage revision, the contexts, and on
+// every switch its recycled state blocks, reservations, handler,
 // configuration, waiters, crash state and Stats. Work the fabric had in
 // flight lived in the old run's event queue and is abandoned with it,
 // so eng must be new or Reset too.
@@ -379,6 +383,7 @@ func (n *Network) Reset(eng *sim.Engine) {
 	n.Faults, n.Proc = nil, nil
 	n.OnApply, n.OnDeliver = nil, nil
 	n.flows.reset()
+	n.contexts.reset()
 	n.outageRev = 0
 	for _, sw := range n.switches {
 		sw.reset()
@@ -468,7 +473,7 @@ func (n *Network) NumFlowHolders(i int32) int { return int(n.flows.holders[i].n)
 // node order) holding a state block for the flow in dense slot i, and
 // that block. It lets the invariant auditor visit a flow's holders
 // without asking every switch; like FlowStateAt, the block is
-// read-only to callers.
+// read-only to callers, and its UpdateContext may be nil.
 func (n *Network) FlowHolder(i int32, k int) (topo.NodeID, *FlowState) {
 	h := n.flows.holders[i].at(k)
 	return h.node, n.switches[h.node].stateAt(h.ref)
@@ -490,9 +495,10 @@ func (n *Network) FlowChanged(f packet.FlowID) {
 }
 
 // RetireFlow removes every trace of a departed flow from the fabric —
-// per-switch state blocks (recycled into each switch's free list),
-// capacity reservations, waiter-table slots — and releases its dense
-// slot for reuse. It visits only the switches that hold state for the
+// per-switch state blocks (recycled into each switch's free list) and
+// update contexts (into the context pool), capacity reservations,
+// waiter-table slots — and releases its dense slot for reuse. It
+// visits only the switches that hold state for the
 // flow (the slot's holder set: old-path and new-path switches alike),
 // in ascending node order: releasing a reservation can wake capacity
 // waiters, and wake order is event order. Callers must only retire
@@ -674,10 +680,12 @@ func (n *Network) emit(class FaultClass, from, to topo.NodeID, inPort topo.PortI
 // InstallPath seeds forwarding rules for flow f along path with the given
 // version and size, labeling distances by hop count to the egress, and
 // returns the dense slot f is interned in. It is the experiment-setup
-// counterpart of an initial SL deployment.
-func (n *Network) InstallPath(f packet.FlowID, path []topo.NodeID, version uint32, sizeK uint32) int32 {
+// counterpart of an initial SL deployment: the hops hold registers only,
+// no update context. A path the topology does not have is an error, and
+// nothing is installed.
+func (n *Network) InstallPath(f packet.FlowID, path []topo.NodeID, version uint32, sizeK uint32) (int32, error) {
 	if err := n.Topo.ValidatePath(path); err != nil {
-		panic(fmt.Sprintf("dataplane: InstallPath: %v", err))
+		return 0, fmt.Errorf("dataplane: InstallPath: %w", err)
 	}
 	slot := n.flowSlot(f)
 	k := len(path) - 1
@@ -688,7 +696,7 @@ func (n *Network) InstallPath(f packet.FlowID, path []topo.NodeID, version uint3
 		}
 		n.switches[node].installInitialRule(slot, port, version, uint16(k-i), sizeK)
 	}
-	return slot
+	return slot, nil
 }
 
 // TracePath follows the current forwarding state of flow f from node

@@ -133,12 +133,12 @@ func freshDiff(path string, got, want reflect.Value, skip map[string]bool) []str
 
 // resetKeeps names the fields Network.Reset keeps instead of zeroing:
 // the engine and topology it is given or built for, the back pointer,
-// the pools and slabs, and the FlowState slab blocks (checked for
-// emptiness on their own).
+// the pools and slabs, and the FlowState slab blocks and update-context
+// pool (both checked for emptiness on their own).
 var resetKeeps = map[string]bool{
 	"Network.Eng": true, "Network.Topo": true, "Network.pool": true,
 	"Network.deliveries": true, "Network.parks": true, "Network.commits": true,
-	"Switch.net": true, "Switch.stateChunks": true,
+	"Network.contexts": true, "Switch.net": true, "Switch.stateChunks": true,
 }
 
 // TestNetworkResetMatchesFresh dirties a fabric, resets it, and requires
@@ -154,6 +154,10 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 		t.Fatal("dirty fabric has no work in flight; the test covers nothing")
 	}
 	first := net.Switch(1).stateAt(stateRef(1 << stateChunkBits))
+	if len(net.contexts.blocks) < 2 {
+		t.Fatalf("dirty fabric opened %d context blocks; the test covers no block order", len(net.contexts.blocks))
+	}
+	firstCtx := &net.contexts.blocks[0][0]
 
 	net.Reset(sim.New(1))
 	fresh := NewNetwork(sim.New(1), g)
@@ -179,6 +183,23 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 		}
 	}
 
+	// Likewise the context pool: no block open, nothing on the free
+	// list, and every kept context renewed (zero but for the capacity of
+	// its reservation slice).
+	if p := &net.contexts; p.open != 0 || len(p.free) != 0 {
+		t.Errorf("context pool after Reset: %d blocks open, %d contexts free", p.open, len(p.free))
+	}
+	for k, blk := range net.contexts.blocks {
+		if len(blk) != 0 {
+			t.Errorf("context block %d holds %d contexts after Reset", k, len(blk))
+		}
+		for i, c := range blk[:cap(blk)] {
+			if freshDiff("", reflect.ValueOf(c), reflect.ValueOf(UpdateContext{}), nil) != nil {
+				t.Errorf("context block %d entry %d holds the old run's state after Reset", k, i)
+			}
+		}
+	}
+
 	// Both fabrics run one workload; the reset one reuses its blocks.
 	run := func(net *Network) string {
 		rec := &recorder{}
@@ -187,6 +208,7 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 		for f := packet.FlowID(10); f < 40; f++ {
 			net.InstallPath(f, path, 1, 1000)
 		}
+		net.Switch(1).StageReservation(10, g.PortTo(1, 2), 5, 2)
 		for _, p := range []topo.PortID{g.PortTo(1, 2), g.PortTo(2, 3)} {
 			net.Switch(2).ParkOnCapacity(p, &packet.UIM{Flow: 10, Version: 2}, topo.InvalidPort)
 		}
@@ -204,5 +226,7 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 	}
 	if st, ok := net.Switch(1).PeekState(10); !ok || st != first {
 		t.Errorf("first state block after Reset is %p, want the kept block's %p", st, first)
+	} else if st.UpdateContext != firstCtx {
+		t.Errorf("first update context after Reset is %p, want the kept block's %p", st.UpdateContext, firstCtx)
 	}
 }

@@ -41,8 +41,9 @@ const (
 	PriorityHigh FlowPriority = 1
 )
 
-// FlowState is the per-flow slice of the Update Information Base. Fields
-// map 1:1 onto the registers of the paper's Table 1:
+// FlowState is the per-flow slice of the Update Information Base: the
+// registers every switch on a flow's path holds. Fields map 1:1 onto the
+// registers of the paper's Table 1:
 //
 //	new_distance        -> NewDistance (distance label of the applied config)
 //	new_version         -> NewVersion  (version of the applied config)
@@ -55,9 +56,18 @@ const (
 //	t                   -> LastType    (last update type: SL or DL)
 //	counter             -> Counter     (dual-layer hop counter)
 //
-// In the P4 prototype the "indication" labels live in registers written on
-// UIM arrival; we keep a copy of the freshest UIM in the block (Indicate)
-// with the same effect.
+// Beside them sit the indication registers (IndicatedVersion, UIM), the
+// retained two-phase-commit rule (PrevEgressPort, PrevValid) and one
+// pointer to the flow's UpdateContext: the block fits one 64-byte cache
+// line. Everything an update needs only while it is in flight lives in
+// the context, which a switch gets on its first protocol touch of the
+// flow (State) and gives back when the flow retires. A flow installed
+// outside the protocol (InstallPath) and retired without an update never
+// has one, so the readers that may meet such a state — PeekState,
+// FlowStateAt, FlowHolder — check UpdateContext for nil before touching
+// a context field. In the P4 prototype the indication labels live in
+// registers written on UIM arrival; the context keeps a copy of the
+// freshest UIM (Indicate) with the same effect.
 //
 // Forwarding registers and the revision contract: HasRule, EgressPort,
 // NewVersion, PrevValid, PrevEgressPort and FlowSizeK decide where a
@@ -92,14 +102,23 @@ type FlowState struct {
 	// retained rule doubles the per-flow rule space.
 	PrevEgressPort topo.PortID
 	PrevValid      bool
+	// UIM is the freshest (highest-version) indication received, nil if
+	// none. Indicate points it at the context's own copy, since the
+	// received message is pool-owned; contexts never move, so neither
+	// does the copy.
+	UIM *packet.UIM
+	// UpdateContext is the flow's in-flight update state on this switch,
+	// nil until the switch's first protocol touch of the flow.
+	*UpdateContext
+}
+
+// UpdateContext is the part of a flow's per-switch state that only an
+// updating hop needs. Contexts come from the network's context pool and
+// go back to it when the flow retires.
+type UpdateContext struct {
 	// PendingRes tracks capacity staged for in-flight rule installs so
 	// concurrent gate decisions cannot oversubscribe a link.
 	PendingRes []PendingReservation
-	// UIM is the freshest (highest-version) indication received, nil if
-	// none. Indicate points it at the block's own copy (uim), since the
-	// received message is pool-owned; the block never moves, so neither
-	// does the copy.
-	UIM *packet.UIM
 	// ChildPorts is the clone group for the UIM's version: the ports
 	// toward every child that must be notified after this node applies.
 	// Path flows have one child; destination trees (§11) have one per
@@ -117,7 +136,7 @@ type FlowState struct {
 	// It is reset whenever the awaited indication (re-)arrives.
 	StallReports uint8
 
-	// uim holds the indication UIM points at (see Indicate).
+	// uim holds the indication FlowState.UIM points at (see Indicate).
 	uim packet.UIM
 	// uimWait queues the work parked until an indication for the flow
 	// arrives (ParkOnUIM).
@@ -133,8 +152,9 @@ func (st *FlowState) CurrentDistance() uint16 {
 	return st.NewDistance
 }
 
-// Indicate records m as the flow's freshest indication: the block keeps
-// a copy, so m may be recycled once the handler returns.
+// Indicate records m as the flow's freshest indication: the context
+// keeps a copy, so m may be recycled once the handler returns. st must
+// come from Switch.State, which attaches the context.
 func (st *FlowState) Indicate(m *packet.UIM) {
 	st.uim = *m
 	st.UIM = &st.uim
@@ -205,14 +225,67 @@ func freshFlowState() FlowState {
 	}
 }
 
-// renew resets st to the fresh-node state, keeping the capacity of its
-// reservation slice for the block's next tenant. It assigns the fresh
-// state and the slice separately: one literal carrying st.PendingRes
-// would be built on the stack and copied in, not written in place.
-func (st *FlowState) renew() {
-	pend := st.PendingRes[:0]
-	*st = freshFlowState()
-	st.PendingRes = pend
+// renew resets c for its next flow, keeping the capacity of its
+// reservation slice. It assigns the zero context and the slice
+// separately: one literal carrying c.PendingRes would be built on the
+// stack and copied in, not written in place.
+func (c *UpdateContext) renew() {
+	pend := c.PendingRes[:0]
+	*c = UpdateContext{}
+	c.PendingRes = pend
+}
+
+// contextPool hands out update contexts from blocks it allocates
+// itself and never regrows, so a context's address is stable while a
+// flow holds it. Blocks double from 8 to maxSlabBlock contexts, as the
+// network's slabs do, so a single-flow trial pays one small block. A
+// retired flow's context goes back renewed, with its reservation
+// slice's capacity kept. Like the engine it serves, it is
+// single-threaded.
+type contextPool struct {
+	// blocks[:open] have handed out contexts, the last of them possibly
+	// not all; blocks[open:] are kept empty by reset for reuse in order.
+	blocks [][]UpdateContext
+	open   int
+	free   []*UpdateContext
+}
+
+func (p *contextPool) get() *UpdateContext {
+	if k := len(p.free); k > 0 {
+		c := p.free[k-1]
+		p.free = p.free[:k-1]
+		return c
+	}
+	if p.open == 0 || len(p.blocks[p.open-1]) == cap(p.blocks[p.open-1]) {
+		if p.open == len(p.blocks) {
+			// The shift is clamped first: 8<<open overflows once a pool
+			// has opened enough capped blocks.
+			p.blocks = append(p.blocks, make([]UpdateContext, 0, min(8<<min(p.open, 5), maxSlabBlock)))
+		}
+		p.open++
+	}
+	b := &p.blocks[p.open-1]
+	*b = (*b)[:len(*b)+1]
+	return &(*b)[len(*b)-1]
+}
+
+// put renews c and returns it to the pool.
+func (p *contextPool) put(c *UpdateContext) {
+	c.renew()
+	p.free = append(p.free, c)
+}
+
+// reset takes every context back, renewed, and rewinds the pool so it
+// hands its blocks out again in block order, as a fresh pool would.
+func (p *contextPool) reset() {
+	for k, b := range p.blocks[:p.open] {
+		for i := range b {
+			b[i].renew()
+		}
+		p.blocks[k] = b[:0]
+	}
+	p.open = 0
+	p.free = p.free[:0]
 }
 
 // Stats counts observable switch events; the experiment harnesses and the

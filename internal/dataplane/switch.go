@@ -57,9 +57,8 @@ type Switch struct {
 	// regrown), and a fresh-flow touch costs one allocation per block
 	// instead of one per flow.
 	stateChunks [][]FlowState
-	// freeStates recycles retired flows' state blocks (reset to fresh,
-	// reservation-slice capacity kept), so steady-state churn allocates
-	// no new slab blocks.
+	// freeStates recycles retired flows' state blocks (reset to fresh),
+	// so steady-state churn allocates no new slab blocks.
 	freeStates []stateRef
 	reserved   []uint64 // kbps reserved per real egress port
 	handler    Handler
@@ -89,8 +88,11 @@ type Switch struct {
 	capWaiters []parkQueue
 	// highWaiting tracks, per egress-port slot, the HIGH priority flows
 	// currently waiting to move onto that port (§7.4 gate). The sets are
-	// tiny, so membership is a linear scan.
-	highWaiting [][]packet.FlowID
+	// tiny, so membership is a linear scan. highWaitingN counts their
+	// entries, so retiring a flow skips the scan on a switch where no
+	// flow waits.
+	highWaiting  [][]packet.FlowID
+	highWaitingN int
 
 	// down marks the switch crashed (fail-stop): it neither sends nor
 	// receives, and its soft state is gone. epoch counts crashes so that
@@ -137,7 +139,7 @@ func (sw *Switch) reset() {
 		for k := 1; k < len(sw.stateChunks); k++ {
 			blk := sw.stateChunks[k]
 			for i := range blk {
-				blk[i].renew()
+				blk[i] = freshFlowState()
 			}
 			sw.stateChunks[k] = blk[:0]
 		}
@@ -154,6 +156,7 @@ func (sw *Switch) reset() {
 	for s := range sw.highWaiting {
 		sw.highWaiting[s] = sw.highWaiting[s][:0]
 	}
+	sw.highWaitingN = 0
 	sw.down = false
 	sw.epoch = 0
 	sw.Stats = Stats{}
@@ -229,7 +232,7 @@ func (sw *Switch) allocState() stateRef {
 	}
 	c := &sw.stateChunks[k]
 	*c = (*c)[:len(*c)+1]
-	(*c)[len(*c)-1].renew()
+	(*c)[len(*c)-1] = freshFlowState()
 	return stateRef(k<<stateChunkBits | (len(*c) - 1))
 }
 
@@ -262,8 +265,9 @@ func (sw *Switch) recordRecv(tr *trace.Recorder, m packet.Message, inPort topo.P
 	tr.Recv(int32(sw.ID), uint8(m.Type()), peer, f, v)
 }
 
-// State returns the flow's register slice, allocating fresh-node state on
-// first touch. The returned pointer stays stable for the flow's lifetime
+// State returns the flow's register slice for a protocol handler,
+// allocating fresh-node state on first touch, with its update context
+// attached. The returned pointer stays stable for the flow's lifetime
 // (staged commits hold it).
 func (sw *Switch) State(f packet.FlowID) *FlowState {
 	st, _ := sw.stateSlot(f)
@@ -275,10 +279,15 @@ func (sw *Switch) State(f packet.FlowID) *FlowState {
 // pays for one interner lookup, not two.
 func (sw *Switch) stateSlot(f packet.FlowID) (*FlowState, int32) {
 	i := sw.net.flowSlot(f)
-	return sw.stateIn(i), i
+	st := sw.stateIn(i)
+	if st.UpdateContext == nil {
+		st.UpdateContext = sw.net.contexts.get()
+	}
+	return st, i
 }
 
-// stateIn is State for a flow already interned in dense slot i.
+// stateIn is the register block of a flow already interned in dense
+// slot i, allocated on first touch without an update context.
 func (sw *Switch) stateIn(i int32) *FlowState {
 	hs := &sw.net.flows.holders[i]
 	r, k := hs.find(sw.ID)
@@ -289,7 +298,8 @@ func (sw *Switch) stateIn(i int32) *FlowState {
 	return sw.stateAt(r)
 }
 
-// PeekState returns the flow's register slice without allocating.
+// PeekState returns the flow's register slice without allocating; its
+// UpdateContext may be nil.
 func (sw *Switch) PeekState(f packet.FlowID) (*FlowState, bool) {
 	if i, ok := sw.net.FlowSlot(f); ok {
 		if r := sw.net.flows.holders[i].ref(sw.ID); r != 0 {
@@ -331,31 +341,35 @@ func (sw *Switch) FlowStateAt(i int) *FlowState {
 }
 
 // retireFlow tears down the flow occupying dense slot i on this switch,
-// whose state block is r: it returns the committed rule's capacity
-// reservation and any staged ones, clears waiter-table membership, and
-// recycles the state block. Called by Network.RetireFlow, for quiescent
-// flows and only on switches in the slot's holder set; RetireFlow
-// empties the set afterwards.
+// whose state block is r: it returns any staged capacity reservations
+// and then the committed rule's, clears waiter-table membership, and
+// recycles the update context, if any, and the state block. Called by
+// Network.RetireFlow, for quiescent flows and only on switches in the
+// slot's holder set; RetireFlow empties the set afterwards.
 func (sw *Switch) retireFlow(i int32, f packet.FlowID, r stateRef) {
 	st := sw.stateAt(r)
-	for _, pr := range st.PendingRes {
-		sw.Release(pr.Port, pr.SizeK)
+	if ctx := st.UpdateContext; ctx != nil {
+		for _, pr := range ctx.PendingRes {
+			sw.Release(pr.Port, pr.SizeK)
+		}
+		sw.net.dropParked(&ctx.uimWait)
+		sw.net.contexts.put(ctx)
 	}
 	if st.HasRule {
 		sw.Release(st.EgressPort, st.FlowSizeK)
 	}
-	sw.net.dropParked(&st.uimWait)
-	for s := range sw.highWaiting {
+	for s := 0; sw.highWaitingN > 0 && s < len(sw.highWaiting); s++ {
 		set := sw.highWaiting[s]
 		for j, g := range set {
 			if g == f {
 				sw.highWaiting[s] = append(set[:j], set[j+1:]...)
+				sw.highWaitingN--
 				break
 			}
 		}
 	}
 	sw.net.flows.bump(i)
-	st.renew()
+	*st = freshFlowState()
 	sw.freeStates = append(sw.freeStates, r)
 }
 
@@ -551,7 +565,7 @@ func (sw *Switch) ParkOnUIM(m packet.Message, inPort topo.PortID) {
 
 // WakeUIMWaiters re-injects work parked on the flow's indication.
 func (sw *Switch) WakeUIMWaiters(f packet.FlowID) {
-	if st, ok := sw.PeekState(f); ok {
+	if st, ok := sw.PeekState(f); ok && st.UpdateContext != nil {
 		sw.wake(&st.uimWait)
 	}
 }
@@ -665,6 +679,7 @@ func (sw *Switch) MarkHighWaiting(port topo.PortID, f packet.FlowID) {
 		}
 	}
 	sw.highWaiting[s] = append(sw.highWaiting[s], f)
+	sw.highWaitingN++
 }
 
 // ClearHighWaiting removes f from port's high-priority waiter set and
@@ -678,6 +693,7 @@ func (sw *Switch) ClearHighWaiting(port topo.PortID, f packet.FlowID) {
 	for i, g := range set {
 		if g == f {
 			sw.highWaiting[s] = append(set[:i], set[i+1:]...)
+			sw.highWaitingN--
 			sw.wakeCapacityWaiters(port)
 			return
 		}
@@ -702,11 +718,12 @@ func (sw *Switch) HighWaitingOn(port topo.PortID, f packet.FlowID) bool {
 // RaisePriorityOfMoversFrom marks every flow that currently occupies port
 // and has a pending move away from it as high priority (§7.4: "all flows
 // that desire to move away from e obtain high priority"). Iteration is in
-// fabric-interning order, so the marking order is deterministic.
+// fabric-interning order, so the marking order is deterministic. A flow
+// without an update context has no indication and so no pending move.
 func (sw *Switch) RaisePriorityOfMoversFrom(port topo.PortID) {
 	for i := range sw.net.flows.holders {
 		st := sw.FlowStateAt(i)
-		if st == nil || !st.HasRule || st.EgressPort != port {
+		if st == nil || st.UpdateContext == nil || !st.HasRule || st.EgressPort != port {
 			continue
 		}
 		if st.UIM != nil && st.UIM.Version > st.NewVersion {
@@ -788,22 +805,25 @@ func (sw *Switch) Crash() {
 		sw.net.dropParked(&sw.capWaiters[i])
 		sw.highWaiting[i] = sw.highWaiting[i][:0]
 	}
+	sw.highWaitingN = 0
 	for i := range sw.net.flows.holders {
 		st := sw.FlowStateAt(i)
 		if st == nil {
 			continue
 		}
-		sw.net.dropParked(&st.uimWait)
-		for _, pr := range st.PendingRes {
-			sw.Release(pr.Port, pr.SizeK)
+		if ctx := st.UpdateContext; ctx != nil {
+			sw.net.dropParked(&ctx.uimWait)
+			for _, pr := range ctx.PendingRes {
+				sw.Release(pr.Port, pr.SizeK)
+			}
+			ctx.PendingRes = ctx.PendingRes[:0]
+			ctx.ChildPorts.Reset()
+			ctx.Applying = false
+			ctx.ApplyingVersion = 0
+			ctx.StallReports = 0
 		}
-		st.PendingRes = st.PendingRes[:0]
 		st.UIM = nil
-		st.ChildPorts.Reset()
-		st.Applying = false
-		st.ApplyingVersion = 0
 		st.Priority = PriorityLow
-		st.StallReports = 0
 		// Indication registers are soft state too: fall back to the
 		// committed version so a retransmitted indication is accepted
 		// afresh after restart.

@@ -225,8 +225,41 @@ func TestHighWaitingBookkeeping(t *testing.T) {
 		t.Error("a flow is not blocked by itself")
 	}
 	sw.ClearHighWaiting(p, 5)
-	if sw.HighWaitingOn(p, 6) {
-		t.Error("cleared waiter still visible")
+	if sw.HighWaitingOn(p, 6) || sw.highWaitingN != 0 {
+		t.Errorf("cleared waiter still visible (%d counted)", sw.highWaitingN)
+	}
+}
+
+// TestRetireLeavesHighWaiting: a retiring flow leaves every
+// high-priority waiter set of every holder, and only it does — the
+// scan retirement skips on a switch whose sets are empty must still run
+// wherever one is not.
+func TestRetireLeavesHighWaiting(t *testing.T) {
+	net, g := lineNet(t, 1)
+	const f, other = packet.FlowID(5), packet.FlowID(6)
+	net.InstallPath(f, []topo.NodeID{0, 1, 2, 3}, 1, 1)
+	net.InstallPath(other, []topo.NodeID{1, 2}, 1, 1)
+	sw := net.Switch(1)
+	left, right := g.PortTo(1, 0), g.PortTo(1, 2)
+	sw.MarkHighWaiting(left, f)
+	sw.MarkHighWaiting(right, f)
+	sw.MarkHighWaiting(right, other)
+	net.Switch(2).MarkHighWaiting(g.PortTo(2, 3), f)
+	net.RetireFlow(f)
+	if sw.HighWaitingOn(left, other) || net.Switch(2).HighWaitingOn(g.PortTo(2, 3), other) {
+		t.Error("the retired flow still waits on a port")
+	}
+	if !sw.HighWaitingOn(right, f) {
+		t.Error("retiring one flow dropped another's high-priority wait")
+	}
+	net.RetireFlow(other)
+	if sw.HighWaitingOn(right, f) {
+		t.Error("the second retired flow still waits on a port")
+	}
+	for _, sw := range net.Switches() {
+		if sw.highWaitingN != 0 {
+			t.Errorf("switch %d counts %d high-priority waiters, holds none", sw.ID, sw.highWaitingN)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -379,7 +380,9 @@ func (d *ControllerDaemon) trySync() {
 
 // onSynced fires once the fabric agrees with the persisted committed
 // state: first incarnation triggers the scenario update; a restarted
-// incarnation resends only the still-unacknowledged indications.
+// incarnation with indications still unacknowledged re-sends the update
+// through the controller's §11 retrigger gate, which charges the
+// update's budget and traces the resend like any other.
 func (d *ControllerDaemon) onSynced() {
 	defer d.pushedOnce.Do(func() { close(d.pushedCh) })
 	scn := d.cfg.Scn
@@ -406,11 +409,8 @@ func (d *ControllerDaemon) onSynced() {
 		}
 		d.u = u
 	case !d.state.Update.Completed && d.u != nil && !d.u.Done():
-		plan := d.u.Plan
-		for i, tgt := range plan.Targets {
-			if d.u.Pending(tgt) {
-				d.sys.Net.SendToSwitch(tgt, &plan.UIMs[i], 0)
-			}
+		if slices.ContainsFunc(d.u.Plan.Targets, d.u.Pending) {
+			ctl.Retrigger(d.u)
 		}
 	case d.state.Update.Completed:
 		d.doneOnce.Do(func() { close(d.doneCh) })

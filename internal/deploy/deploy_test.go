@@ -287,4 +287,75 @@ func TestSwitchBootstrapFromLKG(t *testing.T) {
 	if st.Epoch != 4 || len(st.Rules) != 1 || st.Rules[0].Version != 2 {
 		t.Fatalf("persisted state = %+v, want epoch 4 with the v2 rule", st)
 	}
+	// A snapshot naming a path the topology lacks is dropped.
+	d.host.Do(func() {
+		d.applySnapshot(packet.SnapshotFlow{Flow: f + 1, Version: 1, SizeK: scn.SizeK, Path: []uint16{0, 0}})
+	})
+	if _, ok := d.FlowVersion(f + 1); ok {
+		t.Fatal("a snapshot with an invalid path installed a rule")
+	}
+}
+
+// TestRestartedControllerResendsThroughGate: a controller restarted
+// over an update no switch has acknowledged re-sends its indications
+// through the §11 retrigger gate once the fabric syncs, so the resend
+// spends a unit of the update's budget and leaves a controller Watchdog
+// event like every other resend.
+func TestRestartedControllerResendsThroughGate(t *testing.T) {
+	scn := testScenario()
+	f := scn.Flow()
+	stateFile := filepath.Join(t.TempDir(), "controller.json")
+	err := saveJSON(stateFile, ctlState{
+		Epoch: 1,
+		Flows: []flowSpec{{
+			Flow: uint32(f), Src: int32(scn.FlowSrc), Dst: int32(scn.FlowDst),
+			SizeK: scn.SizeK, Version: 1, Path: toWire(scn.OldPath),
+		}},
+		Update: &updateIntent{Flow: uint32(f), Version: 2, OldPath: toWire(scn.OldPath), NewPath: toWire(scn.NewPath)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := scn.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := ListenLocal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := map[int32]string{-1: conn.LocalAddr().String()}
+	for i := range g.NumNodes() {
+		peers[int32(i)] = "127.0.0.1:9"
+	}
+	d, err := NewControllerDaemon(ControllerConfig{
+		Scn: scn, Conn: conn, Peers: peers, StateFile: stateFile, RTO: testRTO,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	if d.Epoch() != 2 || d.u == nil {
+		t.Fatalf("epoch %d, update %v: want a restarted controller tracking the open intent", d.Epoch(), d.u)
+	}
+	var retriggers int
+	var events []trace.Event
+	d.host.Do(func() {
+		d.onSynced()
+		retriggers = d.u.Retriggers
+		events = d.sys.Trace.Events()
+	})
+	if retriggers != 1 {
+		t.Errorf("the restart's resend charged %d retriggers, want 1", retriggers)
+	}
+	var watchdogs int
+	for _, ev := range events {
+		if ev.Kind == trace.KindWatchdog && ev.Node == trace.NodeController &&
+			ev.Flow == uint32(f) && ev.Ver == 2 && ev.A == 1 {
+			watchdogs++
+		}
+	}
+	if watchdogs != 1 {
+		t.Errorf("%d controller Watchdog events for the resend of v2, want 1", watchdogs)
+	}
 }

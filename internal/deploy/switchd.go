@@ -188,7 +188,9 @@ func (d *SwitchDaemon) handle(peer int32, f *packet.Frame) {
 
 // applySnapshot adopts a controller plan entry the switch has not
 // caught up to; an equal-or-newer committed rule wins (last-known-good
-// survives a controller pushing stale state).
+// survives a controller pushing stale state). An entry whose path this
+// switch's topology does not have is dropped: the state report that
+// follows tells the controller the switch did not adopt it.
 func (d *SwitchDaemon) applySnapshot(s packet.SnapshotFlow) {
 	if st, ok := d.sw.PeekState(s.Flow); ok && st.HasRule && st.NewVersion >= s.Version {
 		return
@@ -197,7 +199,9 @@ func (d *SwitchDaemon) applySnapshot(s packet.SnapshotFlow) {
 	for i, n := range s.Path {
 		path[i] = topo.NodeID(n)
 	}
-	d.sys.Net.InstallPath(s.Flow, path, s.Version, s.SizeK)
+	if _, err := d.sys.Net.InstallPath(s.Flow, path, s.Version, s.SizeK); err != nil {
+		return
+	}
 	d.persist()
 }
 
