@@ -64,9 +64,10 @@ bench:
 # the churn harness's link→flow index and one flow's arrival → departure
 # → retire cycle at K=16 scale (internal/soak: BenchmarkLinkIndex,
 # BenchmarkArrivalRetire), the Fig. 7
-# single-flow scenario search (internal/traffic) and the Fig. 7 trial
+# single-flow scenario search (internal/traffic), the Fig. 7 trial
 # grid itself, per-trial wiring and beds included (internal/experiments,
-# BenchmarkFig7Grid), and the two planners Fig. 8 compares on the same B4
+# BenchmarkFig7Grid), one fresh burst-k8 trial, 500 updates on a K=8
+# bed (internal/experiments, BenchmarkBurstTrial), and the two planners Fig. 8 compares on the same B4
 # path pairs (internal/controlplane, internal/ezsegway:
 # BenchmarkPreparePlan). A quick A/B for a queue, state-layout, oracle,
 # path, harness-index, flow-table, trial-bed or planner change, without

@@ -78,9 +78,17 @@ type UpdateStatus struct {
 	watching bool
 	// pending holds the nodes whose version-tagged commit is still
 	// outstanding, in no particular order: a path's worth of nodes, so
-	// a linear scan beats a map and costs one allocation, not two.
-	pending []topo.NodeID
+	// a linear scan beats a map. It lives in pendingInline unless the
+	// completion set is longer (a destination tree's), so a path
+	// update's record is its only allocation.
+	pending       []topo.NodeID
+	pendingInline [pendingInlineNodes]topo.NodeID
 }
+
+// pendingInlineNodes is how many pending nodes an update record holds
+// inline: the longest paths the workloads update, B4 under the squall
+// storm, reach 10 nodes.
+const pendingInlineNodes = 12
 
 // Done reports whether the probe confirmed the update.
 func (u *UpdateStatus) Done() bool { return u.Completed > 0 }
@@ -301,7 +309,10 @@ func (c *Controller) Launch(u *UpdateStatus, d Dispatch) {
 	u.Sent = c.Eng.Now()
 	u.Queued = false
 	u.resend, u.done = d.Resend, d.Done
-	u.pending = slices.Grow(u.pending[:0], len(pending))
+	u.pending = u.pendingInline[:0]
+	if len(pending) > cap(u.pending) {
+		u.pending = make([]topo.NodeID, 0, len(pending))
+	}
 	for _, n := range pending {
 		if !slices.Contains(u.pending, n) {
 			u.pending = append(u.pending, n)

@@ -17,12 +17,13 @@ type echoHandler struct{}
 
 func (echoHandler) HandleUIM(sw *dataplane.Switch, m *packet.UIM) {
 	c := sw.StageCommit()
-	*c = dataplane.StagedCommit{Flow: m.Flow, UIM: *m, State: sw.State(m.Flow)}
+	*c = dataplane.StagedCommit{Flow: m.Flow, UIM: *m}
 	sw.Apply(true, c)
 }
 
 func (echoHandler) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
-	sw.CommitRule(c.Flow, &c.UIM, c.State.NewVersion, c.State.NewDistance, 0)
+	st := sw.State(c.Flow)
+	sw.CommitRule(c.Flow, &c.UIM, st.NewVersion, st.NewDistance, 0)
 }
 
 func (echoHandler) HandleUNM(*dataplane.Switch, *packet.UNM, topo.PortID) {}

@@ -407,13 +407,14 @@ func (a *Agent) apply(sw *dataplane.Switch, m *packet.UIM) {
 		uint32(m.Flow), m.Version, uint32(int32(newPort)), 0)
 	portChanged := !st.HasRule || st.EgressPort != newPort
 	c := sw.StageCommit()
-	*c = dataplane.StagedCommit{Flow: m.Flow, UIM: *m, State: st}
+	*c = dataplane.StagedCommit{Flow: m.Flow, UIM: *m}
 	sw.Apply(portChanged, c)
 }
 
 // CommitStaged commits the instructed rule and acknowledges it.
 func (a *Agent) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
-	if sw.CommitRule(c.Flow, &c.UIM, c.State.NewVersion, c.State.NewDistance, 0) {
+	st := sw.State(c.Flow)
+	if sw.CommitRule(c.Flow, &c.UIM, st.NewVersion, st.NewDistance, 0) {
 		sw.SendUFM(packet.UFM{
 			Flow: c.Flow, Version: c.UIM.Version, Status: packet.StatusUpdated,
 		})

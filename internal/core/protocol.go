@@ -246,7 +246,7 @@ func (p *Protocol) stageApply(sw *dataplane.Switch, f packet.FlowID, st *datapla
 	portChanged := !st.HasRule || st.EgressPort != st.EgressPortUpdated
 	c := sw.StageCommit()
 	*c = dataplane.StagedCommit{
-		Flow: f, UIM: *uim, State: st,
+		Flow: f, UIM: *uim,
 		OldVersion: v.OldVer, Inherited: v.Inherited, Counter: v.Counter,
 	}
 	sw.Apply(portChanged, c)
@@ -258,8 +258,8 @@ func (p *Protocol) stageApply(sw *dataplane.Switch, f packet.FlowID, st *datapla
 func (p *Protocol) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
 	if sw.CommitRule(c.Flow, &c.UIM, c.OldVersion, c.Inherited, c.Counter) {
 		p.afterApply(sw, c.Flow, sw.State(c.Flow), &c.UIM)
-	} else if c.State.ApplyingVersion == c.UIM.Version {
-		c.State.Applying = false
+	} else if st := sw.State(c.Flow); st.ApplyingVersion == c.UIM.Version {
+		st.Applying = false
 	}
 }
 

@@ -10,7 +10,7 @@ import "p4update/internal/topo"
 const holderInline = 12
 
 // holder is one switch's claim on a flow slot: the node and its state
-// block in that switch's slab.
+// block in the fabric's register slab.
 type holder struct {
 	node topo.NodeID
 	ref  stateRef

@@ -105,8 +105,9 @@ type Network struct {
 	// the fabric and records which switches hold state for each (see
 	// flowTable).
 	flows *flowTable
-	// contexts holds the update contexts of every switch's flows (see
-	// FlowState).
+	// states holds the register blocks of every switch's flows and
+	// contexts their update contexts (see FlowState).
+	states   stateSlab
 	contexts contextPool
 	// outageRev counts switch Crash and Restore transitions: whatever was
 	// derived from which switches are up is stale once it moves.
@@ -118,10 +119,12 @@ type Network struct {
 // streaming churn the table is sized by *live* flows, not by every flow
 // that ever existed. Each slot's holder set (holders, parallel to
 // slots) names the switches holding a state block for its flow, so
-// per-switch state is sized by the flows that traverse the switch.
+// per-switch state is sized by the flows that traverse the switch. A
+// FlowID resolves to its slot through idx, the fabric's one hashed flow
+// index.
 // Like the engine it serves, the table is single-threaded and lock-free.
 type flowTable struct {
-	idx     map[packet.FlowID]int32
+	idx     flowIndex
 	slots   []slotEntry
 	holders []holderSet
 	free    []int32 // recycled slots, LIFO
@@ -138,7 +141,7 @@ type slotEntry struct {
 }
 
 func (t *flowTable) slot(f packet.FlowID) int32 {
-	if i, ok := t.idx[f]; ok {
+	if i, ok := t.idx.get(f); ok {
 		return i
 	}
 	var i int32
@@ -153,7 +156,7 @@ func (t *flowTable) slot(f packet.FlowID) int32 {
 		t.slots = append(t.slots, slotEntry{id: f, live: true})
 		t.holders = append(t.holders, holderSet{})
 	}
-	t.idx[f] = i
+	t.idx.put(f, i)
 	return i
 }
 
@@ -164,26 +167,22 @@ func (t *flowTable) bump(i int32) { t.slots[i].rev++ }
 // release frees f's slot for reuse. The (f, i) pair is re-checked so a
 // stale release can never free a reassigned slot.
 func (t *flowTable) release(f packet.FlowID, i int32) {
-	if j, ok := t.idx[f]; !ok || j != i {
+	if !t.idx.remove(f, i) {
 		return
 	}
-	delete(t.idx, f)
 	t.slots[i].live = false
 	t.free = append(t.free, i)
 }
 
 // reset empties the table, keeping its capacity.
 func (t *flowTable) reset() {
-	clear(t.idx)
+	t.idx.reset()
 	t.slots = t.slots[:0]
 	t.holders = t.holders[:0]
 	t.free = t.free[:0]
 }
 
-func (t *flowTable) peek(f packet.FlowID) (int32, bool) {
-	i, ok := t.idx[f]
-	return i, ok
-}
+func (t *flowTable) peek(f packet.FlowID) (int32, bool) { return t.idx.get(f) }
 
 func (t *flowTable) id(i int32) packet.FlowID {
 	return t.slots[i].id
@@ -200,7 +199,12 @@ type slab[T any] struct {
 	next int // size of the next block
 }
 
-const maxSlabBlock = 256
+// maxSlabBlock caps the block size of every slab of the fabric;
+// slabOffsetBits is its log2, the width of a stateRef's offset field.
+const (
+	slabOffsetBits = 8
+	maxSlabBlock   = 1 << slabOffsetBits
+)
 
 func (s *slab[T]) get() *T {
 	if k := len(s.free); k > 0 {
@@ -356,7 +360,7 @@ func (n *Network) commitStaged(x any) {
 // to zero until configured.
 func NewNetwork(eng *sim.Engine, t *topo.Topology) *Network {
 	n := &Network{Topo: t}
-	n.flows = &flowTable{idx: make(map[packet.FlowID]int32)}
+	n.flows = &flowTable{}
 	n.deliverFn = n.deliver
 	n.resubmitFn = n.resubmit
 	n.commitFn = n.commitStaged
@@ -367,22 +371,24 @@ func NewNetwork(eng *sim.Engine, t *topo.Topology) *Network {
 
 // Reset returns the network to the state NewNetwork(eng, n.Topo) builds
 // while keeping its storage, so consecutive trials on one topology
-// reuse one fabric. Kept: the switches with their FlowState slab blocks
-// and the update-context pool's blocks (both reused in block order, so
-// block sizes and state references come out as in a fresh build), the
-// flow table's capacity, the delivery, park and commit slabs and the
-// message pool. Everything else is zeroed: the hooks, seams and
-// observers, the flow table, the outage revision, the contexts, and on
-// every switch its recycled state blocks, reservations, handler,
-// configuration, waiters, crash state and Stats. Work the fabric had in
-// flight lived in the old run's event queue and is abandoned with it,
-// so eng must be new or Reset too.
+// reuse one fabric. Kept: the switches, the register slab's blocks and
+// the update-context pool's (both rewound to hand their blocks out again
+// in block order, so block sizes and state references come out as in a
+// fresh build), the flow table's capacity and the flow index's table
+// (emptied), the delivery, park and commit slabs and the message pool.
+// Everything else is zeroed: the hooks, seams and observers, the flow
+// table, the slab's free list and the states in its blocks, the outage
+// revision, the contexts, and on every switch its reservations,
+// handler, configuration, waiters, crash state and Stats. Work the
+// fabric had in flight lived in the old run's event queue and is
+// abandoned with it, so eng must be new or Reset too.
 func (n *Network) Reset(eng *sim.Engine) {
 	n.Eng = eng
 	n.ControlLatency, n.ControllerRx = nil, nil
 	n.Faults, n.Proc = nil, nil
 	n.OnApply, n.OnDeliver = nil, nil
 	n.flows.reset()
+	n.states.reset()
 	n.contexts.reset()
 	n.outageRev = 0
 	for _, sw := range n.switches {
@@ -476,7 +482,7 @@ func (n *Network) NumFlowHolders(i int32) int { return int(n.flows.holders[i].n)
 // read-only to callers, and its UpdateContext may be nil.
 func (n *Network) FlowHolder(i int32, k int) (topo.NodeID, *FlowState) {
 	h := n.flows.holders[i].at(k)
-	return h.node, n.switches[h.node].stateAt(h.ref)
+	return h.node, n.states.at(h.ref)
 }
 
 // OutageRev returns the fabric's outage revision: it moves on every
@@ -495,8 +501,8 @@ func (n *Network) FlowChanged(f packet.FlowID) {
 }
 
 // RetireFlow removes every trace of a departed flow from the fabric —
-// per-switch state blocks (recycled into each switch's free list) and
-// update contexts (into the context pool), capacity reservations,
+// its register blocks (recycled into the fabric's slab) and update
+// contexts (into the context pool), capacity reservations,
 // waiter-table slots — and releases its dense slot for reuse. It
 // visits only the switches that hold state for the
 // flow (the slot's holder set: old-path and new-path switches alike),
@@ -504,7 +510,9 @@ func (n *Network) FlowChanged(f packet.FlowID) {
 // waiters, and wake order is event order. Callers must only retire
 // quiescent flows (no update in flight): late frames for a retired flow
 // are dropped harmlessly by the PeekState guards, but a commit staged
-// *before* retirement would re-intern the ID into a fresh slot. Returns
+// *before* retirement re-interns the ID into a fresh slot when it runs
+// (it names the flow, not its old blocks, which another flow may hold
+// by then). Returns
 // false if f was never interned (or already retired).
 func (n *Network) RetireFlow(f packet.FlowID) bool {
 	i, ok := n.flows.peek(f)

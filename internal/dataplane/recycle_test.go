@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -138,7 +139,7 @@ func TestFlowIDsIterateLiveOnly(t *testing.T) {
 // TestSteadyStateRecyclingAllocationFree asserts the perf contract of
 // the free-list design: once the fabric has reached its peak live
 // population, install/retire churn allocates nothing — slots come off
-// the interning free list and FlowState blocks off each switch's slab
+// the interning free list and FlowState blocks off the fabric slab's
 // free list, so steady-state memory does not grow with historical flow
 // count.
 func TestSteadyStateRecyclingAllocationFree(t *testing.T) {
@@ -163,33 +164,48 @@ func TestSteadyStateRecyclingAllocationFree(t *testing.T) {
 }
 
 // TestRetireFlowReleasesSwitchState checks that retirement recycles the
-// per-switch state blocks: a retired flow's FlowState pointer is
-// reused by the next allocation on the same switch.
+// flow's register blocks into the fabric's slab: re-installing the
+// retired path, for another flow, allocates nothing and takes the same
+// blocks as a set (the free list is fabric-wide, so which hop gets which
+// block is not fixed), each renewed to the new flow's rule.
 func TestRetireFlowReleasesSwitchState(t *testing.T) {
 	net, _ := lineNet(t, 1)
 	path := []topo.NodeID{0, 1, 2, 3}
-	f := packet.FlowID(7)
+	blocks := func(f packet.FlowID) map[*FlowState]bool {
+		set := make(map[*FlowState]bool)
+		for _, node := range path {
+			if st, ok := net.Switch(node).PeekState(f); ok {
+				set[st] = true
+			}
+		}
+		return set
+	}
+	f, g := packet.FlowID(7), packet.FlowID(8)
 	net.InstallPath(f, path, 1, 1)
-	sw := net.Switch(1)
-	st, ok := sw.PeekState(f)
-	if !ok {
-		t.Fatal("no state after install")
+	before := blocks(f)
+	if len(before) != len(path) {
+		t.Fatalf("%d distinct state blocks after install, want %d", len(before), len(path))
 	}
 	net.RetireFlow(f)
-	if _, ok := sw.PeekState(f); ok {
-		t.Fatal("state still visible after retire")
+	if got := blocks(f); len(got) != 0 {
+		t.Fatalf("%d state blocks still visible after retire", len(got))
 	}
-	g := packet.FlowID(8)
-	net.InstallPath(g, path, 1, 1)
-	st2, ok := sw.PeekState(g)
-	if !ok {
-		t.Fatal("no state after reinstall")
+	reinstall := func() {
+		net.InstallPath(g, path, 2, 1)
+		net.RetireFlow(g)
 	}
-	if st != st2 {
-		t.Fatal("retired FlowState block was not recycled")
+	if avg := testing.AllocsPerRun(10, reinstall); avg != 0 {
+		t.Fatalf("re-installing a retired path allocates %.1f objects, want 0", avg)
 	}
-	if st2.HasRule != true || st2.NewVersion != 1 {
-		t.Fatalf("recycled state not reset: %+v", st2)
+	net.InstallPath(g, path, 2, 1)
+	after := blocks(g)
+	if !maps.Equal(before, after) {
+		t.Fatal("the retired flow's state blocks were not reused as a set")
+	}
+	for st := range after {
+		if !st.HasRule || st.NewVersion != 2 || st.UpdateContext != nil {
+			t.Fatalf("recycled state not renewed: %+v", st)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -133,52 +134,65 @@ func freshDiff(path string, got, want reflect.Value, skip map[string]bool) []str
 
 // resetKeeps names the fields Network.Reset keeps instead of zeroing:
 // the engine and topology it is given or built for, the back pointer,
-// the pools and slabs, and the FlowState slab blocks and update-context
-// pool (both checked for emptiness on their own).
+// the pools and slabs, the flow index's table, and the register slab
+// and update-context pool (all three checked for emptiness on their
+// own).
 var resetKeeps = map[string]bool{
 	"Network.Eng": true, "Network.Topo": true, "Network.pool": true,
 	"Network.deliveries": true, "Network.parks": true, "Network.commits": true,
-	"Network.contexts": true, "Switch.net": true, "Switch.stateChunks": true,
+	"Network.states": true, "Network.contexts": true, "Switch.net": true,
+	"flowIndex.tab": true,
 }
 
 // TestNetworkResetMatchesFresh dirties a fabric, resets it, and requires
 // every field but the storage Reset keeps to equal a freshly built
 // fabric's — field by field through reflection, so a field added to
 // Network or Switch later fails here until Reset handles it. The reset
-// fabric must then hand out the state blocks it kept, in block order,
-// and run a workload exactly as the fresh one does.
+// fabric must then hand out the register blocks and contexts it kept,
+// in block order, and run a workload exactly as the fresh one does.
 func TestNetworkResetMatchesFresh(t *testing.T) {
 	net, g := ringNet(6)
 	dirtyNetwork(net, g)
 	if net.Eng.Pending() == 0 {
 		t.Fatal("dirty fabric has no work in flight; the test covers nothing")
 	}
-	first := net.Switch(1).stateAt(stateRef(1 << stateChunkBits))
+	if len(net.states.blocks) < 4 {
+		t.Fatalf("dirty fabric opened %d slab blocks; the test covers no block order", len(net.states.blocks))
+	}
+	kept := slices.Clone(net.states.blocks)
 	if len(net.contexts.blocks) < 2 {
 		t.Fatalf("dirty fabric opened %d context blocks; the test covers no block order", len(net.contexts.blocks))
 	}
 	firstCtx := &net.contexts.blocks[0][0]
+	indexSize := len(net.flows.idx.tab)
 
 	net.Reset(sim.New(1))
 	fresh := NewNetwork(sim.New(1), g)
 	for _, d := range freshDiff("Network", reflect.ValueOf(net).Elem(), reflect.ValueOf(fresh).Elem(), resetKeeps) {
 		t.Errorf("%s differs from a fresh network after Reset", d)
 	}
-	// The kept blocks sit past the end of stateChunks, empty, and each of
-	// their states is fresh (or zero, never handed out): none holds
-	// anything of the old run, such as a Proto record that would keep
-	// the old run's protocol state alive.
+	// The flow index is empty but keeps its table.
+	if x := &net.flows.idx; x.n != 0 || len(x.tab) != indexSize {
+		t.Errorf("flow index after Reset: %d entries in %d buckets, want 0 in %d", x.n, len(x.tab), indexSize)
+	} else if i := slices.IndexFunc(x.tab, func(e indexEntry) bool { return e != indexEntry{} }); i >= 0 {
+		t.Errorf("flow index bucket %d holds %+v after Reset", i, x.tab[i])
+	}
+	// The kept slab blocks are empty, nothing is on the free list, and
+	// each of their states is fresh or zero: none holds anything of the
+	// old run, such as a context pointer that would keep the old run's
+	// protocol state alive.
 	fresh0, zero := reflect.ValueOf(freshFlowState()), reflect.ValueOf(FlowState{})
-	for _, sw := range net.Switches() {
-		if len(sw.stateChunks) > 1 {
-			t.Errorf("switch %d: %d slab blocks in use after Reset", sw.ID, len(sw.stateChunks)-1)
+	if s := &net.states; s.open != 0 || len(s.free) != 0 {
+		t.Errorf("state slab after Reset: %d blocks open, %d blocks free", s.open, len(s.free))
+	}
+	for k, blk := range net.states.blocks {
+		if len(blk) != 0 {
+			t.Errorf("slab block %d holds %d states after Reset", k, len(blk))
 		}
-		for k, blk := range sw.stateChunks[:cap(sw.stateChunks)] {
-			for i, st := range blk[:cap(blk)] {
-				v := reflect.ValueOf(st)
-				if freshDiff("", v, fresh0, nil) != nil && freshDiff("", v, zero, nil) != nil {
-					t.Errorf("switch %d: block %d state %d holds the old run's state after Reset", sw.ID, k, i)
-				}
+		for i, st := range blk[:cap(blk)] {
+			v := reflect.ValueOf(st)
+			if freshDiff("", v, fresh0, nil) != nil && freshDiff("", v, zero, nil) != nil {
+				t.Errorf("slab block %d state %d holds the old run's state after Reset", k, i)
 			}
 		}
 	}
@@ -224,9 +238,27 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 	if got, want := run(net), run(fresh); got != want {
 		t.Errorf("reset fabric ran\n%s\nfresh fabric ran\n%s", got, want)
 	}
-	if st, ok := net.Switch(1).PeekState(10); !ok || st != first {
-		t.Errorf("first state block after Reset is %p, want the kept block's %p", st, first)
-	} else if st.UpdateContext != firstCtx {
+	// The workload's installs took the kept blocks' states one after
+	// another in block order, hop by hop.
+	n := 0
+	for f := packet.FlowID(10); f < 40; f++ {
+		for _, node := range []topo.NodeID{0, 1, 2, 3} {
+			k, i := 0, n
+			for i >= cap(kept[k]) {
+				i -= cap(kept[k])
+				k++
+			}
+			want := &kept[k][:cap(kept[k])][i]
+			if f == 12 {
+				want = nil // retired
+			}
+			if st, _ := net.Switch(node).PeekState(f); st != want {
+				t.Fatalf("flow %d on node %d: state block %p after Reset, want block %d entry %d (%p)", f, node, st, k, i, want)
+			}
+			n++
+		}
+	}
+	if st, _ := net.Switch(1).PeekState(10); st.UpdateContext != firstCtx {
 		t.Errorf("first update context after Reset is %p, want the kept block's %p", st.UpdateContext, firstCtx)
 	}
 }

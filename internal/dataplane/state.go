@@ -235,19 +235,53 @@ func (c *UpdateContext) renew() {
 	c.PendingRes = pend
 }
 
-// contextPool hands out update contexts from blocks it allocates
-// itself and never regrows, so a context's address is stable while a
-// flow holds it. Blocks double from 8 to maxSlabBlock contexts, as the
-// network's slabs do, so a single-flow trial pays one small block. A
-// retired flow's context goes back renewed, with its reservation
-// slice's capacity kept. Like the engine it serves, it is
-// single-threaded.
-type contextPool struct {
-	// blocks[:open] have handed out contexts, the last of them possibly
-	// not all; blocks[open:] are kept empty by reset for reuse in order.
-	blocks [][]UpdateContext
+// blockStore hands out entries of T from blocks it allocates itself and
+// never regrows, so an entry's address is stable while it is out. Blocks
+// double from 8 to maxSlabBlock entries, as the network's slabs do, so
+// a single-flow trial pays one small block. Like the engine it serves,
+// it is single-threaded.
+type blockStore[T any] struct {
+	// blocks[:open] have handed out entries, the last of them possibly
+	// not all; blocks[open:] are kept empty by rewind for reuse in order.
+	blocks [][]T
 	open   int
-	free   []*UpdateContext
+}
+
+// next hands out the next unused entry, as its block and offset.
+func (s *blockStore[T]) next() (int, int) {
+	if s.open == 0 || len(s.blocks[s.open-1]) == cap(s.blocks[s.open-1]) {
+		if s.open == len(s.blocks) {
+			// The shift is clamped first: 8<<open overflows once a store
+			// has opened enough capped blocks.
+			s.blocks = append(s.blocks, make([]T, 0, min(8<<min(s.open, 5), maxSlabBlock)))
+		}
+		s.open++
+	}
+	b := &s.blocks[s.open-1]
+	*b = (*b)[:len(*b)+1]
+	return s.open - 1, len(*b) - 1
+}
+
+// rewind takes every entry back, passing each handed-out one to renew,
+// so the store hands its blocks out again in block order, as a fresh
+// store would.
+func (s *blockStore[T]) rewind(renew func(*T)) {
+	for k, b := range s.blocks[:s.open] {
+		for i := range b {
+			renew(&b[i])
+		}
+		s.blocks[k] = b[:0]
+	}
+	s.open = 0
+}
+
+// contextPool hands out update contexts from a block store, so a
+// context's address is stable while a flow holds it. A retired flow's
+// context goes back renewed, with its reservation slice's capacity
+// kept.
+type contextPool struct {
+	blockStore[UpdateContext]
+	free []*UpdateContext
 }
 
 func (p *contextPool) get() *UpdateContext {
@@ -256,17 +290,8 @@ func (p *contextPool) get() *UpdateContext {
 		p.free = p.free[:k-1]
 		return c
 	}
-	if p.open == 0 || len(p.blocks[p.open-1]) == cap(p.blocks[p.open-1]) {
-		if p.open == len(p.blocks) {
-			// The shift is clamped first: 8<<open overflows once a pool
-			// has opened enough capped blocks.
-			p.blocks = append(p.blocks, make([]UpdateContext, 0, min(8<<min(p.open, 5), maxSlabBlock)))
-		}
-		p.open++
-	}
-	b := &p.blocks[p.open-1]
-	*b = (*b)[:len(*b)+1]
-	return &(*b)[len(*b)-1]
+	k, i := p.next()
+	return &p.blocks[k][i]
 }
 
 // put renews c and returns it to the pool.
@@ -275,17 +300,57 @@ func (p *contextPool) put(c *UpdateContext) {
 	p.free = append(p.free, c)
 }
 
-// reset takes every context back, renewed, and rewinds the pool so it
-// hands its blocks out again in block order, as a fresh pool would.
+// reset takes every context back, renewed, and rewinds the pool.
 func (p *contextPool) reset() {
-	for k, b := range p.blocks[:p.open] {
-		for i := range b {
-			b[i].renew()
-		}
-		p.blocks[k] = b[:0]
-	}
-	p.open = 0
+	p.rewind((*UpdateContext).renew)
 	p.free = p.free[:0]
+}
+
+// stateSlab holds the register blocks (FlowState) of every switch of the
+// fabric, the model of the per-switch register arrays a P4 target
+// indexes by flow. A block stays put while its flow lives, so handlers
+// may keep a *FlowState for the length of one call; a retired flow's
+// blocks go on one fabric-wide free list, renewed. Nothing walks the
+// slab, so which block a flow gets cannot show in any result.
+type stateSlab struct {
+	blockStore[FlowState]
+	free []stateRef
+}
+
+// stateRef names one block of the state slab: block number plus one and
+// offset within the block, packed as (block+1)<<slabOffsetBits | offset,
+// so the zero value means "no state".
+type stateRef int32
+
+// get hands out a renewed block: a retired one when one is free, else
+// the next unused one.
+func (s *stateSlab) get() stateRef {
+	if k := len(s.free); k > 0 {
+		r := s.free[k-1]
+		s.free = s.free[:k-1]
+		return r
+	}
+	k, i := s.next()
+	s.blocks[k][i] = freshFlowState()
+	return stateRef((k+1)<<slabOffsetBits | i)
+}
+
+// at resolves a non-zero reference.
+func (s *stateSlab) at(r stateRef) *FlowState {
+	return &s.blocks[r>>slabOffsetBits-1][r&(maxSlabBlock-1)]
+}
+
+// put renews r's block and returns it to the free list.
+func (s *stateSlab) put(r stateRef) {
+	*s.at(r) = freshFlowState()
+	s.free = append(s.free, r)
+}
+
+// reset takes every block back, zeroed (get renews a block as it hands
+// it out), and rewinds the slab.
+func (s *stateSlab) reset() {
+	s.rewind(func(st *FlowState) { *st = FlowState{} })
+	s.free = s.free[:0]
 }
 
 // Stats counts observable switch events; the experiment harnesses and the

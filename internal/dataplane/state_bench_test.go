@@ -12,7 +12,7 @@ import (
 
 // TestInstallRetireSteadyStateZeroAllocs: once a recycled population is
 // warm, installing and retiring flows allocates nothing — slots come
-// off the interner's free list, state blocks off each switch's, and a
+// off the interner's free list, state blocks off the fabric slab's, and a
 // slot whose holder set spilled keeps its spill capacity for the next
 // tenant. Every flow is installed along two arcs of a 14-switch ring,
 // an old path and a new one as a reroute leaves them, so holder sets

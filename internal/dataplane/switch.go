@@ -40,11 +40,11 @@ type MessageHandler interface {
 const resubmitLatency = 100 * time.Microsecond
 
 // Switch is one P4 forwarding device. Its per-flow and per-port state
-// lives in slabs and dense slices instead of maps: a flow's state block
-// is found through the holder set of its fabric-wide interned slot
-// (Network.flowSlot), a scan of the few switches the flow traverses,
-// and ports index by their slot (real ports map to themselves,
-// PortLocal to one extra trailing slot).
+// lives in the fabric's register slab and in dense slices instead of
+// maps: a flow's state block is found through the holder set of its
+// fabric-wide interned slot (Network.flowSlot), a scan of the few
+// switches the flow traverses, and ports index by their slot (real
+// ports map to themselves, PortLocal to one extra trailing slot).
 type Switch struct {
 	ID  topo.NodeID
 	net *Network
@@ -52,16 +52,8 @@ type Switch struct {
 	// real ports plus slot degree for PortLocal.
 	degree int
 
-	// stateChunks slab-allocates FlowState values in fixed-capacity
-	// blocks: pointers into a block never move (blocks are appended, not
-	// regrown), and a fresh-flow touch costs one allocation per block
-	// instead of one per flow.
-	stateChunks [][]FlowState
-	// freeStates recycles retired flows' state blocks (reset to fresh),
-	// so steady-state churn allocates no new slab blocks.
-	freeStates []stateRef
-	reserved   []uint64 // kbps reserved per real egress port
-	handler    Handler
+	reserved []uint64 // kbps reserved per real egress port
+	handler  Handler
 
 	// InstallDelay samples the time a forwarding-rule change takes to
 	// commit (the per-node update slowness of §9.1). Nil means instant.
@@ -131,21 +123,9 @@ func newSwitches(net *Network) []*Switch {
 }
 
 // reset returns the switch to its freshly built state (see
-// Network.Reset): its slab blocks are emptied for reuse in block order,
-// their states renewed, and every other field but its identity and port
-// layout is zeroed.
+// Network.Reset): every field but its identity and port layout is
+// zeroed.
 func (sw *Switch) reset() {
-	if len(sw.stateChunks) > 0 {
-		for k := 1; k < len(sw.stateChunks); k++ {
-			blk := sw.stateChunks[k]
-			for i := range blk {
-				blk[i] = freshFlowState()
-			}
-			sw.stateChunks[k] = blk[:0]
-		}
-		sw.stateChunks = sw.stateChunks[:1]
-	}
-	sw.freeStates = sw.freeStates[:0]
 	clear(sw.reserved)
 	sw.handler = nil
 	sw.InstallDelay = nil
@@ -174,66 +154,6 @@ func (sw *Switch) portSlot(port topo.PortID) int {
 		return sw.degree
 	}
 	return -1
-}
-
-// maxStateChunk caps the FlowState slab block size. Blocks double from
-// 4 up to this cap, so a single-flow trial pays one tiny block while a
-// many-flow trial amortizes to one allocation per 64 flows.
-// stateChunkBits is its log2, the width of a stateRef's offset field.
-const (
-	stateChunkBits = 6
-	maxStateChunk  = 1 << stateChunkBits
-)
-
-// stateRef names one FlowState of a switch's slab: block number and
-// offset within the block packed as block<<stateChunkBits | offset.
-// Block 0 is never allocated (stateChunks[0] stays nil), so the zero
-// value means "no state" and resolving a reference needs no adjustment.
-// Blocks smaller than the cap leave the top of their offset range unused.
-type stateRef int32
-
-// stateAt resolves a non-zero reference. The pointer is stable for the
-// switch's lifetime: blocks are appended, never regrown.
-func (sw *Switch) stateAt(r stateRef) *FlowState {
-	return &sw.stateChunks[r>>stateChunkBits][r&(maxStateChunk-1)]
-}
-
-// allocState hands out a recycled state block when one is free, else
-// the next entry of the current slab block, opening a new block when it
-// is full.
-func (sw *Switch) allocState() stateRef {
-	if k := len(sw.freeStates); k > 0 {
-		r := sw.freeStates[k-1]
-		sw.freeStates = sw.freeStates[:k-1]
-		return r
-	}
-	if len(sw.stateChunks) == 0 {
-		// Block 0 stays nil (see stateRef); room for the first real block
-		// comes with it, so the table costs no allocation more than before.
-		sw.stateChunks = make([][]FlowState, 1, 2)
-	}
-	k := len(sw.stateChunks) - 1 // last block
-	if k == 0 || len(sw.stateChunks[k]) == cap(sw.stateChunks[k]) {
-		// Blocks double 4→8→16→32, then stay at the cap; the shift must
-		// not scale with the chunk count (4<<k overflows once a switch
-		// has opened enough capped chunks — hundreds of thousands of
-		// live flows under streaming churn).
-		size := maxStateChunk
-		if k < 4 {
-			size = 4 << k
-		}
-		if n := len(sw.stateChunks); n < cap(sw.stateChunks) && cap(sw.stateChunks[:n+1][n]) == size {
-			// A block emptied by reset: reuse it where it stood.
-			sw.stateChunks = sw.stateChunks[:n+1]
-		} else {
-			sw.stateChunks = append(sw.stateChunks, make([]FlowState, 0, size))
-		}
-		k++
-	}
-	c := &sw.stateChunks[k]
-	*c = (*c)[:len(*c)+1]
-	(*c)[len(*c)-1] = freshFlowState()
-	return stateRef(k<<stateChunkBits | (len(*c) - 1))
 }
 
 // SetHandler installs the update-protocol handler.
@@ -267,8 +187,9 @@ func (sw *Switch) recordRecv(tr *trace.Recorder, m packet.Message, inPort topo.P
 
 // State returns the flow's register slice for a protocol handler,
 // allocating fresh-node state on first touch, with its update context
-// attached. The returned pointer stays stable for the flow's lifetime
-// (staged commits hold it).
+// attached. The returned pointer stays stable until the flow retires;
+// a handler keeps it no longer than the call (a staged commit names
+// the flow and looks its registers up again).
 func (sw *Switch) State(f packet.FlowID) *FlowState {
 	st, _ := sw.stateSlot(f)
 	return st
@@ -292,10 +213,10 @@ func (sw *Switch) stateIn(i int32) *FlowState {
 	hs := &sw.net.flows.holders[i]
 	r, k := hs.find(sw.ID)
 	if r == 0 {
-		r = sw.allocState()
+		r = sw.net.states.get()
 		hs.insert(k, sw.ID, r)
 	}
-	return sw.stateAt(r)
+	return sw.net.states.at(r)
 }
 
 // PeekState returns the flow's register slice without allocating; its
@@ -303,7 +224,7 @@ func (sw *Switch) stateIn(i int32) *FlowState {
 func (sw *Switch) PeekState(f packet.FlowID) (*FlowState, bool) {
 	if i, ok := sw.net.FlowSlot(f); ok {
 		if r := sw.net.flows.holders[i].ref(sw.ID); r != 0 {
-			return sw.stateAt(r), true
+			return sw.net.states.at(r), true
 		}
 	}
 	return nil, false
@@ -334,7 +255,7 @@ func (sw *Switch) Pool() *packet.Pool { return &sw.net.pool }
 func (sw *Switch) FlowStateAt(i int) *FlowState {
 	if hs := sw.net.flows.holders; i >= 0 && i < len(hs) {
 		if r := hs[i].ref(sw.ID); r != 0 {
-			return sw.stateAt(r)
+			return sw.net.states.at(r)
 		}
 	}
 	return nil
@@ -347,7 +268,7 @@ func (sw *Switch) FlowStateAt(i int) *FlowState {
 // Network.RetireFlow, for quiescent flows and only on switches in the
 // slot's holder set; RetireFlow empties the set afterwards.
 func (sw *Switch) retireFlow(i int32, f packet.FlowID, r stateRef) {
-	st := sw.stateAt(r)
+	st := sw.net.states.at(r)
 	if ctx := st.UpdateContext; ctx != nil {
 		for _, pr := range ctx.PendingRes {
 			sw.Release(pr.Port, pr.SizeK)
@@ -369,8 +290,7 @@ func (sw *Switch) retireFlow(i int32, f packet.FlowID, r stateRef) {
 		}
 	}
 	sw.net.flows.bump(i)
-	*st = freshFlowState()
-	sw.freeStates = append(sw.freeStates, r)
+	sw.net.states.put(r)
 }
 
 // Receive is the switch's pipeline entry point: it parses the frame and
@@ -752,15 +672,16 @@ func (sw *Switch) installDelay(portChanged bool) time.Duration {
 // StagedCommit is a rule install waiting out the switch's install delay,
 // a pooled record: the indication it installs, held by value so an
 // indication arriving meanwhile cannot change it, and the Table-1 labels
-// verification chose for it.
+// verification chose for it. It names its flow, not the flow's register
+// block: a handler resolves the registers when the commit runs
+// (Switch.State), since the flow may have retired meanwhile and its
+// block gone to another flow.
 type StagedCommit struct {
 	Flow       packet.FlowID
 	UIM        packet.UIM
 	OldVersion uint32
 	Inherited  uint16
 	Counter    uint16
-	// State is the flow's register block at staging time.
-	State *FlowState
 	// Proto is protocol-specific install data beyond the indication
 	// (ez-Segway's instruction, which is not a UIM).
 	Proto any

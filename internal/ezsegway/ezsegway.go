@@ -330,7 +330,7 @@ func (h *Handler) handleEZN(sw *dataplane.Switch, m *packet.EZN) {
 		uint32(m.Flow), m.Version, uint32(int32(newPort)), 0)
 	portChanged := !st.HasRule || st.EgressPort != newPort
 	c := sw.StageCommit()
-	*c = dataplane.StagedCommit{Flow: m.Flow, State: st, Proto: instr}
+	*c = dataplane.StagedCommit{Flow: m.Flow, Proto: instr}
 	sw.Apply(portChanged, c)
 }
 
@@ -347,7 +347,7 @@ func (h *Handler) waive(x any) {
 // CommitStaged commits the rule of the instruction staged by handleEZN,
 // then relays, reports or initiates as the instruction's role asks.
 func (h *Handler) CommitStaged(sw *dataplane.Switch, c *dataplane.StagedCommit) {
-	st, instr := c.State, c.Proto.(*packet.EZI)
+	st, instr := sw.State(c.Flow), c.Proto.(*packet.EZI)
 	newPort := dataplane.PortFromWire(instr.EgressPort)
 	ok := sw.CommitState(c.Flow, dataplane.Commit{
 		Port:    newPort,

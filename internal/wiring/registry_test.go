@@ -1,17 +1,20 @@
 package wiring
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"p4update/internal/controlplane"
 	"p4update/internal/faults"
 	"p4update/internal/packet"
 	"p4update/internal/plancache"
 	"p4update/internal/topo"
 	"p4update/internal/trace"
+	"p4update/internal/traffic"
 )
 
 // build wires a Fig-1 testbed for the named system and registers the
@@ -234,16 +237,17 @@ func TestUpdatePathAllocations(t *testing.T) {
 
 // triggerAllocs is what one Trigger call allocates in each system, in
 // the plain build (raceAllocs adds the race detector's one), with the
-// plan cache warm. P4Update's is its UpdateStatus and pending set; a
-// round system's Trigger no longer allocates a resend closure per run.
+// plan cache warm. P4Update's is its UpdateStatus alone (the record
+// holds a path's pending set inline); a round system's Trigger no
+// longer allocates a resend closure per run.
 var triggerAllocs = map[string]uint64{
-	"p4update":    2,
-	"p4update-sl": 2,
-	"p4update-dl": 2,
-	"ez-segway":   3,
-	"central":     10,
-	"ppcu":        13,
-	"opt-oracle":  8,
+	"p4update":    1,
+	"p4update-sl": 1,
+	"p4update-dl": 1,
+	"ez-segway":   2,
+	"central":     8,
+	"ppcu":        12,
+	"opt-oracle":  7,
 }
 
 // TestTriggerAllocations pins triggerAllocs: the median, over 200
@@ -281,6 +285,58 @@ func TestTriggerAllocations(t *testing.T) {
 		if got, want := run(), triggerAllocs[name]+raceAllocs; got > want {
 			t.Errorf("a %s Trigger allocates %d times, want at most %d", name, got, want)
 		}
+	}
+}
+
+// burstTrialAllocs is what one fresh burst trial of
+// TestBurstTrialAllocations allocates in the plain build (raceAllocs,
+// once per Trigger, on top under the race detector).
+const burstTrialAllocs = 196
+
+// TestBurstTrialAllocations pins the allocations of one burst trial as
+// the burst-k8 workload runs it, at a size a test affords: a fresh bed on
+// a frozen fat-tree K=4 (wiring.New), 40 flows registered on their old
+// paths and all rerouted at once through a warm plan cache, run to
+// quiescence. The bed's construction, the register slab's blocks, the
+// flow index's growth and the update records are what it counts.
+func TestBurstTrialAllocations(t *testing.T) {
+	g := topo.FatTree(4)
+	g.Freeze()
+	flows, err := traffic.ManyFlowWorkload(g, rand.New(rand.NewSource(1)), 40, topo.EdgeSwitches(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Seed: 1, System: "p4update", MaxEvents: 5_000_000, FatTreeControl: true,
+		BaseInstallDelay: time.Millisecond, CtrlProcDelay: 500 * time.Microsecond,
+		CtrlQueueMean: 40 * time.Millisecond, Plans: plancache.New(g),
+	}
+	trial := func() {
+		sys := New(g, cfg)
+		for _, f := range flows {
+			if err := sys.Ctl.RegisterFlowID(f.ID(), f.Src, f.Dst, f.Old, f.SizeK); err != nil {
+				t.Fatal(err)
+			}
+		}
+		updates := make([]*controlplane.UpdateStatus, 0, len(flows))
+		for _, f := range flows {
+			u, err := sys.Trigger(f.ID(), f.New)
+			if err != nil {
+				t.Fatal(err)
+			}
+			updates = append(updates, u)
+		}
+		sys.Eng.Run()
+		for _, u := range updates {
+			if !u.Done() {
+				t.Fatalf("update of flow %d did not complete", u.Flow)
+			}
+		}
+	}
+	got := testing.AllocsPerRun(5, trial)
+	t.Logf("one burst trial allocates %.1f objects", got)
+	if want := float64(burstTrialAllocs + raceAllocs*len(flows)); got > want {
+		t.Errorf("a burst trial allocates %.1f objects, want at most %.0f", got, want)
 	}
 }
 
